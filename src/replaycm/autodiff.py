@@ -39,28 +39,8 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # operator sugar used by the objectives and tests
-    def __add__(self, other):
-        return add(self, _as_tensor(other, self.dtype))
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other, self.dtype))
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other, self.dtype))
-
-    def __neg__(self):
-        return neg(self)
-
-
-def _as_tensor(x, dtype=np.float32) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=dtype))
 
 
 def _result(data, parents, backward_fn) -> Tensor:

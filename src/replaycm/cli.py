@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -21,13 +22,19 @@ from .training import FeatureStore, TrainConfig, train, write_feature_manifest
 
 
 def _frame_spec(cfg: dict) -> FrameSpec:
-    return FrameSpec.from_ms(
-        cfg["audio"]["sample_rate"],
-        frame_ms=cfg["stft"]["frame_ms"],
-        hop_ms=cfg["stft"]["hop_ms"],
-        window=cfg["stft"]["window"],
-        n_fft=cfg["stft"]["n_fft"],
-    )
+    return FrameSpec.from_ms(cfg["audio"]["sample_rate"], **cfg["stft"])
+
+
+# feature kind -> the gram function of one waveform under a resolved config;
+# looked up when a command runs, so wrappers installed after import (such as
+# perfbench's tracer) take effect
+FRONTENDS = {
+    "stft": lambda cfg: partial(feat.stft_gram, spec=_frame_spec(cfg)),
+    "gd": lambda cfg: partial(feat.gd_gram, spec=_frame_spec(cfg)),
+    "mgd": lambda cfg: partial(feat.mgd_gram, spec=_frame_spec(cfg), p=MgdParams(
+        rho=cfg["mgd"]["rho"], lam=cfg["mgd"]["lambda"], lifter_len=cfg["mgd"]["lifter_len"])),
+    "cqt": lambda cfg: partial(feat.cqt_gram, **cfg["cqt"]),
+}
 
 
 def cmd_simulate(args) -> int:
@@ -42,24 +49,13 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _extract_one(entry, wav_dir: Path, out_dir: Path, kind: str, cfg: dict,
-                 mgd_params: MgdParams, bin_stride: int, frame_stride: int) -> tuple:
+def _extract_one(entry, wav_dir: Path, out_dir: Path, frontend,
+                 bin_stride: int, frame_stride: int) -> tuple:
     from .audio_io import read_wav
 
     w = read_wav(wav_dir / f"{entry.utt_id}.wav")
     w.utt_id = entry.utt_id
-    if kind == "stft":
-        gram = feat.stft_gram(w, _frame_spec(cfg))
-    elif kind == "mgd":
-        gram = feat.mgd_gram(w, _frame_spec(cfg), mgd_params)
-    elif kind == "gd":
-        gram = feat.gd_gram(w, _frame_spec(cfg))
-    elif kind == "cqt":
-        gram = feat.cqt_gram(w, hop=cfg["cqt"]["hop"], n_octaves=cfg["cqt"]["n_octaves"],
-                             bins_per_octave=cfg["cqt"]["bins_per_octave"])
-    else:
-        raise ParameterError(f"unknown feature kind {kind!r}")
-    gram = reduce_gram(gram, bin_stride, frame_stride)
+    gram = reduce_gram(frontend(w), bin_stride, frame_stride)
     filename = f"{entry.utt_id}.fgram"
     write_gram(gram, out_dir / filename)
     return entry.utt_id, filename
@@ -71,16 +67,14 @@ def cmd_extract(args) -> int:
         cfg["mgd"]["rho"] = args.rho
     if args.lam is not None:
         cfg["mgd"]["lambda"] = args.lam
-    mgd_params = MgdParams(rho=cfg["mgd"]["rho"], lam=cfg["mgd"]["lambda"],
-                           lifter_len=cfg["mgd"]["lifter_len"])
+    frontend = FRONTENDS[args.feature](cfg)
     entries = read_protocol(args.protocol)
     wav_dir = Path(args.wav_dir)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def work(entry):
-        return _extract_one(entry, wav_dir, out_dir, args.feature, cfg, mgd_params,
-                            args.bin_stride, args.frame_stride)
+        return _extract_one(entry, wav_dir, out_dir, frontend, args.bin_stride, args.frame_stride)
 
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
@@ -95,32 +89,17 @@ def cmd_extract(args) -> int:
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     entries_train = read_protocol(args.protocol_train)
+    if not entries_train:
+        raise DataError(f"training protocol {args.protocol_train} lists no utterances")
     entries_dev = read_protocol(args.protocol_dev)
     store = FeatureStore(args.feature_dir)
-    probe = store.load(entries_train[0].utt_id)
-    block_counts = tuple(int(b) for b in str(cfg["model"]["block_counts"]).split(","))
-    model_cfg = ResNetConfig(
-        block_counts=block_counts,
-        base_channels=cfg["model"]["base_channels"],
-        fc_width=cfg["model"]["fc_width"],
-        input_bins=probe.shape[0],
-        input_frames=probe.shape[1],
-        scale=cfg["model"]["scale"],
-    )
-    tcfg = TrainConfig(
-        lr=cfg["train"]["lr"],
-        betas=(cfg["train"]["beta1"], cfg["train"]["beta2"]),
-        weight_decay=cfg["train"]["weight_decay"],
-        plateau_patience=cfg["train"]["plateau_patience"],
-        plateau_factor=cfg["train"]["plateau_factor"],
-        batch_size=cfg["train"]["batch_size"],
-        max_epochs=cfg["train"]["max_epochs"],
-        seed=cfg["train"]["seed"],
-        objective=args.objective,
-        gamma=args.gamma if args.gamma is not None else cfg["train"]["gamma"],
-        alpha=cfg["train"]["alpha"] if cfg["train"]["alpha"] == "auto"
-        else tuple(float(a) for a in str(cfg["train"]["alpha"]).split(",")),
-    )
+    bins, frames = store.load(entries_train[0].utt_id).shape
+    model_cfg = ResNetConfig(**cfg["model"], input_bins=bins, input_frames=frames)
+    train_cfg = dict(cfg["train"])
+    train_cfg["betas"] = (train_cfg.pop("beta1"), train_cfg.pop("beta2"))
+    if args.gamma is not None:
+        train_cfg["gamma"] = args.gamma
+    tcfg = TrainConfig(objective=args.objective, **train_cfg)
     model = build_resnet(model_cfg, seed=tcfg.seed)
     result = train(model, entries_train, entries_dev, store, tcfg,
                    log_path=str(args.out) + ".log")
@@ -133,23 +112,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_score(args) -> int:
-    model, _, _ = load_checkpoint(args.ckpt)
-    entries = read_protocol(args.protocol)
-    store = FeatureStore(args.feature_dir)
-    from .model import score_batch
-
-    scores = {}
-    batch = 32
-    for start in range(0, len(entries), batch):
-        chunk = entries[start : start + batch]
-        if args.jobs > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                grams = list(pool.map(store.load, [e.utt_id for e in chunk]))
-            grams = np.stack(grams)
-        else:
-            grams = store.load_batch([e.utt_id for e in chunk])
-        for e, s in zip(chunk, score_batch(model, grams)):
-            scores[e.utt_id] = float(s)
+    model, _ = load_checkpoint(args.ckpt)
+    records = training._score_entries(model, read_protocol(args.protocol),
+                                      FeatureStore(args.feature_dir), jobs=args.jobs)
+    scores = {r.utt_id: r.score for r in records}
     write_score_file(scores, args.out)
     print(f"scored {len(scores)} utterances to {args.out}")
     return 0
@@ -208,7 +174,7 @@ def cmd_breakdown(args) -> int:
 
 
 def cmd_saliency(args) -> int:
-    model, _, _ = load_checkpoint(args.ckpt)
+    model, _ = load_checkpoint(args.ckpt)
     gram = read_gram(args.feature)
     smap = saliency_map(model, gram)
     out = feat.FeatureGram(gram.kind, smap.astype(np.float32), gram.utt_id)
@@ -234,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("extract", help="extract feature grams for a protocol")
-    p.add_argument("--feature", required=True, choices=("stft", "mgd", "cqt", "gd"))
+    p.add_argument("--feature", required=True, choices=tuple(FRONTENDS))
     p.add_argument("--protocol", required=True)
     p.add_argument("--wav-dir", required=True)
     p.add_argument("--out", required=True)

@@ -1,81 +1,55 @@
 """Line-oriented ``key = value`` configuration with sections.
 
-Every numeric default of the toolkit lives in DEFAULTS, so a dumped config
-file fully declares an experiment.  Unknown sections or keys are rejected;
-values are coerced to the type of the default they override.
+DEFAULTS is built from the dataclasses and signatures that own each default,
+so every value a config file may set is one the toolkit reads.  Unknown
+sections or keys are rejected; values are coerced to the type of the
+default they override.
 """
 
 from __future__ import annotations
 
 import configparser
 import copy
+import inspect
+from dataclasses import asdict
 
 from .errors import ParameterError
+from .features import FrameSpec, MgdParams, cqt_gram
+from .metrics import TdcfParams
+from .model import ResNetConfig
+from .replay_sim import generate_corpus
+from .training import TrainConfig
 
-DEFAULTS = {
-    "audio": {
-        "sample_rate": 16000,
-        "synth_peak": 0.9,
-        "synth_min_snr_db": 40.0,
-    },
-    "stft": {
-        "frame_ms": 25.0,
-        "hop_ms": 10.0,
-        "n_fft": 1024,
-        "window": "hamming",
-        "log_eps": 1e-10,
-    },
-    "mgd": {
-        "rho": 0.2,
-        "lambda": 0.7,
-        "lifter_len": 30,
-    },
-    "cqt": {
-        "hop": 128,
-        "n_octaves": 9,
-        "bins_per_octave": 96,
-    },
-    "shaping": {
-        "n_frames": 500,
-    },
-    "replay_distance_a": {"gain": 0.85, "decay_s": 0.09, "drr_db": 20.0},
-    "replay_distance_b": {"gain": 0.60, "decay_s": 0.18, "drr_db": 11.0},
-    "replay_distance_c": {"gain": 0.40, "decay_s": 0.35, "drr_db": 4.0},
-    "replay_quality_a": {"low_hz": 50.0, "high_hz": 7800.0, "drive": 0.02, "noise_rms": 2.5e-3},
-    "replay_quality_b": {"low_hz": 150.0, "high_hz": 5500.0, "drive": 0.8, "noise_rms": 5e-3},
-    "replay_quality_c": {"low_hz": 300.0, "high_hz": 3400.0, "drive": 2.5, "noise_rms": 1.2e-2},
-    "model": {
-        "block_counts": "3,4,6,3",
-        "base_channels": 16,
-        "fc_width": 32,
-        "scale": 4,
-    },
-    "train": {
-        "lr": 3e-4,
-        "beta1": 0.9,
-        "beta2": 0.999,
-        "weight_decay": 5e-5,
-        "plateau_patience": 3,
-        "plateau_factor": 0.1,
-        "batch_size": 16,
-        "max_epochs": 10,
-        "seed": 0,
-        "gamma": 2.0,
-        "alpha": "auto",
-    },
-    "tdcf": {
-        "pi_tar": 0.9405,
-        "pi_non": 0.0095,
-        "pi_spoof": 0.05,
-        "c_miss_cm": 1.0,
-        "c_fa_cm": 10.0,
-        "c_miss_asv": 1.0,
-        "c_fa_asv": 10.0,
-        "p_miss_asv": 0.01,
-        "p_fa_asv": 0.01,
-        "p_miss_spoof_asv": 0.05,
-    },
-}
+
+def _keyword_defaults(fn) -> dict:
+    return {name: p.default for name, p in inspect.signature(fn).parameters.items()
+            if p.default is not p.empty}
+
+
+def _defaults() -> dict:
+    mgd = MgdParams()
+    model = ResNetConfig()
+    train = asdict(TrainConfig())
+    del train["objective"]  # chosen per run by ``train --objective``
+    train["beta1"], train["beta2"] = train.pop("betas")
+    return {
+        "audio": {"sample_rate": _keyword_defaults(generate_corpus)["sample_rate"]},
+        "stft": _keyword_defaults(FrameSpec.from_ms),
+        "mgd": {"rho": mgd.rho, "lambda": mgd.lam, "lifter_len": mgd.lifter_len},
+        "cqt": _keyword_defaults(cqt_gram),
+        "model": {
+            "block_counts": ",".join(str(b) for b in model.block_counts),
+            "base_channels": model.base_channels,
+            "fc_width": model.fc_width,
+            # the CLI trains a quarter-width network unless a config says otherwise
+            "scale": 4,
+        },
+        "train": train,
+        "tdcf": asdict(TdcfParams()),
+    }
+
+
+DEFAULTS = _defaults()
 
 
 def default_config() -> dict:
@@ -99,9 +73,7 @@ def load_config(path=None) -> dict:
                 raise ParameterError(f"unknown config key {key!r} in [{section}]")
             default = cfg[section][key]
             try:
-                if isinstance(default, bool):
-                    cfg[section][key] = raw.strip().lower() in ("1", "true", "yes", "on")
-                elif isinstance(default, int):
+                if isinstance(default, int):
                     cfg[section][key] = int(raw)
                 elif isinstance(default, float):
                     cfg[section][key] = float(raw)

@@ -39,7 +39,8 @@ class FrameSpec:
 
     @classmethod
     def from_ms(cls, sample_rate: int, frame_ms: float = 25.0, hop_ms: float = 10.0,
-                window: str = "hamming", n_fft: int = 1024) -> "FrameSpec":
+                window: str = window, n_fft: int = n_fft) -> "FrameSpec":
+        # window and n_fft default to the field defaults above
         return cls(
             frame_len=int(round(frame_ms * sample_rate / 1000.0)),
             hop=int(round(hop_ms * sample_rate / 1000.0)),
@@ -99,14 +100,22 @@ def _frame(samples: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
     return samples[idx]
 
 
-def stft(w: Waveform, spec: FrameSpec) -> np.ndarray:
-    """One-sided short-time spectra, shape (n_fft/2 + 1, n_frames).
-
-    Frame t covers samples [t*hop, t*hop + frame_len).
+def _spectra(w: Waveform, spec: FrameSpec, ramped: bool = False) -> tuple:
+    """One-sided spectra of the windowed frames, each (n_fft/2 + 1, n_frames):
+    (X,) or, if ``ramped``, (X, Y) with Y the spectrum of the index-ramped
+    windowed frames.  Frame t covers samples [t*hop, t*hop + frame_len).
     """
     frames = _frame(w.samples, spec.frame_len, spec.hop)
     win = _window(spec.window, spec.frame_len)
-    return np.fft.rfft(frames * win, n=spec.n_fft, axis=1).T
+    weighted = [frames * win]
+    if ramped:
+        weighted.append(frames * np.arange(spec.frame_len) * win)
+    return tuple(np.fft.rfft(f, n=spec.n_fft, axis=1).T for f in weighted)
+
+
+def stft(w: Waveform, spec: FrameSpec) -> np.ndarray:
+    """One-sided short-time spectra, shape (n_fft/2 + 1, n_frames)."""
+    return _spectra(w, spec)[0]
 
 
 def shape_fixed(gram: np.ndarray, n_frames: int = N_FRAMES_FIXED) -> np.ndarray:
@@ -148,16 +157,9 @@ def mgd_spectra(w: Waveform, spec: FrameSpec, p: MgdParams) -> np.ndarray:
     spectrum, Y the spectrum of the index-ramped frame and S the cepstrally
     smoothed magnitude of X; the output is sign(tau') |tau'|^rho.
     """
-    frames = _frame(w.samples, spec.frame_len, spec.hop)
-    win = _window(spec.window, spec.frame_len)
-    ramp = np.arange(spec.frame_len)
-    x_spec = np.fft.rfft(frames * win, n=spec.n_fft, axis=1).T
-    y_spec = np.fft.rfft(frames * ramp * win, n=spec.n_fft, axis=1).T
+    x_spec, y_spec = _spectra(w, spec, ramped=True)
     mag = np.maximum(np.abs(x_spec), MAG_FLOOR)
-    if p.smoothing:
-        smooth = cepstral_smooth(mag, p.lifter_len)
-    else:
-        smooth = mag
+    smooth = cepstral_smooth(mag, p.lifter_len) if p.smoothing else mag
     with np.errstate(over="ignore", invalid="ignore"):
         cross = x_spec.real * y_spec.real + x_spec.imag * y_spec.imag
         tau_raw = cross / np.power(smooth, 2.0 * p.lam)
@@ -173,15 +175,10 @@ def mgd_gram(w: Waveform, spec: FrameSpec, p: MgdParams | None = None) -> Featur
 
 
 def gd_gram(w: Waveform, spec: FrameSpec) -> FeatureGram:
-    """Vanilla group-delay gram: (X_R Y_R + X_I Y_I) / |X|^2 per frame."""
-    frames = _frame(w.samples, spec.frame_len, spec.hop)
-    win = _window(spec.window, spec.frame_len)
-    ramp = np.arange(spec.frame_len)
-    x_spec = np.fft.rfft(frames * win, n=spec.n_fft, axis=1).T
-    y_spec = np.fft.rfft(frames * ramp * win, n=spec.n_fft, axis=1).T
-    mag = np.maximum(np.abs(x_spec), MAG_FLOOR)
-    gd = (x_spec.real * y_spec.real + x_spec.imag * y_spec.imag) / mag**2
-    return FeatureGram("GD", shape_fixed(gd), w.utt_id)
+    """Vanilla group-delay gram (X_R Y_R + X_I Y_I) / |X|^2 per frame: MGD
+    with rho = lambda = 1 and no cepstral smoothing."""
+    tau = mgd_spectra(w, spec, MgdParams(rho=1.0, lam=1.0, smoothing=False))
+    return FeatureGram("GD", shape_fixed(tau), w.utt_id)
 
 
 # ---------------------------------------------------------------------------

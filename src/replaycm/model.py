@@ -31,9 +31,14 @@ class ResNetConfig:
     scale: int = 1
 
     def __post_init__(self):
-        self.block_counts = tuple(int(b) for b in self.block_counts)
+        counts = self.block_counts
+        try:
+            self.block_counts = tuple(int(b) for b in
+                                      (counts.split(",") if isinstance(counts, str) else counts))
+        except (TypeError, ValueError):
+            self.block_counts = ()
         if len(self.block_counts) != 4 or any(b < 1 for b in self.block_counts):
-            raise ParameterError(f"block_counts must be four positive ints, got {self.block_counts}")
+            raise ParameterError(f"block_counts must be four positive ints, got {counts!r}")
         if self.scale < 1 or self.base_channels % self.scale != 0:
             raise ParameterError(
                 f"scale {self.scale} must divide base_channels {self.base_channels}"
@@ -236,27 +241,21 @@ def saliency_map(model: ResNet, gram, class_index: int = 1) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: magic, json header (config + array directory + extras),
-# then the raw little-endian buffers in directory order
+# checkpoint format: magic, version and header length, json header (config +
+# array directory + extras), then the raw little-endian buffers in directory
+# order
 
 _CKPT_MAGIC = b"RCMC"
 _CKPT_VERSION = 1
+_CKPT_HEAD = struct.Struct("<4sHI")
 
 
-def save_checkpoint(path, model: ResNet, optimizer_state: dict | None = None,
-                    extra: dict | None = None) -> None:
+def save_checkpoint(path, model: ResNet, extra: dict | None = None) -> None:
     arrays = {}
     for name, p in model.parameters().items():
         arrays[f"param/{name}"] = np.ascontiguousarray(p.data)
     for name, b in model.buffers().items():
         arrays[f"buffer/{name}"] = np.ascontiguousarray(b)
-    opt_meta = {}
-    if optimizer_state:
-        opt_meta["step"] = optimizer_state["step"]
-        for name, m in optimizer_state["m"].items():
-            arrays[f"opt_m/{name}"] = np.ascontiguousarray(m)
-        for name, v in optimizer_state["v"].items():
-            arrays[f"opt_v/{name}"] = np.ascontiguousarray(v)
     directory = [
         {"name": name, "dtype": arr.dtype.str, "shape": list(arr.shape)}
         for name, arr in sorted(arrays.items())
@@ -265,50 +264,49 @@ def save_checkpoint(path, model: ResNet, optimizer_state: dict | None = None,
         {
             "config": model.cfg.to_dict(),
             "arrays": directory,
-            "optimizer": opt_meta,
+            "optimizer": {},  # version-1 readers look this key up
             "extra": extra or {},
         },
         sort_keys=True,
     ).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<HI", _CKPT_VERSION, len(header)))
+        fh.write(_CKPT_HEAD.pack(_CKPT_MAGIC, _CKPT_VERSION, len(header)))
         fh.write(header)
         for entry in directory:
             fh.write(arrays[entry["name"]].tobytes())
 
 
 def load_checkpoint(path):
-    """Returns (model, optimizer_state, extra); optimizer_state is None if
-    the checkpoint carries no optimizer moments."""
+    """Returns (model, extra)."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
+        head = fh.read(_CKPT_HEAD.size)
+        if len(head) != _CKPT_HEAD.size:
+            raise FormatError(f"{path}: truncated checkpoint header")
+        magic, version, header_len = _CKPT_HEAD.unpack(head)
         if magic != _CKPT_MAGIC:
             raise FormatError(f"{path}: not a checkpoint (magic {magic!r})")
-        version, header_len = struct.unpack("<HI", fh.read(6))
         if version != _CKPT_VERSION:
             raise FormatError(f"{path}: unsupported checkpoint version {version}")
-        header = json.loads(fh.read(header_len).decode("utf-8"))
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+            cfg = ResNetConfig.from_dict(header["config"])
+            directory = [(e["name"], np.dtype(e["dtype"]), [int(n) for n in e["shape"]])
+                         for e in header["arrays"]]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise FormatError(f"{path}: malformed checkpoint header: {exc!r}") from exc
         arrays = {}
-        for entry in header["arrays"]:
-            dtype = np.dtype(entry["dtype"])
-            count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-            raw = fh.read(dtype.itemsize * count)
-            if len(raw) != dtype.itemsize * count:
-                raise FormatError(f"{path}: truncated array {entry['name']}")
-            arrays[entry["name"]] = np.frombuffer(raw, dtype=dtype).reshape(entry["shape"]).copy()
+        for name, dtype, shape in directory:
+            nbytes = dtype.itemsize * int(np.prod(shape))
+            raw = fh.read(nbytes)
+            if len(raw) != nbytes:
+                raise FormatError(f"{path}: truncated array {name}")
+            arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
 
-    cfg = ResNetConfig.from_dict(header["config"])
     model = ResNet(cfg, seed=0)
-    params = model.parameters()
-    for name, p in params.items():
-        p.data = arrays[f"param/{name}"].astype(np.float32)
-    model.load_buffers({n: arrays[f"buffer/{n}"] for n in model.buffers()})
-    opt_state = None
-    if header["optimizer"]:
-        opt_state = {
-            "step": header["optimizer"]["step"],
-            "m": {n: arrays[f"opt_m/{n}"] for n in params},
-            "v": {n: arrays[f"opt_v/{n}"] for n in params},
-        }
-    return model, opt_state, header.get("extra", {})
+    try:
+        for name, p in model.parameters().items():
+            p.data = arrays[f"param/{name}"].astype(np.float32)
+        model.load_buffers({n: arrays[f"buffer/{n}"] for n in model.buffers()})
+    except KeyError as exc:
+        raise FormatError(f"{path}: checkpoint lacks array {exc}") from exc
+    return model, header.get("extra", {})

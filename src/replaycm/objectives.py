@@ -56,24 +56,8 @@ def _check_normalized(log_probs: Tensor) -> None:
 
 
 def _target_log_probs(log_probs: Tensor, targets) -> Tensor:
-    targets = np.atleast_1d(np.asarray(targets, dtype=np.int64))
-    if log_probs.data.ndim == 1:
-        log_probs = Tensor(log_probs.data.reshape(1, -1), requires_grad=False) \
-            if not log_probs.requires_grad else _reshape_row(log_probs)
     _check_normalized(log_probs)
-    return ad.gather_rows(log_probs, targets)
-
-
-def _reshape_row(t: Tensor) -> Tensor:
-    out = Tensor(t.data.reshape(1, -1))
-    out.requires_grad = True
-    out._parents = (t,)
-
-    def bwd(g):
-        ad._accum(t, g.reshape(t.data.shape))
-
-    out._backward = bwd
-    return out
+    return ad.gather_rows(log_probs, np.atleast_1d(np.asarray(targets, dtype=np.int64)))
 
 
 def bce(log_probs: Tensor, targets, weights: ClassWeights) -> Tensor:

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-import copy
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,9 +33,19 @@ class TrainConfig:
     seed: int = 0
     objective: str = "bfl"
     gamma: float = 2.0
-    alpha: str | tuple = "auto"  # "auto" or (alpha_spoof, alpha_bonafide)
+    alpha: str | tuple = "auto"  # "auto", (alpha_spoof, alpha_bonafide) or "spoof,bonafide"
 
     def __post_init__(self):
+        if self.alpha != "auto":
+            parts = self.alpha.split(",") if isinstance(self.alpha, str) else self.alpha
+            try:
+                alpha = tuple(float(a) for a in parts)
+            except (TypeError, ValueError):
+                alpha = ()
+            if len(alpha) != 2 or not all(0 < a < np.inf for a in alpha):
+                raise ParameterError(
+                    f"alpha must be 'auto' or two positive numbers, got {self.alpha!r}")
+            self.alpha = alpha
         if self.lr <= 0 or self.batch_size < 1 or self.max_epochs < 1:
             raise ParameterError("lr, batch_size and max_epochs must be positive")
         if not (0.0 < self.plateau_factor < 1.0):
@@ -48,7 +59,7 @@ class TrainConfig:
 class AdamW:
     """Decoupled-weight-decay Adam: p <- p - lr * (m_hat / (sqrt(v_hat) + eps) + wd * p)."""
 
-    def __init__(self, params: dict, lr: float, betas=(0.9, 0.999),
+    def __init__(self, params: dict, lr: float, betas=TrainConfig.betas,
                  weight_decay: float = 0.0, eps: float = 1e-8):
         self.params = params
         self.lr = lr
@@ -80,21 +91,14 @@ class AdamW:
         for p in self.params.values():
             p.grad = None
 
-    def state(self) -> dict:
-        return {"step": self.step_count, "m": self.m, "v": self.v}
-
-    def load_state(self, state: dict) -> None:
-        self.step_count = int(state["step"])
-        self.m = {n: np.array(a, dtype=np.float64) for n, a in state["m"].items()}
-        self.v = {n: np.array(a, dtype=np.float64) for n, a in state["v"].items()}
-
 
 class PlateauScheduler:
     """Multiply lr by ``factor`` after ``patience`` consecutive epochs without
     improvement of the (lower-is-better) metric; counter resets on improvement
     and after each reduction."""
 
-    def __init__(self, lr: float, patience: int = 3, factor: float = 0.1):
+    def __init__(self, lr: float, patience: int = TrainConfig.plateau_patience,
+                 factor: float = TrainConfig.plateau_factor):
         self.lr = lr
         self.patience = patience
         self.factor = factor
@@ -116,13 +120,10 @@ class PlateauScheduler:
 
 
 class FeatureStore:
-    """Loads feature grams by utt_id via the extraction manifest, optionally
-    subsampling bins/frames for desk-scale runs."""
+    """Loads feature grams by utt_id via the extraction manifest."""
 
-    def __init__(self, feature_dir, bin_stride: int = 1, frame_stride: int = 1):
+    def __init__(self, feature_dir):
         self.feature_dir = Path(feature_dir)
-        self.bin_stride = bin_stride
-        self.frame_stride = frame_stride
         manifest = self.feature_dir / FEATURE_MANIFEST
         if not manifest.exists():
             raise DataError(f"feature manifest {manifest} not found")
@@ -136,8 +137,7 @@ class FeatureStore:
     def load(self, utt_id: str) -> np.ndarray:
         if utt_id not in self.paths:
             raise DataError(f"no feature file for utterance {utt_id!r}")
-        gram = read_gram(self.paths[utt_id], utt_id)
-        return gram.data[:: self.bin_stride, :: self.frame_stride]
+        return read_gram(self.paths[utt_id], utt_id).data
 
     def load_batch(self, utt_ids) -> np.ndarray:
         return np.stack([self.load(u) for u in utt_ids])
@@ -166,14 +166,17 @@ class TrainResult:
 
 
 def _score_entries(model: ResNet, entries, store: FeatureStore,
-                   batch_size: int = 32) -> list:
+                   batch_size: int = 32, jobs: int = 1) -> list:
+    """ScoreRecords for ``entries``, scored batch_size at a time; with jobs > 1
+    one pool of that many threads reads the grams of every batch."""
     records = []
-    for start in range(0, len(entries), batch_size):
-        chunk = entries[start : start + batch_size]
-        grams = store.load_batch([e.utt_id for e in chunk])
-        scores = score_batch(model, grams)
-        for e, s in zip(chunk, scores):
-            records.append(ScoreRecord(e.utt_id, float(s), e.label, e.attack_code))
+    with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        for start in range(0, len(entries), batch_size):
+            chunk = entries[start : start + batch_size]
+            ids = [e.utt_id for e in chunk]
+            grams = np.stack(list(pool.map(store.load, ids))) if pool else store.load_batch(ids)
+            for e, s in zip(chunk, score_batch(model, grams)):
+                records.append(ScoreRecord(e.utt_id, float(s), e.label, e.attack_code))
     return records
 
 

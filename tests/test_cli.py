@@ -167,3 +167,61 @@ def test_gd_and_mgd_extraction(pipeline, tmp_path):
         utt = read_protocol(corpus / "protocol_dev.txt")[0].utt_id
         gram = read_gram(out / f"{utt}.fgram")
         assert gram.kind == ("GD" if feature == "gd" else "MGD")
+
+
+def test_score_with_jobs_matches_serial(pipeline, tmp_path):
+    _, corpus, feats, ckpt, scores, _ = pipeline
+    par = tmp_path / "par.txt"
+    assert main(["score", "--ckpt", str(ckpt), "--feature-dir", str(feats),
+                 "--protocol", str(corpus / "protocol_eval.txt"),
+                 "--out", str(par), "--jobs", "2"]) == 0
+    assert par.read_bytes() == scores.read_bytes()
+
+
+def _train_args(pipeline, out, cfg, protocol_train=None):
+    _, corpus, feats, _, _, _ = pipeline
+    return ["train", "--feature-dir", str(feats),
+            "--protocol-train", str(protocol_train or corpus / "protocol_train.txt"),
+            "--protocol-dev", str(corpus / "protocol_dev.txt"),
+            "--objective", "bfl", "--config", str(cfg), "--out", str(out)]
+
+
+def test_single_alpha_is_a_parameter_error(pipeline, tmp_path, capsys):
+    cfg = tmp_path / "alpha.cfg"
+    cfg.write_text("[train]\nalpha = 0.5\nmax_epochs = 1\n")
+    assert main(_train_args(pipeline, tmp_path / "m.ckpt", cfg)) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:parameter:") and "alpha" in err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_empty_training_protocol_is_a_data_error(pipeline, tmp_path, capsys):
+    _, _, _, _, _, cfg = pipeline
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    assert main(_train_args(pipeline, tmp_path / "m.ckpt", cfg, empty)) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:data:")
+
+
+def test_truncated_or_garbage_checkpoint_is_a_format_error(pipeline, tmp_path, capsys):
+    _, corpus, feats, ckpt, _, _ = pipeline
+    blob = ckpt.read_bytes()
+    header_end = 10 + int.from_bytes(blob[6:10], "little")
+    bad = tmp_path / "bad.ckpt"
+    cases = [blob[:n] for n in (0, 3, 7, 9, 10, 40, header_end - 1, header_end + 5,
+                                len(blob) - 1)]
+    cases.append(blob[:10] + b"\xff" * (header_end - 10) + blob[header_end:])
+    cases.append(blob[:10] + b"[]".ljust(header_end - 10) + blob[header_end:])
+    cases.append(blob[:10] + b'{"arrays": []}'.ljust(header_end - 10) + blob[header_end:])
+    for case in cases:
+        bad.write_bytes(case)
+        code = main(["score", "--ckpt", str(bad), "--feature-dir", str(feats),
+                     "--protocol", str(corpus / "protocol_eval.txt"),
+                     "--out", str(tmp_path / "s.txt")])
+        err = capsys.readouterr().err.strip()
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:format:"), err

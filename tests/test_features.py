@@ -158,6 +158,20 @@ class TestMgd:
             w = _noise_wave(rng)
             assert np.max(np.abs(mgd_gram(w, spec, p).data - gd_gram(w, spec).data)) < 1e-9
 
+    def test_gd_is_the_explicit_formula_bit_for_bit(self, rng):
+        spec = FrameSpec()
+        win = np.hamming(spec.frame_len)
+        for _ in range(10):
+            w = _noise_wave(rng)
+            idx = np.arange(spec.frame_len)[None, :] + spec.hop * np.arange(
+                (w.samples.size - spec.frame_len) // spec.hop + 1)[:, None]
+            frames = w.samples[idx]
+            x = np.fft.rfft(frames * win, n=spec.n_fft, axis=1).T
+            y = np.fft.rfft(frames * np.arange(spec.frame_len) * win, n=spec.n_fft, axis=1).T
+            mag = np.maximum(np.abs(x), 1e-10)
+            gd = (x.real * y.real + x.imag * y.imag) / mag**2
+            assert np.array_equal(gd_gram(w, spec).data, shape_fixed(gd))
+
     def test_sign_preserved(self, rng):
         spec = FrameSpec()
         w = _noise_wave(rng)

@@ -191,22 +191,16 @@ class TestCheckpoint:
         model = build_resnet(TOY, seed=9)
         # perturb running stats so buffers are non-trivial
         model.forward(Tensor(rng.standard_normal((4, 1, 8, 10)).astype(np.float32)), train=True)
-        opt = AdamW(model.parameters(), lr=1e-3)
         for p in model.parameters().values():
-            p.grad = rng.standard_normal(p.data.shape).astype(np.float32)
-        opt.step()
+            p.data = p.data + rng.standard_normal(p.data.shape).astype(np.float32)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, model, optimizer_state=opt.state(), extra={"note": "t"})
-        loaded, opt_state, extra = load_checkpoint(path)
+        save_checkpoint(path, model, extra={"note": "t"})
+        loaded, extra = load_checkpoint(path)
         assert extra == {"note": "t"}
         for name, p in model.parameters().items():
             assert np.array_equal(loaded.parameters()[name].data, p.data)
         for name, b in model.buffers().items():
             assert np.array_equal(loaded.buffers()[name], b)
-        assert opt_state["step"] == 1
-        for name in model.parameters():
-            assert np.array_equal(opt_state["m"][name], opt.m[name])
-            assert np.array_equal(opt_state["v"][name], opt.v[name])
 
     def test_scores_reproduce_after_reload(self, tmp_path, rng):
         model = build_resnet(TOY, seed=2)
@@ -215,7 +209,7 @@ class TestCheckpoint:
         before = score_batch(model, grams)
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, model)
-        loaded, _, _ = load_checkpoint(path)
+        loaded, _ = load_checkpoint(path)
         after = score_batch(loaded, grams)
         assert np.array_equal(before, after)
 

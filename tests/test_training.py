@@ -79,7 +79,7 @@ def test_checkpoint_of_trained_model_reproduces_dev_scores(tmp_path, rng):
     before = score_batch(model, grams)
     path = tmp_path / "ck.ckpt"
     save_checkpoint(path, model)
-    loaded, _, _ = load_checkpoint(path)
+    loaded, _ = load_checkpoint(path)
     assert np.array_equal(score_batch(loaded, grams), before)
 
 
