@@ -1,11 +1,18 @@
 """Minimal dense-tensor engine with reverse-mode automatic differentiation.
 
-Values are float32 by default; reductions, matmul and convolution inner loops
-accumulate in float64 before casting back.  Every primitive records a
-backward closure on the implicit tape (the parent links); ``backward`` on a
-scalar loss topologically sorts the graph and fills ``.grad`` on every tensor
-that requires gradients.  Tensors built with ``requires_grad=False`` inputs
-record nothing, so inference allocates no tape.
+Values are float32 by default; matmul and convolution GEMMs run in the
+promoted dtype of their operands, and reductions accumulate in float64 before
+casting back.  Every primitive records a backward closure on the implicit
+tape (the parent links); ``backward`` on a scalar loss topologically sorts
+the graph and fills ``.grad`` on every tensor that requires gradients.  An op
+records nothing only when none of its inputs requires gradients.  Model
+parameters always do, so an eval-mode forward (``model.score_batch``) still
+records a tape, and that tape keeps every conv's ``cols`` buffer alive until
+the output is dropped.
+
+Convolution and max pooling read their windows through one strided view
+(``_windows``); ``_fold`` is its adjoint and holds the only loop over kernel
+taps.
 """
 
 from __future__ import annotations
@@ -301,22 +308,20 @@ def _conv_out_size(size: int, kernel: int, stride: int, pad: int) -> int:
     return (size + 2 * pad - kernel) // stride + 1
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    n, c = xp.shape[:2]
-    cols = np.empty((n, c, kh, kw, ho, wo), dtype=xp.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
-    return cols.reshape(n, c * kh * kw, ho * wo)
+def _windows(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """(n, c, ho, wo, kh, kw) view of every kh x kw window of NCHW ``xp``,
+    taken every ``stride`` rows and columns."""
+    return np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
 
 
-def _col2im(dcols: np.ndarray, xp_shape, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    n, c = xp_shape[:2]
-    dxp = np.zeros(xp_shape, dtype=dcols.dtype)
-    dcols = dcols.reshape(n, c, kh, kw, ho, wo)
+def _fold(dwin: np.ndarray, xp_shape, stride: int, dtype) -> np.ndarray:
+    """Adjoint of ``_windows``: scatter-add (n, c, ho, wo, kh, kw) window
+    gradients back onto a zero array of ``xp_shape``, tap by tap."""
+    _, _, ho, wo, kh, kw = dwin.shape
+    dxp = np.zeros(xp_shape, dtype=dtype)
     for i in range(kh):
         for j in range(kw):
-            dxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += dcols[:, :, i, j]
+            dxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += dwin[..., i, j]
     return dxp
 
 
@@ -335,9 +340,11 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     # 64-bit end to end
     out_dtype = _promote(x, weight)
     xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    cols = _im2col(xp.astype(out_dtype, copy=False), kh, kw, stride, ho, wo)
+    win = _windows(xp.astype(out_dtype, copy=False), kh, kw, stride)
+    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, ho * wo)
     w2 = weight.data.reshape(co, c * kh * kw).astype(out_dtype, copy=False)
     data = np.matmul(w2, cols).reshape(n, co, ho, wo)
+    xp_shape = xp.shape  # the tape keeps cols, not the padded input
 
     def bwd(g):
         g2 = g.reshape(n, co, ho * wo).astype(out_dtype, copy=False)
@@ -345,8 +352,8 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
             dw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0, dtype=np.float64)
             _accum(weight, dw.reshape(weight.data.shape))
         if x.requires_grad:
-            dcols = np.matmul(w2.T, g2)
-            dxp = _col2im(dcols, xp.shape, kh, kw, stride, ho, wo)
+            dcols = np.matmul(w2.T, g2).reshape(n, c, kh, kw, ho, wo)
+            dxp = _fold(dcols.transpose(0, 1, 4, 5, 2, 3), xp_shape, stride, dcols.dtype)
             dx = dxp[:, :, pad : pad + h, pad : pad + w] if pad else dxp
             _accum(x, dx)
 
@@ -362,21 +369,18 @@ def maxpool2d(x: Tensor, kernel: int = 3, stride: int = 1, pad: int = 1) -> Tens
     if ho <= 0 or wo <= 0:
         raise ShapeError(f"maxpool2d: window {kernel} too large for input {x.data.shape}")
     xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)), constant_values=-np.inf) if pad else x.data
-    best = np.full((n, c, ho, wo), -np.inf, dtype=x.data.dtype)
-    best_slot = np.zeros((n, c, ho, wo), dtype=np.int16)
-    for i in range(kernel):
-        for j in range(kernel):
-            patch = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
-            better = patch > best
-            best = np.where(better, patch, best)
-            best_slot = np.where(better, np.int16(i * kernel + j), best_slot)
+    win = _windows(xp, kernel, kernel, stride).reshape(n, c, ho, wo, kernel * kernel)
+    # argmax keeps the first maximal tap in row-major order; the tape keeps
+    # only that slot, in the smallest integer type (uint8 for 3x3 windows)
+    slot = win.argmax(axis=-1)[..., None].astype(np.min_scalar_type(kernel * kernel - 1))
+    best = np.take_along_axis(win, slot, axis=-1)[..., 0]
+    # the tape keeps slot only, not the padded input or its window copy
+    xp_shape, win_shape = xp.shape, win.shape
 
     def bwd(g):
-        dxp = np.zeros(xp.shape, dtype=np.float64)
-        for i in range(kernel):
-            for j in range(kernel):
-                mask = best_slot == (i * kernel + j)
-                dxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += g * mask
+        dwin = np.zeros(win_shape, dtype=np.float64)
+        np.put_along_axis(dwin, slot, g[..., None], axis=-1)
+        dxp = _fold(dwin.reshape(n, c, ho, wo, kernel, kernel), xp_shape, stride, np.float64)
         dx = dxp[:, :, pad : pad + h, pad : pad + w] if pad else dxp
         _accum(x, dx)
 

@@ -95,9 +95,7 @@ def _frame(samples: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
     n = samples.size
     if n < frame_len:
         raise ParameterError(f"input of {n} samples too short for one {frame_len}-sample frame")
-    n_frames = (n - frame_len) // hop + 1
-    idx = np.arange(frame_len)[None, :] + hop * np.arange(n_frames)[:, None]
-    return samples[idx]
+    return np.lib.stride_tricks.sliding_window_view(samples, frame_len)[::hop]
 
 
 def _spectra(w: Waveform, spec: FrameSpec, ramped: bool = False) -> tuple:
@@ -285,6 +283,9 @@ def _cached_kernel(sample_rate: int, n_octaves: int, bins_per_octave: int) -> Cq
 def cqt_gram(w: Waveform, hop: int = 128, n_octaves: int = 9,
              bins_per_octave: int = 96) -> FeatureGram:
     """Log-compressed constant-Q magnitude gram, fixed to 500 frames."""
+    if min(hop, n_octaves, bins_per_octave) < 1:
+        raise ParameterError(f"cqt hop, n_octaves and bins_per_octave must be >= 1, got "
+                             f"{hop}, {n_octaves} and {bins_per_octave}")
     kernel = _cached_kernel(w.sample_rate, n_octaves, bins_per_octave)
     mags = kernel.transform(w.samples, hop)
     return FeatureGram("CQT", shape_fixed(np.log(mags + LOG_EPS)), w.utt_id)

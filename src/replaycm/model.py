@@ -203,9 +203,6 @@ class ResNet:
             bn.running_mean = np.array(bufs[f"{name}_running_mean"], dtype=np.float64)
             bn.running_var = np.array(bufs[f"{name}_running_var"], dtype=np.float64)
 
-    def param_count(self) -> int:
-        return sum(p.data.size for p in self.parameters().values())
-
 
 def build_resnet(cfg: ResNetConfig, seed: int = 0) -> ResNet:
     return ResNet(cfg, seed)

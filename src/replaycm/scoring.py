@@ -142,29 +142,3 @@ def lr_fuse_train(score_sets, labels: dict) -> FusionModel:
         )
     return FusionModel("logistic", theta[:-1], float(theta[-1]))
 
-
-def write_fusion_model(model: FusionModel, path) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("fusion-model v1\n")
-        fh.write(f"kind {model.kind}\n")
-        fh.write("weights " + " ".join(repr(float(w)) for w in model.weights) + "\n")
-        fh.write(f"bias {model.bias!r}\n")
-
-
-def read_fusion_model(path) -> FusionModel:
-    lines = open(path, "r", encoding="ascii").read().splitlines()
-    if not lines or lines[0] != "fusion-model v1":
-        raise ParseError(f"{path}:1: not a fusion-model file")
-    fields = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        key, _, rest = line.partition(" ")
-        fields[key] = rest
-    try:
-        kind = fields["kind"]
-        weights = np.array([float(w) for w in fields["weights"].split()])
-        bias = float(fields["bias"])
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"{path}: malformed fusion model: {exc}") from exc
-    return FusionModel(kind, weights, bias)

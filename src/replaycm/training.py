@@ -12,7 +12,7 @@ import numpy as np
 from . import autodiff as ad
 from . import objectives
 from .autodiff import Tensor
-from .errors import DataError, ParameterError, TrainingError
+from .errors import DataError, ParameterError, ShapeError, TrainingError
 from .features import read_gram
 from .metrics import eer
 from .model import ResNet, score_batch
@@ -139,8 +139,15 @@ class FeatureStore:
             raise DataError(f"no feature file for utterance {utt_id!r}")
         return read_gram(self.paths[utt_id], utt_id).data
 
-    def load_batch(self, utt_ids) -> np.ndarray:
-        return np.stack([self.load(u) for u in utt_ids])
+    def load_batch(self, utt_ids, map_fn=map) -> np.ndarray:
+        """(N, bins, frames) stack of the grams of ``utt_ids``, read through
+        ``map_fn`` (the builtin ``map`` or a thread pool's)."""
+        grams = list(map_fn(self.load, utt_ids))
+        for utt_id, gram in zip(utt_ids, grams):
+            if gram.shape != grams[0].shape:
+                raise ShapeError(f"gram of {utt_id!r} is {gram.shape}, but gram of "
+                                 f"{utt_ids[0]!r} is {grams[0].shape}")
+        return np.stack(grams)
 
 
 def write_feature_manifest(feature_dir, mapping: dict) -> None:
@@ -173,8 +180,7 @@ def _score_entries(model: ResNet, entries, store: FeatureStore,
     with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         for start in range(0, len(entries), batch_size):
             chunk = entries[start : start + batch_size]
-            ids = [e.utt_id for e in chunk]
-            grams = np.stack(list(pool.map(store.load, ids))) if pool else store.load_batch(ids)
+            grams = store.load_batch([e.utt_id for e in chunk], pool.map if pool else map)
             for e, s in zip(chunk, score_batch(model, grams)):
                 records.append(ScoreRecord(e.utt_id, float(s), e.label, e.attack_code))
     return records

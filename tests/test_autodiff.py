@@ -81,6 +81,12 @@ def test_primitive_gradients_finite_difference(seed):
     gradcheck(lambda t: ad.conv2d(xfix, t, stride=1, pad=1),
               rng.standard_normal((co, c, 3, 3)), seed)
 
+    # the 1x1, stride-2, unpadded projection shortcut: input and kernel
+    proj = Tensor(rng.standard_normal((co, c, 1, 1)), dtype=np.float64)
+    gradcheck(lambda t: ad.conv2d(t, proj, stride=2, pad=0), x4, seed)
+    gradcheck(lambda t: ad.conv2d(xfix, t, stride=2, pad=0),
+              rng.standard_normal((co, c, 1, 1)), seed)
+
     # maxpool needs separated values so the argmax never flips under the step
     xm = rng.permutation(n * c * h * w).reshape(n, c, h, w) * 0.05
     gradcheck(lambda t: ad.maxpool2d(t, kernel=3, stride=1, pad=1), xm, seed)
@@ -116,6 +122,39 @@ def test_primitive_gradients_finite_difference(seed):
 
     idx = rng.integers(0, 3, 4)
     gradcheck(lambda t: ad.gather_rows(t, idx), rng.standard_normal((4, 3)), seed)
+
+
+def _maxpool_oracle(x, g, kernel, stride, pad):
+    """Loop-by-loop max pooling: each window's value and gradient go to its
+    first maximal tap in row-major order."""
+    n, c, h, w = x.shape
+    ho, wo = g.shape[2:]
+    out = np.empty(g.shape)
+    dx = np.zeros(x.shape)
+    for b, ch, oi, oj in np.ndindex(n, c, ho, wo):
+        best = None
+        for i in range(kernel):
+            for j in range(kernel):
+                r, q = oi * stride + i - pad, oj * stride + j - pad
+                if 0 <= r < h and 0 <= q < w and (best is None or x[b, ch, r, q] > x[b, ch][best]):
+                    best = (r, q)
+        out[b, ch, oi, oj] = x[b, ch][best]
+        dx[b, ch][best] += g[b, ch, oi, oj]
+    return out, dx
+
+
+@pytest.mark.parametrize("kernel, stride, pad", [(3, 1, 1), (2, 2, 0), (3, 2, 1)])
+def test_maxpool_ties_go_to_the_first_tap(kernel, stride, pad, rng):
+    constant = np.full((2, 2, 5, 6), 0.75)
+    post_relu = ad.relu(Tensor(-np.abs(rng.standard_normal((2, 2, 5, 6))), dtype=np.float64)).data
+    for x0 in (constant, post_relu):
+        x = Tensor(x0.copy(), requires_grad=True, dtype=np.float64)
+        y = ad.maxpool2d(x, kernel=kernel, stride=stride, pad=pad)
+        g = rng.integers(-8, 9, y.shape).astype(np.float64)  # sums exact in any order
+        ad.backward(ad.tsum(ad.mul(y, Tensor(g, dtype=np.float64))))
+        out, dx = _maxpool_oracle(x0, g, kernel, stride, pad)
+        assert np.array_equal(y.data, out)
+        assert np.array_equal(x.grad, dx)
 
 
 @pytest.mark.parametrize("train", [True, False])

@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -225,3 +227,64 @@ def test_truncated_or_garbage_checkpoint_is_a_format_error(pipeline, tmp_path, c
         assert code == 1
         assert len(err.splitlines()) == 1
         assert err.startswith("error:format:"), err
+
+
+@pytest.fixture
+def mixed_shape_feats(pipeline, tmp_path):
+    """A copy of the pipeline's feature dir in which the second utterance of
+    the train and eval protocols is re-extracted at another bin stride."""
+    from replaycm.replay_sim import read_protocol
+
+    _, corpus, feats, _, _, _ = pipeline
+    mixed = tmp_path / "mixed"
+    shutil.copytree(feats, mixed)
+    odd = [read_protocol(corpus / f"protocol_{split}.txt")[1] for split in ("train", "eval")]
+    protocol = tmp_path / "odd.txt"
+    protocol.write_text("".join(f"{e.utt_id} {e.attack_code} {e.label}\n" for e in odd))
+    assert main(["extract", "--feature", "stft", "--protocol", str(protocol),
+                 "--wav-dir", str(corpus / "wav"), "--out", str(mixed),
+                 "--bin-stride", "16", "--frame-stride", "25"]) == 0
+    return mixed, [e.utt_id for e in odd]
+
+
+def _assert_shape_error(code, capsys, odd_ids):
+    err = capsys.readouterr().err.strip()
+    assert code == 1
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:shape:"), err
+    assert any(u in err for u in odd_ids), err
+
+
+def test_train_on_mixed_gram_shapes_is_a_shape_error(pipeline, mixed_shape_feats, tmp_path, capsys):
+    cfg = pipeline[5]
+    mixed, odd_ids = mixed_shape_feats
+    capsys.readouterr()
+    args = _train_args(pipeline, tmp_path / "m.ckpt", cfg)
+    args[args.index("--feature-dir") + 1] = str(mixed)
+    _assert_shape_error(main(args), capsys, odd_ids)
+
+
+def test_score_jobs_on_mixed_gram_shapes_is_a_shape_error(pipeline, mixed_shape_feats, tmp_path,
+                                                          capsys):
+    _, corpus, _, ckpt, _, _ = pipeline
+    mixed, odd_ids = mixed_shape_feats
+    capsys.readouterr()
+    code = main(["score", "--ckpt", str(ckpt), "--feature-dir", str(mixed),
+                 "--protocol", str(corpus / "protocol_eval.txt"),
+                 "--out", str(tmp_path / "s.txt"), "--jobs", "2"])
+    _assert_shape_error(code, capsys, odd_ids)
+
+
+@pytest.mark.parametrize("key, value", [("hop", 0), ("hop", -128), ("n_octaves", 0),
+                                        ("bins_per_octave", 0)])
+def test_cqt_value_below_one_is_a_parameter_error(pipeline, tmp_path, capsys, key, value):
+    _, corpus, _, _, _, _ = pipeline
+    cfg = tmp_path / "cqt.cfg"
+    cfg.write_text(f"[cqt]\n{key} = {value}\n")
+    code = main(["extract", "--feature", "cqt", "--config", str(cfg),
+                 "--protocol", str(corpus / "protocol_dev.txt"),
+                 "--wav-dir", str(corpus / "wav"), "--out", str(tmp_path / "cqt")])
+    err = capsys.readouterr().err.strip()
+    assert code == 1
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:parameter:") and key in err, err

@@ -8,9 +8,7 @@ from replaycm.scoring import (
     ScoreRecord,
     lr_fuse_train,
     mean_fuse,
-    read_fusion_model,
     read_score_file,
-    write_fusion_model,
     write_score_file,
 )
 
@@ -120,23 +118,6 @@ class TestLrFuse:
     def test_missing_labels_rejected(self):
         with pytest.raises(AlignmentError):
             lr_fuse_train([{"u": 0.0}, {"u": 1.0}], {})
-
-
-class TestFusionModelFile:
-    def test_round_trip(self, tmp_path):
-        model = FusionModel("logistic", np.array([1.25, -0.5]), bias=0.75)
-        path = tmp_path / "fusion.txt"
-        write_fusion_model(model, path)
-        back = read_fusion_model(path)
-        assert back.kind == "logistic"
-        assert np.array_equal(back.weights, model.weights)
-        assert back.bias == model.bias
-
-    def test_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("not a fusion model\n")
-        with pytest.raises(ParseError):
-            read_fusion_model(path)
 
 
 class TestCrossModuleProperties:
