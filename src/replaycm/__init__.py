@@ -6,7 +6,7 @@ built-in autodiff engine, score fusion, and EER / min t-DCF evaluation.
 """
 
 from .audio_io import Waveform, read_wav, synth_tone_complex, write_wav
-from .autodiff import Tensor, backward, input_gradient
+from .autodiff import Tensor, backward
 from .features import (
     FeatureGram,
     FrameSpec,

@@ -65,12 +65,16 @@ def read_wav(path) -> Waveform:
             raw = wf.readframes(n_frames)
     except wave.Error as exc:
         raise FormatError(f"malformed WAV file {path}: {exc}") from exc
+    except EOFError as exc:
+        raise FormatError(f"malformed WAV file {path}: header cut short") from exc
     if comp != "NONE":
         raise UnsupportedError(f"{path}: compressed WAV ({comp}) not supported")
     if n_channels != 1:
         raise UnsupportedError(f"{path}: expected mono, got {n_channels} channels")
     if sample_width != 2:
         raise UnsupportedError(f"{path}: expected 16-bit PCM, got {8 * sample_width}-bit")
+    if len(raw) != 2 * n_frames:
+        raise FormatError(f"{path}: data chunk cut short ({len(raw)} of {2 * n_frames} bytes)")
     words = np.frombuffer(raw, dtype="<i2")
     if words.size == 0:
         raise FormatError(f"{path}: empty data chunk")

@@ -1,14 +1,17 @@
 """Minimal dense-tensor engine with reverse-mode automatic differentiation.
 
-Values are float32 by default; matmul and convolution GEMMs run in the
+Values are float32 by default; linear and convolution GEMMs run in the
 promoted dtype of their operands, and reductions accumulate in float64 before
 casting back.  Every primitive records a backward closure on the implicit
 tape (the parent links); ``backward`` on a scalar loss topologically sorts
-the graph and fills ``.grad`` on every tensor that requires gradients.  An op
-records nothing only when none of its inputs requires gradients.  Model
-parameters always do, so an eval-mode forward (``model.score_batch``) still
-records a tape, and that tape keeps every conv's ``cols`` buffer alive until
-the output is dropped.
+the graph and fills ``.grad`` on every tensor that requires gradients.
+
+Only tensors whose gradient someone consumes record a tape: an op records
+nothing when none of its inputs requires gradients.  Tensors are built
+without gradients; the optimizer turns them on for the parameters it steps,
+and a saliency map for its input only.  So scoring a fresh or loaded model
+records no tape, and a backward pass computes no weight gradient nobody
+reads.
 
 Convolution and max pooling read their windows through one strided view
 (``_windows``); ``_fold`` is its adjoint and holds the only loop over kernel
@@ -131,18 +134,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _result(data, (a, b), bwd)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data - b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-g, b.data.shape))
-
-    return _result(data, (a, b), bwd)
-
-
 def neg(a: Tensor) -> Tensor:
     def bwd(g):
         _accum(a, -g)
@@ -176,15 +167,6 @@ def pow_scalar(a: Tensor, exponent: float) -> Tensor:
     return _result(data, (a,), bwd)
 
 
-def exp(a: Tensor) -> Tensor:
-    data = np.exp(a.data)
-
-    def bwd(g):
-        _accum(a, g * data)
-
-    return _result(data, (a,), bwd)
-
-
 def expm1(a: Tensor) -> Tensor:
     data = np.expm1(a.data)
 
@@ -194,29 +176,11 @@ def expm1(a: Tensor) -> Tensor:
     return _result(data, (a,), bwd)
 
 
-def log(a: Tensor) -> Tensor:
-    data = np.log(a.data)
-
-    def bwd(g):
-        _accum(a, g / a.data)
-
-    return _result(data, (a,), bwd)
-
-
 def relu(a: Tensor) -> Tensor:
     data = np.maximum(a.data, 0)
 
     def bwd(g):
         _accum(a, g * (a.data > 0))
-
-    return _result(data, (a,), bwd)
-
-
-def tsum(a: Tensor) -> Tensor:
-    data = np.asarray(a.data.sum(dtype=np.float64), dtype=a.data.dtype)
-
-    def bwd(g):
-        _accum(a, np.broadcast_to(g, a.data.shape))
 
     return _result(data, (a,), bwd)
 
@@ -248,21 +212,6 @@ def gather_rows(a: Tensor, index: np.ndarray) -> Tensor:
         _accum(a, full)
 
     return _result(data, (a,), bwd)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul mismatch: {a.data.shape} @ {b.data.shape}")
-    dt = _promote(a, b)
-    data = a.data.astype(dt, copy=False) @ b.data.astype(dt, copy=False)
-
-    def bwd(g):
-        if a.requires_grad:
-            _accum(a, g @ b.data.astype(dt, copy=False).T)
-        if b.requires_grad:
-            _accum(b, a.data.astype(dt, copy=False).T @ g)
-
-    return _result(data, (a, b), bwd)
 
 
 def log_softmax(a: Tensor) -> Tensor:
@@ -408,8 +357,8 @@ class BatchNorm2d:
     """
 
     def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1):
-        self.gamma = Tensor(np.ones(channels, dtype=np.float32), requires_grad=True)
-        self.beta = Tensor(np.zeros(channels, dtype=np.float32), requires_grad=True)
+        self.gamma = Tensor(np.ones(channels, dtype=np.float32))
+        self.beta = Tensor(np.zeros(channels, dtype=np.float32))
         self.running_mean = np.zeros(channels, dtype=np.float64)
         self.running_var = np.ones(channels, dtype=np.float64)
         self.eps = eps
@@ -459,17 +408,3 @@ class BatchNorm2d:
                 _accum(x, dx)
 
         return _result(data, (x, gamma, beta), bwd)
-
-
-def input_gradient(selector, x: Tensor) -> np.ndarray:
-    """Gradient of a scalar selector of the network output w.r.t. the input.
-
-    ``selector`` maps the input tensor to a scalar Tensor (e.g. one class
-    log-probability); the saliency map is the element-wise absolute value of
-    the returned gradient.
-    """
-    if not x.requires_grad:
-        raise ContractError("input_gradient needs an input with requires_grad=True")
-    out = selector(x)
-    backward(out)
-    return np.array(x.grad)

@@ -62,13 +62,18 @@ def load_config(path=None) -> dict:
     if path is None:
         return cfg
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(str(path))
+    try:
+        read = parser.read(str(path))
+        items = {section: parser.items(section) for section in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        # configparser messages can span lines; the CLI prints one
+        raise ParameterError(f"config file {path}: {' '.join(str(exc).split())}") from exc
     if not read:
         raise ParameterError(f"config file {path} not found or unreadable")
-    for section in parser.sections():
+    for section, pairs in items.items():
         if section not in cfg:
             raise ParameterError(f"unknown config section [{section}]")
-        for key, raw in parser.items(section):
+        for key, raw in pairs:
             if key not in cfg[section]:
                 raise ParameterError(f"unknown config key {key!r} in [{section}]")
             default = cfg[section][key]

@@ -1,8 +1,12 @@
 """Exception hierarchy shared by all replaycm modules.
 
 Every error carries a stable machine-readable ``category`` so the CLI can
-emit single-line, parseable diagnostics.
+emit single-line, parseable diagnostics.  ``ascii_lines`` is the one reader
+of the toolkit's text files (protocols, score files, feature manifests), so
+that a stray byte in any of them is a ``ParseError`` too.
 """
+
+from pathlib import Path
 
 
 class ReplayCmError(Exception):
@@ -76,6 +80,18 @@ class InternalError(ReplayCmError):
 
 
 class ParseError(ReplayCmError):
-    """Malformed text line in a protocol/score file; names the line number."""
+    """Malformed text line in a protocol, score or manifest file; names the line number."""
 
     category = "parse"
+
+
+def ascii_lines(path):
+    """Yield (line number, stripped line) for each non-blank line of an ASCII
+    text file; a non-ASCII byte is a ParseError naming the file and line."""
+    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            line = raw.decode("ascii").strip()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}:{lineno}: non-ASCII byte {raw[exc.start]:#04x}") from exc
+        if line:
+            yield lineno, line

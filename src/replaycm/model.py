@@ -82,12 +82,12 @@ def _kaiming_linear(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.n
 class BasicBlock:
     def __init__(self, rng, in_ch: int, out_ch: int, stride: int):
         self.stride = stride
-        self.conv1 = Tensor(_kaiming_conv(rng, out_ch, in_ch, 3), requires_grad=True)
+        self.conv1 = Tensor(_kaiming_conv(rng, out_ch, in_ch, 3))
         self.bn1 = BatchNorm2d(out_ch)
-        self.conv2 = Tensor(_kaiming_conv(rng, out_ch, out_ch, 3), requires_grad=True)
+        self.conv2 = Tensor(_kaiming_conv(rng, out_ch, out_ch, 3))
         self.bn2 = BatchNorm2d(out_ch)
         if stride != 1 or in_ch != out_ch:
-            self.proj = Tensor(_kaiming_conv(rng, out_ch, in_ch, 1), requires_grad=True)
+            self.proj = Tensor(_kaiming_conv(rng, out_ch, in_ch, 1))
             self.proj_bn = BatchNorm2d(out_ch)
         else:
             self.proj = None
@@ -114,7 +114,7 @@ class ResNet:
         self.cfg = cfg
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5245534E]))
         chans = cfg.stage_channels
-        self.stem_conv = Tensor(_kaiming_conv(rng, chans[0], 1, 3), requires_grad=True)
+        self.stem_conv = Tensor(_kaiming_conv(rng, chans[0], 1, 3))
         self.stem_bn = BatchNorm2d(chans[0])
         self.stages = []
         in_ch = chans[0]
@@ -125,10 +125,10 @@ class ResNet:
                 blocks.append(BasicBlock(rng, in_ch, out_ch, stride))
                 in_ch = out_ch
             self.stages.append(blocks)
-        self.fc_w = Tensor(_kaiming_linear(rng, cfg.fc_width, chans[3]), requires_grad=True)
-        self.fc_b = Tensor(np.zeros(cfg.fc_width, dtype=np.float32), requires_grad=True)
-        self.out_w = Tensor(_kaiming_linear(rng, cfg.n_classes, cfg.fc_width), requires_grad=True)
-        self.out_b = Tensor(np.zeros(cfg.n_classes, dtype=np.float32), requires_grad=True)
+        self.fc_w = Tensor(_kaiming_linear(rng, cfg.fc_width, chans[3]))
+        self.fc_b = Tensor(np.zeros(cfg.fc_width, dtype=np.float32))
+        self.out_w = Tensor(_kaiming_linear(rng, cfg.n_classes, cfg.fc_width))
+        self.out_b = Tensor(np.zeros(cfg.n_classes, dtype=np.float32))
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
         """(N, 1, bins, frames) batch to (N, n_classes) log-probabilities."""
@@ -228,13 +228,9 @@ def saliency_map(model: ResNet, gram, class_index: int = 1) -> np.ndarray:
     """|d log p(class) / d input| with the same shape as the input gram."""
     data = _gram_data(gram)
     x = Tensor(np.asarray(data, dtype=np.float32)[None, None, :, :], requires_grad=True)
-
-    def selector(inp):
-        lp = model.forward(inp, train=False)
-        return ad.gather_rows(lp, np.array([class_index]))
-
-    grad = ad.input_gradient(selector, x)
-    return np.abs(grad[0, 0])
+    lp = model.forward(x, train=False)
+    ad.backward(ad.gather_rows(lp, np.array([class_index])))
+    return np.abs(x.grad[0, 0])
 
 
 # ---------------------------------------------------------------------------

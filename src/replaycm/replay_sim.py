@@ -19,7 +19,7 @@ import numpy as np
 import scipy.signal
 
 from .audio_io import Waveform, synth_tone_complex, write_wav
-from .errors import DataError, ParameterError, ParseError
+from .errors import DataError, ParameterError, ParseError, ascii_lines
 
 DISTANCE_CLASSES = ("A", "B", "C")
 QUALITY_CLASSES = ("A", "B", "C")
@@ -153,22 +153,18 @@ def write_protocol(entries, path) -> None:
 
 def read_protocol(path) -> list:
     entries = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
-            utt_id, code, label = parts
-            if label not in ("bonafide", "spoof"):
-                raise ParseError(f"{path}:{lineno}: bad label {label!r}")
-            if label == "bonafide" and code != BONAFIDE_CODE:
-                raise ParseError(f"{path}:{lineno}: bonafide line carries attack code {code!r}")
-            if label == "spoof" and code not in ATTACK_CODES:
-                raise ParseError(f"{path}:{lineno}: unknown attack code {code!r}")
-            entries.append(ManifestEntry(utt_id, label, code, ""))
+    for lineno, line in ascii_lines(path):
+        parts = line.split()
+        if len(parts) != 3:
+            raise ParseError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
+        utt_id, code, label = parts
+        if label not in ("bonafide", "spoof"):
+            raise ParseError(f"{path}:{lineno}: bad label {label!r}")
+        if label == "bonafide" and code != BONAFIDE_CODE:
+            raise ParseError(f"{path}:{lineno}: bonafide line carries attack code {code!r}")
+        if label == "spoof" and code not in ATTACK_CODES:
+            raise ParseError(f"{path}:{lineno}: unknown attack code {code!r}")
+        entries.append(ManifestEntry(utt_id, label, code, ""))
     return entries
 
 

@@ -7,7 +7,7 @@ from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 
-from .errors import AlignmentError, NumericError, ParameterError, ParseError
+from .errors import AlignmentError, NumericError, ParameterError, ParseError, ascii_lines
 
 LR_RIDGE = 1e-4
 LR_GRAD_TOL = 1e-8
@@ -41,21 +41,17 @@ def write_score_file(scores: dict, path) -> None:
 
 def read_score_file(path) -> dict:
     scores = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(f"{path}:{lineno}: expected '<utt_id> <score>'")
-            try:
-                score = float(parts[1])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad score {parts[1]!r}") from exc
-            if parts[0] in scores:
-                raise ParseError(f"{path}:{lineno}: duplicate utt_id {parts[0]!r}")
-            scores[parts[0]] = score
+    for lineno, line in ascii_lines(path):
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(f"{path}:{lineno}: expected '<utt_id> <score>'")
+        try:
+            score = float(parts[1])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: bad score {parts[1]!r}") from exc
+        if parts[0] in scores:
+            raise ParseError(f"{path}:{lineno}: duplicate utt_id {parts[0]!r}")
+        scores[parts[0]] = score
     return scores
 
 

@@ -12,7 +12,7 @@ import numpy as np
 from . import autodiff as ad
 from . import objectives
 from .autodiff import Tensor
-from .errors import DataError, ParameterError, ShapeError, TrainingError
+from .errors import DataError, FormatError, ParameterError, ShapeError, TrainingError, ascii_lines
 from .features import read_gram
 from .metrics import eer
 from .model import ResNet, score_batch
@@ -62,6 +62,8 @@ class AdamW:
     def __init__(self, params: dict, lr: float, betas=TrainConfig.betas,
                  weight_decay: float = 0.0, eps: float = 1e-8):
         self.params = params
+        for p in params.values():
+            p.requires_grad = True  # the only code that turns gradients on for a model
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.weight_decay = weight_decay
@@ -127,12 +129,8 @@ class FeatureStore:
         manifest = self.feature_dir / FEATURE_MANIFEST
         if not manifest.exists():
             raise DataError(f"feature manifest {manifest} not found")
-        self.paths = {}
-        for line in manifest.read_text(encoding="ascii").splitlines():
-            if not line.strip():
-                continue
-            utt_id, rel = line.split(maxsplit=1)
-            self.paths[utt_id] = self.feature_dir / rel
+        self.paths = {utt_id: self.feature_dir / rel
+                      for utt_id, rel in _read_manifest(manifest).items()}
 
     def load(self, utt_id: str) -> np.ndarray:
         if utt_id not in self.paths:
@@ -150,15 +148,21 @@ class FeatureStore:
         return np.stack(grams)
 
 
+def _read_manifest(path) -> dict:
+    """utt_id -> gram file name, from ``<utt_id> <file name>`` lines."""
+    entries = {}
+    for lineno, line in ascii_lines(path):
+        fields = line.split(maxsplit=1)
+        if len(fields) != 2:
+            raise FormatError(f"{path}:{lineno}: expected '<utt_id> <gram file>'")
+        entries[fields[0]] = fields[1]
+    return entries
+
+
 def write_feature_manifest(feature_dir, mapping: dict) -> None:
     """Merge new utt_id -> filename entries into the directory manifest."""
     path = Path(feature_dir) / FEATURE_MANIFEST
-    merged = {}
-    if path.exists():
-        for line in path.read_text(encoding="ascii").splitlines():
-            if line.strip():
-                utt_id, rel = line.split(maxsplit=1)
-                merged[utt_id] = rel
+    merged = _read_manifest(path) if path.exists() else {}
     merged.update(mapping)
     lines = [f"{utt_id} {rel}" for utt_id, rel in sorted(merged.items())]
     path.write_text("\n".join(lines) + "\n", encoding="ascii")

@@ -22,7 +22,7 @@ def finite_difference_gradient(f, x0: np.ndarray, step: float = 1e-3) -> np.ndar
 
 def gradcheck(build, x0: np.ndarray, seed: int = 0, step: float = 1e-3,
               rtol: float = 1e-3) -> float:
-    """Compare analytic input gradient of sum(build(x) * W) against central
+    """Compare analytic input gradient of mean(build(x) * W) against central
     finite differences; W is a fixed random weighting so transposition bugs
     cannot cancel.  Returns the max relative error."""
     rng = np.random.default_rng(seed)
@@ -31,10 +31,10 @@ def gradcheck(build, x0: np.ndarray, seed: int = 0, step: float = 1e-3,
 
     def loss_value(xv):
         out = build(Tensor(xv, dtype=np.float64))
-        return float(ad.tsum(ad.mul(out, wts)).data)
+        return float(ad.tmean(ad.mul(out, wts)).data)
 
     x = Tensor(x0.copy(), requires_grad=True, dtype=np.float64)
-    ad.backward(ad.tsum(ad.mul(build(x), wts)))
+    ad.backward(ad.tmean(ad.mul(build(x), wts)))
     analytic = x.grad
     numeric = finite_difference_gradient(loss_value, x0.astype(np.float64), step)
     denom = np.maximum(np.abs(numeric), 1e-6)

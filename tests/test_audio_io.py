@@ -71,6 +71,17 @@ def test_rejects_wrong_width(tmp_path):
         read_wav(path)
 
 
+def test_truncated_file_is_a_format_error(tmp_path):
+    full = tmp_path / "full.wav"
+    write_wav(Waveform(np.full(100, 0.1), 16000), full)
+    blob = full.read_bytes()
+    cut = tmp_path / "cut.wav"
+    for n in range(len(blob)):  # inside the header, then inside the data chunk
+        cut.write_bytes(blob[:n])
+        with pytest.raises(FormatError, match="cut.wav"):
+            read_wav(cut)
+
+
 def test_rejects_garbage(tmp_path):
     path = tmp_path / "junk.wav"
     path.write_bytes(b"RIFFxxxxNOTAWAVE" + bytes(32))

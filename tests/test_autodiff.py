@@ -19,8 +19,8 @@ def test_conv2d_hand_example():
 
 def test_relu_backward_signs():
     x = Tensor(np.array([-1.0, 1.0]), requires_grad=True)
-    ad.backward(ad.tsum(ad.relu(x)))
-    assert x.grad.tolist() == [0.0, 1.0]
+    ad.backward(ad.tmean(ad.relu(x)))
+    assert x.grad.tolist() == [0.0, 0.5]
 
 
 def test_global_avg_pool_constant():
@@ -28,20 +28,20 @@ def test_global_avg_pool_constant():
     x = Tensor(np.full((1, 1, 4, 6), c), requires_grad=True)
     y = ad.global_avg_pool(x)
     assert y.data[0, 0] == pytest.approx(c)
-    ad.backward(ad.tsum(y))
+    ad.backward(ad.tmean(y))
     assert np.allclose(x.grad, 1.0 / 24.0)
 
 
-def test_backward_sum_gives_ones(rng):
+def test_backward_mean_spreads_evenly(rng):
     x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-    ad.backward(ad.tsum(x))
-    assert np.array_equal(x.grad, np.ones((3, 4), dtype=np.float32))
+    ad.backward(ad.tmean(x))
+    assert np.array_equal(x.grad, np.full((3, 4), 1 / 12))
 
 
-def test_backward_sum_of_squares(rng):
+def test_backward_mean_of_squares(rng):
     x = Tensor(rng.standard_normal((5,)).astype(np.float32), requires_grad=True)
-    ad.backward(ad.tsum(ad.mul(x, x)))
-    assert np.allclose(x.grad, 2 * x.data, rtol=1e-6)
+    ad.backward(ad.tmean(ad.mul(x, x)))
+    assert np.allclose(x.grad, 2 * x.data / 5, rtol=1e-6)
 
 
 def test_backward_rejects_non_scalar(rng):
@@ -51,10 +51,10 @@ def test_backward_rejects_non_scalar(rng):
 
 
 def test_shape_error_names_both_shapes():
-    a = Tensor(np.zeros((2, 3)))
-    b = Tensor(np.zeros((4, 5)))
+    x = Tensor(np.zeros((2, 3)))
+    w = Tensor(np.zeros((4, 5)))
     with pytest.raises(ShapeError, match=r"2, 3.*4, 5"):
-        ad.matmul(a, b)
+        ad.linear(x, w, Tensor(np.zeros(4)))
 
 
 def test_conv_shape_error():
@@ -99,20 +99,14 @@ def test_primitive_gradients_finite_difference(seed):
     bl = Tensor(rng.standard_normal(d_out), dtype=np.float64)
     gradcheck(lambda t: ad.linear(t, wl, bl), rng.standard_normal((3, d_in)), seed)
 
-    wm = Tensor(rng.standard_normal((d_in, d_out)), dtype=np.float64)
-    gradcheck(lambda t: ad.matmul(t, wm), rng.standard_normal((3, d_in)), seed)
-
     gradcheck(lambda t: ad.log_softmax(t), rng.standard_normal((4, 3)), seed)
 
     other = Tensor(rng.standard_normal((3, 4)), dtype=np.float64)
     gradcheck(lambda t: ad.add(t, other), rng.standard_normal((3, 4)), seed)
-    gradcheck(lambda t: ad.sub(other, t), rng.standard_normal((3, 4)), seed)
     gradcheck(lambda t: ad.mul(t, other), rng.standard_normal((3, 4)), seed)
     gradcheck(lambda t: ad.neg(t), rng.standard_normal((3, 4)), seed)
     gradcheck(lambda t: ad.tmean(t), rng.standard_normal((3, 4)), seed)
-    gradcheck(lambda t: ad.exp(t), rng.standard_normal((3, 4)) * 0.5, seed)
     gradcheck(lambda t: ad.expm1(t), rng.standard_normal((3, 4)) * 0.5, seed)
-    gradcheck(lambda t: ad.log(t), rng.uniform(0.2, 3.0, (3, 4)), seed)
     gradcheck(lambda t: ad.pow_scalar(t, 2.0), rng.uniform(0.1, 2.0, (3, 4)), seed)
     gradcheck(lambda t: ad.pow_scalar(t, 0.5), rng.uniform(0.2, 2.0, (3, 4)), seed)
 
@@ -150,11 +144,12 @@ def test_maxpool_ties_go_to_the_first_tap(kernel, stride, pad, rng):
     for x0 in (constant, post_relu):
         x = Tensor(x0.copy(), requires_grad=True, dtype=np.float64)
         y = ad.maxpool2d(x, kernel=kernel, stride=stride, pad=pad)
-        g = rng.integers(-8, 9, y.shape).astype(np.float64)  # sums exact in any order
-        ad.backward(ad.tsum(ad.mul(y, Tensor(g, dtype=np.float64))))
-        out, dx = _maxpool_oracle(x0, g, kernel, stride, pad)
+        g = rng.integers(-8, 9, y.shape).astype(np.float64)
+        ad.backward(ad.tmean(ad.mul(y, Tensor(g, dtype=np.float64))))
+        out, dx = _maxpool_oracle(x0, g / g.size, kernel, stride, pad)
         assert np.array_equal(y.data, out)
-        assert np.array_equal(x.grad, dx)
+        # a misrouted tap moves a whole multiple of 1 / g.size; the rest is rounding
+        assert np.allclose(x.grad, dx, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("train", [True, False])
@@ -170,11 +165,11 @@ def test_batchnorm_gradients(train, rng):
     def loss_of(xv):
         b = copy.deepcopy(bn)
         out = b(Tensor(xv, dtype=np.float64), train)
-        return float(ad.tsum(ad.mul(out, Tensor(wts, dtype=np.float64))).data)
+        return float(ad.tmean(ad.mul(out, Tensor(wts, dtype=np.float64))).data)
 
     b = copy.deepcopy(bn)
     x = Tensor(x0, requires_grad=True, dtype=np.float64)
-    ad.backward(ad.tsum(ad.mul(b(x, train), Tensor(wts, dtype=np.float64))))
+    ad.backward(ad.tmean(ad.mul(b(x, train), Tensor(wts, dtype=np.float64))))
     numeric = finite_difference_gradient(loss_of, x0)
     rel = np.max(np.abs(x.grad - numeric) / np.maximum(np.abs(numeric), 1e-6))
     assert rel < 1e-3
@@ -184,7 +179,7 @@ def test_batchnorm_gradients(train, rng):
             bb = copy.deepcopy(bn)
             getattr(bb, pname).data = v
             out = bb(Tensor(x0, dtype=np.float64), train)
-            return float(ad.tsum(ad.mul(out, Tensor(wts, dtype=np.float64))).data)
+            return float(ad.tmean(ad.mul(out, Tensor(wts, dtype=np.float64))).data)
 
         numeric = finite_difference_gradient(loss_p, getattr(bn, pname).data.copy())
         analytic = getattr(b, pname).grad
@@ -220,21 +215,22 @@ def test_forward_determinism(rng):
 
 def test_inference_records_no_tape(rng):
     x = Tensor(rng.standard_normal((2, 2)).astype(np.float32))
-    y = ad.matmul(x, Tensor(rng.standard_normal((2, 2)).astype(np.float32)))
+    y = ad.linear(x, Tensor(rng.standard_normal((2, 2)).astype(np.float32)),
+                  Tensor(np.zeros(2, dtype=np.float32)))
     assert y._parents == () and y._backward is None and not y.requires_grad
 
 
 def test_grad_accumulates_across_reuse(rng):
     x = Tensor(rng.standard_normal((3,)).astype(np.float32), requires_grad=True)
     y = ad.add(x, x)  # dy/dx = 2
-    ad.backward(ad.tsum(y))
-    assert np.allclose(x.grad, 2.0)
+    ad.backward(ad.tmean(y))
+    assert np.allclose(x.grad, 2.0 / 3)
 
 
 def test_input_gradient_identity_selector(rng):
     x = Tensor(rng.standard_normal((2, 3)).astype(np.float32), requires_grad=True)
-    g = ad.input_gradient(lambda t: ad.tsum(t), x)
-    assert np.array_equal(g, np.ones((2, 3), dtype=np.float32))
+    ad.backward(ad.tmean(x))
+    assert np.array_equal(x.grad, np.full((2, 3), 1 / 6, dtype=np.float32))
 
 
 def test_input_gradient_linear_model_is_weight_row(rng):
@@ -246,8 +242,8 @@ def test_input_gradient_linear_model_is_weight_row(rng):
 
     for _ in range(3):
         x = Tensor(rng.standard_normal((1, 4)), requires_grad=True, dtype=np.float64)
-        g = ad.input_gradient(selector, x)
-        assert np.allclose(np.abs(g[0]), np.abs(w.data[1]))
+        ad.backward(selector(x))
+        assert np.allclose(np.abs(x.grad[0]), np.abs(w.data[1]))
 
 
 def test_input_gradient_two_layer_net_finite_difference(rng):
@@ -264,7 +260,8 @@ def test_input_gradient_two_layer_net_finite_difference(rng):
 
     x0 = rng.standard_normal((1, 4))
     x = Tensor(x0, requires_grad=True, dtype=np.float64)
-    analytic = ad.input_gradient(selector, x)
+    ad.backward(selector(x))
+    analytic = x.grad
 
     def f(xv):
         return float(net(Tensor(xv, dtype=np.float64)).data[0, 0])
@@ -272,9 +269,3 @@ def test_input_gradient_two_layer_net_finite_difference(rng):
     numeric = finite_difference_gradient(f, x0)
     rel = np.max(np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-8))
     assert rel < 1e-2
-
-
-def test_input_gradient_requires_grad_flag(rng):
-    x = Tensor(rng.standard_normal((2, 2)))
-    with pytest.raises(ContractError):
-        ad.input_gradient(lambda t: ad.tsum(t), x)

@@ -247,10 +247,16 @@ def mixed_shape_feats(pipeline, tmp_path):
     return mixed, [e.utt_id for e in odd]
 
 
-def _assert_shape_error(code, capsys, odd_ids):
+def _error_line(code, capsys) -> str:
+    """The one stderr line of a command that failed with exit code 1."""
     err = capsys.readouterr().err.strip()
     assert code == 1
-    assert len(err.splitlines()) == 1
+    assert len(err.splitlines()) == 1, err
+    return err
+
+
+def _assert_shape_error(code, capsys, odd_ids):
+    err = _error_line(code, capsys)
     assert err.startswith("error:shape:"), err
     assert any(u in err for u in odd_ids), err
 
@@ -288,3 +294,61 @@ def test_cqt_value_below_one_is_a_parameter_error(pipeline, tmp_path, capsys, ke
     assert code == 1
     assert len(err.splitlines()) == 1
     assert err.startswith("error:parameter:") and key in err, err
+
+
+@pytest.mark.parametrize("text", ["lr = 1e-3\n", "[train]\nlr = 1e-3\nlr = 2e-3\n"],
+                         ids=["no-section-header", "duplicate-option"])
+def test_config_the_parser_rejects_is_a_parameter_error(tmp_path, capsys, text):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "corpus"),
+                 "--sources", "2", "--utts", "1"])
+    err = _error_line(code, capsys)
+    assert err.startswith("error:parameter:") and str(cfg) in err, err
+    assert not (tmp_path / "corpus").exists()
+
+
+def _one_utterance(corpus, tmp_path):
+    from replaycm.replay_sim import read_protocol
+
+    entry = read_protocol(corpus / "protocol_dev.txt")[0]
+    protocol = tmp_path / "one.txt"
+    protocol.write_text(f"{entry.utt_id} {entry.attack_code} {entry.label}\n")
+    return entry.utt_id, protocol
+
+
+def test_extract_of_a_truncated_wav_is_a_format_error(pipeline, tmp_path, capsys):
+    _, corpus, _, _, _, _ = pipeline
+    utt_id, protocol = _one_utterance(corpus, tmp_path)
+    wav_dir = tmp_path / "wav"
+    wav_dir.mkdir()
+    wav = wav_dir / f"{utt_id}.wav"
+    wav.write_bytes((corpus / "wav" / f"{utt_id}.wav").read_bytes()[:20])
+    code = main(["extract", "--feature", "stft", "--protocol", str(protocol),
+                 "--wav-dir", str(wav_dir), "--out", str(tmp_path / "feats")])
+    err = _error_line(code, capsys)
+    assert err.startswith("error:format:") and str(wav) in err, err
+
+
+def test_extract_into_a_malformed_manifest_is_a_format_error(pipeline, tmp_path, capsys):
+    _, corpus, _, _, _, _ = pipeline
+    _, protocol = _one_utterance(corpus, tmp_path)
+    out = tmp_path / "feats"
+    out.mkdir()
+    (out / "features.manifest").write_text("foo\n")
+    code = main(["extract", "--feature", "stft", "--protocol", str(protocol),
+                 "--wav-dir", str(corpus / "wav"), "--out", str(out)])
+    err = _error_line(code, capsys)
+    assert err.startswith("error:format:") and "features.manifest:1:" in err, err
+
+
+@pytest.mark.parametrize("bad", ["scores", "protocol"])
+def test_evaluate_non_ascii_file_is_a_parse_error(tmp_path, capsys, bad):
+    files = {"scores": tmp_path / "scores.txt", "protocol": tmp_path / "protocol.txt"}
+    files["scores"].write_text("b1 0.9\ns1 0.1\n")
+    files["protocol"].write_text("b1 - bonafide\ns1 AA spoof\n")
+    files[bad].write_bytes(files[bad].read_bytes().replace(b"s1", b"s\xe91"))
+    code = main(["evaluate", "--scores", str(files["scores"]),
+                 "--protocol", str(files["protocol"])])
+    err = _error_line(code, capsys)
+    assert err.startswith(f"error:parse: {files[bad]}:2:"), err

@@ -222,3 +222,27 @@ class TestSaliency:
         assert smap.shape == (8, 10)
         assert np.all(smap >= 0.0)
         assert np.any(smap > 0.0)
+
+
+class TestGradientPolicy:
+    """Only the optimizer turns gradients on for the model's parameters."""
+
+    def test_eval_forward_records_no_tape(self, tmp_path, rng):
+        model = build_resnet(TOY, seed=3)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model)
+        x = Tensor(rng.standard_normal((2, 1, 8, 10)).astype(np.float32))
+        for net in (model, load_checkpoint(path)[0]):
+            lp = net.forward(x, train=False)
+            assert lp._parents == () and lp._backward is None and not lp.requires_grad
+
+    def test_optimizer_turns_gradients_on(self):
+        params = build_resnet(TOY, seed=3).parameters()
+        assert not any(p.requires_grad for p in params.values())
+        AdamW(params, lr=1e-3)
+        assert all(p.requires_grad for p in params.values())
+
+    def test_saliency_computes_no_parameter_gradient(self, rng):
+        model = build_resnet(TOY, seed=4)
+        saliency_map(model, rng.standard_normal((8, 10)).astype(np.float32))
+        assert all(p.grad is None for p in model.parameters().values())

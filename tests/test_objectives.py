@@ -13,7 +13,8 @@ UNIT = ClassWeights(1.0, 1.0)
 def _lp(p_target: float, target: int = 1) -> Tensor:
     probs = np.array([[1.0 - p_target, p_target]]) if target == 1 else \
         np.array([[p_target, 1.0 - p_target]])
-    return Tensor(np.log(probs), dtype=np.float64)
+    with np.errstate(divide="ignore"):  # a p_target that rounds to 1 gives the other class log(0)
+        return Tensor(np.log(probs), dtype=np.float64)
 
 
 class TestBce:

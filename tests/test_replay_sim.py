@@ -111,6 +111,12 @@ class TestProtocolFiles:
         with pytest.raises(ParseError):
             read_protocol(path)
 
+    def test_non_ascii_byte_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"u1 - bonafide\n\nu\xff AA spoof\n")
+        with pytest.raises(ParseError, match=r"bad.txt:3: non-ASCII byte 0xff"):
+            read_protocol(path)
+
     def test_manifest_invariants(self):
         with pytest.raises(Exception):
             CorpusManifest("train", [ManifestEntry("u", "bonafide", "AA", "")])

@@ -48,6 +48,12 @@ class TestScoreFiles:
         with pytest.raises(ParseError, match="duplicate"):
             read_score_file(path)
 
+    def test_non_ascii_byte_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"u1 0.5\n\xc3\xa92 0.7\n")
+        with pytest.raises(ParseError, match=r"bad.txt:2: non-ASCII byte 0xc3"):
+            read_score_file(path)
+
 
 class TestMeanFuse:
     def test_self_fusion_is_identity(self, rng):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from replaycm.errors import DataError, ParameterError
+from replaycm.errors import DataError, FormatError, ParameterError, ParseError
 from replaycm.features import FeatureGram, write_gram
 from replaycm.model import ResNetConfig, build_resnet, load_checkpoint, save_checkpoint, score_batch
 from replaycm.replay_sim import ManifestEntry
@@ -93,6 +93,17 @@ def test_missing_feature_file_names_utterance(tmp_path, rng):
         train(model, train_entries + [ghost], dev_entries, store, cfg)
     with pytest.raises(DataError, match="ghost99"):
         store.load("ghost99")
+
+
+@pytest.mark.parametrize("content, error, where", [
+    (b"u1 u1.fgram\nfoo\n", FormatError, ":2: expected"),
+    (b"u1 u1.fgram\nu\xe92 u2.fgram\n", ParseError, ":2: non-ASCII byte 0xe9"),
+], ids=["one-field-line", "non-ascii-byte"])
+def test_manifest_readers_name_the_bad_line(tmp_path, content, error, where):
+    (tmp_path / "features.manifest").write_bytes(content)
+    for read in (FeatureStore, lambda d: write_feature_manifest(d, {"u3": "u3.fgram"})):
+        with pytest.raises(error, match="features.manifest" + where):
+            read(tmp_path)
 
 
 def test_best_dev_checkpoint_retained(tmp_path, rng):
