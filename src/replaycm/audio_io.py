@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import wave
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,6 +13,9 @@ from .errors import FormatError, ParameterError, UnsupportedError
 # read x = q / 32768.  Full-scale -1.0 maps to -32768 and back exactly; the
 # round trip error is at most 2**-15 per sample.
 _SCALE = 32768.0
+
+# peak amplitude of synthesized tones and the cap on degraded replays
+PEAK = 0.9
 
 
 @dataclass
@@ -32,10 +35,6 @@ class Waveform:
         if int(self.sample_rate) <= 0:
             raise ParameterError(f"sample_rate must be positive, got {self.sample_rate}")
         self.sample_rate = int(self.sample_rate)
-
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
@@ -96,11 +95,11 @@ def write_wav(w: Waveform, path) -> None:
         wf.writeframes(words.astype("<i2").tobytes())
 
 
-def peak_normalize(samples: np.ndarray, peak: float = 0.9) -> np.ndarray:
+def peak_normalize(samples: np.ndarray) -> np.ndarray:
     peak_in = np.max(np.abs(samples))
     if peak_in == 0.0:
         return samples
-    return samples * (peak / peak_in)
+    return samples * (PEAK / peak_in)
 
 
 def synth_tone_complex(
@@ -117,7 +116,7 @@ def synth_tone_complex(
     Harmonic k has amplitude k**-amplitude_rolloff and a random phase; a
     Gaussian noise floor is mixed in snr_db below the harmonic part (>= 40 dB).
     With n_harmonics = 0 the output is the pure noise floor.  The result is
-    peak-normalized to 0.9.
+    peak-normalized to PEAK.
     """
     if n_harmonics < 0:
         raise ParameterError("n_harmonics must be >= 0")

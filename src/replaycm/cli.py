@@ -15,7 +15,7 @@ from . import metrics, replay_sim, scoring, training
 from .config import load_config
 from .errors import DataError, ParameterError, ReplayCmError
 from .features import FrameSpec, MgdParams, read_gram, reduce_gram, write_gram
-from .model import ResNetConfig, build_resnet, load_checkpoint, save_checkpoint, saliency_map
+from .model import ResNet, ResNetConfig, load_checkpoint, save_checkpoint, saliency_map
 from .replay_sim import read_protocol
 from .scoring import read_score_file, write_score_file
 from .training import FeatureStore, TrainConfig, train, write_feature_manifest
@@ -100,7 +100,7 @@ def cmd_train(args) -> int:
     if args.gamma is not None:
         train_cfg["gamma"] = args.gamma
     tcfg = TrainConfig(objective=args.objective, **train_cfg)
-    model = build_resnet(model_cfg, seed=tcfg.seed)
+    model = ResNet(model_cfg, seed=tcfg.seed)
     result = train(model, entries_train, entries_dev, store, tcfg,
                    log_path=str(args.out) + ".log")
     save_checkpoint(args.out, model, extra={"objective": tcfg.objective,
@@ -176,7 +176,7 @@ def cmd_breakdown(args) -> int:
 def cmd_saliency(args) -> int:
     model, _ = load_checkpoint(args.ckpt)
     gram = read_gram(args.feature)
-    smap = saliency_map(model, gram)
+    smap = saliency_map(model, gram.data)
     out = feat.FeatureGram(gram.kind, smap.astype(np.float32), gram.utt_id)
     write_gram(out, args.out)
     print(f"saliency matrix {smap.shape[0]}x{smap.shape[1]} written to {args.out}")

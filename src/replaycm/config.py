@@ -52,13 +52,9 @@ def _defaults() -> dict:
 DEFAULTS = _defaults()
 
 
-def default_config() -> dict:
-    return copy.deepcopy(DEFAULTS)
-
-
 def load_config(path=None) -> dict:
     """Defaults overridden by an INI-style file (if given)."""
-    cfg = default_config()
+    cfg = copy.deepcopy(DEFAULTS)
     if path is None:
         return cfg
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))

@@ -6,8 +6,9 @@ repeat short ones) so the classifier always sees a fixed-size matrix.
 
 from __future__ import annotations
 
+import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
@@ -183,6 +184,8 @@ def gd_gram(w: Waveform, spec: FrameSpec) -> FeatureGram:
 # constant-Q transform
 
 ANCHOR_FMIN_HZ = 32.7
+# the full-Q window of the lowest bins would exceed typical utterance lengths
+MAX_WINDOW_S = 0.5
 
 
 def cqt_fmin(sample_rate: int, n_octaves: int) -> float:
@@ -205,29 +208,16 @@ class CqtKernel:
     Each bin k gets a Hamming-windowed complex exponential of Q periods,
     length N_k = round(Q * sr / f_k), centered and zero-padded to a common
     FFT size; rows are stored sparsely by zeroing everything below 1e-4 of
-    the row peak.  Window lengths are capped at max_window_s (the full-Q
-    window of the lowest bin would exceed typical utterance lengths), which
-    widens the response of the lowest bins without moving their centers.
+    the row peak.  Window lengths are capped at MAX_WINDOW_S, which widens
+    the response of the lowest bins without moving their centers.
     """
 
-    def __init__(self, sample_rate: int, n_octaves: int = 9, bins_per_octave: int = 96,
-                 fmin: float | None = None, max_window_s: float = 0.5):
-        nyquist = sample_rate / 2.0
-        if fmin is None:
-            fmin = cqt_fmin(sample_rate, n_octaves)
-        if fmin * 2.0**n_octaves > nyquist * (1 + 1e-9):
-            raise ParameterError(
-                f"fmin {fmin:.3f} Hz with {n_octaves} octaves exceeds Nyquist {nyquist:.1f} Hz"
-            )
-        self.sample_rate = sample_rate
-        self.fmin = fmin
-        self.n_octaves = n_octaves
-        self.bins_per_octave = bins_per_octave
-        self.freqs = cqt_center_frequencies(fmin, n_octaves, bins_per_octave)
+    def __init__(self, sample_rate: int, n_octaves: int, bins_per_octave: int):
+        self.freqs = cqt_center_frequencies(cqt_fmin(sample_rate, n_octaves), n_octaves,
+                                            bins_per_octave)
+        # Q = f_k / (f_{k+1} - f_k), the same for every bin
         self.q_factor = 1.0 / (2.0 ** (1.0 / bins_per_octave) - 1.0)
-        # design bandwidth of bin k is f_{k+1} - f_k, so f_k / bw_k == Q exactly
-        self.bandwidths = self.freqs * (2.0 ** (1.0 / bins_per_octave) - 1.0)
-        cap = max(int(round(max_window_s * sample_rate)), 32)
+        cap = max(int(round(MAX_WINDOW_S * sample_rate)), 32)
         self.lengths = np.clip(
             np.round(self.q_factor * sample_rate / self.freqs).astype(int), 1, cap
         )
@@ -319,9 +309,12 @@ def read_gram(path, utt_id: str = "") -> FeatureGram:
             raise FormatError(f"{path}: unsupported feature-gram version {version}")
         if kind_code not in KIND_NAMES:
             raise FormatError(f"{path}: unknown kind code {kind_code}")
-        payload = fh.read(4 * n_bins * n_frames)
-        if len(payload) != 4 * n_bins * n_frames:
-            raise FormatError(f"{path}: truncated payload")
+        # checked against the file before the read, so no claimed size is ever allocated
+        need = 4 * n_bins * n_frames
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if need != left:
+            raise FormatError(f"{path}: header claims {need} payload bytes, file holds {left}")
+        payload = fh.read(need)
     data = np.frombuffer(payload, dtype="<f4").reshape(n_bins, n_frames)
     return FeatureGram(KIND_NAMES[kind_code], np.array(data), utt_id)
 

@@ -10,8 +10,10 @@ log-probabilities.  ``scale`` divides all channel widths for desk-scale runs.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,12 +104,6 @@ class BasicBlock:
             shortcut = x
         return ad.relu(ad.add(out, shortcut))
 
-    def conv_param_count(self) -> int:
-        n = self.conv1.data.size + self.conv2.data.size
-        if self.proj is not None:
-            n += self.proj.data.size
-        return n
-
 
 class ResNet:
     def __init__(self, cfg: ResNetConfig, seed: int = 0):
@@ -148,19 +144,6 @@ class ResNet:
         h = ad.relu(ad.linear(h, self.fc_w, self.fc_b))
         logits = ad.linear(h, self.out_w, self.out_b)
         return ad.log_softmax(logits)
-
-    def stage_output_shapes(self) -> list:
-        """(channels, bins, frames) after the stem and after each stage."""
-        shapes = []
-        h, w = self.cfg.input_bins, self.cfg.input_frames
-        chans = self.cfg.stage_channels
-        shapes.append((chans[0], h, w))  # stem conv + max pool keep the size
-        for stage_idx, out_ch in enumerate(chans):
-            if stage_idx > 0:
-                h = (h - 1) // 2 + 1
-                w = (w - 1) // 2 + 1
-            shapes.append((out_ch, h, w))
-        return shapes
 
     # --- parameters and buffers ----------------------------------------
 
@@ -204,10 +187,6 @@ class ResNet:
             bn.running_var = np.array(bufs[f"{name}_running_var"], dtype=np.float64)
 
 
-def build_resnet(cfg: ResNetConfig, seed: int = 0) -> ResNet:
-    return ResNet(cfg, seed)
-
-
 def score_batch(model: ResNet, grams: np.ndarray) -> np.ndarray:
     """Log-likelihood-ratio scores log p(bonafide) - log p(spoof) for a
     (N, bins, frames) stack of feature grams."""
@@ -216,18 +195,9 @@ def score_batch(model: ResNet, grams: np.ndarray) -> np.ndarray:
     return (lp[:, 1] - lp[:, 0]).astype(np.float64)
 
 
-def _gram_data(gram) -> np.ndarray:
-    return np.asarray(gram.data if not isinstance(gram, np.ndarray) else gram)
-
-
-def score_utterance(model: ResNet, gram) -> float:
-    return float(score_batch(model, _gram_data(gram)[None, :, :])[0])
-
-
-def saliency_map(model: ResNet, gram, class_index: int = 1) -> np.ndarray:
-    """|d log p(class) / d input| with the same shape as the input gram."""
-    data = _gram_data(gram)
-    x = Tensor(np.asarray(data, dtype=np.float32)[None, None, :, :], requires_grad=True)
+def saliency_map(model: ResNet, gram: np.ndarray, class_index: int = 1) -> np.ndarray:
+    """|d log p(class) / d input| for a (bins, frames) gram, in its shape."""
+    x = Tensor(np.asarray(gram, dtype=np.float32)[None, None, :, :], requires_grad=True)
     lp = model.forward(x, train=False)
     ad.backward(ad.gather_rows(lp, np.array([class_index])))
     return np.abs(x.grad[0, 0])
@@ -269,6 +239,15 @@ def save_checkpoint(path, model: ResNet, extra: dict | None = None) -> None:
             fh.write(arrays[entry["name"]].tobytes())
 
 
+def _array_entry(e: dict) -> tuple:
+    """(name, dtype, shape) of a directory entry; save_checkpoint writes only
+    float arrays."""
+    dtype, shape = np.dtype(e["dtype"]), [int(n) for n in e["shape"]]
+    if dtype.kind != "f" or any(n < 0 for n in shape):
+        raise ValueError(f"array entry {e!r} is not a float array of a valid shape")
+    return e["name"], dtype, shape
+
+
 def load_checkpoint(path):
     """Returns (model, extra)."""
     with open(path, "rb") as fh:
@@ -283,16 +262,17 @@ def load_checkpoint(path):
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
             cfg = ResNetConfig.from_dict(header["config"])
-            directory = [(e["name"], np.dtype(e["dtype"]), [int(n) for n in e["shape"]])
-                         for e in header["arrays"]]
+            directory = [_array_entry(e) for e in header["arrays"]]
         except (ValueError, KeyError, TypeError) as exc:
             raise FormatError(f"{path}: malformed checkpoint header: {exc!r}") from exc
+        # checked against the file before any read, so no claimed size is ever allocated
+        need = sum(dtype.itemsize * math.prod(shape) for _, dtype, shape in directory)
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if need != left:
+            raise FormatError(f"{path}: directory claims {need} array bytes, file holds {left}")
         arrays = {}
         for name, dtype, shape in directory:
-            nbytes = dtype.itemsize * int(np.prod(shape))
-            raw = fh.read(nbytes)
-            if len(raw) != nbytes:
-                raise FormatError(f"{path}: truncated array {name}")
+            raw = fh.read(dtype.itemsize * math.prod(shape))
             arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
 
     model = ResNet(cfg, seed=0)

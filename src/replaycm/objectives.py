@@ -82,11 +82,3 @@ def bfl(log_probs: Tensor, targets, weights: ClassWeights, gamma: float) -> Tens
     weighted = ad.mul(ad.mul(modulation, lp_t), Tensor(alpha.astype(lp_t.data.dtype)))
     return ad.tmean(ad.neg(weighted))
 
-
-def loss_ratio(p_t: float, gamma: float) -> float:
-    """BFL / BCE down-weighting factor (1 - p_t)**gamma for one sample."""
-    if not (0.0 < p_t < 1.0):
-        raise ParameterError(f"p_t must lie strictly inside (0, 1), got {p_t}")
-    if gamma < 0:
-        raise ParameterError(f"gamma must be >= 0, got {gamma}")
-    return float((1.0 - p_t) ** gamma)

@@ -11,15 +11,14 @@ DISTANCE_PARAMS / QUALITY_PARAMS so experiments are auditable.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import scipy.signal
 
-from .audio_io import Waveform, synth_tone_complex, write_wav
-from .errors import DataError, ParameterError, ParseError, ascii_lines
+from .audio_io import PEAK, Waveform, synth_tone_complex, write_wav
+from .errors import ParameterError, ParseError, ascii_lines
 
 DISTANCE_CLASSES = ("A", "B", "C")
 QUALITY_CLASSES = ("A", "B", "C")
@@ -95,7 +94,7 @@ def _saturate(samples: np.ndarray, drive: float) -> np.ndarray:
 
 
 def degrade(w: Waveform, spec: AttackSpec, seed: int) -> Waveform:
-    """Deterministic replay chain; peak is capped at 0.9 (never amplified,
+    """Deterministic replay chain; peak is capped at PEAK (never amplified,
     so degrading silence yields only the device noise floor)."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x52504C59]))
     dist = DISTANCE_PARAMS[spec.distance_class]
@@ -109,8 +108,8 @@ def degrade(w: Waveform, spec: AttackSpec, seed: int) -> Waveform:
     x = x + rng.standard_normal(x.size) * qual["noise_rms"]
 
     peak = np.max(np.abs(x))
-    if peak > 0.9:
-        x = x * (0.9 / peak)
+    if peak > PEAK:
+        x = x * (PEAK / peak)
     return Waveform(x, w.sample_rate, f"{w.utt_id}_{spec.code}" if w.utt_id else spec.code)
 
 
@@ -125,23 +124,6 @@ class ManifestEntry:
     utt_id: str
     label: str  # "bonafide" | "spoof"
     attack_code: str  # "-" for bonafide
-    wav_path: str
-
-
-@dataclass
-class CorpusManifest:
-    split: str
-    entries: list
-
-    def __post_init__(self):
-        ids = [e.utt_id for e in self.entries]
-        if len(set(ids)) != len(ids):
-            raise DataError(f"duplicate utt_ids in {self.split} manifest")
-        for e in self.entries:
-            if (e.attack_code == BONAFIDE_CODE) != (e.label == "bonafide"):
-                raise DataError(
-                    f"{e.utt_id}: attack code {e.attack_code!r} inconsistent with label {e.label!r}"
-                )
 
 
 def write_protocol(entries, path) -> None:
@@ -164,7 +146,7 @@ def read_protocol(path) -> list:
             raise ParseError(f"{path}:{lineno}: bonafide line carries attack code {code!r}")
         if label == "spoof" and code not in ATTACK_CODES:
             raise ParseError(f"{path}:{lineno}: unknown attack code {code!r}")
-        entries.append(ManifestEntry(utt_id, label, code, ""))
+        entries.append(ManifestEntry(utt_id, label, code))
     return entries
 
 
@@ -196,7 +178,7 @@ def generate_corpus(out_dir, n_sources: int, utt_per_source: int,
 
     Every bonafide utterance is degraded once per attack code, giving the
     9:1 spoof:bonafide ratio in every split; source identities are disjoint
-    across splits.  Returns {split: CorpusManifest}.
+    across splits.  Returns {split: [ManifestEntry]}.
     """
     if n_sources < 1 or utt_per_source < 1:
         raise ParameterError("need at least one source and one utterance per source")
@@ -230,19 +212,14 @@ def generate_corpus(out_dir, n_sources: int, utt_per_source: int,
                                           amplitude_rolloff=rolloff)
                 utt_id = f"{split}_s{s:03d}_u{u:03d}"
                 bona.utt_id = utt_id
-                wav_path = wav_dir / f"{utt_id}.wav"
-                write_wav(bona, wav_path)
-                entries.append(ManifestEntry(utt_id, "bonafide", BONAFIDE_CODE,
-                                             str(wav_path)))
+                write_wav(bona, wav_dir / f"{utt_id}.wav")
+                entries.append(ManifestEntry(utt_id, "bonafide", BONAFIDE_CODE))
                 for code in ATTACK_CODES:
                     spoof = degrade(bona, AttackSpec.from_code(code), utt_seed)
                     spoof_id = f"{utt_id}_{code}"
                     spoof.utt_id = spoof_id
-                    spoof_path = wav_dir / f"{spoof_id}.wav"
-                    write_wav(spoof, spoof_path)
-                    entries.append(ManifestEntry(spoof_id, "spoof", code,
-                                                 str(spoof_path)))
-        manifest = CorpusManifest(split, entries)
+                    write_wav(spoof, wav_dir / f"{spoof_id}.wav")
+                    entries.append(ManifestEntry(spoof_id, "spoof", code))
         write_protocol(entries, out_dir / f"protocol_{split}.txt")
-        manifests[split] = manifest
+        manifests[split] = entries
     return manifests

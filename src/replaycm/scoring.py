@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
@@ -47,8 +48,10 @@ def read_score_file(path) -> dict:
             raise ParseError(f"{path}:{lineno}: expected '<utt_id> <score>'")
         try:
             score = float(parts[1])
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: bad score {parts[1]!r}") from exc
+        except ValueError:
+            score = math.nan
+        if not math.isfinite(score):
+            raise ParseError(f"{path}:{lineno}: score {parts[1]!r} is not a finite number")
         if parts[0] in scores:
             raise ParseError(f"{path}:{lineno}: duplicate utt_id {parts[0]!r}")
         scores[parts[0]] = score
@@ -57,26 +60,14 @@ def read_score_file(path) -> dict:
 
 @dataclass
 class FusionModel:
-    kind: str  # "mean" | "logistic"
-    weights: np.ndarray
-    bias: float = 0.0
+    """Logistic-regression fusion: fused score = weights . scores + bias."""
 
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.kind not in ("mean", "logistic"):
-            raise ParameterError(f"unknown fusion kind {self.kind!r}")
-        if self.kind == "mean":
-            k = self.weights.size
-            if self.bias != 0.0 or not np.allclose(self.weights, 1.0 / k):
-                raise ParameterError("mean fusion must have uniform 1/K weights and zero bias")
+    weights: np.ndarray
+    bias: float
 
     def fuse(self, score_sets) -> dict:
         mat, utt_ids = _aligned_matrix(score_sets)
-        if self.kind == "mean":
-            fused = mat.mean(axis=1)
-        else:
-            fused = mat @ self.weights + self.bias
-        return dict(zip(utt_ids, fused.tolist()))
+        return dict(zip(utt_ids, (mat @ self.weights + self.bias).tolist()))
 
 
 def _aligned_matrix(score_sets):
@@ -97,9 +88,8 @@ def _aligned_matrix(score_sets):
 
 def mean_fuse(score_sets) -> dict:
     """Per-utterance arithmetic mean of K aligned score sets."""
-    k = len(score_sets)
-    model = FusionModel("mean", np.full(k, 1.0 / k), 0.0)
-    return model.fuse(score_sets)
+    mat, utt_ids = _aligned_matrix(score_sets)
+    return dict(zip(utt_ids, mat.mean(axis=1).tolist()))
 
 
 def lr_fuse_train(score_sets, labels: dict) -> FusionModel:
@@ -136,5 +126,5 @@ def lr_fuse_train(score_sets, labels: dict) -> FusionModel:
             f"logistic fusion did not converge in {LR_MAX_ITER} Newton steps; "
             f"final gradient norm {np.linalg.norm(grad):.3e}"
         )
-    return FusionModel("logistic", theta[:-1], float(theta[-1]))
+    return FusionModel(theta[:-1], float(theta[-1]))
 

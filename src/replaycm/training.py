@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -173,7 +173,6 @@ class TrainResult:
     history: list
     best_dev_eer: float
     best_epoch: int
-    log_lines: list = field(default_factory=list)
 
 
 def _score_entries(model: ResNet, entries, store: FeatureStore,
@@ -211,8 +210,7 @@ def train(model: ResNet, train_entries, dev_entries, store: FeatureStore,
 
     order = np.arange(len(train_entries))
     history = []
-    log_lines = []
-    best = TrainResult(history, np.inf, -1, log_lines)
+    best = TrainResult(history, np.inf, -1)
     best_params = None
     best_buffers = None
 
@@ -239,10 +237,8 @@ def train(model: ResNet, train_entries, dev_entries, store: FeatureStore,
         train_loss = epoch_loss / max(n_batches, 1)
         dev_records = _score_entries(model, dev_entries, store)
         dev_eer, _ = eer(dev_records)
-        lr_now = optimizer.lr
         history.append({"epoch": epoch, "train_loss": train_loss,
-                        "dev_eer": dev_eer, "lr": lr_now})
-        log_lines.append(f"{epoch} {train_loss:.6f} {dev_eer:.6f} {lr_now:.8f}")
+                        "dev_eer": dev_eer, "lr": optimizer.lr})
         if dev_eer < best.best_dev_eer:
             best.best_dev_eer = dev_eer
             best.best_epoch = epoch
@@ -256,5 +252,7 @@ def train(model: ResNet, train_entries, dev_entries, store: FeatureStore,
         model.load_buffers(best_buffers)
 
     if log_path is not None:
-        Path(log_path).write_text("\n".join(log_lines) + "\n", encoding="ascii")
+        lines = [f"{h['epoch']} {h['train_loss']:.6f} {h['dev_eer']:.6f} {h['lr']:.8f}"
+                 for h in history]
+        Path(log_path).write_text("\n".join(lines) + "\n", encoding="ascii")
     return best

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -41,6 +44,17 @@ def gradcheck(build, x0: np.ndarray, seed: int = 0, step: float = 1e-3,
     rel = float(np.max(np.abs(analytic - numeric) / denom))
     assert rel < rtol, f"gradient mismatch: max rel err {rel:.3e} >= {rtol}"
     return rel
+
+
+def ckpt_with_array_entry(blob: bytes, index: int, **fields) -> bytes:
+    """The checkpoint ``blob`` with ``fields`` (``shape``, ``dtype``) set in
+    entry ``index`` (modulo their count) of its array directory; the array
+    bytes are left as they are."""
+    header_end = 10 + int.from_bytes(blob[6:10], "little")
+    header = json.loads(blob[10:header_end])
+    header["arrays"][index % len(header["arrays"])].update(fields)
+    text = json.dumps(header).encode()
+    return blob[:6] + struct.pack("<I", len(text)) + text + blob[header_end:]
 
 
 @pytest.fixture

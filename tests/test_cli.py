@@ -1,8 +1,10 @@
 import shutil
+import struct
 
 import numpy as np
 import pytest
 
+from conftest import ckpt_with_array_entry
 from replaycm.cli import main
 from replaycm.features import read_gram
 from replaycm.scoring import read_score_file, write_score_file
@@ -218,6 +220,8 @@ def test_truncated_or_garbage_checkpoint_is_a_format_error(pipeline, tmp_path, c
     cases.append(blob[:10] + b"\xff" * (header_end - 10) + blob[header_end:])
     cases.append(blob[:10] + b"[]".ljust(header_end - 10) + blob[header_end:])
     cases.append(blob[:10] + b'{"arrays": []}'.ljust(header_end - 10) + blob[header_end:])
+    # same byte count as a float32 array, but no float
+    cases += [ckpt_with_array_entry(blob, 0, dtype=dtype) for dtype in ("|S4", "|V4", "|O")]
     for case in cases:
         bad.write_bytes(case)
         code = main(["score", "--ckpt", str(bad), "--feature-dir", str(feats),
@@ -352,3 +356,39 @@ def test_evaluate_non_ascii_file_is_a_parse_error(tmp_path, capsys, bad):
                  "--protocol", str(files["protocol"])])
     err = _error_line(code, capsys)
     assert err.startswith(f"error:parse: {files[bad]}:2:"), err
+
+
+@pytest.mark.parametrize("kind, dims", [("gram", [2**32 - 1, 2**32 - 1]), ("gram", [2**20, 2**12]),
+                                        ("ckpt", [2**32, 2**32]), ("ckpt", [2**20, 2**12])],
+                         ids=["gram-overflow", "gram-16GiB", "ckpt-wraps-to-0", "ckpt-16GiB"])
+def test_size_a_header_claims_beyond_the_file_is_a_format_error(pipeline, tmp_path, capsys,
+                                                                  kind, dims):
+    _, corpus, feats, ckpt, _, _ = pipeline
+    utt_id, _ = _one_utterance(corpus, tmp_path)
+    gram = feats / f"{utt_id}.fgram"
+    bad = tmp_path / f"bad.{kind}"
+    if kind == "gram":
+        blob = gram.read_bytes()  # n_bins and n_frames are the u32s at bytes 7-14
+        bad.write_bytes(blob[:7] + struct.pack("<II", *dims) + blob[15:])
+        args = ["--ckpt", str(ckpt), "--feature", str(bad)]
+    else:
+        bad.write_bytes(ckpt_with_array_entry(ckpt.read_bytes(), 0, shape=dims))
+        args = ["--ckpt", str(bad), "--feature", str(gram)]
+    err = _error_line(main(["saliency", *args, "--out", str(tmp_path / "s.fgram")]), capsys)
+    assert err.startswith(f"error:format: {bad}:"), err
+
+
+@pytest.mark.parametrize("score", ["inf", "nan", "1e400"])
+@pytest.mark.parametrize("command", ["fuse", "evaluate"])
+def test_non_finite_score_is_a_parse_error(tmp_path, capsys, command, score):
+    scores = tmp_path / "scores.txt"
+    scores.write_text(f"s1 0.1\nb1 {score}\n")
+    protocol = tmp_path / "protocol.txt"
+    protocol.write_text("b1 - bonafide\ns1 AA spoof\n")
+    fused = tmp_path / "fused.txt"
+    args = {"fuse": ["fuse", "--method", "mean", "--scores", str(scores), str(scores),
+                     "--out", str(fused)],
+            "evaluate": ["evaluate", "--scores", str(scores), "--protocol", str(protocol)]}
+    err = _error_line(main(args[command]), capsys)
+    assert err.startswith(f"error:parse: {scores}:2:"), err
+    assert not fused.exists()

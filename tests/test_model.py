@@ -5,13 +5,12 @@ from replaycm import autodiff as ad
 from replaycm.autodiff import Tensor
 from replaycm.errors import ParameterError, ShapeError, TrainingError
 from replaycm.model import (
+    ResNet,
     ResNetConfig,
-    build_resnet,
     load_checkpoint,
     saliency_map,
     save_checkpoint,
     score_batch,
-    score_utterance,
 )
 from replaycm.objectives import ClassWeights, bce
 from replaycm.training import AdamW, PlateauScheduler
@@ -19,10 +18,30 @@ from replaycm.training import AdamW, PlateauScheduler
 TOY = ResNetConfig(base_channels=16, scale=8, fc_width=8, input_bins=8, input_frames=10)
 
 
+def stage_output_shapes(cfg: ResNetConfig) -> list:
+    """(channels, bins, frames) after the stem and after each stage: the stem
+    conv and max pool keep the size, each stride-2 stage halves it, rounding up."""
+    h, w = cfg.input_bins, cfg.input_frames
+    shapes = [(cfg.stage_channels[0], h, w)]
+    for stage_idx, out_ch in enumerate(cfg.stage_channels):
+        if stage_idx > 0:
+            h, w = (h - 1) // 2 + 1, (w - 1) // 2 + 1
+        shapes.append((out_ch, h, w))
+    return shapes
+
+
+def conv_param_count(block) -> int:
+    return sum(c.data.size for c in (block.conv1, block.conv2, block.proj) if c is not None)
+
+
+def score_one(model, gram) -> float:
+    return float(score_batch(model, np.asarray(gram)[None, :, :])[0])
+
+
 def zeroed_model(out_log_probs):
     """All-zero parameters except the output bias: the network then emits
     exactly the requested log-probabilities for any input."""
-    model = build_resnet(TOY, seed=0)
+    model = ResNet(TOY, seed=0)
     for p in model.parameters().values():
         p.data = np.zeros_like(p.data)
     model.out_b.data = np.array(out_log_probs, dtype=np.float32)
@@ -31,8 +50,7 @@ def zeroed_model(out_log_probs):
 
 class TestArchitecture:
     def test_table_shapes_at_scale_1(self):
-        model = build_resnet(ResNetConfig(), seed=0)
-        assert model.stage_output_shapes() == [
+        assert stage_output_shapes(ResNetConfig()) == [
             (16, 513, 500),
             (16, 513, 500),
             (32, 257, 250),
@@ -41,18 +59,18 @@ class TestArchitecture:
         ]
 
     def test_parameter_counts_match_published_table(self):
-        model = build_resnet(ResNetConfig(), seed=0)
+        model = ResNet(ResNetConfig(), seed=0)
         assert model.stem_conv.data.size == 144
         assert model.fc_w.data.size + model.fc_b.data.size == 4128
         assert model.out_w.data.size + model.out_b.data.size == 66
         printed = (4600, 18400, 73700, 295000)
         for blocks, target in zip(model.stages, printed):
             for block in blocks[1:]:  # identity blocks carry the printed count
-                assert abs(block.conv_param_count() - target) <= 100
+                assert abs(conv_param_count(block) - target) <= 100
 
     def test_analytic_shapes_match_actual_forward(self):
         cfg = ResNetConfig(base_channels=16, scale=4, input_bins=37, input_frames=50)
-        model = build_resnet(cfg, seed=1)
+        model = ResNet(cfg, seed=1)
         seen = []
         x = Tensor(np.zeros((1, 1, 37, 50), dtype=np.float32))
         h = ad.relu(model.stem_bn(ad.conv2d(x, model.stem_conv, 1, 1), False))
@@ -62,10 +80,10 @@ class TestArchitecture:
             for block in blocks:
                 h = block(h, False)
             seen.append(h.data.shape[1:])
-        assert seen == model.stage_output_shapes()
+        assert seen == stage_output_shapes(cfg)
 
     def test_zero_input_forward_is_normalized(self):
-        model = build_resnet(TOY, seed=0)
+        model = ResNet(TOY, seed=0)
         lp = model.forward(Tensor(np.zeros((2, 1, 8, 10), dtype=np.float32)), train=False)
         assert np.all(np.isfinite(lp.data))
         sums = np.exp(lp.data.astype(np.float64)).sum(axis=1)
@@ -78,7 +96,7 @@ class TestArchitecture:
             ResNetConfig(scale=3)
 
     def test_input_shape_checked(self):
-        model = build_resnet(TOY, seed=0)
+        model = ResNet(TOY, seed=0)
         with pytest.raises(ShapeError):
             model.forward(Tensor(np.zeros((1, 1, 9, 10), dtype=np.float32)), train=False)
 
@@ -86,24 +104,24 @@ class TestArchitecture:
 class TestScoring:
     def test_equal_probabilities_score_zero(self):
         model = zeroed_model([0.0, 0.0])
-        assert score_utterance(model, np.ones((8, 10))) == 0.0
+        assert score_one(model, np.ones((8, 10))) == 0.0
 
     def test_log_likelihood_ratio_value(self):
         model = zeroed_model(np.log([0.1, 0.9]))
-        s = score_utterance(model, np.ones((8, 10)))
+        s = score_one(model, np.ones((8, 10)))
         assert s == pytest.approx(np.log(9.0), rel=1e-6)
 
     def test_antisymmetric_under_logit_swap(self):
         a = zeroed_model(np.log([0.2, 0.8]))
         b = zeroed_model(np.log([0.8, 0.2]))
         g = np.ones((8, 10))
-        assert score_utterance(a, g) == pytest.approx(-score_utterance(b, g), rel=1e-6)
+        assert score_one(a, g) == pytest.approx(-score_one(b, g), rel=1e-6)
 
     def test_batch_matches_single(self, rng):
-        model = build_resnet(TOY, seed=5)
+        model = ResNet(TOY, seed=5)
         grams = rng.standard_normal((3, 8, 10)).astype(np.float32)
         batch = score_batch(model, grams)
-        singles = [score_utterance(model, g) for g in grams]
+        singles = [score_one(model, g) for g in grams]
         assert np.allclose(batch, singles, atol=1e-5)
 
 
@@ -188,7 +206,7 @@ class TestPlateauScheduler:
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path, rng):
-        model = build_resnet(TOY, seed=9)
+        model = ResNet(TOY, seed=9)
         # perturb running stats so buffers are non-trivial
         model.forward(Tensor(rng.standard_normal((4, 1, 8, 10)).astype(np.float32)), train=True)
         for p in model.parameters().values():
@@ -203,7 +221,7 @@ class TestCheckpoint:
             assert np.array_equal(loaded.buffers()[name], b)
 
     def test_scores_reproduce_after_reload(self, tmp_path, rng):
-        model = build_resnet(TOY, seed=2)
+        model = ResNet(TOY, seed=2)
         model.forward(Tensor(rng.standard_normal((4, 1, 8, 10)).astype(np.float32)), train=True)
         grams = rng.standard_normal((5, 8, 10)).astype(np.float32)
         before = score_batch(model, grams)
@@ -216,7 +234,7 @@ class TestCheckpoint:
 
 class TestSaliency:
     def test_same_shape_as_input(self, rng):
-        model = build_resnet(TOY, seed=4)
+        model = ResNet(TOY, seed=4)
         gram = rng.standard_normal((8, 10)).astype(np.float32)
         smap = saliency_map(model, gram)
         assert smap.shape == (8, 10)
@@ -228,7 +246,7 @@ class TestGradientPolicy:
     """Only the optimizer turns gradients on for the model's parameters."""
 
     def test_eval_forward_records_no_tape(self, tmp_path, rng):
-        model = build_resnet(TOY, seed=3)
+        model = ResNet(TOY, seed=3)
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, model)
         x = Tensor(rng.standard_normal((2, 1, 8, 10)).astype(np.float32))
@@ -237,12 +255,12 @@ class TestGradientPolicy:
             assert lp._parents == () and lp._backward is None and not lp.requires_grad
 
     def test_optimizer_turns_gradients_on(self):
-        params = build_resnet(TOY, seed=3).parameters()
+        params = ResNet(TOY, seed=3).parameters()
         assert not any(p.requires_grad for p in params.values())
         AdamW(params, lr=1e-3)
         assert all(p.requires_grad for p in params.values())
 
     def test_saliency_computes_no_parameter_gradient(self, rng):
-        model = build_resnet(TOY, seed=4)
+        model = ResNet(TOY, seed=4)
         saliency_map(model, rng.standard_normal((8, 10)).astype(np.float32))
         assert all(p.grad is None for p in model.parameters().values())

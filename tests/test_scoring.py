@@ -4,7 +4,6 @@ import pytest
 from replaycm.errors import AlignmentError, ParameterError, ParseError
 from replaycm.metrics import eer
 from replaycm.scoring import (
-    FusionModel,
     ScoreRecord,
     lr_fuse_train,
     mean_fuse,
@@ -83,12 +82,6 @@ class TestMeanFuse:
     def test_misaligned_sets_listed(self):
         with pytest.raises(AlignmentError, match="u2"):
             mean_fuse([{"u1": 0.0}, {"u1": 0.0, "u2": 1.0}])
-
-    def test_mean_kind_invariant(self):
-        with pytest.raises(ParameterError):
-            FusionModel("mean", np.array([0.7, 0.3]))
-        with pytest.raises(ParameterError):
-            FusionModel("mean", np.array([0.5, 0.5]), bias=1.0)
 
 
 class TestLrFuse:

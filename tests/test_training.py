@@ -3,7 +3,7 @@ import pytest
 
 from replaycm.errors import DataError, FormatError, ParameterError, ParseError
 from replaycm.features import FeatureGram, write_gram
-from replaycm.model import ResNetConfig, build_resnet, load_checkpoint, save_checkpoint, score_batch
+from replaycm.model import ResNet, ResNetConfig, load_checkpoint, save_checkpoint, score_batch
 from replaycm.replay_sim import ManifestEntry
 from replaycm.training import FeatureStore, TrainConfig, train, write_feature_manifest
 
@@ -24,7 +24,7 @@ def make_toy_features(root, rng, n_train=12, n_dev=8, separation=1.0):
             write_gram(FeatureGram("STFT", gram, utt_id), root / f"{utt_id}.fgram")
             mapping[utt_id] = f"{utt_id}.fgram"
             code = "-" if label == "bonafide" else "AA"
-            bucket.append(ManifestEntry(utt_id, label, code, ""))
+            bucket.append(ManifestEntry(utt_id, label, code))
     write_feature_manifest(root, mapping)
     return train_entries, dev_entries
 
@@ -32,7 +32,7 @@ def make_toy_features(root, rng, n_train=12, n_dev=8, separation=1.0):
 def test_separable_toy_reaches_zero_dev_eer(tmp_path, rng):
     train_entries, dev_entries = make_toy_features(tmp_path, rng)
     store = FeatureStore(tmp_path)
-    model = build_resnet(TOY_CFG, seed=3)
+    model = ResNet(TOY_CFG, seed=3)
     cfg = TrainConfig(lr=3e-3, batch_size=4, max_epochs=30, seed=3,
                       objective="bfl", gamma=2.0)
     result = train(model, train_entries, dev_entries, store, cfg)
@@ -46,7 +46,7 @@ def test_training_is_deterministic(tmp_path, rng):
     cfg = TrainConfig(lr=1e-3, batch_size=4, max_epochs=3, seed=11, objective="bce")
     logs = []
     for _ in range(2):
-        model = build_resnet(TOY_CFG, seed=11)
+        model = ResNet(TOY_CFG, seed=11)
         log_path = tmp_path / f"run{len(logs)}.log"
         train(model, train_entries, dev_entries, store, cfg, log_path=log_path)
         logs.append(log_path.read_bytes())
@@ -56,7 +56,7 @@ def test_training_is_deterministic(tmp_path, rng):
 def test_log_line_format(tmp_path, rng):
     train_entries, dev_entries = make_toy_features(tmp_path, rng)
     store = FeatureStore(tmp_path)
-    model = build_resnet(TOY_CFG, seed=0)
+    model = ResNet(TOY_CFG, seed=0)
     cfg = TrainConfig(lr=1e-3, batch_size=4, max_epochs=2, seed=0, objective="bfl")
     log_path = tmp_path / "train.log"
     train(model, train_entries, dev_entries, store, cfg, log_path=log_path)
@@ -72,7 +72,7 @@ def test_log_line_format(tmp_path, rng):
 def test_checkpoint_of_trained_model_reproduces_dev_scores(tmp_path, rng):
     train_entries, dev_entries = make_toy_features(tmp_path, rng)
     store = FeatureStore(tmp_path)
-    model = build_resnet(TOY_CFG, seed=5)
+    model = ResNet(TOY_CFG, seed=5)
     cfg = TrainConfig(lr=1e-3, batch_size=4, max_epochs=2, seed=5, objective="bfl")
     train(model, train_entries, dev_entries, store, cfg)
     grams = store.load_batch([e.utt_id for e in dev_entries])
@@ -86,8 +86,8 @@ def test_checkpoint_of_trained_model_reproduces_dev_scores(tmp_path, rng):
 def test_missing_feature_file_names_utterance(tmp_path, rng):
     train_entries, dev_entries = make_toy_features(tmp_path, rng)
     store = FeatureStore(tmp_path)
-    ghost = ManifestEntry("ghost99", "spoof", "AA", "")
-    model = build_resnet(TOY_CFG, seed=0)
+    ghost = ManifestEntry("ghost99", "spoof", "AA")
+    model = ResNet(TOY_CFG, seed=0)
     cfg = TrainConfig(max_epochs=1, objective="bce")
     with pytest.raises(DataError, match="ghost99"):
         train(model, train_entries + [ghost], dev_entries, store, cfg)
@@ -110,7 +110,7 @@ def test_best_dev_checkpoint_retained(tmp_path, rng):
     # the returned model must correspond to the best epoch, not the last
     train_entries, dev_entries = make_toy_features(tmp_path, rng)
     store = FeatureStore(tmp_path)
-    model = build_resnet(TOY_CFG, seed=7)
+    model = ResNet(TOY_CFG, seed=7)
     cfg = TrainConfig(lr=3e-3, batch_size=4, max_epochs=10, seed=7, objective="bfl")
     result = train(model, train_entries, dev_entries, store, cfg)
     from replaycm.metrics import eer
