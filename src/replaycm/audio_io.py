@@ -64,6 +64,8 @@ def read_wav(path) -> Waveform:
             raw = wf.readframes(n_frames)
     except wave.Error as exc:
         raise FormatError(f"malformed WAV file {path}: {exc}") from exc
+    except RuntimeError as exc:  # wave's chunk reader, on a chunk size past the chunk
+        raise FormatError(f"malformed WAV file {path}: chunk size out of range") from exc
     except EOFError as exc:
         raise FormatError(f"malformed WAV file {path}: header cut short") from exc
     if comp != "NONE":

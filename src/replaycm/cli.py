@@ -21,17 +21,18 @@ from .scoring import read_score_file, write_score_file
 from .training import FeatureStore, TrainConfig, train, write_feature_manifest
 
 
-def _frame_spec(cfg: dict) -> FrameSpec:
-    return FrameSpec.from_ms(cfg["audio"]["sample_rate"], **cfg["stft"])
+def _framed(gram_fn, cfg: dict, **kwargs):
+    """``gram_fn`` of one waveform, framed at the waveform's own sample rate."""
+    return lambda w: gram_fn(w, FrameSpec.from_ms(w.sample_rate, **cfg["stft"]), **kwargs)
 
 
 # feature kind -> the gram function of one waveform under a resolved config;
 # looked up when a command runs, so wrappers installed after import (such as
 # perfbench's tracer) take effect
 FRONTENDS = {
-    "stft": lambda cfg: partial(feat.stft_gram, spec=_frame_spec(cfg)),
-    "gd": lambda cfg: partial(feat.gd_gram, spec=_frame_spec(cfg)),
-    "mgd": lambda cfg: partial(feat.mgd_gram, spec=_frame_spec(cfg), p=MgdParams(
+    "stft": lambda cfg: _framed(feat.stft_gram, cfg),
+    "gd": lambda cfg: _framed(feat.gd_gram, cfg),
+    "mgd": lambda cfg: _framed(feat.mgd_gram, cfg, p=MgdParams(
         rho=cfg["mgd"]["rho"], lam=cfg["mgd"]["lambda"], lifter_len=cfg["mgd"]["lifter_len"])),
     "cqt": lambda cfg: partial(feat.cqt_gram, **cfg["cqt"]),
 }
@@ -62,12 +63,7 @@ def _extract_one(entry, wav_dir: Path, out_dir: Path, frontend,
 
 
 def cmd_extract(args) -> int:
-    cfg = load_config(args.config)
-    if args.rho is not None:
-        cfg["mgd"]["rho"] = args.rho
-    if args.lam is not None:
-        cfg["mgd"]["lambda"] = args.lam
-    frontend = FRONTENDS[args.feature](cfg)
+    frontend = FRONTENDS[args.feature](load_config(args.config))
     entries = read_protocol(args.protocol)
     wav_dir = Path(args.wav_dir)
     out_dir = Path(args.out)
@@ -87,6 +83,12 @@ def cmd_extract(args) -> int:
 
 
 def cmd_train(args) -> int:
+    gamma = args.gamma
+    if args.objective == "bce":
+        # balanced cross-entropy is the focal loss at gamma = 0
+        if gamma:
+            raise ParameterError(f"--objective bce is gamma = 0, got --gamma {gamma:g}")
+        gamma = 0.0
     cfg = load_config(args.config)
     entries_train = read_protocol(args.protocol_train)
     if not entries_train:
@@ -97,13 +99,13 @@ def cmd_train(args) -> int:
     model_cfg = ResNetConfig(**cfg["model"], input_bins=bins, input_frames=frames)
     train_cfg = dict(cfg["train"])
     train_cfg["betas"] = (train_cfg.pop("beta1"), train_cfg.pop("beta2"))
-    if args.gamma is not None:
-        train_cfg["gamma"] = args.gamma
-    tcfg = TrainConfig(objective=args.objective, **train_cfg)
+    if gamma is not None:
+        train_cfg["gamma"] = gamma
+    tcfg = TrainConfig(**train_cfg)
     model = ResNet(model_cfg, seed=tcfg.seed)
     result = train(model, entries_train, entries_dev, store, tcfg,
                    log_path=str(args.out) + ".log")
-    save_checkpoint(args.out, model, extra={"objective": tcfg.objective,
+    save_checkpoint(args.out, model, extra={"objective": args.objective,
                                             "best_dev_eer": result.best_dev_eer,
                                             "best_epoch": result.best_epoch})
     print(f"best dev EER {result.best_dev_eer:.6f} at epoch {result.best_epoch}; "
@@ -204,8 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", required=True)
     p.add_argument("--wav-dir", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--bin-stride", type=int, default=1)
@@ -216,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--feature-dir", required=True)
     p.add_argument("--protocol-train", required=True)
     p.add_argument("--protocol-dev", required=True)
-    p.add_argument("--objective", required=True, choices=("bce", "bfl"))
+    p.add_argument("--objective", required=True, choices=("bce", "bfl"),
+                   help="bce is bfl at gamma = 0")
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)

@@ -3,7 +3,7 @@
 DEFAULTS is built from the dataclasses and signatures that own each default,
 so every value a config file may set is one the toolkit reads.  Unknown
 sections or keys are rejected; values are coerced to the type of the
-default they override.
+default they override; a float must be finite.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import copy
 import inspect
+import math
 from dataclasses import asdict
 
 from .errors import ParameterError
@@ -30,7 +31,6 @@ def _defaults() -> dict:
     mgd = MgdParams()
     model = ResNetConfig()
     train = asdict(TrainConfig())
-    del train["objective"]  # chosen per run by ``train --objective``
     train["beta1"], train["beta2"] = train.pop("betas")
     return {
         "audio": {"sample_rate": _keyword_defaults(generate_corpus)["sample_rate"]},
@@ -66,6 +66,8 @@ def load_config(path=None) -> dict:
         raise ParameterError(f"config file {path}: {' '.join(str(exc).split())}") from exc
     if not read:
         raise ParameterError(f"config file {path} not found or unreadable")
+    if parser.defaults():
+        raise ParameterError(f"config file {path}: keys under [DEFAULT] are not supported")
     for section, pairs in items.items():
         if section not in cfg:
             raise ParameterError(f"unknown config section [{section}]")
@@ -74,14 +76,12 @@ def load_config(path=None) -> dict:
                 raise ParameterError(f"unknown config key {key!r} in [{section}]")
             default = cfg[section][key]
             try:
-                if isinstance(default, int):
-                    cfg[section][key] = int(raw)
-                elif isinstance(default, float):
-                    cfg[section][key] = float(raw)
-                else:
-                    cfg[section][key] = raw.strip()
+                value = raw.strip() if isinstance(default, str) else type(default)(raw)
             except ValueError as exc:
                 raise ParameterError(f"bad value for {section}.{key}: {raw!r}") from exc
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ParameterError(f"{section}.{key} must be a finite number, got {raw!r}")
+            cfg[section][key] = value
     return cfg
 
 

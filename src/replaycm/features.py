@@ -139,10 +139,8 @@ def cepstral_smooth(mag: np.ndarray, lifter_len: int) -> np.ndarray:
     """Spectral envelope: keep the first lifter_len cepstral coefficients.
 
     Works on one spectrum (n_bins,) or a stack (n_bins, n_frames); output is
-    strictly positive.
+    strictly positive.  ``MgdParams`` checks that lifter_len >= 1.
     """
-    if lifter_len < 1:
-        raise ParameterError(f"lifter_len must be >= 1, got {lifter_len}")
     mag = np.maximum(np.asarray(mag, dtype=np.float64), MAG_FLOOR)
     ceps = scipy.fft.dct(np.log(mag), axis=0, norm="ortho")
     ceps[lifter_len:] = 0.0
@@ -316,6 +314,8 @@ def read_gram(path, utt_id: str = "") -> FeatureGram:
             raise FormatError(f"{path}: header claims {need} payload bytes, file holds {left}")
         payload = fh.read(need)
     data = np.frombuffer(payload, dtype="<f4").reshape(n_bins, n_frames)
+    if not np.all(np.isfinite(data)):
+        raise FormatError(f"{path}: non-finite cells in {KIND_NAMES[kind_code]} gram")
     return FeatureGram(KIND_NAMES[kind_code], np.array(data), utt_id)
 
 

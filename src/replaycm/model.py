@@ -13,7 +13,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -53,21 +53,6 @@ class ResNetConfig:
     def stage_channels(self) -> tuple:
         c = self.base_channels // self.scale
         return (c, 2 * c, 4 * c, 8 * c)
-
-    def to_dict(self) -> dict:
-        return {
-            "block_counts": list(self.block_counts),
-            "base_channels": self.base_channels,
-            "fc_width": self.fc_width,
-            "n_classes": self.n_classes,
-            "input_bins": self.input_bins,
-            "input_frames": self.input_frames,
-            "scale": self.scale,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ResNetConfig":
-        return cls(**{**d, "block_counts": tuple(d["block_counts"])})
 
 
 def _kaiming_conv(rng: np.random.Generator, co: int, ci: int, k: int) -> np.ndarray:
@@ -225,7 +210,7 @@ def save_checkpoint(path, model: ResNet, extra: dict | None = None) -> None:
     ]
     header = json.dumps(
         {
-            "config": model.cfg.to_dict(),
+            "config": asdict(model.cfg),
             "arrays": directory,
             "optimizer": {},  # version-1 readers look this key up
             "extra": extra or {},
@@ -261,7 +246,7 @@ def load_checkpoint(path):
             raise FormatError(f"{path}: unsupported checkpoint version {version}")
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
-            cfg = ResNetConfig.from_dict(header["config"])
+            cfg = ResNetConfig(**header["config"])
             directory = [_array_entry(e) for e in header["arrays"]]
         except (ValueError, KeyError, TypeError) as exc:
             raise FormatError(f"{path}: malformed checkpoint header: {exc!r}") from exc
@@ -274,6 +259,8 @@ def load_checkpoint(path):
         for name, dtype, shape in directory:
             raw = fh.read(dtype.itemsize * math.prod(shape))
             arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+            if not np.all(np.isfinite(arrays[name])):
+                raise FormatError(f"{path}: non-finite values in array {name!r}")
 
     model = ResNet(cfg, seed=0)
     try:

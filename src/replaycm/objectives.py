@@ -1,10 +1,11 @@
-"""Balanced cross-entropy and balanced focal loss training objectives.
+"""Balanced focal loss, the training objective.
 
-Both weight each sample by its class weight alpha_t; the focal variant
-additionally scales by (1 - p_t)**gamma so confidently-classified samples
-contribute almost nothing and the hard minority keeps the gradient.  Losses
-run through the autodiff tape, so the modulating factor is differentiated
-rather than treated as a constant.
+Each sample is weighted by its class weight alpha_t and scaled by
+(1 - p_t)**gamma, so confidently-classified samples contribute almost
+nothing and the hard minority keeps the gradient.  At gamma = 0 the factor
+is 1 and the loss is balanced cross-entropy.  The loss runs through the
+autodiff tape, so the modulating factor is differentiated rather than
+treated as a constant.
 """
 
 from __future__ import annotations
@@ -55,27 +56,17 @@ def _check_normalized(log_probs: Tensor) -> None:
         )
 
 
-def _target_log_probs(log_probs: Tensor, targets) -> Tensor:
-    _check_normalized(log_probs)
-    return ad.gather_rows(log_probs, np.atleast_1d(np.asarray(targets, dtype=np.int64)))
-
-
-def bce(log_probs: Tensor, targets, weights: ClassWeights) -> Tensor:
-    """Balanced cross-entropy: mean over samples of -alpha_t * log p_t."""
-    lp_t = _target_log_probs(log_probs, targets)
-    alpha = weights.per_sample(np.atleast_1d(targets))
-    return ad.tmean(ad.neg(ad.mul(lp_t, Tensor(alpha.astype(lp_t.data.dtype)))))
-
-
 def bfl(log_probs: Tensor, targets, weights: ClassWeights, gamma: float) -> Tensor:
-    """Balanced focal loss: mean of -alpha_t * (1 - p_t)**gamma * log p_t.
+    """Balanced focal loss: mean of -alpha_t * (1 - p_t)**gamma * log p_t;
+    balanced cross-entropy at gamma = 0.
 
     The modulating factor is computed from log-probabilities as
     (-expm1(log p_t))**gamma, which stays accurate as p_t -> 1.
     """
     if gamma < 0:
         raise ParameterError(f"gamma must be >= 0, got {gamma}")
-    lp_t = _target_log_probs(log_probs, targets)
+    _check_normalized(log_probs)
+    lp_t = ad.gather_rows(log_probs, np.atleast_1d(np.asarray(targets, dtype=np.int64)))
     alpha = weights.per_sample(np.atleast_1d(targets))
     one_minus_p = ad.neg(ad.expm1(lp_t))
     modulation = ad.pow_scalar(one_minus_p, gamma)

@@ -20,11 +20,6 @@ import scipy.signal
 from .audio_io import PEAK, Waveform, synth_tone_complex, write_wav
 from .errors import ParameterError, ParseError, ascii_lines
 
-DISTANCE_CLASSES = ("A", "B", "C")
-QUALITY_CLASSES = ("A", "B", "C")
-ATTACK_CODES = tuple(d + q for d in DISTANCE_CLASSES for q in QUALITY_CLASSES)
-BONAFIDE_CODE = "-"
-
 # distance: direct-path gain, reverb decay time constant (s), direct-to-reverb
 # ratio (dB); all worsen A -> C
 DISTANCE_PARAMS = {
@@ -40,27 +35,9 @@ QUALITY_PARAMS = {
     "C": {"low_hz": 300.0, "high_hz": 3400.0, "drive": 2.5, "noise_rms": 1.2e-2},
 }
 
-
-@dataclass(frozen=True)
-class AttackSpec:
-    distance_class: str
-    quality_class: str
-
-    def __post_init__(self):
-        if self.distance_class not in DISTANCE_CLASSES:
-            raise ParameterError(f"unknown distance class {self.distance_class!r}")
-        if self.quality_class not in QUALITY_CLASSES:
-            raise ParameterError(f"unknown quality class {self.quality_class!r}")
-
-    @property
-    def code(self) -> str:
-        return self.distance_class + self.quality_class
-
-    @classmethod
-    def from_code(cls, code: str) -> "AttackSpec":
-        if len(code) != 2:
-            raise ParameterError(f"attack code must be two letters, got {code!r}")
-        return cls(code[0], code[1])
+# an attack code is a distance class followed by a quality class: "AA" .. "CC"
+ATTACK_CODES = tuple(d + q for d in DISTANCE_PARAMS for q in QUALITY_PARAMS)
+BONAFIDE_CODE = "-"
 
 
 def _reverb_tail(decay_s: float, drr_db: float, sample_rate: int,
@@ -93,12 +70,13 @@ def _saturate(samples: np.ndarray, drive: float) -> np.ndarray:
     return np.tanh(drive * samples) / drive
 
 
-def degrade(w: Waveform, spec: AttackSpec, seed: int) -> Waveform:
-    """Deterministic replay chain; peak is capped at PEAK (never amplified,
-    so degrading silence yields only the device noise floor)."""
+def degrade(w: Waveform, code: str, seed: int) -> Waveform:
+    """Deterministic replay chain for attack ``code`` (distance class, then
+    quality class); peak is capped at PEAK (never amplified, so degrading
+    silence yields only the device noise floor)."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x52504C59]))
-    dist = DISTANCE_PARAMS[spec.distance_class]
-    qual = QUALITY_PARAMS[spec.quality_class]
+    dist = DISTANCE_PARAMS[code[0]]
+    qual = QUALITY_PARAMS[code[1]]
 
     h = _reverb_tail(dist["decay_s"], dist["drr_db"], w.sample_rate, rng)
     x = scipy.signal.fftconvolve(w.samples * dist["gain"], h)[: w.samples.size]
@@ -110,7 +88,7 @@ def degrade(w: Waveform, spec: AttackSpec, seed: int) -> Waveform:
     peak = np.max(np.abs(x))
     if peak > PEAK:
         x = x * (PEAK / peak)
-    return Waveform(x, w.sample_rate, f"{w.utt_id}_{spec.code}" if w.utt_id else spec.code)
+    return Waveform(x, w.sample_rate, f"{w.utt_id}_{code}" if w.utt_id else code)
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +113,15 @@ def write_protocol(entries, path) -> None:
 
 def read_protocol(path) -> list:
     entries = []
+    seen = set()
     for lineno, line in ascii_lines(path):
         parts = line.split()
         if len(parts) != 3:
             raise ParseError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
         utt_id, code, label = parts
+        if utt_id in seen:
+            raise ParseError(f"{path}:{lineno}: duplicate utt_id {utt_id!r}")
+        seen.add(utt_id)
         if label not in ("bonafide", "spoof"):
             raise ParseError(f"{path}:{lineno}: bad label {label!r}")
         if label == "bonafide" and code != BONAFIDE_CODE:
@@ -182,6 +164,8 @@ def generate_corpus(out_dir, n_sources: int, utt_per_source: int,
     """
     if n_sources < 1 or utt_per_source < 1:
         raise ParameterError("need at least one source and one utterance per source")
+    if sample_rate < 1:
+        raise ParameterError(f"sample_rate must be >= 1, got {sample_rate}")
     out_dir = Path(out_dir)
     wav_dir = out_dir / "wav"
     if wav_dir.exists() and any(wav_dir.iterdir()):
@@ -215,7 +199,7 @@ def generate_corpus(out_dir, n_sources: int, utt_per_source: int,
                 write_wav(bona, wav_dir / f"{utt_id}.wav")
                 entries.append(ManifestEntry(utt_id, "bonafide", BONAFIDE_CODE))
                 for code in ATTACK_CODES:
-                    spoof = degrade(bona, AttackSpec.from_code(code), utt_seed)
+                    spoof = degrade(bona, code, utt_seed)
                     spoof_id = f"{utt_id}_{code}"
                     spoof.utt_id = spoof_id
                     write_wav(spoof, wav_dir / f"{spoof_id}.wav")

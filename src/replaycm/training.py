@@ -31,8 +31,7 @@ class TrainConfig:
     batch_size: int = 16
     max_epochs: int = 10
     seed: int = 0
-    objective: str = "bfl"
-    gamma: float = 2.0
+    gamma: float = 2.0  # 0 gives balanced cross-entropy
     alpha: str | tuple = "auto"  # "auto", (alpha_spoof, alpha_bonafide) or "spoof,bonafide"
 
     def __post_init__(self):
@@ -50,8 +49,6 @@ class TrainConfig:
             raise ParameterError("lr, batch_size and max_epochs must be positive")
         if not (0.0 < self.plateau_factor < 1.0):
             raise ParameterError(f"plateau_factor must lie in (0, 1), got {self.plateau_factor}")
-        if self.objective not in ("bce", "bfl"):
-            raise ParameterError(f"objective must be 'bce' or 'bfl', got {self.objective!r}")
         if self.gamma < 0:
             raise ParameterError("gamma must be >= 0")
 
@@ -224,10 +221,7 @@ def train(model: ResNet, train_entries, dev_entries, store: FeatureStore,
             targets = np.array([1 if e.label == "bonafide" else 0 for e in batch])
             x = Tensor(grams.astype(np.float32)[:, None, :, :])
             log_probs = model.forward(x, train=True)
-            if cfg.objective == "bfl":
-                loss = objectives.bfl(log_probs, targets, weights, cfg.gamma)
-            else:
-                loss = objectives.bce(log_probs, targets, weights)
+            loss = objectives.bfl(log_probs, targets, weights, cfg.gamma)
             optimizer.zero_grad()
             ad.backward(loss)
             optimizer.step()

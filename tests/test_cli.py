@@ -7,6 +7,7 @@ import pytest
 from conftest import ckpt_with_array_entry
 from replaycm.cli import main
 from replaycm.features import read_gram
+from replaycm.model import load_checkpoint
 from replaycm.scoring import read_score_file, write_score_file
 
 
@@ -164,8 +165,7 @@ def test_gd_and_mgd_extraction(pipeline, tmp_path):
         assert main(["extract", "--feature", feature,
                      "--protocol", str(corpus / "protocol_dev.txt"),
                      "--wav-dir", str(corpus / "wav"), "--out", str(out),
-                     "--bin-stride", "32", "--frame-stride", "25",
-                     "--rho", "0.2", "--lambda", "0.7"]) == 0
+                     "--bin-stride", "32", "--frame-stride", "25"]) == 0
         from replaycm.replay_sim import read_protocol
 
         utt = read_protocol(corpus / "protocol_dev.txt")[0].utt_id
@@ -392,3 +392,129 @@ def test_non_finite_score_is_a_parse_error(tmp_path, capsys, command, score):
     err = _error_line(main(args[command]), capsys)
     assert err.startswith(f"error:parse: {scores}:2:"), err
     assert not fused.exists()
+
+
+def test_bce_with_a_non_zero_gamma_is_a_parameter_error(pipeline, tmp_path, capsys):
+    _, _, _, _, _, cfg = pipeline
+    args = _train_args(pipeline, tmp_path / "m.ckpt", cfg)
+    args[args.index("--objective") + 1] = "bce"
+    err = _error_line(main(args + ["--gamma", "2"]), capsys)
+    assert err.startswith("error:parameter:") and "gamma" in err, err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_bce_is_bfl_at_gamma_zero(pipeline, tmp_path):
+    _, _, _, _, _, cfg = pipeline
+    runs = {}
+    for objective, extra in (("bce", []), ("bfl", ["--gamma", "0"])):
+        out = tmp_path / f"{objective}.ckpt"
+        args = _train_args(pipeline, out, cfg)
+        args[args.index("--objective") + 1] = objective
+        assert main(args + extra) == 0
+        model, meta = load_checkpoint(out)
+        arrays = {**{n: p.data for n, p in model.parameters().items()}, **model.buffers()}
+        runs[objective] = (arrays, meta, (tmp_path / f"{objective}.ckpt.log").read_bytes())
+    (bce_arrays, bce_meta, bce_log), (bfl_arrays, bfl_meta, bfl_log) = runs["bce"], runs["bfl"]
+    assert bce_arrays.keys() == bfl_arrays.keys()
+    assert all(np.array_equal(bce_arrays[n], bfl_arrays[n]) for n in bce_arrays)
+    assert bce_log == bfl_log
+    assert (bce_meta["objective"], bfl_meta["objective"]) == ("bce", "bfl")
+    assert bce_meta["best_dev_eer"] == bfl_meta["best_dev_eer"]
+
+
+@pytest.fixture(scope="module")
+def corpus_8k(tmp_path_factory):
+    """A three-source corpus simulated at 8 kHz, and the config that says so."""
+    root = tmp_path_factory.mktemp("corpus8k")
+    cfg = root / "8k.cfg"
+    cfg.write_text("[audio]\nsample_rate = 8000\n")
+    assert main(["simulate", "--out", str(root / "corpus"), "--sources", "3", "--utts", "1",
+                 "--seed", "2", "--config", str(cfg)]) == 0
+    return root / "corpus", cfg
+
+
+@pytest.mark.parametrize("feature", ["stft", "gd", "mgd"])
+def test_frames_follow_the_wav_sample_rate(corpus_8k, tmp_path, feature):
+    corpus, cfg = corpus_8k
+    grams = {}
+    for name, extra in (("with", ["--config", str(cfg)]), ("without", [])):
+        out = tmp_path / name
+        assert main(["extract", "--feature", feature,
+                     "--protocol", str(corpus / "protocol_dev.txt"),
+                     "--wav-dir", str(corpus / "wav"), "--out", str(out), *extra]) == 0
+        grams[name] = {p.name: p.read_bytes() for p in out.glob("*.fgram")}
+    assert len(grams["with"]) == 10
+    assert grams["with"] == grams["without"]
+
+
+def test_non_finite_checkpoint_array_is_a_format_error(pipeline, tmp_path, capsys):
+    _, corpus, feats, ckpt, _, _ = pipeline
+    bad = tmp_path / "nan.ckpt"
+    # directory order is sorted by name, so the last bytes are param/stem_conv's float32s
+    bad.write_bytes(ckpt.read_bytes()[:-4] + struct.pack("<f", float("nan")))
+    out = tmp_path / "s.txt"
+    err = _error_line(main(["score", "--ckpt", str(bad), "--feature-dir", str(feats),
+                            "--protocol", str(corpus / "protocol_eval.txt"),
+                            "--out", str(out)]), capsys)
+    assert err.startswith(f"error:format: {bad}:") and "param/stem_conv" in err, err
+    assert not out.exists()
+
+
+def test_repeated_protocol_utt_id_is_a_parse_error(tmp_path, capsys):
+    protocol = tmp_path / "protocol.txt"
+    protocol.write_text("b1 - bonafide\ns1 AA spoof\ns2 AA spoof\ns1 AA spoof\n")
+    write_score_file({"b1": 0.9, "s1": 0.1, "s2": 0.95}, tmp_path / "scores.txt")
+    err = _error_line(main(["evaluate", "--scores", str(tmp_path / "scores.txt"),
+                            "--protocol", str(protocol)]), capsys)
+    assert err.startswith(f"error:parse: {protocol}:4:") and "s1" in err, err
+
+
+def test_non_finite_gram_cell_is_a_format_error(pipeline, tmp_path, capsys):
+    _, corpus, feats, ckpt, _, _ = pipeline
+    utt_id, _ = _one_utterance(corpus, tmp_path)
+    bad = tmp_path / "nan.fgram"
+    bad.write_bytes((feats / f"{utt_id}.fgram").read_bytes()[:-4] + struct.pack("<f", float("nan")))
+    err = _error_line(main(["saliency", "--ckpt", str(ckpt), "--feature", str(bad),
+                            "--out", str(tmp_path / "s.fgram")]), capsys)
+    assert err.startswith(f"error:format: {bad}:"), err
+
+
+def test_wav_chunk_size_past_its_chunk_is_a_format_error(pipeline, tmp_path, capsys):
+    _, corpus, _, _, _, _ = pipeline
+    utt_id, protocol = _one_utterance(corpus, tmp_path)
+    wav_dir = tmp_path / "wav"
+    wav_dir.mkdir()
+    wav = wav_dir / f"{utt_id}.wav"
+    blob = (corpus / "wav" / f"{utt_id}.wav").read_bytes()
+    wav.write_bytes(blob[:16] + struct.pack("<I", 195) + blob[20:])  # the fmt chunk's size
+    code = main(["extract", "--feature", "stft", "--protocol", str(protocol),
+                 "--wav-dir", str(wav_dir), "--out", str(tmp_path / "feats")])
+    err = _error_line(code, capsys)
+    assert err.startswith("error:format:") and str(wav) in err, err
+
+
+@pytest.mark.parametrize("command, text", [
+    ("evaluate", "[tdcf]\npi_tar = nan\n"),
+    ("evaluate", "[tdcf]\nc_fa_cm = inf\n"),
+    ("evaluate", "[tdcf]\nc_fa_cm = 1e400\n"),
+    ("extract", "[stft]\nframe_ms = nan\n"),
+    ("simulate", "[DEFAULT]\nsample_rate = 8000\n"),
+    ("simulate", "[audio]\nsample_rate = -5\n"),
+], ids=["nan", "inf", "1e400", "nan-frame", "default-section", "negative-rate"])
+def test_config_value_that_cannot_work_is_a_parameter_error(pipeline, tmp_path, capsys,
+                                                            command, text):
+    _, corpus, _, _, scores, _ = pipeline
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    args = {
+        "evaluate": ["evaluate", "--scores", str(scores),
+                     "--protocol", str(corpus / "protocol_eval.txt"), "--tdcf-config", str(cfg)],
+        "extract": ["extract", "--feature", "stft", "--protocol", str(corpus / "protocol_dev.txt"),
+                    "--wav-dir", str(corpus / "wav"), "--out", str(out), "--config", str(cfg)],
+        "simulate": ["simulate", "--out", str(out), "--sources", "3", "--utts", "1",
+                     "--config", str(cfg)],
+    }
+    err = _error_line(main(args[command]), capsys)
+    assert err.startswith("error:parameter:"), err
+    assert not any(p.is_file() for p in out.rglob("*"))

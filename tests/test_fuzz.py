@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ckpt_with_array_entry
+from replaycm.audio_io import Waveform, read_wav, write_wav
+from replaycm.config import DEFAULTS, load_config
 from replaycm.errors import ReplayCmError
 from replaycm.features import FeatureGram, read_gram, write_gram
 from replaycm.model import ResNet, ResNetConfig, load_checkpoint, save_checkpoint
@@ -30,9 +32,11 @@ def valid(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     write_gram(FeatureGram("MGD", np.arange(12, dtype=np.float32).reshape(3, 4)), root / "g")
     save_checkpoint(root / "c", ResNet(TOY, seed=0), extra={"objective": "bfl"})
+    write_wav(Waveform(np.linspace(-0.5, 0.5, 40), 16000), root / "w")
     return {
         "gram": (root / "g").read_bytes(),
         "ckpt": (root / "c").read_bytes(),
+        "wav": (root / "w").read_bytes(),
         "scores": b"b1 0.250000\ns1 -1.500000\n",
         "protocol": b"b1 - bonafide\nb1_AA AA spoof\nb1_CC CC spoof\n",
         "path": root / "input",
@@ -147,3 +151,61 @@ def test_load_checkpoint_gives_a_model_or_an_error(valid, data):
     loaded = _read(load_checkpoint, valid["path"], blob)
     if loaded is not None:
         assert isinstance(loaded[0], ResNet) and isinstance(loaded[1], dict)
+
+
+def _wav_header(riff_size, fmt_size, fmt_tag, channels, rate, block_align, bits, data_size,
+                payload) -> bytes:
+    return struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", riff_size, b"WAVE", b"fmt ", fmt_size,
+                       fmt_tag, channels, rate, rate * block_align % 2**32, block_align, bits,
+                       b"data", data_size) + payload
+
+
+@FUZZ
+@given(st.data())
+def test_read_wav_gives_a_waveform_or_an_error(valid, data):
+    u16 = st.one_of(st.integers(0, 4), st.integers(0, 2**16 - 1))
+    blob = data.draw(st.one_of(
+        st.binary(max_size=64),
+        st.builds(_wav_header, U32, U32, u16, u16, U32, u16, u16, U32, st.binary(max_size=64)),
+        damaged(valid["wav"]),
+    ))
+    w = _read(read_wav, valid["path"], blob)
+    if w is not None:
+        assert w.samples.ndim == 1 and w.samples.size > 0 and w.sample_rate >= 1
+        assert np.all(np.abs(w.samples) <= 1.0)
+
+
+CONFIG_VALUES = st.one_of(
+    st.floats().map(repr),
+    st.integers(-2**40, 2**40).map(str),
+    st.sampled_from(["inf", "-inf", "nan", "1e400", "auto", "hann", "1,2", "3,4,6,3", "%", ""]),
+    st.text(alphabet="0123456789.eE+-_infa, ", max_size=8),
+)
+
+
+@st.composite
+def config_text(draw) -> bytes:
+    """INI text over the real sections and keys, a few unknown ones and [DEFAULT]."""
+    all_keys = sorted({k for v in DEFAULTS.values() for k in v})
+    lines = []
+    for section in draw(st.lists(st.sampled_from([*DEFAULTS, "DEFAULT", "bogus"]), max_size=3)):
+        # mostly the section's own keys, so that values get coerced
+        keys = st.sampled_from([*DEFAULTS.get(section, all_keys), "bogus"])
+        lines.append(f"[{section}]")
+        lines += [f"{k} = {v}" for k, v in draw(st.lists(st.tuples(keys, CONFIG_VALUES),
+                                                          max_size=3))]
+    return "".join(f"{line}\n" for line in lines).encode("ascii")
+
+
+@FUZZ
+@given(st.data())
+def test_load_config_gives_finite_values_or_an_error(valid, data):
+    blob = data.draw(st.one_of(st.binary(max_size=64), config_text()))
+    cfg = _read(load_config, valid["path"], blob)
+    if cfg is not None:
+        assert cfg.keys() == DEFAULTS.keys()
+        for section, values in cfg.items():
+            assert values.keys() == DEFAULTS[section].keys()
+            for key, value in values.items():
+                assert type(value) is type(DEFAULTS[section][key])
+                assert not isinstance(value, float) or math.isfinite(value)

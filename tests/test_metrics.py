@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from replaycm.errors import DataError, MetricError, ParameterError
+from replaycm.errors import MetricError, ParameterError
 from replaycm.metrics import (
     TdcfParams,
     breakdown,
@@ -182,11 +182,6 @@ class TestBreakdown:
         rows = breakdown(recs)
         assert [r["attack_code"] for r in rows] == ["AA", "BB", "CC"]
         assert [r["n_spoof"] for r in rows] == [4, 6, 2]
-
-    def test_unknown_code_rejected(self, rng):
-        recs = records_from([1.0, 2.0], [0.0], codes=["XX"])
-        with pytest.raises(DataError):
-            breakdown(recs)
 
     def test_format_is_tab_separated(self, rng):
         recs = records_from(rng.standard_normal(4) + 1, rng.standard_normal(9),

@@ -12,7 +12,7 @@ from replaycm.model import (
     save_checkpoint,
     score_batch,
 )
-from replaycm.objectives import ClassWeights, bce
+from replaycm.objectives import ClassWeights, bfl
 from replaycm.training import AdamW, PlateauScheduler
 
 TOY = ResNetConfig(base_channels=16, scale=8, fc_width=8, input_bins=8, input_frames=10)
@@ -166,7 +166,7 @@ class TestAdamW:
         opt = AdamW({"w": w, "b": b}, lr=1e-4)
 
         def loss_value():
-            return bce(ad.log_softmax(ad.linear(x, w, b)), targets, weights)
+            return bfl(ad.log_softmax(ad.linear(x, w, b)), targets, weights, 0.0)
 
         before = loss_value()
         opt.zero_grad()

@@ -7,7 +7,6 @@ from replaycm.features import FrameSpec, stft
 from replaycm.replay_sim import (
     ATTACK_CODES,
     QUALITY_PARAMS,
-    AttackSpec,
     ManifestEntry,
     degrade,
     generate_corpus,
@@ -31,30 +30,18 @@ class TestAttackSpec:
         assert len(ATTACK_CODES) == 9
         assert ATTACK_CODES[0] == "AA" and ATTACK_CODES[-1] == "CC"
 
-    def test_code_round_trip(self):
-        for code in ATTACK_CODES:
-            assert AttackSpec.from_code(code).code == code
-
-    def test_rejects_bad_codes(self):
-        with pytest.raises(ParameterError):
-            AttackSpec.from_code("AD")
-        with pytest.raises(ParameterError):
-            AttackSpec.from_code("A")
-        with pytest.raises(ParameterError):
-            AttackSpec("D", "A")
-
 
 class TestDegrade:
     def test_deterministic(self):
         w = synth_tone_complex(200.0, 10, 0.5, SR, 1)
-        a = degrade(w, AttackSpec("B", "B"), 7)
-        b = degrade(w, AttackSpec("B", "B"), 7)
+        a = degrade(w, "BB", 7)
+        b = degrade(w, "BB", 7)
         assert np.array_equal(a.samples, b.samples)
 
     def test_aa_is_closest_to_source(self):
         w = synth_tone_complex(180.0, 20, 1.0, SR, 3)
         dists = {
-            code: log_spectral_distance(w, degrade(w, AttackSpec.from_code(code), 42))
+            code: log_spectral_distance(w, degrade(w, code, 42))
             for code in ATTACK_CODES
         }
         assert min(dists, key=dists.get) == "AA"
@@ -63,7 +50,7 @@ class TestDegrade:
         for seed in range(3):
             w = synth_tone_complex(140.0 + 40 * seed, 15, 1.0, SR, seed)
             d = {
-                code: log_spectral_distance(w, degrade(w, AttackSpec.from_code(code), 5))
+                code: log_spectral_distance(w, degrade(w, code, 5))
                 for code in ("AA", "AC", "CA", "CC")
             }
             assert d["AA"] < d["AC"]
@@ -73,14 +60,14 @@ class TestDegrade:
     def test_silence_stays_near_noise_floor(self):
         silence = Waveform(np.zeros(SR), SR, "sil")
         for quality in "ABC":
-            out = degrade(silence, AttackSpec("A", quality), 3)
+            out = degrade(silence, "A" + quality, 3)
             rms = np.sqrt(np.mean(out.samples**2))
             assert rms < QUALITY_PARAMS[quality]["noise_rms"] * 1.1
 
     def test_peak_capped(self):
         w = synth_tone_complex(200.0, 5, 0.3, SR, 2)
         for code in ATTACK_CODES:
-            out = degrade(w, AttackSpec.from_code(code), 11)
+            out = degrade(w, code, 11)
             assert np.max(np.abs(out.samples)) <= 0.9 + 1e-12
 
 

@@ -33,8 +33,7 @@ def test_separable_toy_reaches_zero_dev_eer(tmp_path, rng):
     train_entries, dev_entries = make_toy_features(tmp_path, rng)
     store = FeatureStore(tmp_path)
     model = ResNet(TOY_CFG, seed=3)
-    cfg = TrainConfig(lr=3e-3, batch_size=4, max_epochs=30, seed=3,
-                      objective="bfl", gamma=2.0)
+    cfg = TrainConfig(lr=3e-3, batch_size=4, max_epochs=30, seed=3, gamma=2.0)
     result = train(model, train_entries, dev_entries, store, cfg)
     assert result.best_dev_eer == 0.0
     assert all(np.isfinite(h["train_loss"]) for h in result.history)
@@ -43,7 +42,7 @@ def test_separable_toy_reaches_zero_dev_eer(tmp_path, rng):
 def test_training_is_deterministic(tmp_path, rng):
     train_entries, dev_entries = make_toy_features(tmp_path, rng)
     store = FeatureStore(tmp_path)
-    cfg = TrainConfig(lr=1e-3, batch_size=4, max_epochs=3, seed=11, objective="bce")
+    cfg = TrainConfig(lr=1e-3, batch_size=4, max_epochs=3, seed=11, gamma=0.0)
     logs = []
     for _ in range(2):
         model = ResNet(TOY_CFG, seed=11)
@@ -57,7 +56,7 @@ def test_log_line_format(tmp_path, rng):
     train_entries, dev_entries = make_toy_features(tmp_path, rng)
     store = FeatureStore(tmp_path)
     model = ResNet(TOY_CFG, seed=0)
-    cfg = TrainConfig(lr=1e-3, batch_size=4, max_epochs=2, seed=0, objective="bfl")
+    cfg = TrainConfig(lr=1e-3, batch_size=4, max_epochs=2, seed=0)
     log_path = tmp_path / "train.log"
     train(model, train_entries, dev_entries, store, cfg, log_path=log_path)
     lines = log_path.read_text().splitlines()
@@ -73,7 +72,7 @@ def test_checkpoint_of_trained_model_reproduces_dev_scores(tmp_path, rng):
     train_entries, dev_entries = make_toy_features(tmp_path, rng)
     store = FeatureStore(tmp_path)
     model = ResNet(TOY_CFG, seed=5)
-    cfg = TrainConfig(lr=1e-3, batch_size=4, max_epochs=2, seed=5, objective="bfl")
+    cfg = TrainConfig(lr=1e-3, batch_size=4, max_epochs=2, seed=5)
     train(model, train_entries, dev_entries, store, cfg)
     grams = store.load_batch([e.utt_id for e in dev_entries])
     before = score_batch(model, grams)
@@ -88,7 +87,7 @@ def test_missing_feature_file_names_utterance(tmp_path, rng):
     store = FeatureStore(tmp_path)
     ghost = ManifestEntry("ghost99", "spoof", "AA")
     model = ResNet(TOY_CFG, seed=0)
-    cfg = TrainConfig(max_epochs=1, objective="bce")
+    cfg = TrainConfig(max_epochs=1, gamma=0.0)
     with pytest.raises(DataError, match="ghost99"):
         train(model, train_entries + [ghost], dev_entries, store, cfg)
     with pytest.raises(DataError, match="ghost99"):
@@ -111,7 +110,7 @@ def test_best_dev_checkpoint_retained(tmp_path, rng):
     train_entries, dev_entries = make_toy_features(tmp_path, rng)
     store = FeatureStore(tmp_path)
     model = ResNet(TOY_CFG, seed=7)
-    cfg = TrainConfig(lr=3e-3, batch_size=4, max_epochs=10, seed=7, objective="bfl")
+    cfg = TrainConfig(lr=3e-3, batch_size=4, max_epochs=10, seed=7)
     result = train(model, train_entries, dev_entries, store, cfg)
     from replaycm.metrics import eer
     from replaycm.scoring import ScoreRecord
@@ -125,8 +124,6 @@ def test_best_dev_checkpoint_retained(tmp_path, rng):
 def test_train_config_validation():
     with pytest.raises(ParameterError):
         TrainConfig(lr=0.0)
-    with pytest.raises(ParameterError):
-        TrainConfig(objective="hinge")
     with pytest.raises(ParameterError):
         TrainConfig(plateau_factor=1.5)
     with pytest.raises(ParameterError):
