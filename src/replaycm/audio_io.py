@@ -74,6 +74,8 @@ def read_wav(path) -> Waveform:
         raise UnsupportedError(f"{path}: expected mono, got {n_channels} channels")
     if sample_width != 2:
         raise UnsupportedError(f"{path}: expected 16-bit PCM, got {8 * sample_width}-bit")
+    if sample_rate < 1:
+        raise FormatError(f"{path}: header sample rate is {sample_rate} Hz")
     if len(raw) != 2 * n_frames:
         raise FormatError(f"{path}: data chunk cut short ({len(raw)} of {2 * n_frames} bytes)")
     words = np.frombuffer(raw, dtype="<i2")

@@ -74,17 +74,9 @@ def _accum(tensor: Tensor, grad: np.ndarray):
         tensor.grad = tensor.grad + grad
 
 
-def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
-    """Sum a broadcast gradient back down to the original operand shape."""
-    if grad.shape == tuple(shape):
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
+def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"{op} needs operands of one shape, got {a.data.shape} and {b.data.shape}")
 
 
 def backward(loss: Tensor) -> None:
@@ -123,13 +115,14 @@ def backward(loss: Tensor) -> None:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    _same_shape(a, b, "add")
     data = a.data + b.data
 
     def bwd(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape))
+            _accum(a, g)
         if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.data.shape))
+            _accum(b, g)
 
     return _result(data, (a, b), bwd)
 
@@ -142,13 +135,14 @@ def neg(a: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
+    _same_shape(a, b, "mul")
     data = a.data * b.data
 
     def bwd(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.data.shape))
+            _accum(a, g * b.data)
         if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.data.shape))
+            _accum(b, g * a.data)
 
     return _result(data, (a, b), bwd)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
@@ -38,6 +39,17 @@ FRONTENDS = {
 }
 
 
+@contextmanager
+def _job_map(jobs: int):
+    """The builtin ``map``, or with jobs > 1 the ``map`` of a pool of that
+    many threads; the one home of ``--jobs``."""
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            yield pool.map
+    else:
+        yield map
+
+
 def cmd_simulate(args) -> int:
     replay_sim.generate_corpus(
         args.out,
@@ -54,9 +66,14 @@ def _extract_one(entry, wav_dir: Path, out_dir: Path, frontend,
                  bin_stride: int, frame_stride: int) -> tuple:
     from .audio_io import read_wav
 
-    w = read_wav(wav_dir / f"{entry.utt_id}.wav")
+    path = wav_dir / f"{entry.utt_id}.wav"
+    w = read_wav(path)
     w.utt_id = entry.utt_id
-    gram = reduce_gram(frontend(w), bin_stride, frame_stride)
+    try:
+        gram = frontend(w)
+    except ParameterError as exc:  # frames and kernels follow the WAV's rate
+        raise ParameterError(f"{path} at {w.sample_rate} Hz: {exc}") from exc
+    gram = reduce_gram(gram, bin_stride, frame_stride)
     filename = f"{entry.utt_id}.fgram"
     write_gram(gram, out_dir / filename)
     return entry.utt_id, filename
@@ -72,21 +89,18 @@ def cmd_extract(args) -> int:
     def work(entry):
         return _extract_one(entry, wav_dir, out_dir, frontend, args.bin_stride, args.frame_stride)
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(work, entries))
-    else:
-        results = [work(e) for e in entries]
+    with _job_map(args.jobs) as map_fn:
+        results = list(map_fn(work, entries))
     write_feature_manifest(out_dir, dict(results))
     print(f"extracted {len(results)} {args.feature} grams to {out_dir}")
     return 0
 
 
 def cmd_train(args) -> int:
-    gamma = args.gamma
+    gamma = TrainConfig.gamma if args.gamma is None else args.gamma
     if args.objective == "bce":
         # balanced cross-entropy is the focal loss at gamma = 0
-        if gamma:
+        if args.gamma:
             raise ParameterError(f"--objective bce is gamma = 0, got --gamma {gamma:g}")
         gamma = 0.0
     cfg = load_config(args.config)
@@ -99,9 +113,7 @@ def cmd_train(args) -> int:
     model_cfg = ResNetConfig(**cfg["model"], input_bins=bins, input_frames=frames)
     train_cfg = dict(cfg["train"])
     train_cfg["betas"] = (train_cfg.pop("beta1"), train_cfg.pop("beta2"))
-    if gamma is not None:
-        train_cfg["gamma"] = gamma
-    tcfg = TrainConfig(**train_cfg)
+    tcfg = TrainConfig(**train_cfg, gamma=gamma)
     model = ResNet(model_cfg, seed=tcfg.seed)
     result = train(model, entries_train, entries_dev, store, tcfg,
                    log_path=str(args.out) + ".log")
@@ -115,8 +127,9 @@ def cmd_train(args) -> int:
 
 def cmd_score(args) -> int:
     model, _ = load_checkpoint(args.ckpt)
-    records = training._score_entries(model, read_protocol(args.protocol),
-                                      FeatureStore(args.feature_dir), jobs=args.jobs)
+    with _job_map(args.jobs) as map_fn:
+        records = training._score_entries(model, read_protocol(args.protocol),
+                                          FeatureStore(args.feature_dir), map_fn=map_fn)
     scores = {r.utt_id: r.score for r in records}
     write_score_file(scores, args.out)
     print(f"scored {len(scores)} utterances to {args.out}")
@@ -218,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol-dev", required=True)
     p.add_argument("--objective", required=True, choices=("bce", "bfl"),
                    help="bce is bfl at gamma = 0")
-    p.add_argument("--gamma", type=float, default=None)
+    p.add_argument("--gamma", type=float, default=None,
+                   help=f"focal exponent (default {TrainConfig.gamma:g})")
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)

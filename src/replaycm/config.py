@@ -32,6 +32,7 @@ def _defaults() -> dict:
     model = ResNetConfig()
     train = asdict(TrainConfig())
     train["beta1"], train["beta2"] = train.pop("betas")
+    del train["gamma"]  # train --gamma and --objective bce are its only sources
     return {
         "audio": {"sample_rate": _keyword_defaults(generate_corpus)["sample_rate"]},
         "stft": _keyword_defaults(FrameSpec.from_ms),

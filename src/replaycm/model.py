@@ -90,6 +90,14 @@ class BasicBlock:
         return ad.relu(ad.add(out, shortcut))
 
 
+def _named_arrays(prefix: str, owner):
+    for attr, value in vars(owner).items():
+        if isinstance(value, BatchNorm2d):
+            yield from _named_arrays(f"{prefix}{attr}_", value)
+        elif isinstance(value, (Tensor, np.ndarray)):
+            yield prefix + attr, owner, attr
+
+
 class ResNet:
     def __init__(self, cfg: ResNetConfig, seed: int = 0):
         self.cfg = cfg
@@ -132,44 +140,27 @@ class ResNet:
 
     # --- parameters and buffers ----------------------------------------
 
-    def _bn_modules(self):
-        mods = [("stem_bn", self.stem_bn)]
+    def _arrays(self):
+        """(name, owner, attribute) of every parameter tensor and batch-norm
+        buffer, named by its attribute path: ``stem_conv``, ``stem_bn_gamma``,
+        ``s1b0_proj_bn_running_var``, ``fc_w``; block j of stage i is ``s<i>b<j>``."""
+        yield from _named_arrays("", self)
         for si, blocks in enumerate(self.stages):
             for bi, blk in enumerate(blocks):
-                mods.append((f"s{si}b{bi}_bn1", blk.bn1))
-                mods.append((f"s{si}b{bi}_bn2", blk.bn2))
-                if blk.proj_bn is not None:
-                    mods.append((f"s{si}b{bi}_proj_bn", blk.proj_bn))
-        return mods
+                yield from _named_arrays(f"s{si}b{bi}_", blk)
 
     def parameters(self) -> dict:
-        params = {"stem_conv": self.stem_conv}
-        for si, blocks in enumerate(self.stages):
-            for bi, blk in enumerate(blocks):
-                params[f"s{si}b{bi}_conv1"] = blk.conv1
-                params[f"s{si}b{bi}_conv2"] = blk.conv2
-                if blk.proj is not None:
-                    params[f"s{si}b{bi}_proj"] = blk.proj
-        for name, bn in self._bn_modules():
-            params[f"{name}_gamma"] = bn.gamma
-            params[f"{name}_beta"] = bn.beta
-        params["fc_w"] = self.fc_w
-        params["fc_b"] = self.fc_b
-        params["out_w"] = self.out_w
-        params["out_b"] = self.out_b
-        return params
+        return {name: getattr(owner, attr) for name, owner, attr in self._arrays()
+                if isinstance(getattr(owner, attr), Tensor)}
 
     def buffers(self) -> dict:
-        bufs = {}
-        for name, bn in self._bn_modules():
-            bufs[f"{name}_running_mean"] = bn.running_mean
-            bufs[f"{name}_running_var"] = bn.running_var
-        return bufs
+        return {name: getattr(owner, attr) for name, owner, attr in self._arrays()
+                if isinstance(getattr(owner, attr), np.ndarray)}
 
     def load_buffers(self, bufs: dict) -> None:
-        for name, bn in self._bn_modules():
-            bn.running_mean = np.array(bufs[f"{name}_running_mean"], dtype=np.float64)
-            bn.running_var = np.array(bufs[f"{name}_running_var"], dtype=np.float64)
+        for name, owner, attr in self._arrays():
+            if isinstance(getattr(owner, attr), np.ndarray):
+                setattr(owner, attr, np.array(bufs[name], dtype=np.float64))
 
 
 def score_batch(model: ResNet, grams: np.ndarray) -> np.ndarray:

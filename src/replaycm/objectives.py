@@ -35,9 +35,7 @@ class ClassWeights:
     @classmethod
     def auto(cls, n_spoof: int, n_bonafide: int) -> "ClassWeights":
         """Inverse class frequency, normalized so the per-sample weights
-        average to 1 over the training set."""
-        if n_spoof < 1 or n_bonafide < 1:
-            raise ParameterError("auto weights need at least one sample of each class")
+        average to 1 over the training set; ``train`` checks both counts."""
         total = n_spoof + n_bonafide
         # alpha_c = total / (2 * n_c): sample-weighted mean is exactly 1
         return cls(alpha_spoof=total / (2.0 * n_spoof),

@@ -136,10 +136,8 @@ def _split_sources(n_sources: int, split_ratios) -> dict:
     ratios = tuple(float(r) for r in split_ratios)
     if len(ratios) != 3 or any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
         raise ParameterError(f"split ratios must be three non-negatives summing to 1, got {ratios}")
-    n_train = int(round(n_sources * ratios[0]))
-    n_dev = int(round(n_sources * ratios[1]))
-    n_train = max(n_train, 1) if ratios[0] > 0 else 0
-    n_dev = max(n_dev, 1) if ratios[1] > 0 else 0
+    # a split with a positive ratio gets at least one source
+    n_train, n_dev = (max(int(round(n_sources * r)), 1) if r > 0 else 0 for r in ratios[:2])
     n_eval = n_sources - n_train - n_dev
     if n_eval < (1 if ratios[2] > 0 else 0):
         raise ParameterError(

@@ -1,9 +1,7 @@
-"""AdamW, plateau learning-rate scheduling and the training loop."""
+"""AdamW and the training loop, with its plateau learning-rate schedule."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -91,33 +89,6 @@ class AdamW:
             p.grad = None
 
 
-class PlateauScheduler:
-    """Multiply lr by ``factor`` after ``patience`` consecutive epochs without
-    improvement of the (lower-is-better) metric; counter resets on improvement
-    and after each reduction."""
-
-    def __init__(self, lr: float, patience: int = TrainConfig.plateau_patience,
-                 factor: float = TrainConfig.plateau_factor):
-        self.lr = lr
-        self.patience = patience
-        self.factor = factor
-        self.best = np.inf
-        self.stale = 0
-        self.reductions = []
-
-    def report(self, metric: float) -> float:
-        if metric < self.best:
-            self.best = metric
-            self.stale = 0
-        else:
-            self.stale += 1
-            if self.stale >= self.patience:
-                self.lr *= self.factor
-                self.reductions.append(len(self.reductions) + 1)
-                self.stale = 0
-        return self.lr
-
-
 class FeatureStore:
     """Loads feature grams by utt_id via the extraction manifest."""
 
@@ -173,36 +144,40 @@ class TrainResult:
 
 
 def _score_entries(model: ResNet, entries, store: FeatureStore,
-                   batch_size: int = 32, jobs: int = 1) -> list:
-    """ScoreRecords for ``entries``, scored batch_size at a time; with jobs > 1
-    one pool of that many threads reads the grams of every batch."""
+                   batch_size: int = 32, map_fn=map) -> list:
+    """ScoreRecords for ``entries``, scored batch_size at a time; the grams of
+    each batch are read through ``map_fn`` (see ``FeatureStore.load_batch``)."""
     records = []
-    with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        for start in range(0, len(entries), batch_size):
-            chunk = entries[start : start + batch_size]
-            grams = store.load_batch([e.utt_id for e in chunk], pool.map if pool else map)
-            for e, s in zip(chunk, score_batch(model, grams)):
-                records.append(ScoreRecord(e.utt_id, float(s), e.label, e.attack_code))
+    for start in range(0, len(entries), batch_size):
+        chunk = entries[start : start + batch_size]
+        grams = store.load_batch([e.utt_id for e in chunk], map_fn)
+        for e, s in zip(chunk, score_batch(model, grams)):
+            records.append(ScoreRecord(e.utt_id, float(s), e.label, e.attack_code))
     return records
 
 
 def train(model: ResNet, train_entries, dev_entries, store: FeatureStore,
           cfg: TrainConfig, log_path=None) -> TrainResult:
-    """Train in place; on return the model holds the best-dev-EER parameters."""
+    """Train in place; on return the model holds the best-dev-EER parameters.
+
+    After ``plateau_patience`` epochs in a row without a lower dev EER the
+    optimizer's lr is multiplied by ``plateau_factor``."""
+    n_spoof = sum(1 for e in train_entries if e.label == "spoof")
+    n_bona = len(train_entries) - n_spoof
+    if n_spoof < 1 or n_bona < 1:
+        raise DataError(f"training needs both classes, got {n_bona} bonafide and "
+                        f"{n_spoof} spoof utterances")
     for e in train_entries + dev_entries:
         if e.utt_id not in store.paths:
             raise DataError(f"no feature file for utterance {e.utt_id!r}")
 
-    n_spoof = sum(1 for e in train_entries if e.label == "spoof")
-    n_bona = len(train_entries) - n_spoof
     if cfg.alpha == "auto":
-        weights = objectives.ClassWeights.auto(max(n_spoof, 1), max(n_bona, 1))
+        weights = objectives.ClassWeights.auto(n_spoof, n_bona)
     else:
         weights = objectives.ClassWeights(*cfg.alpha)
 
     params = model.parameters()
     optimizer = AdamW(params, cfg.lr, cfg.betas, cfg.weight_decay)
-    scheduler = PlateauScheduler(cfg.lr, cfg.plateau_patience, cfg.plateau_factor)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x54524E]))
 
     order = np.arange(len(train_entries))
@@ -210,6 +185,7 @@ def train(model: ResNet, train_entries, dev_entries, store: FeatureStore,
     best = TrainResult(history, np.inf, -1)
     best_params = None
     best_buffers = None
+    stale = 0  # epochs since the dev EER last improved, or since the lr was cut
 
     for epoch in range(1, cfg.max_epochs + 1):
         rng.shuffle(order)
@@ -228,7 +204,7 @@ def train(model: ResNet, train_entries, dev_entries, store: FeatureStore,
             epoch_loss += loss.item()
             n_batches += 1
 
-        train_loss = epoch_loss / max(n_batches, 1)
+        train_loss = epoch_loss / n_batches
         dev_records = _score_entries(model, dev_entries, store)
         dev_eer, _ = eer(dev_records)
         history.append({"epoch": epoch, "train_loss": train_loss,
@@ -238,7 +214,12 @@ def train(model: ResNet, train_entries, dev_entries, store: FeatureStore,
             best.best_epoch = epoch
             best_params = {n: p.data.copy() for n, p in params.items()}
             best_buffers = {n: b.copy() for n, b in model.buffers().items()}
-        optimizer.lr = scheduler.report(dev_eer)
+            stale = 0
+        else:
+            stale += 1
+            if stale >= cfg.plateau_patience:
+                optimizer.lr *= cfg.plateau_factor
+                stale = 0
 
     if best_params is not None:
         for n, p in params.items():

@@ -6,6 +6,7 @@ import pytest
 
 from replaycm import autodiff as ad
 from replaycm.autodiff import Tensor
+from replaycm.cli import main
 
 
 def finite_difference_gradient(f, x0: np.ndarray, step: float = 1e-3) -> np.ndarray:
@@ -60,3 +61,36 @@ def ckpt_with_array_entry(blob: bytes, index: int, **fields) -> bytes:
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(scope="session")
+def pipeline(tmp_path_factory):
+    """Tiny end-to-end corpus -> features -> model -> scores, reused by the
+    CLI tests."""
+    root = tmp_path_factory.mktemp("pipeline")
+    corpus = root / "corpus"
+    feats = root / "feats"
+    ckpt = root / "model.ckpt"
+    scores = root / "eval_scores.txt"
+
+    cfg = root / "toy.cfg"
+    cfg.write_text(
+        "[train]\nlr = 2e-3\nbatch_size = 6\nmax_epochs = 2\nseed = 1\n"
+        "[model]\nscale = 8\nfc_width = 8\n"
+    )
+    assert main(["simulate", "--out", str(corpus), "--sources", "4",
+                 "--utts", "2", "--seed", "5"]) == 0
+    for split in ("train", "dev", "eval"):
+        assert main(["extract", "--feature", "stft",
+                     "--protocol", str(corpus / f"protocol_{split}.txt"),
+                     "--wav-dir", str(corpus / "wav"), "--out", str(feats),
+                     "--bin-stride", "32", "--frame-stride", "25"]) == 0
+    assert main(["train", "--feature-dir", str(feats),
+                 "--protocol-train", str(corpus / "protocol_train.txt"),
+                 "--protocol-dev", str(corpus / "protocol_dev.txt"),
+                 "--objective", "bfl", "--gamma", "2",
+                 "--config", str(cfg), "--out", str(ckpt)]) == 0
+    assert main(["score", "--ckpt", str(ckpt), "--feature-dir", str(feats),
+                 "--protocol", str(corpus / "protocol_eval.txt"),
+                 "--out", str(scores)]) == 0
+    return root, corpus, feats, ckpt, scores, cfg

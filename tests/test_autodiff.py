@@ -57,6 +57,12 @@ def test_shape_error_names_both_shapes():
         ad.linear(x, w, Tensor(np.zeros(4)))
 
 
+@pytest.mark.parametrize("op", [ad.add, ad.mul])
+def test_elementwise_ops_need_equal_shapes(op):
+    with pytest.raises(ShapeError, match=r"\(2, 3\) and \(3,\)"):
+        op(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
+
+
 def test_conv_shape_error():
     x = Tensor(np.zeros((1, 2, 4, 4)))
     k = Tensor(np.zeros((1, 3, 3, 3)))

@@ -11,39 +11,6 @@ from replaycm.model import load_checkpoint
 from replaycm.scoring import read_score_file, write_score_file
 
 
-@pytest.fixture(scope="module")
-def pipeline(tmp_path_factory):
-    """Tiny end-to-end corpus -> features -> model -> scores, reused by the
-    CLI tests below."""
-    root = tmp_path_factory.mktemp("pipeline")
-    corpus = root / "corpus"
-    feats = root / "feats"
-    ckpt = root / "model.ckpt"
-    scores = root / "eval_scores.txt"
-
-    cfg = root / "toy.cfg"
-    cfg.write_text(
-        "[train]\nlr = 2e-3\nbatch_size = 6\nmax_epochs = 2\nseed = 1\n"
-        "[model]\nscale = 8\nfc_width = 8\n"
-    )
-    assert main(["simulate", "--out", str(corpus), "--sources", "4",
-                 "--utts", "2", "--seed", "5"]) == 0
-    for split in ("train", "dev", "eval"):
-        assert main(["extract", "--feature", "stft",
-                     "--protocol", str(corpus / f"protocol_{split}.txt"),
-                     "--wav-dir", str(corpus / "wav"), "--out", str(feats),
-                     "--bin-stride", "32", "--frame-stride", "25"]) == 0
-    assert main(["train", "--feature-dir", str(feats),
-                 "--protocol-train", str(corpus / "protocol_train.txt"),
-                 "--protocol-dev", str(corpus / "protocol_dev.txt"),
-                 "--objective", "bfl", "--gamma", "2",
-                 "--config", str(cfg), "--out", str(ckpt)]) == 0
-    assert main(["score", "--ckpt", str(ckpt), "--feature-dir", str(feats),
-                 "--protocol", str(corpus / "protocol_eval.txt"),
-                 "--out", str(scores)]) == 0
-    return root, corpus, feats, ckpt, scores, cfg
-
-
 def test_pipeline_emits_finite_metrics(pipeline, capsys):
     _, corpus, _, _, scores, _ = pipeline
     assert main(["evaluate", "--scores", str(scores),
@@ -197,6 +164,29 @@ def test_single_alpha_is_a_parameter_error(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1
     assert err.startswith("error:parameter:") and "alpha" in err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_single_class_training_protocol_is_a_data_error(pipeline, tmp_path, capsys):
+    from replaycm.replay_sim import read_protocol
+
+    _, corpus, _, _, _, cfg = pipeline
+    spoof = [e for e in read_protocol(corpus / "protocol_train.txt") if e.label == "spoof"]
+    protocol = tmp_path / "spoof.txt"
+    protocol.write_text("".join(f"{e.utt_id} {e.attack_code} {e.label}\n" for e in spoof))
+    err = _error_line(main(_train_args(pipeline, tmp_path / "m.ckpt", cfg, protocol)), capsys)
+    assert err.startswith("error:data:") and f"0 bonafide and {len(spoof)} spoof" in err, err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("objective", ["bce", "bfl"])
+def test_config_gamma_is_an_unknown_key(pipeline, tmp_path, capsys, objective):
+    cfg = tmp_path / "gamma.cfg"
+    cfg.write_text("[train]\ngamma = 3\nmax_epochs = 1\n")
+    args = _train_args(pipeline, tmp_path / "m.ckpt", cfg)
+    args[args.index("--objective") + 1] = objective
+    err = _error_line(main(args), capsys)
+    assert err.startswith("error:parameter:") and "'gamma'" in err, err
     assert not (tmp_path / "m.ckpt").exists()
 
 
@@ -518,3 +508,19 @@ def test_config_value_that_cannot_work_is_a_parameter_error(pipeline, tmp_path, 
     err = _error_line(main(args[command]), capsys)
     assert err.startswith("error:parameter:"), err
     assert not any(p.is_file() for p in out.rglob("*"))
+
+
+@pytest.mark.parametrize("rate, category", [(0, "format"), (50, "parameter")])
+def test_wav_rate_that_cannot_be_framed_names_the_wav(pipeline, tmp_path, capsys, rate, category):
+    # at 50 Hz the default 10 ms hop rounds to 0 samples
+    _, corpus, _, _, _, _ = pipeline
+    utt_id, protocol = _one_utterance(corpus, tmp_path)
+    wav_dir = tmp_path / "wav"
+    wav_dir.mkdir()
+    wav = wav_dir / f"{utt_id}.wav"
+    blob = (corpus / "wav" / f"{utt_id}.wav").read_bytes()
+    wav.write_bytes(blob[:24] + struct.pack("<I", rate) + blob[28:])  # the fmt chunk's rate
+    code = main(["extract", "--feature", "stft", "--protocol", str(protocol),
+                 "--wav-dir", str(wav_dir), "--out", str(tmp_path / "feats")])
+    err = _error_line(code, capsys)
+    assert err.startswith(f"error:{category}: {wav}"), err

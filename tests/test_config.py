@@ -31,7 +31,7 @@ def test_defaults_come_from_the_owning_dataclasses():
     train, model, mgd = TrainConfig(), ResNetConfig(), MgdParams()
     assert DEFAULTS["train"]["lr"] == train.lr
     assert (DEFAULTS["train"]["beta1"], DEFAULTS["train"]["beta2"]) == train.betas
-    assert "objective" not in DEFAULTS["train"]
+    assert "objective" not in DEFAULTS["train"] and "gamma" not in DEFAULTS["train"]
     assert DEFAULTS["model"]["block_counts"] == "3,4,6,3"
     assert DEFAULTS["model"]["fc_width"] == model.fc_width
     assert DEFAULTS["mgd"] == {"rho": mgd.rho, "lambda": mgd.lam, "lifter_len": mgd.lifter_len}

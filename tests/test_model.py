@@ -13,7 +13,7 @@ from replaycm.model import (
     score_batch,
 )
 from replaycm.objectives import ClassWeights, bfl
-from replaycm.training import AdamW, PlateauScheduler
+from replaycm.training import AdamW
 
 TOY = ResNetConfig(base_channels=16, scale=8, fc_width=8, input_bins=8, input_frames=10)
 
@@ -173,35 +173,6 @@ class TestAdamW:
         ad.backward(before)
         opt.step()
         assert loss_value().item() < before.item()
-
-
-class TestPlateauScheduler:
-    def test_improving_metric_never_reduces(self):
-        s = PlateauScheduler(1.0, patience=3, factor=0.1)
-        for m in (5.0, 4.0, 3.0, 2.0, 1.0):
-            assert s.report(m) == 1.0
-        assert s.reductions == []
-
-    def test_flat_metric_reduces_after_patience(self):
-        s = PlateauScheduler(1.0, patience=3, factor=0.1)
-        lrs = [s.report(1.0) for _ in range(4)]
-        assert lrs == [1.0, 1.0, 1.0, pytest.approx(0.1)]
-        assert len(s.reductions) == 1
-
-    def test_two_plateaus_compose(self):
-        s = PlateauScheduler(1.0, patience=3, factor=0.1)
-        for _ in range(7):
-            lr = s.report(1.0)
-        assert lr == pytest.approx(0.01)
-        assert len(s.reductions) == 2
-
-    def test_counter_resets_on_improvement(self):
-        s = PlateauScheduler(1.0, patience=3, factor=0.1)
-        for m in (1.0, 1.0, 1.0, 0.5, 0.5, 0.5):
-            s.report(m)
-        assert s.reductions == []  # never three stale epochs in a row
-        s.report(0.5)
-        assert len(s.reductions) == 1
 
 
 class TestCheckpoint:

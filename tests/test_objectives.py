@@ -143,5 +143,3 @@ class TestClassWeights:
     def test_validation(self):
         with pytest.raises(ParameterError):
             ClassWeights(0.0, 1.0)
-        with pytest.raises(ParameterError):
-            ClassWeights.auto(0, 5)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from replaycm import training
 from replaycm.errors import DataError, FormatError, ParameterError, ParseError
 from replaycm.features import FeatureGram, write_gram
 from replaycm.model import ResNet, ResNetConfig, load_checkpoint, save_checkpoint, score_batch
@@ -128,3 +129,38 @@ def test_train_config_validation():
         TrainConfig(plateau_factor=1.5)
     with pytest.raises(ParameterError):
         TrainConfig(gamma=-0.5)
+
+
+@pytest.mark.parametrize("label", ["spoof", "bonafide"])
+@pytest.mark.parametrize("alpha", ["auto", "1,1"])
+def test_training_on_one_class_is_a_data_error(tmp_path, rng, label, alpha):
+    train_entries, dev_entries = make_toy_features(tmp_path, rng)
+    one_class = [e for e in train_entries if e.label == label]
+    counts = {"spoof": (0, len(one_class)), "bonafide": (len(one_class), 0)}[label]
+    cfg = TrainConfig(max_epochs=1, alpha=alpha)
+    with pytest.raises(DataError, match=r"both classes, got %d bonafide and %d spoof" % counts):
+        train(ResNet(TOY_CFG, seed=0), one_class, dev_entries, FeatureStore(tmp_path), cfg)
+
+
+LR = 1e-3
+
+
+@pytest.mark.parametrize("dev_eers, lrs, best_epoch", [
+    ((0.5, 0.4, 0.3, 0.2, 0.1), [LR] * 5, 5),
+    ((0.3,) * 5, [LR] * 4 + [LR * 0.1], 1),
+    ((0.3,) * 8, [LR] * 4 + [LR * 0.1] * 3 + [LR * 0.1 * 0.1], 1),
+    ((0.3, 0.3, 0.3, 0.2, 0.2, 0.2, 0.2, 0.2), [LR] * 7 + [LR * 0.1], 4),
+], ids=["improving", "flat", "two-plateaus", "reset-on-improvement"])
+def test_lr_is_cut_after_patience_epochs_without_a_better_dev_eer(tmp_path, rng, monkeypatch,
+                                                                  dev_eers, lrs, best_epoch):
+    # the lr column holds the lr each epoch trained at; patience 3, factor 0.1
+    scripted = iter(dev_eers)
+    monkeypatch.setattr(training, "eer", lambda records: (next(scripted), 0.0))
+    train_entries, dev_entries = make_toy_features(tmp_path, rng)
+    cfg = TrainConfig(lr=LR, batch_size=4, max_epochs=len(dev_eers), plateau_patience=3,
+                      plateau_factor=0.1)
+    result = train(ResNet(TOY_CFG, seed=0), train_entries, dev_entries,
+                   FeatureStore(tmp_path), cfg)
+    assert [h["lr"] for h in result.history] == lrs
+    assert [h["dev_eer"] for h in result.history] == list(dev_eers)
+    assert (result.best_epoch, result.best_dev_eer) == (best_epoch, min(dev_eers))
