@@ -11,7 +11,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .audio_io import Waveform
 from .errors import FormatError, InternalError, ParameterError
@@ -141,6 +140,8 @@ def cepstral_smooth(mag: np.ndarray, lifter_len: int) -> np.ndarray:
     Works on one spectrum (n_bins,) or a stack (n_bins, n_frames); output is
     strictly positive.  ``MgdParams`` checks that lifter_len >= 1.
     """
+    import scipy.fft  # only MGD needs scipy, so it loads here, not at start-up
+
     mag = np.maximum(np.asarray(mag, dtype=np.float64), MAG_FLOOR)
     ceps = scipy.fft.dct(np.log(mag), axis=0, norm="ortho")
     ceps[lifter_len:] = 0.0

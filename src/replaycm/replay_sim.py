@@ -12,10 +12,10 @@ DISTANCE_PARAMS / QUALITY_PARAMS so experiments are auditable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-import scipy.signal
 
 from .audio_io import PEAK, Waveform, synth_tone_complex, write_wav
 from .errors import ParameterError, ParseError, ascii_lines
@@ -55,13 +55,42 @@ def _reverb_tail(decay_s: float, drr_db: float, sample_rate: int,
     return h
 
 
-def _bandpass(samples: np.ndarray, low_hz: float, high_hz: float,
-              sample_rate: int) -> np.ndarray:
+@lru_cache(maxsize=16)
+def _bandpass_design(quality: str, sample_rate: int) -> tuple:
+    """Poles, gain and tail length of the device stage's order-4 Butterworth
+    bandpass, designed as SciPy's ``butter(4, ..., "bandpass")`` designs it.
+    The tail is the sample count after which the impulse response falls
+    below 1e-17, set by the largest pole radius."""
+    qual = QUALITY_PARAMS[quality]
     nyquist = sample_rate / 2.0
-    high = min(high_hz, nyquist * 0.999)
-    sos = scipy.signal.butter(4, [low_hz / nyquist, high / nyquist],
-                              btype="bandpass", output="sos")
-    return scipy.signal.sosfilt(sos, samples)
+    edges = np.array([qual["low_hz"], min(qual["high_hz"], nyquist * 0.999)]) / nyquist
+    low, high = 4.0 * np.tan(np.pi * edges / 2.0)  # band edges prewarped for fs = 2
+    # the analog lowpass prototype's poles, moved to the band
+    proto = -np.exp(1j * np.pi * np.arange(-3, 4, 2) / 8.0) * ((high - low) / 2.0)
+    root = np.sqrt(proto**2 - low * high)
+    analog = np.concatenate((proto + root, proto - root))
+    # bilinear transform s -> z = (4 + s) / (4 - s): the 4 analog zeros at
+    # s = 0 go to z = 1, the 4 at infinity to z = -1
+    poles = (4.0 + analog) / (4.0 - analog)
+    gain = (high - low) ** 4 * np.real(4.0**4 / np.prod(4.0 - analog))
+    tail = int(np.ceil(np.log(1e-17) / np.log(np.max(np.abs(poles)))))
+    return poles, gain, tail
+
+
+@lru_cache(maxsize=16)
+def _bandpass_response(quality: str, sample_rate: int, n_fft: int) -> np.ndarray:
+    """The bandpass of ``_bandpass_design`` on the rfft grid of n_fft points.
+    At z = exp(i omega), gain (z - 1)^4 (z + 1)^4 / prod(z - p) equals
+    gain 16 sin(omega)^4 z^-4 / prod(1 - p / z), which stays accurate next to
+    the zeros."""
+    poles, gain, _ = _bandpass_design(quality, sample_rate)
+    omega = 2.0 * np.pi * np.arange(n_fft // 2 + 1) / n_fft
+    z_inv = np.exp(-1j * omega)
+    response = gain * 16.0 * np.sin(omega) ** 4 * z_inv**4
+    for p in poles:
+        response /= 1.0 - p * z_inv
+    response.flags.writeable = False  # one array serves every caller
+    return response
 
 
 def _saturate(samples: np.ndarray, drive: float) -> np.ndarray:
@@ -78,10 +107,16 @@ def degrade(w: Waveform, code: str, seed: int) -> Waveform:
     dist = DISTANCE_PARAMS[code[0]]
     qual = QUALITY_PARAMS[code[1]]
 
+    # reverberation, then the device bandpass: both causal, so the first n
+    # samples of one circular product are their cascade as long as the
+    # transform also holds h and the bandpass tail
     h = _reverb_tail(dist["decay_s"], dist["drr_db"], w.sample_rate, rng)
-    x = scipy.signal.fftconvolve(w.samples * dist["gain"], h)[: w.samples.size]
-
-    x = _bandpass(x, qual["low_hz"], qual["high_hz"], w.sample_rate)
+    n = w.samples.size
+    _, _, tail = _bandpass_design(code[1], w.sample_rate)
+    n_fft = 1 << (n + h.size + tail - 1).bit_length()  # the next power of two
+    spectrum = (np.fft.rfft(w.samples * dist["gain"], n_fft) * np.fft.rfft(h, n_fft)
+                * _bandpass_response(code[1], w.sample_rate, n_fft))
+    x = np.fft.irfft(spectrum, n_fft)[:n]
     x = _saturate(x, qual["drive"])
     x = x + rng.standard_normal(x.size) * qual["noise_rms"]
 

@@ -47,6 +47,12 @@ class TrainConfig:
             raise ParameterError("lr, batch_size and max_epochs must be positive")
         if not (0.0 < self.plateau_factor < 1.0):
             raise ParameterError(f"plateau_factor must lie in (0, 1), got {self.plateau_factor}")
+        if self.plateau_patience < 1:
+            raise ParameterError(f"plateau_patience must be >= 1, got {self.plateau_patience}")
+        if not all(0.0 <= b < 1.0 for b in self.betas):  # AdamW divides by 1 - beta**t
+            raise ParameterError(f"beta1 and beta2 must lie in [0, 1), got {self.betas}")
+        if self.weight_decay < 0:
+            raise ParameterError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.gamma < 0:
             raise ParameterError("gamma must be >= 0")
 
@@ -123,6 +129,8 @@ def _read_manifest(path) -> dict:
         fields = line.split(maxsplit=1)
         if len(fields) != 2:
             raise FormatError(f"{path}:{lineno}: expected '<utt_id> <gram file>'")
+        if fields[0] in entries:
+            raise FormatError(f"{path}:{lineno}: duplicate utt_id {fields[0]!r}")
         entries[fields[0]] = fields[1]
     return entries
 

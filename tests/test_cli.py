@@ -490,10 +490,15 @@ def test_wav_chunk_size_past_its_chunk_is_a_format_error(pipeline, tmp_path, cap
     ("extract", "[stft]\nframe_ms = nan\n"),
     ("simulate", "[DEFAULT]\nsample_rate = 8000\n"),
     ("simulate", "[audio]\nsample_rate = -5\n"),
-], ids=["nan", "inf", "1e400", "nan-frame", "default-section", "negative-rate"])
+    ("train", "[train]\nbeta1 = 1\n"),
+    ("train", "[train]\nbeta2 = -0.1\n"),
+    ("train", "[train]\nplateau_patience = 0\n"),
+    ("train", "[train]\nweight_decay = -5\n"),
+], ids=["nan", "inf", "1e400", "nan-frame", "default-section", "negative-rate", "beta1-one",
+        "negative-beta2", "zero-patience", "negative-weight-decay"])
 def test_config_value_that_cannot_work_is_a_parameter_error(pipeline, tmp_path, capsys,
                                                             command, text):
-    _, corpus, _, _, scores, _ = pipeline
+    _, corpus, feats, _, scores, _ = pipeline
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
     out = tmp_path / "out"
@@ -504,6 +509,10 @@ def test_config_value_that_cannot_work_is_a_parameter_error(pipeline, tmp_path, 
                     "--wav-dir", str(corpus / "wav"), "--out", str(out), "--config", str(cfg)],
         "simulate": ["simulate", "--out", str(out), "--sources", "3", "--utts", "1",
                      "--config", str(cfg)],
+        "train": ["train", "--feature-dir", str(feats),
+                  "--protocol-train", str(corpus / "protocol_train.txt"),
+                  "--protocol-dev", str(corpus / "protocol_dev.txt"), "--objective", "bfl",
+                  "--config", str(cfg), "--out", str(out / "model.ckpt")],
     }
     err = _error_line(main(args[command]), capsys)
     assert err.startswith("error:parameter:"), err

@@ -18,6 +18,7 @@ from replaycm.features import FeatureGram, read_gram, write_gram
 from replaycm.model import ResNet, ResNetConfig, load_checkpoint, save_checkpoint
 from replaycm.replay_sim import ATTACK_CODES, read_protocol
 from replaycm.scoring import read_score_file
+from replaycm.training import _read_manifest
 
 # few examples, so tier-1 stays fast; derandomized, so every run tries the same inputs
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -39,6 +40,7 @@ def valid(tmp_path_factory):
         "wav": (root / "w").read_bytes(),
         "scores": b"b1 0.250000\ns1 -1.500000\n",
         "protocol": b"b1 - bonafide\nb1_AA AA spoof\nb1_CC CC spoof\n",
+        "manifest": b"b1 b1.fgram\nb1_AA b1_AA.fgram\n",
         "path": root / "input",
     }
 
@@ -107,6 +109,22 @@ def test_read_protocol_gives_consistent_entries_or_an_error(valid, data):
     for e in entries or []:
         assert (e.label, e.attack_code == "-") in (("bonafide", True), ("spoof", False))
         assert e.attack_code == "-" or e.attack_code in ATTACK_CODES
+
+
+@FUZZ
+@given(st.data())
+def test_read_manifest_gives_one_entry_per_line_or_an_error(valid, data):
+    names = st.sampled_from(["b1.fgram", "s1.fgram", "a b.fgram", ""])
+    blob = data.draw(st.one_of(
+        st.binary(max_size=64),
+        _text_lines(st.tuples(UTT_IDS, names)),
+        damaged(valid["manifest"]),
+    ))
+    entries = _read(_read_manifest, valid["path"], blob)
+    if entries is not None:
+        # no line dropped, none overwritten by a later one
+        assert len(entries) == sum(1 for raw in blob.splitlines() if raw.decode().strip())
+        assert all(utt_id and len(utt_id.split()) == 1 and rel for utt_id, rel in entries.items())
 
 
 def _gram_header(magic, version, kind, n_bins, n_frames, payload) -> bytes:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.signal
 
-from replaycm.audio_io import Waveform, read_wav, synth_tone_complex
+from replaycm import replay_sim
+from replaycm.audio_io import PEAK, Waveform, quantize, read_wav, synth_tone_complex
 from replaycm.errors import ParameterError, ParseError
 from replaycm.features import FrameSpec, stft
 from replaycm.replay_sim import (
@@ -69,6 +71,35 @@ class TestDegrade:
         for code in ATTACK_CODES:
             out = degrade(w, code, 11)
             assert np.max(np.abs(out.samples)) <= 0.9 + 1e-12
+
+
+def scipy_degrade(w: Waveform, code: str, seed: int) -> np.ndarray:
+    """Reference chain: time-domain reverb convolution, then the order-4
+    Butterworth bandpass as second-order sections, as scipy.signal runs them."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x52504C59]))
+    dist = replay_sim.DISTANCE_PARAMS[code[0]]
+    qual = replay_sim.QUALITY_PARAMS[code[1]]
+    h = replay_sim._reverb_tail(dist["decay_s"], dist["drr_db"], w.sample_rate, rng)
+    x = scipy.signal.fftconvolve(w.samples * dist["gain"], h)[: w.samples.size]
+    nyquist = w.sample_rate / 2.0
+    edges = [qual["low_hz"] / nyquist, min(qual["high_hz"], nyquist * 0.999) / nyquist]
+    x = scipy.signal.sosfilt(scipy.signal.butter(4, edges, btype="bandpass", output="sos"), x)
+    if qual["drive"] > 0:
+        x = np.tanh(qual["drive"] * x) / qual["drive"]
+    x = x + rng.standard_normal(x.size) * qual["noise_rms"]
+    return x * min(PEAK / np.max(np.abs(x)), 1.0)
+
+
+@pytest.mark.parametrize("sample_rate", [8000, 16000, 22050, 48000])
+def test_degrade_matches_the_scipy_chain(sample_rate):
+    # at 8 kHz the 7.8 and 5.5 kHz band edges clamp to 0.999 Nyquist, whose
+    # poles lie closest to the unit circle and give the longest tail
+    w = synth_tone_complex(150.0, 20, 0.5, sample_rate, 3)
+    for code in ATTACK_CODES:
+        want = scipy_degrade(w, code, 5)
+        got = degrade(w, code, 5).samples
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), code
+        assert np.array_equal(quantize(got), quantize(want)), code
 
 
 class TestProtocolFiles:

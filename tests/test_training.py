@@ -98,7 +98,8 @@ def test_missing_feature_file_names_utterance(tmp_path, rng):
 @pytest.mark.parametrize("content, error, where", [
     (b"u1 u1.fgram\nfoo\n", FormatError, ":2: expected"),
     (b"u1 u1.fgram\nu\xe92 u2.fgram\n", ParseError, ":2: non-ASCII byte 0xe9"),
-], ids=["one-field-line", "non-ascii-byte"])
+    (b"a x.fgram\n\na y.fgram\n", FormatError, ":3: duplicate utt_id 'a'"),
+], ids=["one-field-line", "non-ascii-byte", "repeated-utt-id"])
 def test_manifest_readers_name_the_bad_line(tmp_path, content, error, where):
     (tmp_path / "features.manifest").write_bytes(content)
     for read in (FeatureStore, lambda d: write_feature_manifest(d, {"u3": "u3.fgram"})):
