@@ -6,6 +6,11 @@ casting back.  Every primitive records a backward closure on the implicit
 tape (the parent links); ``backward`` on a scalar loss topologically sorts
 the graph and fills ``.grad`` on every tensor that requires gradients.
 
+The engine holds the ops the ResNet and its saliency maps run, and no
+other: ``add``, ``relu``, ``gather_rows``, ``log_softmax``, ``linear``,
+``conv2d``, ``maxpool2d``, ``global_avg_pool`` and ``BatchNorm2d``.  The
+training loss is one node of its own (``objectives.bfl``).
+
 Only tensors whose gradient someone consumes record a tape: an op records
 nothing when none of its inputs requires gradients.  Tensors are built
 without gradients; the optimizer turns them on for the parameters it steps,
@@ -42,10 +47,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def item(self) -> float:
         return float(self.data)
 
@@ -72,11 +73,6 @@ def _accum(tensor: Tensor, grad: np.ndarray):
         tensor.grad = grad.copy()
     else:
         tensor.grad = tensor.grad + grad
-
-
-def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"{op} needs operands of one shape, got {a.data.shape} and {b.data.shape}")
 
 
 def backward(loss: Tensor) -> None:
@@ -111,11 +107,12 @@ def backward(loss: Tensor) -> None:
 
 
 # ---------------------------------------------------------------------------
-# elementwise and reduction primitives
+# elementwise, selection and dense primitives
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "add")
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"add needs operands of one shape, got {a.data.shape} and {b.data.shape}")
     data = a.data + b.data
 
     def bwd(g):
@@ -127,63 +124,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _result(data, (a, b), bwd)
 
 
-def neg(a: Tensor) -> Tensor:
-    def bwd(g):
-        _accum(a, -g)
-
-    return _result(-a.data, (a,), bwd)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "mul")
-    data = a.data * b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            _accum(a, g * b.data)
-        if b.requires_grad:
-            _accum(b, g * a.data)
-
-    return _result(data, (a, b), bwd)
-
-
-def pow_scalar(a: Tensor, exponent: float) -> Tensor:
-    data = np.power(a.data, exponent)
-
-    def bwd(g):
-        # d/dx x**p = p * x**(p-1); guarded at x == 0 for p >= 1 where the
-        # derivative is 0 (p == 1) or 0**(p-1) == 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            deriv = exponent * np.power(a.data, exponent - 1.0)
-        deriv = np.where(np.isfinite(deriv), deriv, 0.0)
-        _accum(a, g * deriv)
-
-    return _result(data, (a,), bwd)
-
-
-def expm1(a: Tensor) -> Tensor:
-    data = np.expm1(a.data)
-
-    def bwd(g):
-        _accum(a, g * np.exp(a.data))
-
-    return _result(data, (a,), bwd)
-
-
 def relu(a: Tensor) -> Tensor:
     data = np.maximum(a.data, 0)
 
     def bwd(g):
         _accum(a, g * (a.data > 0))
-
-    return _result(data, (a,), bwd)
-
-
-def tmean(a: Tensor) -> Tensor:
-    data = np.asarray(a.data.mean(dtype=np.float64), dtype=a.data.dtype)
-
-    def bwd(g):
-        _accum(a, np.broadcast_to(g / a.data.size, a.data.shape))
 
     return _result(data, (a,), bwd)
 

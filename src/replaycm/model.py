@@ -153,14 +153,26 @@ class ResNet:
         return {name: getattr(owner, attr) for name, owner, attr in self._arrays()
                 if isinstance(getattr(owner, attr), Tensor)}
 
-    def buffers(self) -> dict:
-        return {name: getattr(owner, attr) for name, owner, attr in self._arrays()
-                if isinstance(getattr(owner, attr), np.ndarray)}
-
-    def load_buffers(self, bufs: dict) -> None:
+    def state(self) -> dict:
+        """A copy of every parameter and buffer array, keyed ``param/<name>``
+        and ``buffer/<name>`` as a checkpoint keys them."""
+        state = {}
         for name, owner, attr in self._arrays():
-            if isinstance(getattr(owner, attr), np.ndarray):
-                setattr(owner, attr, np.array(bufs[name], dtype=np.float64))
+            value = getattr(owner, attr)
+            if isinstance(value, Tensor):
+                state[f"param/{name}"] = value.data.copy()
+            else:
+                state[f"buffer/{name}"] = value.copy()
+        return state
+
+    def load_state(self, arrays: dict) -> None:
+        """Set every parameter (as float32) and buffer (as float64) from
+        ``arrays``, keyed as ``state`` keys them; KeyError names a missing one."""
+        for name, owner, attr in self._arrays():
+            if isinstance(getattr(owner, attr), Tensor):
+                getattr(owner, attr).data = np.array(arrays[f"param/{name}"], dtype=np.float32)
+            else:
+                setattr(owner, attr, np.array(arrays[f"buffer/{name}"], dtype=np.float64))
 
 
 def score_batch(model: ResNet, grams: np.ndarray) -> np.ndarray:
@@ -190,11 +202,7 @@ _CKPT_HEAD = struct.Struct("<4sHI")
 
 
 def save_checkpoint(path, model: ResNet, extra: dict | None = None) -> None:
-    arrays = {}
-    for name, p in model.parameters().items():
-        arrays[f"param/{name}"] = np.ascontiguousarray(p.data)
-    for name, b in model.buffers().items():
-        arrays[f"buffer/{name}"] = np.ascontiguousarray(b)
+    arrays = model.state()
     directory = [
         {"name": name, "dtype": arr.dtype.str, "shape": list(arr.shape)}
         for name, arr in sorted(arrays.items())
@@ -255,9 +263,7 @@ def load_checkpoint(path):
 
     model = ResNet(cfg, seed=0)
     try:
-        for name, p in model.parameters().items():
-            p.data = arrays[f"param/{name}"].astype(np.float32)
-        model.load_buffers({n: arrays[f"buffer/{n}"] for n in model.buffers()})
+        model.load_state(arrays)
     except KeyError as exc:
         raise FormatError(f"{path}: checkpoint lacks array {exc}") from exc
     return model, header.get("extra", {})

@@ -3,9 +3,9 @@
 Each sample is weighted by its class weight alpha_t and scaled by
 (1 - p_t)**gamma, so confidently-classified samples contribute almost
 nothing and the hard minority keeps the gradient.  At gamma = 0 the factor
-is 1 and the loss is balanced cross-entropy.  The loss runs through the
-autodiff tape, so the modulating factor is differentiated rather than
-treated as a constant.
+is 1 and the loss is balanced cross-entropy.  The loss is one node on the
+autodiff tape whose backward pass differentiates the modulating factor too,
+rather than treating it as a constant.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ContractError, ParameterError
+from .errors import ContractError, ParameterError, ShapeError
 
 NORMALIZATION_TOL = 1e-6
 
@@ -56,18 +56,33 @@ def _check_normalized(log_probs: Tensor) -> None:
 
 def bfl(log_probs: Tensor, targets, weights: ClassWeights, gamma: float) -> Tensor:
     """Balanced focal loss: mean of -alpha_t * (1 - p_t)**gamma * log p_t;
-    balanced cross-entropy at gamma = 0.
-
-    The modulating factor is computed from log-probabilities as
-    (-expm1(log p_t))**gamma, which stays accurate as p_t -> 1.
-    """
+    balanced cross-entropy at gamma = 0.  One tape node on ``log_probs``,
+    with its gradient in closed form.  The modulating factor is computed as
+    (-expm1(log p_t))**gamma, which stays accurate as p_t -> 1."""
     if gamma < 0:
         raise ParameterError(f"gamma must be >= 0, got {gamma}")
     _check_normalized(log_probs)
-    lp_t = ad.gather_rows(log_probs, np.atleast_1d(np.asarray(targets, dtype=np.int64)))
-    alpha = weights.per_sample(np.atleast_1d(targets))
-    one_minus_p = ad.neg(ad.expm1(lp_t))
-    modulation = ad.pow_scalar(one_minus_p, gamma)
-    weighted = ad.mul(ad.mul(modulation, lp_t), Tensor(alpha.astype(lp_t.data.dtype)))
-    return ad.tmean(ad.neg(weighted))
+    targets = np.atleast_1d(np.asarray(targets, dtype=np.int64))
+    if log_probs.data.ndim != 2 or targets.shape != log_probs.data.shape[:1]:
+        raise ShapeError(f"targets {targets.shape} do not match log_probs {log_probs.data.shape}")
+    rows = np.arange(targets.size)
+    lp_t = log_probs.data[rows, targets]
+    alpha = weights.per_sample(targets).astype(lp_t.dtype)
+    one_minus_p = -np.expm1(lp_t)
+    modulation = np.power(one_minus_p, gamma)
+    data = np.asarray(np.mean(-(modulation * lp_t * alpha), dtype=np.float64), dtype=lp_t.dtype)
 
+    # d loss / d log p_t, its products associated as written: another
+    # association moves the gradient, and so the trained weights, in the last bit
+    def bwd(g):
+        g_w = -(g / lp_t.size) * alpha
+        # d/dx x**gamma = gamma * x**(gamma - 1), set to 0 where it is not
+        # finite: at x = 0 (p_t = 1) when gamma < 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            deriv = gamma * np.power(one_minus_p, gamma - 1.0)
+        deriv[~np.isfinite(deriv)] = 0.0
+        full = np.zeros_like(log_probs.data)
+        full[rows, targets] = g_w * modulation - (g_w * lp_t * deriv) * np.exp(lp_t)
+        ad._accum(log_probs, full)
+
+    return ad._result(data, (log_probs,), bwd)

@@ -131,6 +131,14 @@ def degrade(w: Waveform, code: str, seed: int) -> Waveform:
 
 SPLITS = ("train", "dev", "eval")
 
+# each source's fundamental is drawn from F0_RANGE_HZ and gets at least
+# MIN_HARMONICS harmonics below Nyquist - HARMONIC_MARGIN_HZ, which sets the
+# lowest sample rate a corpus can be generated at
+F0_RANGE_HZ = (110.0, 280.0)
+MIN_HARMONICS = 3
+HARMONIC_MARGIN_HZ = 50.0
+MIN_SAMPLE_RATE = int(2 * (MIN_HARMONICS * F0_RANGE_HZ[1] + HARMONIC_MARGIN_HZ))  # 1780 Hz
+
 
 @dataclass
 class ManifestEntry:
@@ -197,8 +205,9 @@ def generate_corpus(out_dir, n_sources: int, utt_per_source: int,
     """
     if n_sources < 1 or utt_per_source < 1:
         raise ParameterError("need at least one source and one utterance per source")
-    if sample_rate < 1:
-        raise ParameterError(f"sample_rate must be >= 1, got {sample_rate}")
+    if sample_rate < MIN_SAMPLE_RATE:
+        raise ParameterError(f"sample_rate {sample_rate} Hz is below {MIN_SAMPLE_RATE} Hz, "
+                             f"the lowest at which every source gets {MIN_HARMONICS} harmonics")
     out_dir = Path(out_dir)
     wav_dir = out_dir / "wav"
     if wav_dir.exists() and any(wav_dir.iterdir()):
@@ -211,9 +220,9 @@ def generate_corpus(out_dir, n_sources: int, utt_per_source: int,
     # per-source voice character: fundamental, harmonic count, rolloff
     sources = []
     for s in range(n_sources):
-        f0 = float(root_rng.uniform(110.0, 280.0))
-        max_h = int((sample_rate / 2 - 50.0) / f0)
-        n_h = int(root_rng.integers(low=max(3, max_h - 12), high=max_h + 1))
+        f0 = float(root_rng.uniform(*F0_RANGE_HZ))
+        max_h = int((sample_rate / 2 - HARMONIC_MARGIN_HZ) / f0)
+        n_h = int(root_rng.integers(low=max(MIN_HARMONICS, max_h - 12), high=max_h + 1))
         rolloff = float(root_rng.uniform(0.5, 0.9))
         sources.append((f0, n_h, rolloff))
 

@@ -184,15 +184,13 @@ def train(model: ResNet, train_entries, dev_entries, store: FeatureStore,
     else:
         weights = objectives.ClassWeights(*cfg.alpha)
 
-    params = model.parameters()
-    optimizer = AdamW(params, cfg.lr, cfg.betas, cfg.weight_decay)
+    optimizer = AdamW(model.parameters(), cfg.lr, cfg.betas, cfg.weight_decay)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x54524E]))
 
     order = np.arange(len(train_entries))
     history = []
     best = TrainResult(history, np.inf, -1)
-    best_params = None
-    best_buffers = None
+    best_state = None
     stale = 0  # epochs since the dev EER last improved, or since the lr was cut
 
     for epoch in range(1, cfg.max_epochs + 1):
@@ -220,8 +218,7 @@ def train(model: ResNet, train_entries, dev_entries, store: FeatureStore,
         if dev_eer < best.best_dev_eer:
             best.best_dev_eer = dev_eer
             best.best_epoch = epoch
-            best_params = {n: p.data.copy() for n, p in params.items()}
-            best_buffers = {n: b.copy() for n, b in model.buffers().items()}
+            best_state = model.state()
             stale = 0
         else:
             stale += 1
@@ -229,10 +226,8 @@ def train(model: ResNet, train_entries, dev_entries, store: FeatureStore,
                 optimizer.lr *= cfg.plateau_factor
                 stale = 0
 
-    if best_params is not None:
-        for n, p in params.items():
-            p.data = best_params[n]
-        model.load_buffers(best_buffers)
+    if best_state is not None:
+        model.load_state(best_state)
 
     if log_path is not None:
         lines = [f"{h['epoch']} {h['train_loss']:.6f} {h['dev_eer']:.6f} {h['lr']:.8f}"

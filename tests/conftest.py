@@ -24,21 +24,32 @@ def finite_difference_gradient(f, x0: np.ndarray, step: float = 1e-3) -> np.ndar
     return grad
 
 
+def weighted_sum(out: Tensor, wts) -> Tensor:
+    """sum(out * wts) as one scalar tape node, so a check can reduce any
+    output to a loss through no op but the ones it checks."""
+    wts = np.broadcast_to(np.asarray(wts, dtype=np.float64), out.data.shape)
+    data = np.asarray(np.sum(out.data * wts, dtype=np.float64))
+
+    def bwd(g):
+        ad._accum(out, g * wts)
+
+    return ad._result(data, (out,), bwd)
+
+
 def gradcheck(build, x0: np.ndarray, seed: int = 0, step: float = 1e-3,
               rtol: float = 1e-3) -> float:
-    """Compare analytic input gradient of mean(build(x) * W) against central
+    """Compare analytic input gradient of sum(build(x) * W) against central
     finite differences; W is a fixed random weighting so transposition bugs
     cannot cancel.  Returns the max relative error."""
     rng = np.random.default_rng(seed)
     probe = build(Tensor(x0, dtype=np.float64))
-    wts = Tensor(rng.standard_normal(probe.data.shape), dtype=np.float64)
+    wts = rng.standard_normal(probe.data.shape)
 
     def loss_value(xv):
-        out = build(Tensor(xv, dtype=np.float64))
-        return float(ad.tmean(ad.mul(out, wts)).data)
+        return float(weighted_sum(build(Tensor(xv, dtype=np.float64)), wts).data)
 
     x = Tensor(x0.copy(), requires_grad=True, dtype=np.float64)
-    ad.backward(ad.tmean(ad.mul(build(x), wts)))
+    ad.backward(weighted_sum(build(x), wts))
     analytic = x.grad
     numeric = finite_difference_gradient(loss_value, x0.astype(np.float64), step)
     denom = np.maximum(np.abs(numeric), 1e-6)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import ckpt_with_array_entry
+from replaycm.audio_io import read_wav
 from replaycm.cli import main
 from replaycm.features import read_gram
 from replaycm.model import load_checkpoint
@@ -402,8 +403,7 @@ def test_bce_is_bfl_at_gamma_zero(pipeline, tmp_path):
         args[args.index("--objective") + 1] = objective
         assert main(args + extra) == 0
         model, meta = load_checkpoint(out)
-        arrays = {**{n: p.data for n, p in model.parameters().items()}, **model.buffers()}
-        runs[objective] = (arrays, meta, (tmp_path / f"{objective}.ckpt.log").read_bytes())
+        runs[objective] = (model.state(), meta, (tmp_path / f"{objective}.ckpt.log").read_bytes())
     (bce_arrays, bce_meta, bce_log), (bfl_arrays, bfl_meta, bfl_log) = runs["bce"], runs["bfl"]
     assert bce_arrays.keys() == bfl_arrays.keys()
     assert all(np.array_equal(bce_arrays[n], bfl_arrays[n]) for n in bce_arrays)
@@ -517,6 +517,29 @@ def test_config_value_that_cannot_work_is_a_parameter_error(pipeline, tmp_path, 
     err = _error_line(main(args[command]), capsys)
     assert err.startswith("error:parameter:"), err
     assert not any(p.is_file() for p in out.rglob("*"))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_simulate_below_the_harmonic_floor_is_a_parameter_error(tmp_path, capsys, seed):
+    # at 1000 Hz the harmonic-count draw once ended in a numpy ValueError
+    cfg = tmp_path / "low.cfg"
+    cfg.write_text("[audio]\nsample_rate = 1000\n")
+    out = tmp_path / "corpus"
+    err = _error_line(main(["simulate", "--out", str(out), "--sources", "8", "--utts", "1",
+                            "--seed", str(seed), "--config", str(cfg)]), capsys)
+    assert err.startswith("error:parameter:") and "1000 Hz" in err and "1780 Hz" in err, err
+    assert not any(p.is_file() for p in out.rglob("*"))
+
+
+def test_simulate_runs_at_the_harmonic_floor(tmp_path):
+    cfg = tmp_path / "floor.cfg"
+    cfg.write_text("[audio]\nsample_rate = 1780\n")
+    out = tmp_path / "corpus"
+    assert main(["simulate", "--out", str(out), "--sources", "8", "--utts", "1",
+                 "--seed", "0", "--config", str(cfg)]) == 0
+    wavs = sorted((out / "wav").glob("*.wav"))
+    assert len(wavs) == 80
+    assert read_wav(wavs[0]).sample_rate == 1780
 
 
 @pytest.mark.parametrize("rate, category", [(0, "format"), (50, "parameter")])

@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
+from conftest import ckpt_with_array_entry
 from replaycm import autodiff as ad
 from replaycm.autodiff import Tensor
-from replaycm.errors import ParameterError, ShapeError, TrainingError
+from replaycm.errors import FormatError, ParameterError, ShapeError, TrainingError
 from replaycm.model import (
     ResNet,
     ResNetConfig,
@@ -186,10 +189,34 @@ class TestCheckpoint:
         save_checkpoint(path, model, extra={"note": "t"})
         loaded, extra = load_checkpoint(path)
         assert extra == {"note": "t"}
-        for name, p in model.parameters().items():
-            assert np.array_equal(loaded.parameters()[name].data, p.data)
-        for name, b in model.buffers().items():
-            assert np.array_equal(loaded.buffers()[name], b)
+        state, loaded_state = model.state(), loaded.state()
+        assert state.keys() == loaded_state.keys()
+        assert all(np.array_equal(loaded_state[name], a) for name, a in state.items())
+
+    @pytest.mark.parametrize("index", [0, -1], ids=["buffer", "param"])
+    def test_missing_array_is_a_format_error(self, tmp_path, index):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, ResNet(TOY, seed=1))
+        blob = path.read_bytes()
+        header = json.loads(blob[10:10 + int.from_bytes(blob[6:10], "little")])
+        name = header["arrays"][index]["name"]
+        path.write_bytes(ckpt_with_array_entry(blob, index, name=name + "_renamed"))
+        with pytest.raises(FormatError, match=f"lacks array '{name}'"):
+            load_checkpoint(path)
+
+    def test_state_copies_and_load_state_restores(self, rng):
+        model = ResNet(TOY, seed=3)
+        model.forward(Tensor(rng.standard_normal((4, 1, 8, 10)).astype(np.float32)), train=True)
+        state = model.state()
+        assert {n.split("/")[0] for n in state} == {"param", "buffer"}
+        other = ResNet(TOY, seed=4)
+        other.load_state(state)
+        for arr in state.values():
+            arr += 1.0  # the copies share no memory with either model
+        before, restored = model.state(), other.state()
+        assert before.keys() == restored.keys()
+        for name, arr in before.items():
+            assert restored[name].dtype == arr.dtype and np.array_equal(restored[name], arr)
 
     def test_scores_reproduce_after_reload(self, tmp_path, rng):
         model = ResNet(TOY, seed=2)

@@ -4,7 +4,7 @@ import pytest
 from conftest import finite_difference_gradient
 from replaycm import autodiff as ad
 from replaycm.autodiff import Tensor
-from replaycm.errors import ContractError, ParameterError
+from replaycm.errors import ContractError, ParameterError, ShapeError
 from replaycm.objectives import ClassWeights, bfl
 
 UNIT = ClassWeights(1.0, 1.0)
@@ -20,6 +20,69 @@ def _lp(p_target: float, target: int = 1) -> Tensor:
         np.array([[p_target, 1.0 - p_target]])
     with np.errstate(divide="ignore"):  # a p_target that rounds to 1 gives the other class log(0)
         return Tensor(np.log(probs), dtype=np.float64)
+
+
+def five_op_chain(lp: np.ndarray, targets: np.ndarray, weights: ClassWeights, gamma: float):
+    """Loss and log_probs gradient of the tape that once built bfl from
+    gather_rows, expm1, neg, pow_scalar, mul, mul, neg and tmean: every step
+    as those ops computed it, forward and then backward in tape order."""
+    dt = lp.dtype
+    rows = np.arange(lp.shape[0])
+    lp_t = lp[rows, targets]  # gather_rows
+    alpha = weights.per_sample(targets).astype(dt)
+    expm1 = np.expm1(lp_t)
+    one_minus_p = -expm1  # neg
+    modulation = np.power(one_minus_p, gamma)  # pow_scalar
+    product = modulation * lp_t  # mul
+    weighted = product * alpha  # mul by the constant alpha tensor
+    negated = -weighted  # neg
+    loss = np.asarray(negated.mean(dtype=np.float64), dtype=dt)  # tmean
+
+    g = np.ones_like(loss)
+    g_negated = np.broadcast_to(g / negated.size, negated.shape).astype(dt)
+    g_weighted = -g_negated
+    g_product = (g_weighted * alpha).astype(dt)
+    g_modulation = (g_product * lp_t).astype(dt)
+    g_lp_t = (g_product * modulation).astype(dt)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        deriv = gamma * np.power(one_minus_p, gamma - 1.0)
+    deriv = np.where(np.isfinite(deriv), deriv, 0.0)
+    g_one_minus_p = (g_modulation * deriv).astype(dt)
+    g_expm1 = -g_one_minus_p
+    g_lp_t = g_lp_t + (g_expm1 * np.exp(lp_t)).astype(dt)  # after the mul's share
+    grad = np.zeros_like(lp)
+    grad[rows, targets] = g_lp_t
+    return loss, grad
+
+
+class TestOneTapeNode:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 1.7, 2.0, 3.0])
+    def test_matches_the_five_op_chain_bit_for_bit(self, dtype, gamma, rng):
+        for _ in range(50):
+            logits = rng.standard_normal((8, 2)) * 3.0
+            logits[6] = (-60.0, 0.0)  # target 1: log p_t rounds to 0
+            logits[7] = (-25.0, 0.0)  # target 0: log p_t below -20
+            targets = np.concatenate([rng.integers(0, 2, 6), [1, 0]])
+            lp0 = ad.log_softmax(Tensor(logits.astype(dtype))).data
+            assert lp0[6, 1] == 0.0 and lp0[7, 0] < -20.0
+            w = ClassWeights(float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)))
+            lp = Tensor(lp0.copy(), requires_grad=True)
+            loss = bfl(lp, targets, w, gamma)
+            ad.backward(loss)
+            ref_loss, ref_grad = five_op_chain(lp0, targets, w, gamma)
+            assert loss.data.dtype == ref_loss.dtype == lp.grad.dtype == ref_grad.dtype == dtype
+            assert np.array_equal(loss.data, ref_loss)
+            assert np.array_equal(lp.grad, ref_grad)
+
+    def test_log_probs_are_the_only_parent(self, rng):
+        lp = ad.log_softmax(Tensor(rng.standard_normal((4, 2)), requires_grad=True))
+        loss = bfl(lp, [0, 1, 1, 0], UNIT, 2.0)
+        assert len(loss._parents) == 1 and loss._parents[0] is lp
+
+    def test_targets_must_match_the_rows(self):
+        with pytest.raises(ShapeError):
+            bfl(Tensor(np.log(np.full((3, 2), 0.5))), [1], UNIT, 2.0)
 
 
 class TestBce:
