@@ -32,6 +32,20 @@ def test_global_avg_pool_constant():
     assert np.allclose(x.grad, 1.0 / 24.0)
 
 
+def test_backward_mean_spreads_evenly(rng):
+    x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    ad.backward(weighted_sum(x, 1 / 12))
+    assert np.array_equal(x.grad, np.full((3, 4), 1 / 12))
+
+
+def test_backward_mean_of_squares(rng):
+    # x . x through linear with x as both input and weight, so both
+    # branches of the backward land on the same tensor.
+    x = Tensor(rng.standard_normal((1, 5)).astype(np.float32), requires_grad=True)
+    ad.backward(weighted_sum(ad.linear(x, x, Tensor(np.zeros(1, dtype=np.float32))), 1 / 5))
+    assert np.allclose(x.grad, 2 * x.data / 5, rtol=1e-6)
+
+
 def test_backward_rejects_non_scalar(rng):
     x = Tensor(rng.standard_normal((3,)), requires_grad=True)
     with pytest.raises(ContractError):
@@ -45,9 +59,10 @@ def test_shape_error_names_both_shapes():
         ad.linear(x, w, Tensor(np.zeros(4)))
 
 
-def test_add_needs_equal_shapes():
+@pytest.mark.parametrize("op", [ad.add])
+def test_elementwise_ops_need_equal_shapes(op):
     with pytest.raises(ShapeError, match=r"\(2, 3\) and \(3,\)"):
-        ad.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
+        op(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
 
 
 def test_conv_shape_error():
