@@ -42,7 +42,9 @@ FRONTENDS = {
 @contextmanager
 def _job_map(jobs: int):
     """The builtin ``map``, or with jobs > 1 the ``map`` of a pool of that
-    many threads; the one home of ``--jobs``."""
+    many threads; the one home of ``--jobs``, which must be at least 1."""
+    if jobs < 1:
+        raise ParameterError(f"--jobs must be >= 1, got {jobs}")
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             yield pool.map

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import os
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,10 +106,13 @@ def _spectra(w: Waveform, spec: FrameSpec, ramped: bool = False) -> tuple:
     """
     frames = _frame(w.samples, spec.frame_len, spec.hop)
     win = _window(spec.window, spec.frame_len)
-    weighted = [frames * win]
+    # both weighted stacks in one buffer, so one rfft serves X and Y
+    weighted = np.empty((2 if ramped else 1, *frames.shape))
+    np.multiply(frames, win, out=weighted[0])
     if ramped:
-        weighted.append(frames * np.arange(spec.frame_len) * win)
-    return tuple(np.fft.rfft(f, n=spec.n_fft, axis=1).T for f in weighted)
+        np.multiply(frames, np.arange(spec.frame_len), out=weighted[1])
+        weighted[1] *= win
+    return tuple(np.fft.rfft(weighted, n=spec.n_fft, axis=2).transpose(0, 2, 1))
 
 
 def stft(w: Waveform, spec: FrameSpec) -> np.ndarray:
@@ -143,9 +147,10 @@ def cepstral_smooth(mag: np.ndarray, lifter_len: int) -> np.ndarray:
     import scipy.fft  # only MGD needs scipy, so it loads here, not at start-up
 
     mag = np.maximum(np.asarray(mag, dtype=np.float64), MAG_FLOOR)
-    ceps = scipy.fft.dct(np.log(mag), axis=0, norm="ortho")
+    ceps = scipy.fft.dct(np.log(mag, out=mag), axis=0, norm="ortho", overwrite_x=True)
     ceps[lifter_len:] = 0.0
-    return np.exp(scipy.fft.idct(ceps, axis=0, norm="ortho"))
+    smooth = scipy.fft.idct(ceps, axis=0, norm="ortho", overwrite_x=True)
+    return np.exp(smooth, out=smooth)
 
 
 def mgd_spectra(w: Waveform, spec: FrameSpec, p: MgdParams) -> np.ndarray:
@@ -185,6 +190,8 @@ def gd_gram(w: Waveform, spec: FrameSpec) -> FeatureGram:
 ANCHOR_FMIN_HZ = 32.7
 # the full-Q window of the lowest bins would exceed typical utterance lengths
 MAX_WINDOW_S = 0.5
+# frames per FFT and sparse product in CqtKernel.transform
+TRANSFORM_CHUNK = 32
 
 
 def cqt_fmin(sample_rate: int, n_octaves: int) -> float:
@@ -202,7 +209,7 @@ def cqt_center_frequencies(fmin: float, n_octaves: int, bins_per_octave: int) ->
 
 
 class CqtKernel:
-    """Spectral-domain constant-Q kernel (one FFT per frame at transform time).
+    """Spectral-domain constant-Q kernel (Brown & Puckette, JASA 1992).
 
     Each bin k gets a Hamming-windowed complex exponential of Q periods,
     length N_k = round(Q * sr / f_k), centered and zero-padded to a common
@@ -237,36 +244,44 @@ class CqtKernel:
             spec = np.conj(np.fft.fft(padded)) / self.fft_len
             keep = np.abs(spec) >= 1e-4 * np.abs(spec).max()
             idx = np.nonzero(keep)[0]
-            rows.extend([k] * idx.size)
-            cols.extend(idx.tolist())
-            vals.extend(spec[idx].tolist())
+            rows.append(np.full(idx.size, k))
+            cols.append(idx)
+            vals.append(spec[idx])
         import scipy.sparse
 
         self.kernel = scipy.sparse.csr_matrix(
-            (vals, (rows, cols)), shape=(n_bins, self.fft_len), dtype=np.complex128
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(n_bins, self.fft_len), dtype=np.complex128,
         )
 
     def transform(self, samples: np.ndarray, hop: int) -> np.ndarray:
-        """Magnitude CQT, shape (n_bins, n_frames); frames centered every hop."""
+        """Magnitude CQT, shape (n_bins, n_frames); frames centered every hop.
+
+        Frames go through the FFT and the kernel TRANSFORM_CHUNK at a time,
+        which bounds the spectra held at once (4 MB at FFT size 8192).
+        """
         n_frames = max(int(np.floor(samples.size / hop)), 1)
         left = self.fft_len // 2
         padded = np.pad(samples, (left, self.fft_len))
+        frames = np.lib.stride_tricks.sliding_window_view(padded, self.fft_len)[::hop][:n_frames]
         mags = np.empty((self.freqs.size, n_frames))
-        for t in range(n_frames):
-            start = t * hop
-            frame = padded[start : start + self.fft_len]
-            mags[:, t] = np.abs(self.kernel @ np.fft.fft(frame))
+        for start in range(0, n_frames, TRANSFORM_CHUNK):
+            spec = np.fft.fft(frames[start : start + TRANSFORM_CHUNK], axis=1)
+            mags[:, start : start + TRANSFORM_CHUNK] = np.abs(self.kernel @ spec.T)
         return mags
 
 
 _KERNEL_CACHE: dict = {}
+# held while a kernel is built, so --jobs threads share one build per process
+_KERNEL_LOCK = threading.Lock()
 
 
 def _cached_kernel(sample_rate: int, n_octaves: int, bins_per_octave: int) -> CqtKernel:
     key = (sample_rate, n_octaves, bins_per_octave)
-    if key not in _KERNEL_CACHE:
-        _KERNEL_CACHE[key] = CqtKernel(sample_rate, n_octaves, bins_per_octave)
-    return _KERNEL_CACHE[key]
+    with _KERNEL_LOCK:
+        if key not in _KERNEL_CACHE:
+            _KERNEL_CACHE[key] = CqtKernel(sample_rate, n_octaves, bins_per_octave)
+        return _KERNEL_CACHE[key]
 
 
 def cqt_gram(w: Waveform, hop: int = 128, n_octaves: int = 9,

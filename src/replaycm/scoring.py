@@ -112,19 +112,26 @@ def lr_fuse_train(score_sets, labels: dict) -> FusionModel:
     penalty = np.full(k + 1, LR_RIDGE)
     penalty[-1] = 0.0
     theta = np.zeros(k + 1)
-    for _ in range(LR_MAX_ITER):
-        z = x @ theta
-        p = 1.0 / (1.0 + np.exp(-z))
-        grad = x.T @ (p - y) / n + penalty * theta
-        if np.linalg.norm(grad) < LR_GRAD_TOL:
-            break
-        w_diag = np.maximum(p * (1.0 - p), 1e-12)
-        hess = (x.T * w_diag) @ x / n + np.diag(penalty)
-        theta = theta - np.linalg.solve(hess, grad)
-    else:
-        raise NumericError(
-            f"logistic fusion did not converge in {LR_MAX_ITER} Newton steps; "
-            f"final gradient norm {np.linalg.norm(grad):.3e}"
-        )
+    # extreme finite scores overflow to inf/nan; that is caught below as one
+    # NumericError, not left to print numpy warnings
+    with np.errstate(all="ignore"):
+        for step in range(LR_MAX_ITER):
+            z = x @ theta
+            p = 1.0 / (1.0 + np.exp(-z))
+            grad = x.T @ (p - y) / n + penalty * theta
+            norm = np.linalg.norm(grad)
+            if not np.isfinite(norm):
+                raise NumericError(f"logistic fusion gradient norm is {norm} at Newton step "
+                                   f"{step + 1}; the dev scores are too extreme to fit")
+            if norm < LR_GRAD_TOL:
+                break
+            w_diag = np.maximum(p * (1.0 - p), 1e-12)
+            hess = (x.T * w_diag) @ x / n + np.diag(penalty)
+            theta = theta - np.linalg.solve(hess, grad)
+        else:
+            raise NumericError(
+                f"logistic fusion did not converge in {LR_MAX_ITER} Newton steps; "
+                f"final gradient norm {norm:.3e}"
+            )
     return FusionModel(theta[:-1], float(theta[-1]))
 

@@ -556,3 +556,83 @@ def test_wav_rate_that_cannot_be_framed_names_the_wav(pipeline, tmp_path, capsys
                  "--wav-dir", str(wav_dir), "--out", str(tmp_path / "feats")])
     err = _error_line(code, capsys)
     assert err.startswith(f"error:{category}: {wav}"), err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("command", ["extract", "score"])
+def test_jobs_below_one_is_a_parameter_error(pipeline, tmp_path, capsys, command, jobs):
+    _, corpus, feats, ckpt, _, _ = pipeline
+    out = tmp_path / "out"
+    args = {"extract": ["extract", "--feature", "stft", "--protocol",
+                        str(corpus / "protocol_dev.txt"), "--wav-dir", str(corpus / "wav")],
+            "score": ["score", "--ckpt", str(ckpt), "--feature-dir", str(feats),
+                      "--protocol", str(corpus / "protocol_eval.txt")]}
+    err = _error_line(main(args[command] + ["--out", str(out), "--jobs", jobs]), capsys)
+    assert err == f"error:parameter: --jobs must be >= 1, got {jobs}", err
+    assert not out.is_file() and not any(out.glob("*.fgram"))
+
+
+def test_extract_cqt_with_jobs_builds_one_kernel(pipeline, tmp_path, monkeypatch):
+    from replaycm import features
+
+    _, corpus, _, _, _, _ = pipeline
+    protocol = tmp_path / "three.txt"
+    lines = (corpus / "protocol_dev.txt").read_text().splitlines()[:3]
+    protocol.write_text("\n".join(lines) + "\n")
+    builds = []
+
+    class CountedKernel(features.CqtKernel):
+        def __init__(self, *args):
+            builds.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(features, "CqtKernel", CountedKernel)
+    monkeypatch.setattr(features, "_KERNEL_CACHE", {})
+    out = tmp_path / "cqt"
+    assert main(["extract", "--feature", "cqt", "--protocol", str(protocol),
+                 "--wav-dir", str(corpus / "wav"), "--out", str(out), "--jobs", "2"]) == 0
+    assert len(list(out.glob("*.fgram"))) == 3
+    assert builds == [(16000, 9, 96)]
+
+
+def _fusion_inputs(tmp_path, dev_scores):
+    """Two systems' dev score files from ``dev_scores`` (utt -> pair), a
+    protocol labelling d00, d03, ... bonafide, and two eval score files."""
+    from replaycm.scoring import write_score_file
+
+    utts = sorted(dev_scores)
+    protocol = tmp_path / "dev_protocol.txt"
+    protocol.write_text("".join(f"{u} - bonafide\n" if i % 3 == 0 else f"{u} AB spoof\n"
+                                for i, u in enumerate(utts)))
+    args = ["fuse", "--method", "lr", "--out", str(tmp_path / "fused.txt"),
+            "--dev-protocol", str(protocol), "--scores"]
+    dev_args = ["--dev-scores"]
+    for k in range(2):
+        # as text: the score-file writer's six fixed decimals cannot hold 1e300
+        (tmp_path / f"dev{k}.txt").write_text("".join(f"{u} {dev_scores[u][k]!r}\n"
+                                                      for u in utts))
+        write_score_file({f"e{i}": 0.25 * (i - 2) * (k + 1) - 0.1 * k for i in range(5)},
+                         tmp_path / f"eval{k}.txt")
+        args.append(str(tmp_path / f"eval{k}.txt"))
+        dev_args.append(str(tmp_path / f"dev{k}.txt"))
+    return args + dev_args
+
+
+def test_lr_fusion_bytes_are_fixed(tmp_path):
+    dev = {f"d{i:02d}": tuple((1.5 - k if i % 3 == 0 else -0.5) + 0.37 * ((i * (k + 3)) % 7 - 3)
+                              for k in range(2)) for i in range(12)}
+    assert main(_fusion_inputs(tmp_path, dev)) == 0
+    assert (tmp_path / "fused.txt").read_text() == (
+        "e0 -19.261242\ne1 -7.873588\ne2 3.514067\ne3 14.901721\ne4 26.289375\n")
+
+
+def test_lr_fusion_of_extreme_scores_is_one_numeric_error(tmp_path, capsys):
+    import warnings
+
+    dev = {f"d{i:02d}": (1e300 * (-1) ** i, -1e300 * (-1) ** (i // 2)) for i in range(6)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would escape main
+        code = main(_fusion_inputs(tmp_path, dev))
+    err = _error_line(code, capsys)
+    assert err.startswith("error:numeric: logistic fusion gradient norm is"), err
+    assert not (tmp_path / "fused.txt").exists()

@@ -1,14 +1,20 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from replaycm.audio_io import Waveform, synth_tone_complex
 from replaycm.errors import FormatError, InternalError, ParameterError
 from replaycm.features import (
+    MAX_WINDOW_S,
     CqtKernel,
     FeatureGram,
     FrameSpec,
     MgdParams,
     cepstral_smooth,
+    cqt_center_frequencies,
     cqt_fmin,
     cqt_gram,
     gd_gram,
@@ -145,6 +151,12 @@ class TestCepstralSmooth:
         twice = cepstral_smooth(once, 30)
         assert np.max(np.abs(twice - once) / once) < 1e-6
 
+    def test_input_is_left_unchanged(self, rng):
+        mag = np.exp(rng.standard_normal((513, 4)))
+        before = mag.copy()
+        cepstral_smooth(mag, 30)
+        assert np.array_equal(mag, before)
+
     def test_output_positive_even_for_zero_input(self):
         out = cepstral_smooth(np.zeros(129), 20)
         assert np.all(out > 0)
@@ -158,19 +170,40 @@ class TestMgd:
             w = _noise_wave(rng)
             assert np.max(np.abs(mgd_gram(w, spec, p).data - gd_gram(w, spec).data)) < 1e-9
 
+    @staticmethod
+    def _explicit_spectra(w, spec):
+        # each weighted stack through its own rfft, the ramp applied before the window
+        win = np.hamming(spec.frame_len)
+        idx = np.arange(spec.frame_len)[None, :] + spec.hop * np.arange(
+            (w.samples.size - spec.frame_len) // spec.hop + 1)[:, None]
+        frames = w.samples[idx]
+        x = np.fft.rfft(frames * win, n=spec.n_fft, axis=1).T
+        y = np.fft.rfft(frames * np.arange(spec.frame_len) * win, n=spec.n_fft, axis=1).T
+        return x, y
+
     def test_gd_is_the_explicit_formula_bit_for_bit(self, rng):
         spec = FrameSpec()
-        win = np.hamming(spec.frame_len)
         for _ in range(10):
             w = _noise_wave(rng)
-            idx = np.arange(spec.frame_len)[None, :] + spec.hop * np.arange(
-                (w.samples.size - spec.frame_len) // spec.hop + 1)[:, None]
-            frames = w.samples[idx]
-            x = np.fft.rfft(frames * win, n=spec.n_fft, axis=1).T
-            y = np.fft.rfft(frames * np.arange(spec.frame_len) * win, n=spec.n_fft, axis=1).T
+            x, y = self._explicit_spectra(w, spec)
             mag = np.maximum(np.abs(x), 1e-10)
             gd = (x.real * y.real + x.imag * y.imag) / mag**2
             assert np.array_equal(gd_gram(w, spec).data, shape_fixed(gd))
+
+    def test_mgd_is_the_explicit_formula_bit_for_bit(self, rng):
+        import scipy.fft
+
+        spec, p = FrameSpec(), MgdParams()
+        for _ in range(10):
+            w = _noise_wave(rng)
+            x, y = self._explicit_spectra(w, spec)
+            mag = np.maximum(np.abs(x), 1e-10)
+            ceps = scipy.fft.dct(np.log(mag), axis=0, norm="ortho")
+            ceps[p.lifter_len:] = 0.0
+            smooth = np.exp(scipy.fft.idct(ceps, axis=0, norm="ortho"))
+            tau = (x.real * y.real + x.imag * y.imag) / np.power(smooth, 2.0 * p.lam)
+            mgd = np.sign(tau) * np.power(np.abs(tau), p.rho)
+            assert np.array_equal(mgd_gram(w, spec, p).data, shape_fixed(mgd))
 
     def test_sign_preserved(self, rng):
         spec = FrameSpec()
@@ -252,6 +285,106 @@ class TestCqt:
         g = cqt_gram(w)
         assert g.kind == "CQT"
         assert g.data.shape == (864, 500)
+
+
+def list_built_kernel(sample_rate: int, n_octaves: int, bins_per_octave: int):
+    """The CQT kernel's CSR matrix as it was first built: each bin's
+    triplets through Python lists, then one ``csr_matrix`` call."""
+    import scipy.sparse
+
+    freqs = cqt_center_frequencies(cqt_fmin(sample_rate, n_octaves), n_octaves, bins_per_octave)
+    q_factor = 1.0 / (2.0 ** (1.0 / bins_per_octave) - 1.0)
+    cap = max(int(round(MAX_WINDOW_S * sample_rate)), 32)
+    lengths = np.clip(np.round(q_factor * sample_rate / freqs).astype(int), 1, cap)
+    fft_len = int(2 ** np.ceil(np.log2(lengths.max())))
+    rows, cols, vals = [], [], []
+    for k in range(freqs.size):
+        nk = lengths[k]
+        win = np.hamming(nk)
+        t = np.arange(nk) - (nk - 1) / 2.0
+        kernel_t = win * np.exp(2j * np.pi * freqs[k] * t / sample_rate) / win.sum()
+        padded = np.zeros(fft_len, dtype=np.complex128)
+        start = (fft_len - nk) // 2
+        padded[start : start + nk] = kernel_t
+        spec = np.conj(np.fft.fft(padded)) / fft_len
+        keep = np.abs(spec) >= 1e-4 * np.abs(spec).max()
+        idx = np.nonzero(keep)[0]
+        rows.extend([k] * idx.size)
+        cols.extend(idx.tolist())
+        vals.extend(spec[idx].tolist())
+    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(freqs.size, fft_len),
+                                   dtype=np.complex128)
+
+
+def per_frame_transform(kernel: CqtKernel, samples: np.ndarray, hop: int) -> np.ndarray:
+    """The CQT transform as it was first written: one FFT and one sparse
+    mat-vec per frame."""
+    n_frames = max(int(np.floor(samples.size / hop)), 1)
+    padded = np.pad(samples, (kernel.fft_len // 2, kernel.fft_len))
+    mags = np.empty((kernel.freqs.size, n_frames))
+    for t in range(n_frames):
+        frame = padded[t * hop : t * hop + kernel.fft_len]
+        mags[:, t] = np.abs(kernel.kernel @ np.fft.fft(frame))
+    return mags
+
+
+@pytest.fixture(scope="module")
+def coarse_kernel():
+    # 12 bins per octave: the full FFT size and window cap at an eighth of the cost
+    return CqtKernel(SR, n_octaves=9, bins_per_octave=12)
+
+
+def test_threads_share_one_kernel_build(monkeypatch):
+    from replaycm import features
+
+    builds = []
+
+    class SlowKernel:
+        def __init__(self, *args):
+            builds.append(args)
+            time.sleep(0.05)  # a wide window for a second thread to start its own build
+
+    monkeypatch.setattr(features, "CqtKernel", SlowKernel)
+    monkeypatch.setattr(features, "_KERNEL_CACHE", {})
+    got = []
+    threads = [threading.Thread(target=lambda: got.append(features._cached_kernel(SR, 9, 96)))
+               for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert builds == [(SR, 9, 96)]
+    assert len(got) == 8 and all(k is got[0] for k in got)
+
+
+class TestCqtMatchesTheFirstPath:
+    @pytest.mark.parametrize("config", [(SR, 9, 96), (SR, 9, 12), (8000, 6, 24), (44100, 9, 12)])
+    def test_kernel_csr_arrays_are_equal(self, config):
+        new = CqtKernel(*config).kernel
+        old = list_built_kernel(*config)
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(new, name), getattr(old, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    # 600 frames is more than shape_fixed keeps; 31-33 straddle a chunk edge
+    @pytest.mark.parametrize("n_frames", [1, 31, 32, 33, 125, 600])
+    def test_magnitudes_are_equal(self, coarse_kernel, rng, n_frames):
+        hop = 128
+        samples = rng.uniform(-0.5, 0.5, n_frames * hop + int(rng.integers(0, hop)))
+        mags = coarse_kernel.transform(samples, hop)
+        assert mags.shape == (coarse_kernel.freqs.size, n_frames)
+        assert np.array_equal(mags, per_frame_transform(coarse_kernel, samples, hop))
+
+    def test_full_kernel_magnitudes_are_equal(self, kernel, rng):
+        samples = rng.uniform(-0.5, 0.5, 33 * 160)
+        assert np.array_equal(kernel.transform(samples, 160),
+                              per_frame_transform(kernel, samples, 160))
 
 
 class TestGramFiles:
