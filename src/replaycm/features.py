@@ -6,6 +6,7 @@ repeat short ones) so the classifier always sees a fixed-size matrix.
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 import threading
@@ -138,18 +139,29 @@ def stft_gram(w: Waveform, spec: FrameSpec) -> FeatureGram:
     return FeatureGram("STFT", shape_fixed(np.log(mag2 + LOG_EPS)), w.utt_id)
 
 
+@functools.lru_cache(maxsize=8)
+def _dct_basis(n_bins: int, lifter_len: int) -> np.ndarray:
+    """The first lifter_len rows of the orthonormal DCT-II matrix of size n_bins
+    (Ahmed, Natarajan & Rao, IEEE Trans. Computers 1974), read-only, since
+    every caller shares it."""
+    k = np.arange(min(lifter_len, n_bins))[:, None]
+    basis = np.sqrt(2.0 / n_bins) * np.cos(np.pi * k * (2 * np.arange(n_bins) + 1) / (2 * n_bins))
+    basis[0] /= np.sqrt(2.0)
+    basis.flags.writeable = False
+    return basis
+
+
 def cepstral_smooth(mag: np.ndarray, lifter_len: int) -> np.ndarray:
-    """Spectral envelope: keep the first lifter_len cepstral coefficients.
+    """Spectral envelope: keep the first lifter_len cepstral coefficients,
+    exp(B.T @ (B @ log(mag))) with B the first lifter_len rows of the
+    orthonormal DCT-II matrix.
 
     Works on one spectrum (n_bins,) or a stack (n_bins, n_frames); output is
     strictly positive.  ``MgdParams`` checks that lifter_len >= 1.
     """
-    import scipy.fft  # only MGD needs scipy, so it loads here, not at start-up
-
     mag = np.maximum(np.asarray(mag, dtype=np.float64), MAG_FLOOR)
-    ceps = scipy.fft.dct(np.log(mag, out=mag), axis=0, norm="ortho", overwrite_x=True)
-    ceps[lifter_len:] = 0.0
-    smooth = scipy.fft.idct(ceps, axis=0, norm="ortho", overwrite_x=True)
+    basis = _dct_basis(mag.shape[0], lifter_len)
+    smooth = basis.T @ (basis @ np.log(mag, out=mag))
     return np.exp(smooth, out=smooth)
 
 
@@ -190,8 +202,11 @@ def gd_gram(w: Waveform, spec: FrameSpec) -> FeatureGram:
 ANCHOR_FMIN_HZ = 32.7
 # the full-Q window of the lowest bins would exceed typical utterance lengths
 MAX_WINDOW_S = 0.5
-# frames per FFT and sparse product in CqtKernel.transform
-TRANSFORM_CHUNK = 32
+# the lowest octaves run at no less than 1/2**MAX_HALVINGS of the sample rate
+MAX_HALVINGS = 7
+# an octave's low-pass cutoff sits at least this many bandwidths of its top
+# bin above that bin, where the atoms' sidelobes are small
+GUARD_BINS = 64
 
 
 def cqt_fmin(sample_rate: int, n_octaves: int) -> float:
@@ -209,66 +224,82 @@ def cqt_center_frequencies(fmin: float, n_octaves: int, bins_per_octave: int) ->
 
 
 class CqtKernel:
-    """Spectral-domain constant-Q kernel (Brown & Puckette, JASA 1992).
+    """Multi-rate constant-Q transform (Schörkhuber & Klapuri, SMC 2010).
 
-    Each bin k gets a Hamming-windowed complex exponential of Q periods,
-    length N_k = round(Q * sr / f_k), centered and zero-padded to a common
-    FFT size; rows are stored sparsely by zeroing everything below 1e-4 of
-    the row peak.  Window lengths are capped at MAX_WINDOW_S, which widens
-    the response of the lowest bins without moving their centers.
+    Bin k correlates the signal with a Hamming-windowed complex exponential
+    of Q periods at f_k, N_k = round(Q * sr / f_k) samples long, normalized
+    to unit window sum.  Window lengths are capped at MAX_WINDOW_S, which
+    widens the response of the lowest bins without moving their centers.
+
+    Octave o runs at sr / d_o.  d_o is the largest power of 2 that divides
+    hop, is at most 2**MAX_HALVINGS, and keeps the cutoff sr / (2 d_o) at
+    least GUARD_BINS bandwidths above the octave.  The octave's kernel is
+    its conjugate atoms sampled every d_o samples, one dense
+    (2 half + 1, 2 bins_per_octave) array: their real parts, then their
+    imaginary parts.  The guard keeps the energy that the cutoff removes,
+    and the atoms' sidelobes that sampling folds back, far from the octave.
     """
 
-    def __init__(self, sample_rate: int, n_octaves: int, bins_per_octave: int):
-        self.freqs = cqt_center_frequencies(cqt_fmin(sample_rate, n_octaves), n_octaves,
-                                            bins_per_octave)
+    def __init__(self, sample_rate: int, n_octaves: int, bins_per_octave: int, hop: int):
+        fmin = cqt_fmin(sample_rate, n_octaves)
+        self.freqs = cqt_center_frequencies(fmin, n_octaves, bins_per_octave)
         # Q = f_k / (f_{k+1} - f_k), the same for every bin
         self.q_factor = 1.0 / (2.0 ** (1.0 / bins_per_octave) - 1.0)
         cap = max(int(round(MAX_WINDOW_S * sample_rate)), 32)
         self.lengths = np.clip(
-            np.round(self.q_factor * sample_rate / self.freqs).astype(int), 1, cap
+            np.round(self.q_factor * sample_rate / self.freqs).astype(int), 2, cap
         )
-        self.fft_len = int(2 ** np.ceil(np.log2(self.lengths.max())))
+        self.hop = hop
+        # the largest power of 2 that divides hop, at most 2**MAX_HALVINGS
+        self.max_decimation = min(hop & -hop, 2**MAX_HALVINGS)
+        self.octaves = []  # (d_o, kernel) per octave
+        for o in range(n_octaves):
+            band = slice(o * bins_per_octave, (o + 1) * bins_per_octave)
+            top = fmin * 2.0 ** (o + 1) * (1.0 + GUARD_BINS / self.q_factor)
+            d = 1
+            while 2 * d <= self.max_decimation and sample_rate / (4 * d) >= top:
+                d *= 2
+            n = self.lengths[band]
+            edge = (n - 1) / 2.0
+            # centered half a sample (even N_k) or one sample (odd N_k) before
+            # t*hop, where the single-kernel path's zero-padded FFT frames put them
+            center = np.where(n % 2, -1.0, -0.5)
+            half = (n.max() + 1) // 2 // d
+            tau = d * np.arange(-half, half + 1.0)[:, None] - center  # from each window's center
+            win = np.where(np.abs(tau) <= edge, 0.54 + 0.46 * np.cos(np.pi * tau / edge), 0.0)
+            atoms = (win * np.exp(-2j * np.pi * self.freqs[band] * tau / sample_rate)
+                     / win.sum(axis=0))
+            self.octaves.append((d, np.concatenate([atoms.real, atoms.imag], axis=1)))
+        # how far a window reaches from its center, in samples at sample_rate
+        self.reach = max(d * (kernel.shape[0] // 2) for d, kernel in self.octaves)
 
-        n_bins = self.freqs.size
-        rows = []
-        cols = []
-        vals = []
-        for k in range(n_bins):
-            nk = self.lengths[k]
-            win = np.hamming(nk)
-            t = np.arange(nk) - (nk - 1) / 2.0
-            kernel_t = win * np.exp(2j * np.pi * self.freqs[k] * t / sample_rate) / win.sum()
-            padded = np.zeros(self.fft_len, dtype=np.complex128)
-            start = (self.fft_len - nk) // 2
-            padded[start : start + nk] = kernel_t
-            spec = np.conj(np.fft.fft(padded)) / self.fft_len
-            keep = np.abs(spec) >= 1e-4 * np.abs(spec).max()
-            idx = np.nonzero(keep)[0]
-            rows.append(np.full(idx.size, k))
-            cols.append(idx)
-            vals.append(spec[idx])
-        import scipy.sparse
+    def transform(self, samples: np.ndarray) -> np.ndarray:
+        """Magnitude CQT, shape (n_bins, n_frames); frame t centered on t*hop.
 
-        self.kernel = scipy.sparse.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n_bins, self.fft_len), dtype=np.complex128,
-        )
-
-    def transform(self, samples: np.ndarray, hop: int) -> np.ndarray:
-        """Magnitude CQT, shape (n_bins, n_frames); frames centered every hop.
-
-        Frames go through the FFT and the kernel TRANSFORM_CHUNK at a time,
-        which bounds the spectra held at once (4 MB at FFT size 8192).
+        The utterance is zero-padded to a period that no window reaches
+        across.  Octave o reads that period at sr / d_o: its spectrum cut at
+        the octave's cutoff and inverted at 1/d_o the length.
         """
-        n_frames = max(int(np.floor(samples.size / hop)), 1)
-        left = self.fft_len // 2
-        padded = np.pad(samples, (left, self.fft_len))
-        frames = np.lib.stride_tricks.sliding_window_view(padded, self.fft_len)[::hop][:n_frames]
-        mags = np.empty((self.freqs.size, n_frames))
-        for start in range(0, n_frames, TRANSFORM_CHUNK):
-            spec = np.fft.fft(frames[start : start + TRANSFORM_CHUNK], axis=1)
-            mags[:, start : start + TRANSFORM_CHUNK] = np.abs(self.kernel @ spec.T)
-        return mags
+        n_frames = max(samples.size // self.hop, 1)
+        step = self.max_decimation
+        padded = np.zeros(-(-(samples.size + 2 * self.reach) // step) * step)
+        padded[: samples.size] = samples
+        spectrum = np.fft.rfft(padded)
+        signals = {1: padded}
+        mags = []
+        for d, kernel in self.octaves:
+            if d not in signals:
+                signals[d] = np.fft.irfft(spectrum[: padded.size // (2 * d) + 1],
+                                          n=padded.size // d) / d
+            half = kernel.shape[0] // 2
+            # frame t holds decimated samples t*hop/d - half .. t*hop/d + half,
+            # read round the period
+            ring = np.roll(signals[d], half)
+            frames = np.lib.stride_tricks.sliding_window_view(ring, kernel.shape[0])
+            prod = frames[:: self.hop // d][:n_frames] @ kernel
+            n_bins = kernel.shape[1] // 2
+            mags.append(np.hypot(prod[:, :n_bins], prod[:, n_bins:]).T)
+        return np.concatenate(mags)
 
 
 _KERNEL_CACHE: dict = {}
@@ -276,11 +307,12 @@ _KERNEL_CACHE: dict = {}
 _KERNEL_LOCK = threading.Lock()
 
 
-def _cached_kernel(sample_rate: int, n_octaves: int, bins_per_octave: int) -> CqtKernel:
-    key = (sample_rate, n_octaves, bins_per_octave)
+def _cached_kernel(sample_rate: int, n_octaves: int, bins_per_octave: int,
+                   hop: int) -> CqtKernel:
+    key = (sample_rate, n_octaves, bins_per_octave, hop)
     with _KERNEL_LOCK:
         if key not in _KERNEL_CACHE:
-            _KERNEL_CACHE[key] = CqtKernel(sample_rate, n_octaves, bins_per_octave)
+            _KERNEL_CACHE[key] = CqtKernel(*key)
         return _KERNEL_CACHE[key]
 
 
@@ -290,8 +322,8 @@ def cqt_gram(w: Waveform, hop: int = 128, n_octaves: int = 9,
     if min(hop, n_octaves, bins_per_octave) < 1:
         raise ParameterError(f"cqt hop, n_octaves and bins_per_octave must be >= 1, got "
                              f"{hop}, {n_octaves} and {bins_per_octave}")
-    kernel = _cached_kernel(w.sample_rate, n_octaves, bins_per_octave)
-    mags = kernel.transform(w.samples, hop)
+    kernel = _cached_kernel(w.sample_rate, n_octaves, bins_per_octave, hop)
+    mags = kernel.transform(w.samples)
     return FeatureGram("CQT", shape_fixed(np.log(mags + LOG_EPS)), w.utt_id)
 
 

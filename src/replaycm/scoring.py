@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 
 import numpy as np
 
@@ -23,10 +23,17 @@ class ScoreRecord:
     attack_code: str | None = None
 
 
-def _format_score(score: float) -> str:
+# 309 integer digits (the largest float is 1.8e308) and 6 decimals
+_SCORE_CONTEXT = Context(prec=315)
+
+
+def _format_score(utt_id: str, score: float) -> str:
     # decimal round-half-away-from-zero at 6 places, via the shortest decimal
     # representation of the float
-    q = Decimal(repr(float(score))).quantize(Decimal("0.000001"), rounding=ROUND_HALF_UP)
+    if not math.isfinite(score):
+        raise NumericError(f"score of {utt_id!r} is {score}, not a finite number")
+    q = Decimal(repr(float(score))).quantize(Decimal("0.000001"), rounding=ROUND_HALF_UP,
+                                             context=_SCORE_CONTEXT)
     if q == 0:
         q = abs(q)  # avoid "-0.000000"
     return f"{q:f}"
@@ -34,10 +41,12 @@ def _format_score(score: float) -> str:
 
 def write_score_file(scores: dict, path) -> None:
     """One line per utterance: ``<utt_id> <score>`` with 6 decimal places,
-    sorted by utt_id so identical score sets serialize byte-identically."""
+    sorted by utt_id so identical score sets serialize byte-identically.
+    Every line is formatted before the file is opened, so a score that
+    cannot be written leaves no file behind."""
+    lines = [f"{utt_id} {_format_score(utt_id, scores[utt_id])}\n" for utt_id in sorted(scores)]
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for utt_id in sorted(scores):
-            fh.write(f"{utt_id} {_format_score(scores[utt_id])}\n")
+        fh.writelines(lines)
 
 
 def read_score_file(path) -> dict:
@@ -87,9 +96,14 @@ def _aligned_matrix(score_sets):
 
 
 def mean_fuse(score_sets) -> dict:
-    """Per-utterance arithmetic mean of K aligned score sets."""
+    """Per-utterance arithmetic mean of K aligned score sets.  Where the sum
+    overflows (scores near 1.8e308), the mean is the sum of score / K."""
     mat, utt_ids = _aligned_matrix(score_sets)
-    return dict(zip(utt_ids, mat.mean(axis=1).tolist()))
+    with np.errstate(over="ignore"):
+        fused = mat.mean(axis=1)
+    over = ~np.isfinite(fused)
+    fused[over] = (mat[over] / mat.shape[1]).sum(axis=1)
+    return dict(zip(utt_ids, fused.tolist()))
 
 
 def lr_fuse_train(score_sets, labels: dict) -> FusionModel:

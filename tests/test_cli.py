@@ -42,6 +42,17 @@ def test_mean_fuse_of_file_with_itself_reproduces_it(pipeline, tmp_path):
     assert out.read_bytes() == scores.read_bytes()
 
 
+def test_mean_fuse_of_extreme_scores(tmp_path):
+    # 1e23 once ended in a decimal.InvalidOperation traceback; -1.7e308 twice
+    # overflows the sum
+    scores = tmp_path / "big.txt"
+    scores.write_text("a 1e23\nb -1.7e308\nc 0.5\n")
+    out = tmp_path / "fused.txt"
+    assert main(["fuse", "--method", "mean", "--scores", str(scores), str(scores),
+                 "--out", str(out)]) == 0
+    assert read_score_file(out) == {"a": 1e23, "b": -1.7e308, "c": 0.5}
+
+
 def test_lr_fusion_cli(pipeline, tmp_path):
     root, corpus, feats, ckpt, scores, cfg = pipeline
     dev_scores = tmp_path / "dev_scores.txt"
@@ -592,7 +603,7 @@ def test_extract_cqt_with_jobs_builds_one_kernel(pipeline, tmp_path, monkeypatch
     assert main(["extract", "--feature", "cqt", "--protocol", str(protocol),
                  "--wav-dir", str(corpus / "wav"), "--out", str(out), "--jobs", "2"]) == 0
     assert len(list(out.glob("*.fgram"))) == 3
-    assert builds == [(16000, 9, 96)]
+    assert builds == [(16000, 9, 96, 128)]
 
 
 def _fusion_inputs(tmp_path, dev_scores):

@@ -1,7 +1,9 @@
+from decimal import Decimal
+
 import numpy as np
 import pytest
 
-from replaycm.errors import AlignmentError, ParameterError, ParseError
+from replaycm.errors import AlignmentError, NumericError, ParameterError, ParseError
 from replaycm.metrics import eer
 from replaycm.scoring import (
     ScoreRecord,
@@ -54,7 +56,27 @@ class TestScoreFiles:
             read_score_file(path)
 
 
+    @pytest.mark.parametrize("score", [1e22, 1e23, -1.7e308, 1.7976931348623157e308])
+    def test_extreme_finite_score_round_trips(self, tmp_path, score):
+        # beyond 1e22 the six-decimal quantize needs more than 28 digits
+        path = tmp_path / "big.txt"
+        write_score_file({"a": score, "b": 0.25}, path)
+        assert read_score_file(path) == {"a": score, "b": 0.25}
+        assert path.read_text().splitlines()[0] == f"a {Decimal(repr(score)):f}.000000"
+
+    @pytest.mark.parametrize("score", [np.inf, -np.inf, np.nan])
+    def test_non_finite_score_writes_no_file(self, tmp_path, score):
+        path = tmp_path / "scores.txt"
+        with pytest.raises(NumericError, match="'z' is"):
+            write_score_file({"a": 0.5, "z": score}, path)
+        assert not path.exists()
+
+
 class TestMeanFuse:
+    def test_sum_that_overflows_still_averages(self):
+        fused = mean_fuse([{"u": -1.7e308, "v": 1.0}, {"u": -1.5e308, "v": 2.0}])
+        assert fused == {"u": -1.6e308, "v": 1.5}
+
     def test_self_fusion_is_identity(self, rng):
         s = {f"u{i}": float(rng.standard_normal()) for i in range(20)}
         assert mean_fuse([s, s]) == s  # even K: exact
