@@ -1,0 +1,47 @@
+#!/usr/bin/env bash
+# The console script end to end on a toy corpus, written under the current
+# directory: every front-end, the focal loss's tape node in training, scoring,
+# mean fusion and evaluation, then inputs that must each end in one
+# error:parameter: line with exit code 1.
+#
+#   bash .github/console_pipeline.sh    # with replaycm on PATH
+set -euo pipefail
+
+replaycm simulate --out toy --sources 3 --utts 1
+# the MGD lifter's DCT basis, first built in pool threads
+replaycm extract --feature mgd --protocol toy/protocol_dev.txt --wav-dir toy/wav \
+  --out toy/mgd --jobs 2
+# the multi-rate CQT and the locked kernel cache
+replaycm extract --feature cqt --protocol toy/protocol_dev.txt --wav-dir toy/wav \
+  --out toy/cqt --jobs 2
+for split in train dev eval; do
+  replaycm extract --feature stft --protocol toy/protocol_$split.txt --wav-dir toy/wav \
+    --out toy/stft --bin-stride 8 --frame-stride 10
+done
+printf '[train]\nmax_epochs = 1\nbatch_size = 5\n' > toy/one_epoch.cfg
+replaycm train --feature-dir toy/stft --protocol-train toy/protocol_train.txt \
+  --protocol-dev toy/protocol_dev.txt --objective bfl --config toy/one_epoch.cfg \
+  --out toy/model.ckpt
+replaycm score --ckpt toy/model.ckpt --feature-dir toy/stft \
+  --protocol toy/protocol_eval.txt --out toy/eval_scores.txt
+replaycm evaluate --scores toy/eval_scores.txt --protocol toy/protocol_eval.txt
+replaycm fuse --method mean --scores toy/eval_scores.txt toy/eval_scores.txt \
+  --out toy/fused.txt
+replaycm evaluate --scores toy/fused.txt --protocol toy/protocol_eval.txt
+
+expect_parameter_error() {
+  local code=0
+  "$@" 2> toy/stderr.txt || code=$?
+  if [ "$code" -ne 1 ] || [ "$(wc -l < toy/stderr.txt)" -ne 1 ] \
+      || ! grep -q '^error:parameter: ' toy/stderr.txt; then
+    echo "expected exit 1 and one error:parameter: line (got exit $code) from: $*" >&2
+    cat toy/stderr.txt >&2
+    exit 1
+  fi
+}
+# the dev flags serve lr fusion only
+expect_parameter_error replaycm fuse --method mean \
+  --scores toy/eval_scores.txt toy/eval_scores.txt --dev-scores toy/eval_scores.txt \
+  --out toy/rejected.txt
+expect_parameter_error replaycm simulate --out toy/rejected --sources 3 --utts 1 --seed -1
+echo "console pipeline passed"

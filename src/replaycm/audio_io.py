@@ -16,6 +16,8 @@ _SCALE = 32768.0
 
 # peak amplitude of synthesized tones and the cap on degraded replays
 PEAK = 0.9
+# the noise floor of a synthesized tone, below its harmonic part
+SYNTH_SNR_DB = 40.0
 
 
 @dataclass
@@ -24,7 +26,7 @@ class Waveform:
 
     samples: np.ndarray
     sample_rate: int
-    utt_id: str = ""
+    utt_id: str
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -112,25 +114,21 @@ def synth_tone_complex(
     duration: float,
     sample_rate: int,
     seed: int,
-    amplitude_rolloff: float = 0.7,
-    snr_db: float = 40.0,
+    amplitude_rolloff: float,
 ) -> Waveform:
     """Deterministic harmonic complex with seeded phases and a low noise floor.
 
     Harmonic k has amplitude k**-amplitude_rolloff and a random phase; a
-    Gaussian noise floor is mixed in snr_db below the harmonic part (>= 40 dB).
-    With n_harmonics = 0 the output is the pure noise floor.  The result is
-    peak-normalized to PEAK.
+    Gaussian noise floor is mixed in SYNTH_SNR_DB below the harmonic part.
+    The result is peak-normalized to PEAK.
     """
-    if n_harmonics < 0:
-        raise ParameterError("n_harmonics must be >= 0")
-    if n_harmonics > 0 and f0 * n_harmonics >= sample_rate / 2:
+    if n_harmonics < 1:
+        raise ParameterError(f"n_harmonics must be >= 1, got {n_harmonics}")
+    if f0 * n_harmonics >= sample_rate / 2:
         raise ParameterError(
             f"aliasing: f0*n_harmonics = {f0 * n_harmonics:.1f} Hz >= Nyquist "
             f"{sample_rate / 2:.1f} Hz"
         )
-    if snr_db < 40.0:
-        raise ParameterError("noise floor must stay >= 40 dB below the harmonics")
     n = int(round(duration * sample_rate))
     if n <= 0:
         raise ParameterError("duration too short for one sample")
@@ -141,10 +139,7 @@ def synth_tone_complex(
         phase = rng.uniform(0.0, 2.0 * np.pi)
         sig += k ** (-amplitude_rolloff) * np.sin(2.0 * np.pi * k * f0 * t + phase)
     noise = rng.standard_normal(n)
-    if n_harmonics == 0:
-        out = noise
-    else:
-        sig_rms = np.sqrt(np.mean(sig**2))
-        noise_rms = np.sqrt(np.mean(noise**2))
-        out = sig + noise * (sig_rms / noise_rms) * 10.0 ** (-snr_db / 20.0)
+    sig_rms = np.sqrt(np.mean(sig**2))
+    noise_rms = np.sqrt(np.mean(noise**2))
+    out = sig + noise * (sig_rms / noise_rms) * 10.0 ** (-SYNTH_SNR_DB / 20.0)
     return Waveform(peak_normalize(out), sample_rate, f"tone_f{f0:g}_h{n_harmonics}_s{seed}")

@@ -33,13 +33,13 @@ from .errors import ContractError, ShapeError
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=np.float32):
+    def __init__(self, data):
         if isinstance(data, np.ndarray) and data.dtype in (np.float32, np.float64):
             self.data = data
         else:
-            self.data = np.asarray(data, dtype=dtype)
+            self.data = np.asarray(data, dtype=np.float32)
         self.grad = None
-        self.requires_grad = bool(requires_grad)
+        self.requires_grad = False
         self._parents = ()
         self._backward = None
 
@@ -213,7 +213,7 @@ def _fold(dwin: np.ndarray, xp_shape, stride: int, dtype) -> np.ndarray:
     return dxp
 
 
-def conv2d(x: Tensor, weight: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
+def conv2d(x: Tensor, weight: Tensor, stride: int, pad: int) -> Tensor:
     """Cross-correlation of NCHW input with OIHW kernels (no bias)."""
     if x.data.ndim != 4 or weight.data.ndim != 4 or x.data.shape[1] != weight.data.shape[1]:
         raise ShapeError(f"conv2d mismatch: input {x.data.shape}, kernel {weight.data.shape}")
@@ -248,7 +248,7 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     return _result(data, (x, weight), bwd)
 
 
-def maxpool2d(x: Tensor, kernel: int = 3, stride: int = 1, pad: int = 1) -> Tensor:
+def maxpool2d(x: Tensor, kernel: int, stride: int, pad: int) -> Tensor:
     if x.data.ndim != 4:
         raise ShapeError(f"maxpool2d expects NCHW input, got {x.data.shape}")
     n, c, h, w = x.data.shape
@@ -287,21 +287,23 @@ def global_avg_pool(x: Tensor) -> Tensor:
     return _result(data, (x,), bwd)
 
 
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
+
+
 class BatchNorm2d:
     """Per-channel batch normalization with running statistics.
 
     Not a primitive function because it owns state: gamma/beta parameters and
-    running mean/var buffers (updated with momentum 0.1 in training mode,
-    frozen affine map in eval mode).
+    running mean/var buffers (updated with momentum BN_MOMENTUM in training
+    mode, frozen affine map in eval mode).
     """
 
-    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1):
+    def __init__(self, channels: int):
         self.gamma = Tensor(np.ones(channels, dtype=np.float32))
         self.beta = Tensor(np.zeros(channels, dtype=np.float32))
         self.running_mean = np.zeros(channels, dtype=np.float64)
         self.running_var = np.ones(channels, dtype=np.float64)
-        self.eps = eps
-        self.momentum = momentum
 
     def __call__(self, x: Tensor, train: bool) -> Tensor:
         if x.data.ndim != 4 or x.data.shape[1] != self.gamma.data.shape[0]:
@@ -318,12 +320,12 @@ class BatchNorm2d:
             var = (x.data.astype(np.float64) ** 2).mean(axis=(0, 2, 3)) - mu**2
             var = np.maximum(var, 0.0)
             unbiased = var * m / max(m - 1, 1)
-            self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mu
-            self.running_var = (1 - self.momentum) * self.running_var + self.momentum * unbiased
+            self.running_mean = (1 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mu
+            self.running_var = (1 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * unbiased
         else:
             mu = self.running_mean
             var = self.running_var
-        inv_std = (1.0 / np.sqrt(var + self.eps)).astype(dt)
+        inv_std = (1.0 / np.sqrt(var + BN_EPS)).astype(dt)
         xhat = (x.data - mu.astype(dt)[:, None, None]) * inv_std[:, None, None]
         data = gamma.data.astype(dt)[:, None, None] * xhat + beta.data.astype(dt)[:, None, None]
 

@@ -139,6 +139,8 @@ def cmd_score(args) -> int:
 
 
 def cmd_fuse(args) -> int:
+    if args.method == "mean" and (args.dev_scores is not None or args.dev_protocol is not None):
+        raise ParameterError("--dev-scores and --dev-protocol serve --method lr only")
     score_sets = [read_score_file(p) for p in args.scores]
     if args.method == "mean":
         fused = scoring.mean_fuse(score_sets)

@@ -42,8 +42,7 @@ def _defaults() -> dict:
             "block_counts": ",".join(str(b) for b in model.block_counts),
             "base_channels": model.base_channels,
             "fc_width": model.fc_width,
-            # the CLI trains a quarter-width network unless a config says otherwise
-            "scale": 4,
+            "scale": model.scale,
         },
         "train": train,
         "tdcf": asdict(TdcfParams()),
@@ -53,8 +52,8 @@ def _defaults() -> dict:
 DEFAULTS = _defaults()
 
 
-def load_config(path=None) -> dict:
-    """Defaults overridden by an INI-style file (if given)."""
+def load_config(path) -> dict:
+    """Defaults overridden by the INI-style file at ``path``, if it is not None."""
     cfg = copy.deepcopy(DEFAULTS)
     if path is None:
         return cfg
@@ -84,13 +83,3 @@ def load_config(path=None) -> dict:
                 raise ParameterError(f"{section}.{key} must be a finite number, got {raw!r}")
             cfg[section][key] = value
     return cfg
-
-
-def dump_config(cfg: dict) -> str:
-    lines = []
-    for section, values in cfg.items():
-        lines.append(f"[{section}]")
-        for key, value in values.items():
-            lines.append(f"{key} = {value}")
-        lines.append("")
-    return "\n".join(lines)

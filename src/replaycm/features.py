@@ -27,10 +27,10 @@ KIND_NAMES = {v: k for k, v in KIND_CODES.items()}
 
 @dataclass
 class FrameSpec:
-    frame_len: int = 400  # 25 ms at 16 kHz
-    hop: int = 160  # 10 ms
-    window: str = "hamming"
-    n_fft: int = 1024
+    frame_len: int
+    hop: int
+    window: str
+    n_fft: int
 
     def __post_init__(self):
         if not (0 < self.hop <= self.frame_len <= self.n_fft):
@@ -41,8 +41,7 @@ class FrameSpec:
 
     @classmethod
     def from_ms(cls, sample_rate: int, frame_ms: float = 25.0, hop_ms: float = 10.0,
-                window: str = window, n_fft: int = n_fft) -> "FrameSpec":
-        # window and n_fft default to the field defaults above
+                window: str = "hamming", n_fft: int = 1024) -> "FrameSpec":
         return cls(
             frame_len=int(round(frame_ms * sample_rate / 1000.0)),
             hop=int(round(hop_ms * sample_rate / 1000.0)),
@@ -71,7 +70,7 @@ class MgdParams:
 class FeatureGram:
     kind: str
     data: np.ndarray
-    utt_id: str = ""
+    utt_id: str
 
     def __post_init__(self):
         if self.kind not in KIND_CODES:
@@ -121,16 +120,16 @@ def stft(w: Waveform, spec: FrameSpec) -> np.ndarray:
     return _spectra(w, spec)[0]
 
 
-def shape_fixed(gram: np.ndarray, n_frames: int = N_FRAMES_FIXED) -> np.ndarray:
-    """Truncate to, or cyclically repeat frames up to, exactly n_frames."""
+def shape_fixed(gram: np.ndarray) -> np.ndarray:
+    """Truncate to, or cyclically repeat frames up to, exactly N_FRAMES_FIXED."""
     gram = np.asarray(gram)
     if gram.ndim != 2 or gram.shape[1] < 1:
         raise ParameterError(f"cannot shape empty gram of shape {gram.shape}")
     t = gram.shape[1]
-    if t >= n_frames:
-        return gram[:, :n_frames]
-    reps = int(np.ceil(n_frames / t))
-    return np.tile(gram, (1, reps))[:, :n_frames]
+    if t >= N_FRAMES_FIXED:
+        return gram[:, :N_FRAMES_FIXED]
+    reps = int(np.ceil(N_FRAMES_FIXED / t))
+    return np.tile(gram, (1, reps))[:, :N_FRAMES_FIXED]
 
 
 def stft_gram(w: Waveform, spec: FrameSpec) -> FeatureGram:
@@ -184,8 +183,7 @@ def mgd_spectra(w: Waveform, spec: FrameSpec, p: MgdParams) -> np.ndarray:
     return tau
 
 
-def mgd_gram(w: Waveform, spec: FrameSpec, p: MgdParams | None = None) -> FeatureGram:
-    p = p or MgdParams()
+def mgd_gram(w: Waveform, spec: FrameSpec, p: MgdParams) -> FeatureGram:
     return FeatureGram("MGD", shape_fixed(mgd_spectra(w, spec, p)), w.utt_id)
 
 
@@ -367,7 +365,7 @@ def read_gram(path, utt_id: str = "") -> FeatureGram:
     return FeatureGram(KIND_NAMES[kind_code], np.array(data), utt_id)
 
 
-def reduce_gram(gram: FeatureGram, bin_stride: int = 1, frame_stride: int = 1) -> FeatureGram:
+def reduce_gram(gram: FeatureGram, bin_stride: int, frame_stride: int) -> FeatureGram:
     """Subsample rows/columns for desk-scale training runs."""
     if bin_stride < 1 or frame_stride < 1:
         raise ParameterError("strides must be >= 1")

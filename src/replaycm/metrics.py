@@ -145,9 +145,8 @@ class TdcfParams:
         return c1, c2
 
 
-def min_tdcf_norm(records, params: TdcfParams | None = None):
+def min_tdcf_norm(records, params: TdcfParams):
     """Minimum normalized t-DCF over all CM thresholds, and the threshold."""
-    params = params or TdcfParams()
     c1, c2 = params.coefficients()
     bona, spoof = _split_scores(records)
     curve = error_curve(bona, spoof)
@@ -156,7 +155,7 @@ def min_tdcf_norm(records, params: TdcfParams | None = None):
     return float(tdcf[k] / min(c1, c2)), float(curve.thresholds[k])
 
 
-def breakdown(records, params: TdcfParams | None = None):
+def breakdown(records, params: TdcfParams):
     """Per-attack-code (EER, min t-DCF, n_spoof) rows, code-sorted.
 
     Each attack code is evaluated against the full bonafide set.  Codes are

@@ -30,7 +30,7 @@ class ResNetConfig:
     n_classes: int = 2
     input_bins: int = 513
     input_frames: int = 500
-    scale: int = 1
+    scale: int = 4  # a quarter-width network unless a config says otherwise
 
     def __post_init__(self):
         counts = self.block_counts
@@ -99,7 +99,7 @@ def _named_arrays(prefix: str, owner):
 
 
 class ResNet:
-    def __init__(self, cfg: ResNetConfig, seed: int = 0):
+    def __init__(self, cfg: ResNetConfig, seed: int):
         self.cfg = cfg
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5245534E]))
         chans = cfg.stage_channels
@@ -119,7 +119,7 @@ class ResNet:
         self.out_w = Tensor(_kaiming_linear(rng, cfg.n_classes, cfg.fc_width))
         self.out_b = Tensor(np.zeros(cfg.n_classes, dtype=np.float32))
 
-    def forward(self, x: Tensor, train: bool = False) -> Tensor:
+    def forward(self, x: Tensor, train: bool) -> Tensor:
         """(N, 1, bins, frames) batch to (N, n_classes) log-probabilities."""
         if x.data.ndim != 4 or x.data.shape[1] != 1:
             raise ShapeError(f"expected (N, 1, bins, frames) input, got {x.data.shape}")
@@ -183,11 +183,16 @@ def score_batch(model: ResNet, grams: np.ndarray) -> np.ndarray:
     return (lp[:, 1] - lp[:, 0]).astype(np.float64)
 
 
-def saliency_map(model: ResNet, gram: np.ndarray, class_index: int = 1) -> np.ndarray:
-    """|d log p(class) / d input| for a (bins, frames) gram, in its shape."""
-    x = Tensor(np.asarray(gram, dtype=np.float32)[None, None, :, :], requires_grad=True)
+# the class whose log-probability a saliency map differentiates: bonafide
+SALIENCY_CLASS = 1
+
+
+def saliency_map(model: ResNet, gram: np.ndarray) -> np.ndarray:
+    """|d log p(SALIENCY_CLASS) / d input| for a (bins, frames) gram, in its shape."""
+    x = Tensor(np.asarray(gram, dtype=np.float32)[None, None, :, :])
+    x.requires_grad = True  # the input is the only tensor whose gradient is read
     lp = model.forward(x, train=False)
-    ad.backward(ad.gather_rows(lp, np.array([class_index])))
+    ad.backward(ad.gather_rows(lp, np.array([SALIENCY_CLASS])))
     return np.abs(x.grad[0, 0])
 
 
@@ -201,7 +206,7 @@ _CKPT_VERSION = 1
 _CKPT_HEAD = struct.Struct("<4sHI")
 
 
-def save_checkpoint(path, model: ResNet, extra: dict | None = None) -> None:
+def save_checkpoint(path, model: ResNet, extra: dict) -> None:
     arrays = model.state()
     directory = [
         {"name": name, "dtype": arr.dtype.str, "shape": list(arr.shape)}
@@ -212,7 +217,7 @@ def save_checkpoint(path, model: ResNet, extra: dict | None = None) -> None:
             "config": asdict(model.cfg),
             "arrays": directory,
             "optimizer": {},  # version-1 readers look this key up
-            "extra": extra or {},
+            "extra": extra,
         },
         sort_keys=True,
     ).encode("utf-8")

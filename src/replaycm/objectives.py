@@ -25,8 +25,8 @@ NORMALIZATION_TOL = 1e-6
 class ClassWeights:
     """Per-class loss weights; index 0 = spoof, 1 = bonafide."""
 
-    alpha_spoof: float = 1.0
-    alpha_bonafide: float = 1.0
+    alpha_spoof: float
+    alpha_bonafide: float
 
     def __post_init__(self):
         if self.alpha_spoof <= 0 or self.alpha_bonafide <= 0:

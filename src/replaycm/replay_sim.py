@@ -123,13 +123,16 @@ def degrade(w: Waveform, code: str, seed: int) -> Waveform:
     peak = np.max(np.abs(x))
     if peak > PEAK:
         x = x * (PEAK / peak)
-    return Waveform(x, w.sample_rate, f"{w.utt_id}_{code}" if w.utt_id else code)
+    return Waveform(x, w.sample_rate, f"{w.utt_id}_{code}")
 
 
 # ---------------------------------------------------------------------------
 # corpus generation
 
 SPLITS = ("train", "dev", "eval")
+# the share of sources in each split, in SPLITS order
+SPLIT_RATIOS = (0.2, 0.15, 0.65)
+UTT_DURATION_S = 1.0
 
 # each source's fundamental is drawn from F0_RANGE_HZ and gets at least
 # MIN_HARMONICS harmonics below Nyquist - HARMONIC_MARGIN_HZ, which sets the
@@ -175,16 +178,13 @@ def read_protocol(path) -> list:
     return entries
 
 
-def _split_sources(n_sources: int, split_ratios) -> dict:
-    ratios = tuple(float(r) for r in split_ratios)
-    if len(ratios) != 3 or any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ParameterError(f"split ratios must be three non-negatives summing to 1, got {ratios}")
-    # a split with a positive ratio gets at least one source
-    n_train, n_dev = (max(int(round(n_sources * r)), 1) if r > 0 else 0 for r in ratios[:2])
+def _split_sources(n_sources: int) -> dict:
+    # every split gets at least one source
+    n_train, n_dev = (max(int(round(n_sources * r)), 1) for r in SPLIT_RATIOS[:2])
     n_eval = n_sources - n_train - n_dev
-    if n_eval < (1 if ratios[2] > 0 else 0):
+    if n_eval < 1:
         raise ParameterError(
-            f"cannot split {n_sources} sources into ratios {ratios}; eval would get {n_eval}"
+            f"cannot split {n_sources} sources into ratios {SPLIT_RATIOS}; eval would get {n_eval}"
         )
     bounds = {
         "train": range(0, n_train),
@@ -194,9 +194,8 @@ def _split_sources(n_sources: int, split_ratios) -> dict:
     return bounds
 
 
-def generate_corpus(out_dir, n_sources: int, utt_per_source: int,
-                    split_ratios=(0.2, 0.15, 0.65), seed: int = 0,
-                    sample_rate: int = 16000, duration: float = 1.0) -> dict:
+def generate_corpus(out_dir, n_sources: int, utt_per_source: int, seed: int,
+                    sample_rate: int = 16000) -> dict:
     """Write WAVs and protocol files for a bonafide + 9-way replayed corpus.
 
     Every bonafide utterance is degraded once per attack code, giving the
@@ -205,6 +204,8 @@ def generate_corpus(out_dir, n_sources: int, utt_per_source: int,
     """
     if n_sources < 1 or utt_per_source < 1:
         raise ParameterError("need at least one source and one utterance per source")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     if sample_rate < MIN_SAMPLE_RATE:
         raise ParameterError(f"sample_rate {sample_rate} Hz is below {MIN_SAMPLE_RATE} Hz, "
                              f"the lowest at which every source gets {MIN_HARMONICS} harmonics")
@@ -215,7 +216,7 @@ def generate_corpus(out_dir, n_sources: int, utt_per_source: int,
     wav_dir.mkdir(parents=True, exist_ok=True)
 
     root_rng = np.random.default_rng(seed)
-    split_of_source = _split_sources(n_sources, split_ratios)
+    split_of_source = _split_sources(n_sources)
 
     # per-source voice character: fundamental, harmonic count, rolloff
     sources = []
@@ -234,18 +235,16 @@ def generate_corpus(out_dir, n_sources: int, utt_per_source: int,
             for u in range(utt_per_source):
                 utt_seed = int(np.random.default_rng(
                     np.random.SeedSequence([seed, s, u])).integers(0, 2**31 - 1))
-                bona = synth_tone_complex(f0, n_h, duration, sample_rate, utt_seed,
-                                          amplitude_rolloff=rolloff)
+                bona = synth_tone_complex(f0, n_h, UTT_DURATION_S, sample_rate, utt_seed,
+                                          rolloff)
                 utt_id = f"{split}_s{s:03d}_u{u:03d}"
                 bona.utt_id = utt_id
                 write_wav(bona, wav_dir / f"{utt_id}.wav")
                 entries.append(ManifestEntry(utt_id, "bonafide", BONAFIDE_CODE))
                 for code in ATTACK_CODES:
-                    spoof = degrade(bona, code, utt_seed)
-                    spoof_id = f"{utt_id}_{code}"
-                    spoof.utt_id = spoof_id
-                    write_wav(spoof, wav_dir / f"{spoof_id}.wav")
-                    entries.append(ManifestEntry(spoof_id, "spoof", code))
+                    spoof = degrade(bona, code, utt_seed)  # named <utt_id>_<code>
+                    write_wav(spoof, wav_dir / f"{spoof.utt_id}.wav")
+                    entries.append(ManifestEntry(spoof.utt_id, "spoof", code))
         write_protocol(entries, out_dir / f"protocol_{split}.txt")
         manifests[split] = entries
     return manifests

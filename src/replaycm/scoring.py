@@ -19,8 +19,8 @@ LR_MAX_ITER = 200
 class ScoreRecord:
     utt_id: str
     score: float
-    label: str | None = None  # "bonafide" | "spoof" | None
-    attack_code: str | None = None
+    label: str  # "bonafide" | "spoof"
+    attack_code: str  # "-" for bonafide
 
 
 # 309 integer digits (the largest float is 1.8e308) and 6 decimals

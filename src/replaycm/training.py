@@ -17,6 +17,11 @@ from .model import ResNet, score_batch
 from .scoring import ScoreRecord
 
 FEATURE_MANIFEST = "features.manifest"
+ADAM_EPS = 1e-8
+# utterances per forward pass when scoring
+SCORE_BATCH = 32
+# the loss runs in float32, so gamma must be a float32 number
+MAX_GAMMA = float(np.finfo(np.float32).max)
 
 
 @dataclass
@@ -30,14 +35,13 @@ class TrainConfig:
     max_epochs: int = 10
     seed: int = 0
     gamma: float = 2.0  # 0 gives balanced cross-entropy
-    alpha: str | tuple = "auto"  # "auto", (alpha_spoof, alpha_bonafide) or "spoof,bonafide"
+    alpha: str = "auto"  # "auto" or "spoof,bonafide", parsed to a pair of floats
 
     def __post_init__(self):
         if self.alpha != "auto":
-            parts = self.alpha.split(",") if isinstance(self.alpha, str) else self.alpha
             try:
-                alpha = tuple(float(a) for a in parts)
-            except (TypeError, ValueError):
+                alpha = tuple(float(a) for a in self.alpha.split(","))
+            except ValueError:
                 alpha = ()
             if len(alpha) != 2 or not all(0 < a < np.inf for a in alpha):
                 raise ParameterError(
@@ -53,22 +57,23 @@ class TrainConfig:
             raise ParameterError(f"beta1 and beta2 must lie in [0, 1), got {self.betas}")
         if self.weight_decay < 0:
             raise ParameterError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.gamma < 0:
-            raise ParameterError("gamma must be >= 0")
+        if not 0.0 <= self.gamma <= MAX_GAMMA:  # false for nan too
+            raise ParameterError(
+                f"gamma must be a number in [0, {MAX_GAMMA:.6g}], got {self.gamma}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 class AdamW:
     """Decoupled-weight-decay Adam: p <- p - lr * (m_hat / (sqrt(v_hat) + eps) + wd * p)."""
 
-    def __init__(self, params: dict, lr: float, betas=TrainConfig.betas,
-                 weight_decay: float = 0.0, eps: float = 1e-8):
+    def __init__(self, params: dict, lr: float, betas: tuple, weight_decay: float):
         self.params = params
         for p in params.values():
             p.requires_grad = True  # the only code that turns gradients on for a model
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.weight_decay = weight_decay
-        self.eps = eps
         self.step_count = 0
         self.m = {name: np.zeros_like(p.data, dtype=np.float64) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data, dtype=np.float64) for name, p in params.items()}
@@ -87,7 +92,7 @@ class AdamW:
             self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
             m_hat = self.m[name] / (1 - self.beta1**t)
             v_hat = self.v[name] / (1 - self.beta2**t)
-            update = m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * p.data
+            update = m_hat / (np.sqrt(v_hat) + ADAM_EPS) + self.weight_decay * p.data
             p.data = (p.data - self.lr * update).astype(p.data.dtype)
 
     def zero_grad(self) -> None:
@@ -151,13 +156,12 @@ class TrainResult:
     best_epoch: int
 
 
-def _score_entries(model: ResNet, entries, store: FeatureStore,
-                   batch_size: int = 32, map_fn=map) -> list:
-    """ScoreRecords for ``entries``, scored batch_size at a time; the grams of
+def _score_entries(model: ResNet, entries, store: FeatureStore, map_fn=map) -> list:
+    """ScoreRecords for ``entries``, scored SCORE_BATCH at a time; the grams of
     each batch are read through ``map_fn`` (see ``FeatureStore.load_batch``)."""
     records = []
-    for start in range(0, len(entries), batch_size):
-        chunk = entries[start : start + batch_size]
+    for start in range(0, len(entries), SCORE_BATCH):
+        chunk = entries[start : start + SCORE_BATCH]
         grams = store.load_batch([e.utt_id for e in chunk], map_fn)
         for e, s in zip(chunk, score_batch(model, grams)):
             records.append(ScoreRecord(e.utt_id, float(s), e.label, e.attack_code))
@@ -165,11 +169,12 @@ def _score_entries(model: ResNet, entries, store: FeatureStore,
 
 
 def train(model: ResNet, train_entries, dev_entries, store: FeatureStore,
-          cfg: TrainConfig, log_path=None) -> TrainResult:
+          cfg: TrainConfig, log_path) -> TrainResult:
     """Train in place; on return the model holds the best-dev-EER parameters.
 
     After ``plateau_patience`` epochs in a row without a lower dev EER the
-    optimizer's lr is multiplied by ``plateau_factor``."""
+    optimizer's lr is multiplied by ``plateau_factor``.  ``log_path`` gets
+    one ``<epoch> <train loss> <dev EER> <lr>`` line per epoch."""
     n_spoof = sum(1 for e in train_entries if e.label == "spoof")
     n_bona = len(train_entries) - n_spoof
     if n_spoof < 1 or n_bona < 1:
@@ -229,8 +234,7 @@ def train(model: ResNet, train_entries, dev_entries, store: FeatureStore,
     if best_state is not None:
         model.load_state(best_state)
 
-    if log_path is not None:
-        lines = [f"{h['epoch']} {h['train_loss']:.6f} {h['dev_eer']:.6f} {h['lr']:.8f}"
-                 for h in history]
-        Path(log_path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    lines = [f"{h['epoch']} {h['train_loss']:.6f} {h['dev_eer']:.6f} {h['lr']:.8f}"
+             for h in history]
+    Path(log_path).write_text("\n".join(lines) + "\n", encoding="ascii")
     return best

@@ -24,6 +24,14 @@ def finite_difference_gradient(f, x0: np.ndarray, step: float = 1e-3) -> np.ndar
     return grad
 
 
+def leaf(data) -> Tensor:
+    """A tensor that records gradients, as an optimized parameter or a
+    saliency map's input does."""
+    t = Tensor(data)
+    t.requires_grad = True
+    return t
+
+
 def weighted_sum(out: Tensor, wts) -> Tensor:
     """sum(out * wts) as one scalar tape node, so a check can reduce any
     output to a loss through no op but the ones it checks."""
@@ -42,16 +50,17 @@ def gradcheck(build, x0: np.ndarray, seed: int = 0, step: float = 1e-3,
     finite differences; W is a fixed random weighting so transposition bugs
     cannot cancel.  Returns the max relative error."""
     rng = np.random.default_rng(seed)
-    probe = build(Tensor(x0, dtype=np.float64))
+    x0 = np.asarray(x0, dtype=np.float64)
+    probe = build(Tensor(x0))
     wts = rng.standard_normal(probe.data.shape)
 
     def loss_value(xv):
-        return float(weighted_sum(build(Tensor(xv, dtype=np.float64)), wts).data)
+        return float(weighted_sum(build(Tensor(xv)), wts).data)
 
-    x = Tensor(x0.copy(), requires_grad=True, dtype=np.float64)
+    x = leaf(x0.copy())
     ad.backward(weighted_sum(build(x), wts))
     analytic = x.grad
-    numeric = finite_difference_gradient(loss_value, x0.astype(np.float64), step)
+    numeric = finite_difference_gradient(loss_value, x0, step)
     denom = np.maximum(np.abs(numeric), 1e-6)
     rel = float(np.max(np.abs(analytic - numeric) / denom))
     assert rel < rtol, f"gradient mismatch: max rel err {rel:.3e} >= {rtol}"

@@ -73,7 +73,7 @@ def test_rejects_wrong_width(tmp_path):
 
 def test_truncated_file_is_a_format_error(tmp_path):
     full = tmp_path / "full.wav"
-    write_wav(Waveform(np.full(100, 0.1), 16000), full)
+    write_wav(Waveform(np.full(100, 0.1), 16000, "full"), full)
     blob = full.read_bytes()
     cut = tmp_path / "cut.wav"
     for n in range(len(blob)):  # inside the header, then inside the data chunk
@@ -91,35 +91,35 @@ def test_rejects_garbage(tmp_path):
 
 def test_waveform_invariants():
     with pytest.raises(ParameterError):
-        Waveform(np.array([]), 16000)
+        Waveform(np.array([]), 16000, "e")
     with pytest.raises(ParameterError):
-        Waveform(np.array([0.0, np.nan]), 16000)
+        Waveform(np.array([0.0, np.nan]), 16000, "n")
     with pytest.raises(ParameterError):
-        Waveform(np.zeros(4), 0)
+        Waveform(np.zeros(4), 0, "z")
 
 
 def test_write_rejects_out_of_range(tmp_path):
     with pytest.raises(ParameterError):
-        write_wav(Waveform(np.array([1.5, 0.0]), 8000), tmp_path / "x.wav")
+        write_wav(Waveform(np.array([1.5, 0.0]), 8000, "x"), tmp_path / "x.wav")
 
 
 def test_synth_deterministic():
-    a = synth_tone_complex(200.0, 10, 0.25, 16000, 99)
-    b = synth_tone_complex(200.0, 10, 0.25, 16000, 99)
+    a = synth_tone_complex(200.0, 10, 0.25, 16000, 99, 0.7)
+    b = synth_tone_complex(200.0, 10, 0.25, 16000, 99, 0.7)
     assert np.array_equal(a.samples, b.samples)
-    c = synth_tone_complex(200.0, 10, 0.25, 16000, 100)
+    c = synth_tone_complex(200.0, 10, 0.25, 16000, 100, 0.7)
     assert not np.array_equal(a.samples, c.samples)
 
 
-def test_synth_noise_only():
-    w = synth_tone_complex(200.0, 0, 0.25, 16000, 7)
-    assert np.max(np.abs(w.samples)) == pytest.approx(0.9, abs=1e-12)
+def test_synth_needs_a_harmonic():
+    with pytest.raises(ParameterError, match="n_harmonics"):
+        synth_tone_complex(200.0, 0, 0.25, 16000, 7, 0.7)
 
 
 def test_synth_harmonic_peaks():
     # FFT peak picking: each harmonic k lands within one bin of 200k Hz
     sr, f0, nh = 16000, 200.0, 10
-    w = synth_tone_complex(f0, nh, 1.0, sr, 3)
+    w = synth_tone_complex(f0, nh, 1.0, sr, 3, 0.7)
     mag = np.abs(np.fft.rfft(w.samples))
     bin_hz = sr / w.samples.size
     for k in range(1, nh + 1):
@@ -132,7 +132,7 @@ def test_synth_harmonic_peaks():
 
 
 def test_synth_snr_floor():
-    w = synth_tone_complex(250.0, 12, 0.5, 16000, 11)
+    w = synth_tone_complex(250.0, 12, 0.5, 16000, 11, 0.7)
     # harmonic energy concentrated below 3.1 kHz, noise spread to Nyquist:
     # high band carries only the floor, at least ~40 dB below the total
     spec = np.abs(np.fft.rfft(w.samples)) ** 2
@@ -142,7 +142,7 @@ def test_synth_snr_floor():
 
 def test_synth_aliasing_guard():
     with pytest.raises(ParameterError):
-        synth_tone_complex(1000.0, 10, 0.1, 16000, 0)
+        synth_tone_complex(1000.0, 10, 0.1, 16000, 0, 0.7)
 
 
 def test_peak_normalize_zero_signal():

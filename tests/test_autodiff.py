@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from conftest import finite_difference_gradient, gradcheck, weighted_sum
+from conftest import finite_difference_gradient, gradcheck, leaf, weighted_sum
 from replaycm import autodiff as ad
 from replaycm.autodiff import BatchNorm2d, Tensor
 from replaycm.errors import ContractError, ShapeError
@@ -18,14 +18,14 @@ def test_conv2d_hand_example():
 
 
 def test_relu_backward_signs():
-    x = Tensor(np.array([-1.0, 1.0]), requires_grad=True)
+    x = leaf(np.array([-1.0, 1.0]))
     ad.backward(weighted_sum(ad.relu(x), 1.0))
     assert x.grad.tolist() == [0.0, 1.0]
 
 
 def test_global_avg_pool_constant():
     c = 2.5
-    x = Tensor(np.full((1, 1, 4, 6), c), requires_grad=True)
+    x = leaf(np.full((1, 1, 4, 6), c))
     y = ad.global_avg_pool(x)
     assert y.data[0, 0] == pytest.approx(c)
     ad.backward(weighted_sum(y, 1.0))
@@ -33,7 +33,7 @@ def test_global_avg_pool_constant():
 
 
 def test_backward_mean_spreads_evenly(rng):
-    x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    x = leaf(rng.standard_normal((3, 4)))
     ad.backward(weighted_sum(x, 1 / 12))
     assert np.array_equal(x.grad, np.full((3, 4), 1 / 12))
 
@@ -41,13 +41,13 @@ def test_backward_mean_spreads_evenly(rng):
 def test_backward_mean_of_squares(rng):
     # x . x through linear with x as both input and weight, so both
     # branches of the backward land on the same tensor.
-    x = Tensor(rng.standard_normal((1, 5)).astype(np.float32), requires_grad=True)
+    x = leaf(rng.standard_normal((1, 5)).astype(np.float32))
     ad.backward(weighted_sum(ad.linear(x, x, Tensor(np.zeros(1, dtype=np.float32))), 1 / 5))
     assert np.allclose(x.grad, 2 * x.data / 5, rtol=1e-6)
 
 
 def test_backward_rejects_non_scalar(rng):
-    x = Tensor(rng.standard_normal((3,)), requires_grad=True)
+    x = leaf(rng.standard_normal((3,)))
     with pytest.raises(ContractError):
         ad.backward(ad.add(x, x))
 
@@ -69,7 +69,7 @@ def test_conv_shape_error():
     x = Tensor(np.zeros((1, 2, 4, 4)))
     k = Tensor(np.zeros((1, 3, 3, 3)))
     with pytest.raises(ShapeError):
-        ad.conv2d(x, k)
+        ad.conv2d(x, k, stride=1, pad=0)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -80,17 +80,17 @@ def test_primitive_gradients_finite_difference(seed):
     x4 = rng.standard_normal((n, c, h, w))
 
     co = int(rng.integers(1, 5))
-    kern = Tensor(rng.standard_normal((co, c, 3, 3)), dtype=np.float64)
+    kern = Tensor(rng.standard_normal((co, c, 3, 3)))
     stride = int(rng.integers(1, 3))
     gradcheck(lambda t: ad.conv2d(t, kern, stride=stride, pad=1), x4, seed)
 
     # kernel gradient of conv2d
-    xfix = Tensor(x4, dtype=np.float64)
+    xfix = Tensor(x4)
     gradcheck(lambda t: ad.conv2d(xfix, t, stride=1, pad=1),
               rng.standard_normal((co, c, 3, 3)), seed)
 
     # the 1x1, stride-2, unpadded projection shortcut: input and kernel
-    proj = Tensor(rng.standard_normal((co, c, 1, 1)), dtype=np.float64)
+    proj = Tensor(rng.standard_normal((co, c, 1, 1)))
     gradcheck(lambda t: ad.conv2d(t, proj, stride=2, pad=0), x4, seed)
     gradcheck(lambda t: ad.conv2d(xfix, t, stride=2, pad=0),
               rng.standard_normal((co, c, 1, 1)), seed)
@@ -103,13 +103,13 @@ def test_primitive_gradients_finite_difference(seed):
     gradcheck(lambda t: ad.global_avg_pool(t), x4, seed)
 
     d_in, d_out = int(rng.integers(2, 6)), int(rng.integers(2, 6))
-    wl = Tensor(rng.standard_normal((d_out, d_in)), dtype=np.float64)
-    bl = Tensor(rng.standard_normal(d_out), dtype=np.float64)
+    wl = Tensor(rng.standard_normal((d_out, d_in)))
+    bl = Tensor(rng.standard_normal(d_out))
     gradcheck(lambda t: ad.linear(t, wl, bl), rng.standard_normal((3, d_in)), seed)
 
     gradcheck(lambda t: ad.log_softmax(t), rng.standard_normal((4, 3)), seed)
 
-    other = Tensor(rng.standard_normal((3, 4)), dtype=np.float64)
+    other = Tensor(rng.standard_normal((3, 4)))
     gradcheck(lambda t: ad.add(t, other), rng.standard_normal((3, 4)), seed)
 
     # relu away from the kink
@@ -142,9 +142,9 @@ def _maxpool_oracle(x, g, kernel, stride, pad):
 @pytest.mark.parametrize("kernel, stride, pad", [(3, 1, 1), (2, 2, 0), (3, 2, 1)])
 def test_maxpool_ties_go_to_the_first_tap(kernel, stride, pad, rng):
     constant = np.full((2, 2, 5, 6), 0.75)
-    post_relu = ad.relu(Tensor(-np.abs(rng.standard_normal((2, 2, 5, 6))), dtype=np.float64)).data
+    post_relu = ad.relu(Tensor(-np.abs(rng.standard_normal((2, 2, 5, 6))))).data
     for x0 in (constant, post_relu):
-        x = Tensor(x0.copy(), requires_grad=True, dtype=np.float64)
+        x = leaf(x0.copy())
         y = ad.maxpool2d(x, kernel=kernel, stride=stride, pad=pad)
         g = rng.integers(-8, 9, y.shape).astype(np.float64)
         ad.backward(weighted_sum(y, g))
@@ -157,8 +157,8 @@ def test_maxpool_ties_go_to_the_first_tap(kernel, stride, pad, rng):
 @pytest.mark.parametrize("train", [True, False])
 def test_batchnorm_gradients(train, rng):
     bn = BatchNorm2d(3)
-    bn.gamma = Tensor(rng.standard_normal(3), requires_grad=True, dtype=np.float64)
-    bn.beta = Tensor(rng.standard_normal(3), requires_grad=True, dtype=np.float64)
+    bn.gamma = leaf(rng.standard_normal(3))
+    bn.beta = leaf(rng.standard_normal(3))
     bn.running_mean = rng.standard_normal(3)
     bn.running_var = np.abs(rng.standard_normal(3)) + 0.5
     x0 = rng.standard_normal((2, 3, 4, 5))
@@ -166,11 +166,11 @@ def test_batchnorm_gradients(train, rng):
 
     def loss_of(xv):
         b = copy.deepcopy(bn)
-        out = b(Tensor(xv, dtype=np.float64), train)
+        out = b(Tensor(xv), train)
         return float(weighted_sum(out, wts).data)
 
     b = copy.deepcopy(bn)
-    x = Tensor(x0, requires_grad=True, dtype=np.float64)
+    x = leaf(x0)
     ad.backward(weighted_sum(b(x, train), wts))
     numeric = finite_difference_gradient(loss_of, x0)
     rel = np.max(np.abs(x.grad - numeric) / np.maximum(np.abs(numeric), 1e-6))
@@ -180,7 +180,7 @@ def test_batchnorm_gradients(train, rng):
         def loss_p(v, pname=pname):
             bb = copy.deepcopy(bn)
             getattr(bb, pname).data = v
-            out = bb(Tensor(x0, dtype=np.float64), train)
+            out = bb(Tensor(x0), train)
             return float(weighted_sum(out, wts).data)
 
         numeric = finite_difference_gradient(loss_p, getattr(bn, pname).data.copy())
@@ -223,36 +223,36 @@ def test_inference_records_no_tape(rng):
 
 
 def test_grad_accumulates_across_reuse(rng):
-    x = Tensor(rng.standard_normal((3,)).astype(np.float32), requires_grad=True)
+    x = leaf(rng.standard_normal((3,)).astype(np.float32))
     y = ad.add(x, x)  # dy/dx = 2
     ad.backward(weighted_sum(y, 1.0))
     assert np.array_equal(x.grad, np.full(3, 2.0, dtype=np.float32))
 
 
 def test_input_gradient_identity_selector(rng):
-    x = Tensor(rng.standard_normal((2, 3)).astype(np.float32), requires_grad=True)
+    x = leaf(rng.standard_normal((2, 3)).astype(np.float32))
     ad.backward(weighted_sum(x, 1.0))
     assert np.array_equal(x.grad, np.ones((2, 3), dtype=np.float32))
 
 
 def test_input_gradient_linear_model_is_weight_row(rng):
-    w = Tensor(rng.standard_normal((2, 4)), dtype=np.float64)
-    b = Tensor(np.zeros(2), dtype=np.float64)
+    w = Tensor(rng.standard_normal((2, 4)))
+    b = Tensor(np.zeros(2))
 
     def selector(t):
         return ad.gather_rows(ad.linear(t, w, b), np.array([1]))
 
     for _ in range(3):
-        x = Tensor(rng.standard_normal((1, 4)), requires_grad=True, dtype=np.float64)
+        x = leaf(rng.standard_normal((1, 4)))
         ad.backward(selector(x))
         assert np.allclose(np.abs(x.grad[0]), np.abs(w.data[1]))
 
 
 def test_input_gradient_two_layer_net_finite_difference(rng):
-    w1 = Tensor(rng.standard_normal((5, 4)), dtype=np.float64)
-    b1 = Tensor(rng.standard_normal(5), dtype=np.float64)
-    w2 = Tensor(rng.standard_normal((2, 5)), dtype=np.float64)
-    b2 = Tensor(rng.standard_normal(2), dtype=np.float64)
+    w1 = Tensor(rng.standard_normal((5, 4)))
+    b1 = Tensor(rng.standard_normal(5))
+    w2 = Tensor(rng.standard_normal((2, 5)))
+    b2 = Tensor(rng.standard_normal(2))
 
     def net(t):
         return ad.log_softmax(ad.linear(ad.relu(ad.linear(t, w1, b1)), w2, b2))
@@ -261,12 +261,12 @@ def test_input_gradient_two_layer_net_finite_difference(rng):
         return ad.gather_rows(net(t), np.array([0]))
 
     x0 = rng.standard_normal((1, 4))
-    x = Tensor(x0, requires_grad=True, dtype=np.float64)
+    x = leaf(x0)
     ad.backward(selector(x))
     analytic = x.grad
 
     def f(xv):
-        return float(net(Tensor(xv, dtype=np.float64)).data[0, 0])
+        return float(net(Tensor(xv)).data[0, 0])
 
     numeric = finite_difference_gradient(f, x0)
     rel = np.max(np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-8))

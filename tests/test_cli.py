@@ -53,6 +53,17 @@ def test_mean_fuse_of_extreme_scores(tmp_path):
     assert read_score_file(out) == {"a": 1e23, "b": -1.7e308, "c": 0.5}
 
 
+@pytest.mark.parametrize("flag", ["--dev-scores", "--dev-protocol"])
+def test_mean_fusion_with_a_dev_flag_is_a_parameter_error(pipeline, tmp_path, capsys, flag):
+    # the dev flags serve lr fusion only; mean fusion once ignored them
+    _, _, _, _, scores, _ = pipeline
+    out = tmp_path / "fused.txt"
+    err = _error_line(main(["fuse", "--method", "mean", "--scores", str(scores), str(scores),
+                            flag, str(tmp_path / "nonexistent"), "--out", str(out)]), capsys)
+    assert err.startswith("error:parameter:") and flag in err, err
+    assert not out.exists()
+
+
 def test_lr_fusion_cli(pipeline, tmp_path):
     root, corpus, feats, ckpt, scores, cfg = pipeline
     dev_scores = tmp_path / "dev_scores.txt"
@@ -188,6 +199,17 @@ def test_single_class_training_protocol_is_a_data_error(pipeline, tmp_path, caps
     protocol.write_text("".join(f"{e.utt_id} {e.attack_code} {e.label}\n" for e in spoof))
     err = _error_line(main(_train_args(pipeline, tmp_path / "m.ckpt", cfg, protocol)), capsys)
     assert err.startswith("error:data:") and f"0 bonafide and {len(spoof)} spoof" in err, err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("gamma", ["inf", "nan", "1e308"])
+def test_gamma_the_loss_cannot_use_is_a_parameter_error(pipeline, tmp_path, capsys, gamma):
+    # inf once trained a zero-gradient model, nan ended as a training error,
+    # and 1e308 overflowed the float32 loss with RuntimeWarnings
+    _, _, _, _, _, cfg = pipeline
+    err = _error_line(main(_train_args(pipeline, tmp_path / "m.ckpt", cfg) + ["--gamma", gamma]),
+                      capsys)
+    assert err.startswith("error:parameter: gamma must be"), err
     assert not (tmp_path / "m.ckpt").exists()
 
 
@@ -505,8 +527,9 @@ def test_wav_chunk_size_past_its_chunk_is_a_format_error(pipeline, tmp_path, cap
     ("train", "[train]\nbeta2 = -0.1\n"),
     ("train", "[train]\nplateau_patience = 0\n"),
     ("train", "[train]\nweight_decay = -5\n"),
+    ("train", "[train]\nseed = -1\n"),
 ], ids=["nan", "inf", "1e400", "nan-frame", "default-section", "negative-rate", "beta1-one",
-        "negative-beta2", "zero-patience", "negative-weight-decay"])
+        "negative-beta2", "zero-patience", "negative-weight-decay", "negative-seed"])
 def test_config_value_that_cannot_work_is_a_parameter_error(pipeline, tmp_path, capsys,
                                                             command, text):
     _, corpus, feats, _, scores, _ = pipeline
@@ -540,6 +563,15 @@ def test_simulate_below_the_harmonic_floor_is_a_parameter_error(tmp_path, capsys
                             "--seed", str(seed), "--config", str(cfg)]), capsys)
     assert err.startswith("error:parameter:") and "1000 Hz" in err and "1780 Hz" in err, err
     assert not any(p.is_file() for p in out.rglob("*"))
+
+
+def test_negative_simulate_seed_is_a_parameter_error(tmp_path, capsys):
+    # numpy's generator once rejected it with a ValueError traceback
+    out = tmp_path / "corpus"
+    err = _error_line(main(["simulate", "--out", str(out), "--sources", "3", "--utts", "1",
+                            "--seed", "-1"]), capsys)
+    assert err.startswith("error:parameter:") and "seed" in err, err
+    assert not out.exists()
 
 
 def test_simulate_runs_at_the_harmonic_floor(tmp_path):

@@ -30,6 +30,8 @@ from replaycm.features import (
 from replaycm.replay_sim import degrade
 
 SR = 16000
+# 25 ms frames every 10 ms, as the CLI frames a 16 kHz waveform
+SPEC = FrameSpec.from_ms(SR)
 
 
 def _noise_wave(rng, n=4000, scale=0.5):
@@ -58,7 +60,7 @@ class TestStft:
     def test_parseval_energy(self, rng):
         # two-sided spectral energy of one frame equals n_fft * windowed energy
         w = _noise_wave(rng)
-        spec = FrameSpec()
+        spec = SPEC
         x = stft(w, spec)
         frame = w.samples[: spec.frame_len] * np.hamming(spec.frame_len)
         full = np.fft.fft(frame, spec.n_fft)
@@ -79,31 +81,31 @@ class TestStft:
 
     def test_too_short_input_rejected(self):
         with pytest.raises(ParameterError):
-            stft(Waveform(np.zeros(100), SR, "x"), FrameSpec())
+            stft(Waveform(np.zeros(100), SR, "x"), SPEC)
 
     def test_frame_spec_invariants(self):
         with pytest.raises(ParameterError):
-            FrameSpec(frame_len=100, hop=200)
+            FrameSpec(frame_len=100, hop=200, window="hamming", n_fft=1024)
         with pytest.raises(ParameterError):
-            FrameSpec(frame_len=2048, hop=100, n_fft=1024)
+            FrameSpec(frame_len=2048, hop=100, window="hamming", n_fft=1024)
 
 
 class TestStftGram:
     def test_zero_waveform_gives_log_eps(self):
-        g = stft_gram(Waveform(np.zeros(4000), SR, "z"), FrameSpec())
+        g = stft_gram(Waveform(np.zeros(4000), SR, "z"), SPEC)
         assert g.data.shape == (513, 500)
         assert np.allclose(g.data, np.log(1e-10))
 
     def test_scaling_shifts_by_log4(self, rng):
         w = _noise_wave(rng)
-        spec = FrameSpec()
+        spec = SPEC
         g1 = stft_gram(w, spec)
         g2 = stft_gram(Waveform(2.0 * w.samples, SR, "x2"), spec)
         assert np.allclose(g2.data - g1.data, np.log(4.0), atol=1e-6)
 
     def test_fixed_dims_for_any_length(self, rng):
         for n in (500, 4000, 100000):
-            g = stft_gram(Waveform(rng.uniform(-0.5, 0.5, n), SR, "v"), FrameSpec())
+            g = stft_gram(Waveform(rng.uniform(-0.5, 0.5, n), SR, "v"), SPEC)
             assert g.data.shape == (513, 500)
 
 
@@ -165,7 +167,7 @@ class TestCepstralSmooth:
 
 class TestMgd:
     def test_degenerates_to_vanilla_gd(self, rng):
-        spec = FrameSpec()
+        spec = SPEC
         p = MgdParams(rho=1.0, lam=1.0, smoothing=False)
         for _ in range(20):
             w = _noise_wave(rng)
@@ -183,7 +185,7 @@ class TestMgd:
         return x, y
 
     def test_gd_is_the_explicit_formula_bit_for_bit(self, rng):
-        spec = FrameSpec()
+        spec = SPEC
         for _ in range(10):
             w = _noise_wave(rng)
             x, y = self._explicit_spectra(w, spec)
@@ -196,7 +198,7 @@ class TestMgd:
         # cells agree to 1e-13 relative, and every float32 cell, as written, is equal
         import scipy.fft
 
-        spec, p = FrameSpec(), MgdParams()
+        spec, p = SPEC, MgdParams()
         for _ in range(10):
             w = _noise_wave(rng)
             x, y = self._explicit_spectra(w, spec)
@@ -211,7 +213,7 @@ class TestMgd:
             assert np.array_equal(got.astype("<f4"), mgd.astype("<f4"))
 
     def test_sign_preserved(self, rng):
-        spec = FrameSpec()
+        spec = SPEC
         w = _noise_wave(rng)
         p = MgdParams(rho=0.2, lam=0.7)
         tau = mgd_spectra(w, spec, p)
@@ -242,10 +244,10 @@ class TestMgd:
     def test_non_finite_raises_internal_error(self):
         w = Waveform(np.full(2000, 1e300), SR, "huge")
         with pytest.raises(InternalError):
-            mgd_gram(w, FrameSpec(), MgdParams())
+            mgd_gram(w, SPEC, MgdParams())
 
     def test_gram_shape(self, rng):
-        g = mgd_gram(_noise_wave(rng), FrameSpec(), MgdParams())
+        g = mgd_gram(_noise_wave(rng), SPEC, MgdParams())
         assert g.data.shape == (513, 500)
         assert g.kind == "MGD"
 
@@ -286,7 +288,7 @@ class TestCqt:
         assert 20 * np.log10(prof[peak] / far.max()) >= 10.0
 
     def test_gram_shape_and_kind(self, kernel):
-        w = synth_tone_complex(220.0, 8, 0.5, SR, 5)
+        w = synth_tone_complex(220.0, 8, 0.5, SR, 5, 0.7)
         g = cqt_gram(w)
         assert g.kind == "CQT"
         assert g.data.shape == (864, 500)
@@ -370,7 +372,7 @@ def assert_within_tolerance(new: np.ndarray, old: np.ndarray) -> None:
 def utterances(sample_rate: int, n_samples: int, rng) -> list:
     """White noise, a harmonic complex, and that complex replayed through the
     simulator's worst device at the farthest distance."""
-    tone = synth_tone_complex(180.0, 8, n_samples / sample_rate, sample_rate, 3)
+    tone = synth_tone_complex(180.0, 8, n_samples / sample_rate, sample_rate, 3, 0.7)
     return [rng.uniform(-0.5, 0.5, n_samples), tone.samples, degrade(tone, "CC", 3).samples]
 
 

@@ -31,9 +31,9 @@ TOY = ResNetConfig(base_channels=16, scale=8, fc_width=8, input_bins=8, input_fr
 def valid(tmp_path_factory):
     """The bytes of one valid file of each kind, and a path to write inputs to."""
     root = tmp_path_factory.mktemp("fuzz")
-    write_gram(FeatureGram("MGD", np.arange(12, dtype=np.float32).reshape(3, 4)), root / "g")
+    write_gram(FeatureGram("MGD", np.arange(12, dtype=np.float32).reshape(3, 4), "g"), root / "g")
     save_checkpoint(root / "c", ResNet(TOY, seed=0), extra={"objective": "bfl"})
-    write_wav(Waveform(np.linspace(-0.5, 0.5, 40), 16000), root / "w")
+    write_wav(Waveform(np.linspace(-0.5, 0.5, 40), 16000, "w"), root / "w")
     return {
         "gram": (root / "g").read_bytes(),
         "ckpt": (root / "c").read_bytes(),

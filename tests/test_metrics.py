@@ -13,6 +13,8 @@ from replaycm.metrics import (
 )
 from replaycm.scoring import ScoreRecord
 
+PARAMS = TdcfParams()
+
 
 def records_from(bona, spoof, codes=None):
     recs = [ScoreRecord(f"b{i}", float(s), "bonafide", "-") for i, s in enumerate(bona)]
@@ -101,7 +103,7 @@ class TestEer:
 
     def test_single_class_rejected(self):
         with pytest.raises(MetricError):
-            eer([ScoreRecord("a", 1.0, "bonafide")])
+            eer([ScoreRecord("a", 1.0, "bonafide", "-")])
 
     def test_non_finite_rejected(self):
         with pytest.raises(MetricError):
@@ -122,12 +124,12 @@ class TestErrorCurve:
 class TestMinTdcf:
     def test_perfect_cm_zero_cost(self):
         recs = records_from([5.0, 6.0], [1.0, 2.0])
-        value, _ = min_tdcf_norm(recs)
+        value, _ = min_tdcf_norm(recs, PARAMS)
         assert value == 0.0
 
     def test_uninformative_cm_costs_one(self):
         recs = records_from([0.5, 0.5, 0.5], [0.5, 0.5])
-        value, _ = min_tdcf_norm(recs)
+        value, _ = min_tdcf_norm(recs, PARAMS)
         assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_brute_force_oracle(self, rng):
@@ -145,8 +147,8 @@ class TestMinTdcf:
     def test_shift_invariance(self, rng):
         bona = rng.standard_normal(30) + 1
         spoof = rng.standard_normal(30)
-        a, _ = min_tdcf_norm(records_from(bona, spoof))
-        b, _ = min_tdcf_norm(records_from(bona + 123.5, spoof + 123.5))
+        a, _ = min_tdcf_norm(records_from(bona, spoof), PARAMS)
+        b, _ = min_tdcf_norm(records_from(bona + 123.5, spoof + 123.5), PARAMS)
         assert a == b
 
     def test_degenerate_operating_point_rejected(self):
@@ -169,24 +171,24 @@ class TestBreakdown:
         bona = rng.standard_normal(20) + 1.0
         spoof = rng.standard_normal(30)
         recs = records_from(bona, spoof, codes=["AA"] * 30)
-        rows = breakdown(recs)
+        rows = breakdown(recs, PARAMS)
         assert len(rows) == 1
         assert rows[0]["attack_code"] == "AA"
         assert rows[0]["n_spoof"] == 30
         assert rows[0]["eer"] == eer(recs)[0]
-        assert rows[0]["min_tdcf"] == min_tdcf_norm(recs)[0]
+        assert rows[0]["min_tdcf"] == min_tdcf_norm(recs, PARAMS)[0]
 
     def test_per_code_bookkeeping(self, rng):
         codes = ["AA"] * 4 + ["BB"] * 6 + ["CC"] * 2
         recs = records_from(rng.standard_normal(5) + 1, rng.standard_normal(12), codes)
-        rows = breakdown(recs)
+        rows = breakdown(recs, PARAMS)
         assert [r["attack_code"] for r in rows] == ["AA", "BB", "CC"]
         assert [r["n_spoof"] for r in rows] == [4, 6, 2]
 
     def test_format_is_tab_separated(self, rng):
         recs = records_from(rng.standard_normal(4) + 1, rng.standard_normal(9),
                             codes=["AA"] * 9)
-        text = format_breakdown(breakdown(recs))
+        text = format_breakdown(breakdown(recs, PARAMS))
         lines = text.strip().split("\n")
         assert lines[0] == "attack_code\teer\tmin_tdcf\tn_spoof"
         assert lines[1].startswith("AA\t")

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import ckpt_with_array_entry
+from conftest import ckpt_with_array_entry, leaf
 from replaycm import autodiff as ad
 from replaycm.autodiff import Tensor
 from replaycm.errors import FormatError, ParameterError, ShapeError, TrainingError
@@ -53,7 +53,7 @@ def zeroed_model(out_log_probs):
 
 class TestArchitecture:
     def test_table_shapes_at_scale_1(self):
-        assert stage_output_shapes(ResNetConfig()) == [
+        assert stage_output_shapes(ResNetConfig(scale=1)) == [
             (16, 513, 500),
             (16, 513, 500),
             (32, 257, 250),
@@ -62,7 +62,7 @@ class TestArchitecture:
         ]
 
     def test_parameter_counts_match_published_table(self):
-        model = ResNet(ResNetConfig(), seed=0)
+        model = ResNet(ResNetConfig(scale=1), seed=0)
         assert model.stem_conv.data.size == 144
         assert model.fc_w.data.size + model.fc_b.data.size == 4128
         assert model.out_w.data.size + model.out_b.data.size == 66
@@ -77,7 +77,7 @@ class TestArchitecture:
         seen = []
         x = Tensor(np.zeros((1, 1, 37, 50), dtype=np.float32))
         h = ad.relu(model.stem_bn(ad.conv2d(x, model.stem_conv, 1, 1), False))
-        h = ad.maxpool2d(h)
+        h = ad.maxpool2d(h, kernel=3, stride=1, pad=1)
         seen.append(h.data.shape[1:])
         for blocks in model.stages:
             for block in blocks:
@@ -130,30 +130,30 @@ class TestScoring:
 
 class TestAdamW:
     def test_zero_gradient_zero_decay_is_identity(self):
-        p = Tensor(np.array([3.0], dtype=np.float32), requires_grad=True)
-        opt = AdamW({"p": p}, lr=0.1, weight_decay=0.0)
+        p = leaf(np.array([3.0], dtype=np.float32))
+        opt = AdamW({"p": p}, lr=0.1, betas=(0.9, 0.999), weight_decay=0.0)
         p.grad = np.zeros(1, dtype=np.float32)
         opt.step()
         assert p.data.tolist() == [3.0]
 
     def test_single_step_hand_computation(self):
-        p = Tensor(np.array([1.0], dtype=np.float32), requires_grad=True)
-        opt = AdamW({"p": p}, lr=0.1, weight_decay=0.0)
+        p = leaf(np.array([1.0], dtype=np.float32))
+        opt = AdamW({"p": p}, lr=0.1, betas=(0.9, 0.999), weight_decay=0.0)
         p.grad = np.array([1.0], dtype=np.float32)
         opt.step()
         # bias-corrected m_hat = v_hat = 1 on the first step
         assert p.data[0] == pytest.approx(1.0 - 0.1 / (1.0 + 1e-8), abs=1e-7)
 
     def test_decoupled_decay_only_step(self):
-        p = Tensor(np.array([2.0], dtype=np.float32), requires_grad=True)
-        opt = AdamW({"p": p}, lr=0.1, weight_decay=0.1)
+        p = leaf(np.array([2.0], dtype=np.float32))
+        opt = AdamW({"p": p}, lr=0.1, betas=(0.9, 0.999), weight_decay=0.1)
         p.grad = np.zeros(1, dtype=np.float32)
         opt.step()
         assert p.data[0] == np.float32(2.0) * np.float32(1.0 - 0.01)
 
     def test_non_finite_gradient_names_parameter(self):
-        p = Tensor(np.array([1.0], dtype=np.float32), requires_grad=True)
-        opt = AdamW({"stem_conv": p}, lr=0.1)
+        p = leaf(np.array([1.0], dtype=np.float32))
+        opt = AdamW({"stem_conv": p}, lr=0.1, betas=(0.9, 0.999), weight_decay=0.0)
         p.grad = np.array([np.nan], dtype=np.float32)
         with pytest.raises(TrainingError, match="stem_conv"):
             opt.step()
@@ -161,12 +161,12 @@ class TestAdamW:
     @pytest.mark.parametrize("seed", range(20))
     def test_step_decreases_loss_on_frozen_batch(self, seed):
         rng = np.random.default_rng(seed)
-        w = Tensor(rng.standard_normal((2, 6)).astype(np.float32), requires_grad=True)
-        b = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
+        w = leaf(rng.standard_normal((2, 6)).astype(np.float32))
+        b = leaf(np.zeros(2, dtype=np.float32))
         x = Tensor(rng.standard_normal((8, 6)).astype(np.float32))
         targets = rng.integers(0, 2, 8)
         weights = ClassWeights(1.0, 1.0)
-        opt = AdamW({"w": w, "b": b}, lr=1e-4)
+        opt = AdamW({"w": w, "b": b}, lr=1e-4, betas=(0.9, 0.999), weight_decay=0.0)
 
         def loss_value():
             return bfl(ad.log_softmax(ad.linear(x, w, b)), targets, weights, 0.0)
@@ -196,7 +196,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("index", [0, -1], ids=["buffer", "param"])
     def test_missing_array_is_a_format_error(self, tmp_path, index):
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, ResNet(TOY, seed=1))
+        save_checkpoint(path, ResNet(TOY, seed=1), extra={})
         blob = path.read_bytes()
         header = json.loads(blob[10:10 + int.from_bytes(blob[6:10], "little")])
         name = header["arrays"][index]["name"]
@@ -224,7 +224,7 @@ class TestCheckpoint:
         grams = rng.standard_normal((5, 8, 10)).astype(np.float32)
         before = score_batch(model, grams)
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, model)
+        save_checkpoint(path, model, extra={})
         loaded, _ = load_checkpoint(path)
         after = score_batch(loaded, grams)
         assert np.array_equal(before, after)
@@ -246,7 +246,7 @@ class TestGradientPolicy:
     def test_eval_forward_records_no_tape(self, tmp_path, rng):
         model = ResNet(TOY, seed=3)
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, model)
+        save_checkpoint(path, model, extra={})
         x = Tensor(rng.standard_normal((2, 1, 8, 10)).astype(np.float32))
         for net in (model, load_checkpoint(path)[0]):
             lp = net.forward(x, train=False)
@@ -255,7 +255,7 @@ class TestGradientPolicy:
     def test_optimizer_turns_gradients_on(self):
         params = ResNet(TOY, seed=3).parameters()
         assert not any(p.requires_grad for p in params.values())
-        AdamW(params, lr=1e-3)
+        AdamW(params, lr=1e-3, betas=(0.9, 0.999), weight_decay=0.0)
         assert all(p.requires_grad for p in params.values())
 
     def test_saliency_computes_no_parameter_gradient(self, rng):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import finite_difference_gradient
+from conftest import finite_difference_gradient, leaf
 from replaycm import autodiff as ad
 from replaycm.autodiff import Tensor
 from replaycm.errors import ContractError, ParameterError, ShapeError
@@ -19,7 +19,7 @@ def _lp(p_target: float, target: int = 1) -> Tensor:
     probs = np.array([[1.0 - p_target, p_target]]) if target == 1 else \
         np.array([[p_target, 1.0 - p_target]])
     with np.errstate(divide="ignore"):  # a p_target that rounds to 1 gives the other class log(0)
-        return Tensor(np.log(probs), dtype=np.float64)
+        return Tensor(np.log(probs))
 
 
 def five_op_chain(lp: np.ndarray, targets: np.ndarray, weights: ClassWeights, gamma: float):
@@ -67,7 +67,7 @@ class TestOneTapeNode:
             lp0 = ad.log_softmax(Tensor(logits.astype(dtype))).data
             assert lp0[6, 1] == 0.0 and lp0[7, 0] < -20.0
             w = ClassWeights(float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)))
-            lp = Tensor(lp0.copy(), requires_grad=True)
+            lp = leaf(lp0.copy())
             loss = bfl(lp, targets, w, gamma)
             ad.backward(loss)
             ref_loss, ref_grad = five_op_chain(lp0, targets, w, gamma)
@@ -76,7 +76,7 @@ class TestOneTapeNode:
             assert np.array_equal(lp.grad, ref_grad)
 
     def test_log_probs_are_the_only_parent(self, rng):
-        lp = ad.log_softmax(Tensor(rng.standard_normal((4, 2)), requires_grad=True))
+        lp = ad.log_softmax(leaf(rng.standard_normal((4, 2))))
         loss = bfl(lp, [0, 1, 1, 0], UNIT, 2.0)
         assert len(loss._parents) == 1 and loss._parents[0] is lp
 
@@ -93,10 +93,10 @@ class TestBce:
         assert bce(_lp(0.5), [1], UNIT).item() == pytest.approx(np.log(2), abs=1e-12)
 
     def test_alpha_scales_loss_and_gradient(self):
-        logits = Tensor(np.array([[0.3, -0.2]]), requires_grad=True, dtype=np.float64)
+        logits = leaf(np.array([[0.3, -0.2]]))
         losses, grads = [], []
         for alpha in (1.0, 2.0):
-            lt = Tensor(logits.data.copy(), requires_grad=True, dtype=np.float64)
+            lt = leaf(logits.data.copy())
             loss = bce(ad.log_softmax(lt), [1], ClassWeights(1.0, alpha))
             ad.backward(loss)
             losses.append(loss.item())
@@ -105,7 +105,7 @@ class TestBce:
         assert np.allclose(grads[1], 2 * grads[0], rtol=1e-12)
 
     def test_rejects_unnormalized(self):
-        bad = Tensor(np.log(np.array([[0.5, 0.6]])), dtype=np.float64)
+        bad = Tensor(np.log(np.array([[0.5, 0.6]])))
         with pytest.raises(ContractError):
             bce(bad, [1], UNIT)
 
@@ -114,7 +114,7 @@ class TestBfl:
     def test_gamma_zero_equals_bce(self, rng):
         # balanced cross-entropy, the mean of -alpha_t * log p_t, computed directly
         for _ in range(20):
-            lp = ad.log_softmax(Tensor(rng.standard_normal((6, 2)), dtype=np.float64))
+            lp = ad.log_softmax(Tensor(rng.standard_normal((6, 2))))
             targets = rng.integers(0, 2, 6)
             w = ClassWeights(0.7, 1.9)
             ref = -np.mean(w.per_sample(targets) * lp.data[np.arange(6), targets])
@@ -126,7 +126,7 @@ class TestBfl:
         )
 
     def test_confident_sample_has_zero_loss_and_gradient(self):
-        logits = Tensor(np.array([[-60.0, 60.0]]), requires_grad=True, dtype=np.float64)
+        logits = leaf(np.array([[-60.0, 60.0]]))
         loss = bfl(ad.log_softmax(logits), [1], UNIT, 2.0)
         ad.backward(loss)
         assert loss.item() == pytest.approx(0.0, abs=1e-20)
@@ -158,9 +158,9 @@ class TestBfl:
             w = ClassWeights(float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)))
 
             def f(lv):
-                return bfl(ad.log_softmax(Tensor(lv, dtype=np.float64)), targets, w, gamma).item()
+                return bfl(ad.log_softmax(Tensor(lv)), targets, w, gamma).item()
 
-            t = Tensor(logits0.copy(), requires_grad=True, dtype=np.float64)
+            t = leaf(logits0.copy())
             ad.backward(bfl(ad.log_softmax(t), targets, w, gamma))
             numeric = finite_difference_gradient(f, logits0, step=1e-5)
             # relative where the gradient is meaningful, absolute near zero

@@ -21,7 +21,7 @@ SR = 16000
 
 def log_spectral_distance(w1: Waveform, w2: Waveform) -> float:
     """Independent closeness proxy: RMS distance of log power spectra."""
-    spec = FrameSpec()
+    spec = FrameSpec.from_ms(SR)
     a = np.log(np.abs(stft(w1, spec)) ** 2 + 1e-10)
     b = np.log(np.abs(stft(w2, spec)) ** 2 + 1e-10)
     return float(np.sqrt(np.mean((a - b) ** 2)))
@@ -35,13 +35,13 @@ class TestAttackSpec:
 
 class TestDegrade:
     def test_deterministic(self):
-        w = synth_tone_complex(200.0, 10, 0.5, SR, 1)
+        w = synth_tone_complex(200.0, 10, 0.5, SR, 1, 0.7)
         a = degrade(w, "BB", 7)
         b = degrade(w, "BB", 7)
         assert np.array_equal(a.samples, b.samples)
 
     def test_aa_is_closest_to_source(self):
-        w = synth_tone_complex(180.0, 20, 1.0, SR, 3)
+        w = synth_tone_complex(180.0, 20, 1.0, SR, 3, 0.7)
         dists = {
             code: log_spectral_distance(w, degrade(w, code, 42))
             for code in ATTACK_CODES
@@ -50,7 +50,7 @@ class TestDegrade:
 
     def test_monotone_difficulty_ordering(self):
         for seed in range(3):
-            w = synth_tone_complex(140.0 + 40 * seed, 15, 1.0, SR, seed)
+            w = synth_tone_complex(140.0 + 40 * seed, 15, 1.0, SR, seed, 0.7)
             d = {
                 code: log_spectral_distance(w, degrade(w, code, 5))
                 for code in ("AA", "AC", "CA", "CC")
@@ -67,7 +67,7 @@ class TestDegrade:
             assert rms < QUALITY_PARAMS[quality]["noise_rms"] * 1.1
 
     def test_peak_capped(self):
-        w = synth_tone_complex(200.0, 5, 0.3, SR, 2)
+        w = synth_tone_complex(200.0, 5, 0.3, SR, 2, 0.7)
         for code in ATTACK_CODES:
             out = degrade(w, code, 11)
             assert np.max(np.abs(out.samples)) <= 0.9 + 1e-12
@@ -94,7 +94,7 @@ def scipy_degrade(w: Waveform, code: str, seed: int) -> np.ndarray:
 def test_degrade_matches_the_scipy_chain(sample_rate):
     # at 8 kHz the 7.8 and 5.5 kHz band edges clamp to 0.999 Nyquist, whose
     # poles lie closest to the unit circle and give the longest tail
-    w = synth_tone_complex(150.0, 20, 0.5, sample_rate, 3)
+    w = synth_tone_complex(150.0, 20, 0.5, sample_rate, 3, 0.7)
     for code in ATTACK_CODES:
         want = scipy_degrade(w, code, 5)
         got = degrade(w, code, 5).samples
@@ -138,9 +138,7 @@ class TestProtocolFiles:
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
     out = tmp_path_factory.mktemp("corpus")
-    manifests = generate_corpus(out, n_sources=5, utt_per_source=2,
-                                split_ratios=(0.4, 0.2, 0.4), seed=9,
-                                duration=0.3)
+    manifests = generate_corpus(out, n_sources=5, utt_per_source=2, seed=9)
     return out, manifests
 
 
@@ -188,11 +186,10 @@ class TestGenerateCorpus:
             generate_corpus(out, n_sources=2, utt_per_source=1, seed=1)
 
     def test_rerun_is_byte_identical(self, tmp_path):
-        kw = dict(n_sources=2, utt_per_source=1, split_ratios=(0.5, 0.0, 0.5),
-                  seed=4, duration=0.2)
+        kw = dict(n_sources=3, utt_per_source=1, seed=4)
         generate_corpus(tmp_path / "a", **kw)
         generate_corpus(tmp_path / "b", **kw)
-        for name in ("protocol_train.txt", "protocol_eval.txt"):
+        for name in ("protocol_train.txt", "protocol_dev.txt", "protocol_eval.txt"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         a_wavs = sorted((tmp_path / "a" / "wav").iterdir())
         b_wavs = sorted((tmp_path / "b" / "wav").iterdir())
@@ -201,7 +198,8 @@ class TestGenerateCorpus:
             assert pa.read_bytes() == pb.read_bytes()
 
     def test_bad_ratios_rejected(self, tmp_path):
-        with pytest.raises(ParameterError):
-            generate_corpus(tmp_path / "x", 4, 1, split_ratios=(0.5, 0.2, 0.2), seed=0)
+        # two sources leave none for eval once train and dev get one each
+        with pytest.raises(ParameterError, match="eval would get 0"):
+            generate_corpus(tmp_path / "x", 2, 1, seed=0)
         with pytest.raises(ParameterError):
             generate_corpus(tmp_path / "y", 0, 1, seed=0)

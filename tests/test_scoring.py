@@ -14,6 +14,11 @@ from replaycm.scoring import (
 )
 
 
+def labeled(utt_id: str, score: float, label: str) -> ScoreRecord:
+    """A record whose spoofs all carry one attack code."""
+    return ScoreRecord(utt_id, score, label, "-" if label == "bonafide" else "AA")
+
+
 class TestScoreFiles:
     def test_round_trip_to_six_decimals(self, tmp_path, rng):
         scores = {f"u{i}": float(rng.standard_normal() * 5) for i in range(50)}
@@ -114,7 +119,7 @@ class TestLrFuse:
         s2 = {u: float(rng.standard_normal()) for u in labels}
         model = lr_fuse_train([s1, s2], labels)
         fused = model.fuse([s1, s2])
-        records = [ScoreRecord(u, fused[u], labels[u]) for u in labels]
+        records = [labeled(u, fused[u], labels[u]) for u in labels]
         assert eer(records)[0] == 0.0
 
     def test_duplicate_system_preserves_ranking(self, rng):
@@ -148,9 +153,9 @@ class TestCrossModuleProperties:
         if len(set(labels.values())) < 2:
             labels["u0"] = "bonafide"
             labels["u1"] = "spoof"
-        records = [ScoreRecord(u, s, labels[u]) for u, s in scores.items()]
+        records = [labeled(u, s, labels[u]) for u, s in scores.items()]
         base = eer(records)[0]
-        warped = [ScoreRecord(u, float(np.tanh(s) * 4 + s**3 * 0.01), labels[u])
+        warped = [labeled(u, float(np.tanh(s) * 4 + s**3 * 0.01), labels[u])
                   for u, s in scores.items()]
         assert eer(warped)[0] == pytest.approx(base, abs=1e-12)
 
@@ -158,6 +163,6 @@ class TestCrossModuleProperties:
         scores = {f"u{i}": float(rng.standard_normal()) for i in range(60)}
         labels = {u: ("bonafide" if i < 20 else "spoof") for i, u in enumerate(scores)}
         fused = mean_fuse([scores, scores, scores])
-        base = eer([ScoreRecord(u, scores[u], labels[u]) for u in scores])[0]
-        after = eer([ScoreRecord(u, fused[u], labels[u]) for u in scores])[0]
+        base = eer([labeled(u, scores[u], labels[u]) for u in scores])[0]
+        after = eer([labeled(u, fused[u], labels[u]) for u in scores])[0]
         assert after == base

@@ -35,7 +35,7 @@ def test_separable_toy_reaches_zero_dev_eer(tmp_path, rng):
     store = FeatureStore(tmp_path)
     model = ResNet(TOY_CFG, seed=3)
     cfg = TrainConfig(lr=3e-3, batch_size=4, max_epochs=30, seed=3, gamma=2.0)
-    result = train(model, train_entries, dev_entries, store, cfg)
+    result = train(model, train_entries, dev_entries, store, cfg, tmp_path / "train.log")
     assert result.best_dev_eer == 0.0
     assert all(np.isfinite(h["train_loss"]) for h in result.history)
 
@@ -74,11 +74,11 @@ def test_checkpoint_of_trained_model_reproduces_dev_scores(tmp_path, rng):
     store = FeatureStore(tmp_path)
     model = ResNet(TOY_CFG, seed=5)
     cfg = TrainConfig(lr=1e-3, batch_size=4, max_epochs=2, seed=5)
-    train(model, train_entries, dev_entries, store, cfg)
+    train(model, train_entries, dev_entries, store, cfg, tmp_path / "train.log")
     grams = store.load_batch([e.utt_id for e in dev_entries])
     before = score_batch(model, grams)
     path = tmp_path / "ck.ckpt"
-    save_checkpoint(path, model)
+    save_checkpoint(path, model, extra={})
     loaded, _ = load_checkpoint(path)
     assert np.array_equal(score_batch(loaded, grams), before)
 
@@ -90,7 +90,7 @@ def test_missing_feature_file_names_utterance(tmp_path, rng):
     model = ResNet(TOY_CFG, seed=0)
     cfg = TrainConfig(max_epochs=1, gamma=0.0)
     with pytest.raises(DataError, match="ghost99"):
-        train(model, train_entries + [ghost], dev_entries, store, cfg)
+        train(model, train_entries + [ghost], dev_entries, store, cfg, tmp_path / "train.log")
     with pytest.raises(DataError, match="ghost99"):
         store.load("ghost99")
 
@@ -113,13 +113,14 @@ def test_best_dev_checkpoint_retained(tmp_path, rng):
     store = FeatureStore(tmp_path)
     model = ResNet(TOY_CFG, seed=7)
     cfg = TrainConfig(lr=3e-3, batch_size=4, max_epochs=10, seed=7)
-    result = train(model, train_entries, dev_entries, store, cfg)
+    result = train(model, train_entries, dev_entries, store, cfg, tmp_path / "train.log")
     from replaycm.metrics import eer
     from replaycm.scoring import ScoreRecord
 
     grams = store.load_batch([e.utt_id for e in dev_entries])
     scores = score_batch(model, grams)
-    records = [ScoreRecord(e.utt_id, float(s), e.label) for e, s in zip(dev_entries, scores)]
+    records = [ScoreRecord(e.utt_id, float(s), e.label, e.attack_code)
+               for e, s in zip(dev_entries, scores)]
     assert eer(records)[0] == pytest.approx(result.best_dev_eer, abs=1e-12)
 
 
@@ -140,7 +141,8 @@ def test_training_on_one_class_is_a_data_error(tmp_path, rng, label, alpha):
     counts = {"spoof": (0, len(one_class)), "bonafide": (len(one_class), 0)}[label]
     cfg = TrainConfig(max_epochs=1, alpha=alpha)
     with pytest.raises(DataError, match=r"both classes, got %d bonafide and %d spoof" % counts):
-        train(ResNet(TOY_CFG, seed=0), one_class, dev_entries, FeatureStore(tmp_path), cfg)
+        train(ResNet(TOY_CFG, seed=0), one_class, dev_entries, FeatureStore(tmp_path), cfg,
+              tmp_path / "train.log")
 
 
 LR = 1e-3
@@ -161,7 +163,7 @@ def test_lr_is_cut_after_patience_epochs_without_a_better_dev_eer(tmp_path, rng,
     cfg = TrainConfig(lr=LR, batch_size=4, max_epochs=len(dev_eers), plateau_patience=3,
                       plateau_factor=0.1)
     result = train(ResNet(TOY_CFG, seed=0), train_entries, dev_entries,
-                   FeatureStore(tmp_path), cfg)
+                   FeatureStore(tmp_path), cfg, tmp_path / "train.log")
     assert [h["lr"] for h in result.history] == lrs
     assert [h["dev_eer"] for h in result.history] == list(dev_eers)
     assert (result.best_epoch, result.best_dev_eer) == (best_epoch, min(dev_eers))
