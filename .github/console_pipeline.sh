@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # The console script end to end on a toy corpus, written under the current
-# directory: every front-end, the focal loss's tape node in training, scoring,
-# mean fusion and evaluation, then inputs that must each end in one
-# error:parameter: line with exit code 1.
+# directory: every front-end, training with the focal loss and with BCE (each
+# seeds the backward pass with the loss's gradient), scoring, a saliency map
+# (a one-hot seed), mean fusion and evaluation, then inputs that must each end
+# in one error:parameter: line with exit code 1.
 #
 #   bash .github/console_pipeline.sh    # with replaycm on PATH
 set -euo pipefail
@@ -22,9 +23,14 @@ printf '[train]\nmax_epochs = 1\nbatch_size = 5\n' > toy/one_epoch.cfg
 replaycm train --feature-dir toy/stft --protocol-train toy/protocol_train.txt \
   --protocol-dev toy/protocol_dev.txt --objective bfl --config toy/one_epoch.cfg \
   --out toy/model.ckpt
+replaycm train --feature-dir toy/stft --protocol-train toy/protocol_train.txt \
+  --protocol-dev toy/protocol_dev.txt --objective bce --config toy/one_epoch.cfg \
+  --out toy/bce.ckpt
 replaycm score --ckpt toy/model.ckpt --feature-dir toy/stft \
   --protocol toy/protocol_eval.txt --out toy/eval_scores.txt
 replaycm evaluate --scores toy/eval_scores.txt --protocol toy/protocol_eval.txt
+utt=$(head -n 1 toy/protocol_eval.txt | cut -d ' ' -f 1)
+replaycm saliency --ckpt toy/bce.ckpt --feature "toy/stft/$utt.fgram" --out toy/saliency.fgram
 replaycm fuse --method mean --scores toy/eval_scores.txt toy/eval_scores.txt \
   --out toy/fused.txt
 replaycm evaluate --scores toy/fused.txt --protocol toy/protocol_eval.txt

@@ -3,13 +3,15 @@
 Values are float32 by default; linear and convolution GEMMs run in the
 promoted dtype of their operands, and reductions accumulate in float64 before
 casting back.  Every primitive records a backward closure on the implicit
-tape (the parent links); ``backward`` on a scalar loss topologically sorts
-the graph and fills ``.grad`` on every tensor that requires gradients.
+tape (the parent links).  ``backward(out, grad)`` takes the gradient of a
+loss with respect to ``out``, topologically sorts the graph and fills
+``.grad`` on every tensor that requires gradients.
 
-The engine holds the ops the ResNet and its saliency maps run, and no
-other: ``add``, ``relu``, ``gather_rows``, ``log_softmax``, ``linear``,
-``conv2d``, ``maxpool2d``, ``global_avg_pool`` and ``BatchNorm2d``.  The
-training loss is one node of its own (``objectives.bfl``).
+The engine holds the ops the ResNet runs, and no other: ``add``, ``relu``,
+``log_softmax``, ``linear``, ``conv2d``, ``maxpool2d``, ``global_avg_pool``
+and ``BatchNorm2d``.  The training loss is not on the tape:
+``objectives.bfl`` returns its gradient with respect to the
+log-probabilities, and a saliency map seeds a one-hot one.
 
 Only tensors whose gradient someone consumes record a tape: an op records
 nothing when none of its inputs requires gradients.  Tensors are built
@@ -47,9 +49,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -75,16 +74,18 @@ def _accum(tensor: Tensor, grad: np.ndarray):
         tensor.grad = tensor.grad + grad
 
 
-def backward(loss: Tensor) -> None:
-    """Populate ``.grad`` of every requires_grad tensor reachable from loss."""
-    if loss.data.size != 1:
-        raise ContractError(f"backward expects a scalar loss, got shape {loss.data.shape}")
-    if not loss.requires_grad:
-        raise ContractError("loss does not require gradients; nothing to backpropagate")
+def backward(out: Tensor, grad: np.ndarray) -> None:
+    """Populate ``.grad`` of every requires_grad tensor reachable from ``out``,
+    given ``grad``, a loss's gradient with respect to ``out``."""
+    if np.shape(grad) != out.data.shape:
+        raise ContractError(f"backward: gradient of shape {np.shape(grad)} "
+                            f"for an output of shape {out.data.shape}")
+    if not out.requires_grad:
+        raise ContractError("output does not require gradients; nothing to backpropagate")
 
     topo = []
     seen = set()
-    stack = [(loss, False)]
+    stack = [(out, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -100,14 +101,14 @@ def backward(loss: Tensor) -> None:
 
     for node in topo:
         node.grad = None
-    loss.grad = np.ones_like(loss.data)
+    _accum(out, np.asarray(grad))
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
 
 
 # ---------------------------------------------------------------------------
-# elementwise, selection and dense primitives
+# elementwise and dense primitives
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -129,26 +130,6 @@ def relu(a: Tensor) -> Tensor:
 
     def bwd(g):
         _accum(a, g * (a.data > 0))
-
-    return _result(data, (a,), bwd)
-
-
-def gather_rows(a: Tensor, index: np.ndarray) -> Tensor:
-    """Pick one column per row: a[i, index[i]] for a 2-D tensor."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"gather_rows expects 2-D input, got {a.data.shape}")
-    index = np.asarray(index, dtype=np.int64)
-    if index.shape != (a.data.shape[0],):
-        raise ShapeError(
-            f"index shape {index.shape} does not match rows of {a.data.shape}"
-        )
-    rows = np.arange(a.data.shape[0])
-    data = a.data[rows, index]
-
-    def bwd(g):
-        full = np.zeros_like(a.data)
-        full[rows, index] = g
-        _accum(a, full)
 
     return _result(data, (a,), bwd)
 

@@ -80,7 +80,9 @@ class InternalError(ReplayCmError):
 
 
 class ParseError(ReplayCmError):
-    """Malformed text line in a protocol, score or manifest file; names the line number."""
+    """Malformed text line in a protocol or score file, or a non-ASCII byte
+    in any text file; names the line number.  A malformed feature-manifest
+    line is a FormatError."""
 
     category = "parse"
 

@@ -167,12 +167,20 @@ class ResNet:
 
     def load_state(self, arrays: dict) -> None:
         """Set every parameter (as float32) and buffer (as float64) from
-        ``arrays``, keyed as ``state`` keys them; KeyError names a missing one."""
+        ``arrays``, keyed as ``state`` keys them; KeyError names a missing
+        one, ShapeError one whose shape is not the model's."""
         for name, owner, attr in self._arrays():
-            if isinstance(getattr(owner, attr), Tensor):
-                getattr(owner, attr).data = np.array(arrays[f"param/{name}"], dtype=np.float32)
+            current = getattr(owner, attr)
+            is_param = isinstance(current, Tensor)
+            key = f"param/{name}" if is_param else f"buffer/{name}"
+            value = np.array(arrays[key], dtype=np.float32 if is_param else np.float64)
+            if value.shape != current.shape:
+                raise ShapeError(f"array {key!r} has shape {list(value.shape)}, "
+                                 f"the model's is {list(current.shape)}")
+            if is_param:
+                current.data = value
             else:
-                setattr(owner, attr, np.array(arrays[f"buffer/{name}"], dtype=np.float64))
+                setattr(owner, attr, value)
 
 
 def score_batch(model: ResNet, grams: np.ndarray) -> np.ndarray:
@@ -192,7 +200,9 @@ def saliency_map(model: ResNet, gram: np.ndarray) -> np.ndarray:
     x = Tensor(np.asarray(gram, dtype=np.float32)[None, None, :, :])
     x.requires_grad = True  # the input is the only tensor whose gradient is read
     lp = model.forward(x, train=False)
-    ad.backward(ad.gather_rows(lp, np.array([SALIENCY_CLASS])))
+    seed = np.zeros_like(lp.data)
+    seed[0, SALIENCY_CLASS] = 1
+    ad.backward(lp, seed)
     return np.abs(x.grad[0, 0])
 
 
@@ -271,4 +281,6 @@ def load_checkpoint(path):
         model.load_state(arrays)
     except KeyError as exc:
         raise FormatError(f"{path}: checkpoint lacks array {exc}") from exc
+    except ShapeError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     return model, header.get("extra", {})

@@ -3,9 +3,10 @@
 Each sample is weighted by its class weight alpha_t and scaled by
 (1 - p_t)**gamma, so confidently-classified samples contribute almost
 nothing and the hard minority keeps the gradient.  At gamma = 0 the factor
-is 1 and the loss is balanced cross-entropy.  The loss is one node on the
-autodiff tape whose backward pass differentiates the modulating factor too,
-rather than treating it as a constant.
+is 1 and the loss is balanced cross-entropy.  ``bfl`` returns the loss and
+its gradient with respect to the log-probabilities, in closed form and
+differentiating the modulating factor too rather than treating it as a
+constant; ``autodiff.backward`` takes the gradient from there.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
 from .errors import ContractError, ParameterError, ShapeError
 
 NORMALIZATION_TOL = 1e-6
@@ -45,8 +44,8 @@ class ClassWeights:
         return np.where(np.asarray(targets) == 1, self.alpha_bonafide, self.alpha_spoof)
 
 
-def _check_normalized(log_probs: Tensor) -> None:
-    sums = np.exp(log_probs.data.astype(np.float64)).sum(axis=-1)
+def _check_normalized(log_probs: np.ndarray) -> None:
+    sums = np.exp(log_probs.astype(np.float64)).sum(axis=-1)
     if np.any(np.abs(sums - 1.0) > NORMALIZATION_TOL):
         worst = float(np.max(np.abs(sums - 1.0)))
         raise ContractError(
@@ -54,35 +53,34 @@ def _check_normalized(log_probs: Tensor) -> None:
         )
 
 
-def bfl(log_probs: Tensor, targets, weights: ClassWeights, gamma: float) -> Tensor:
+def bfl(log_probs: np.ndarray, targets, weights: ClassWeights, gamma: float) -> tuple:
     """Balanced focal loss: mean of -alpha_t * (1 - p_t)**gamma * log p_t;
-    balanced cross-entropy at gamma = 0.  One tape node on ``log_probs``,
-    with its gradient in closed form.  The modulating factor is computed as
-    (-expm1(log p_t))**gamma, which stays accurate as p_t -> 1."""
+    balanced cross-entropy at gamma = 0.  Returns the loss, rounded to the
+    dtype of ``log_probs``, and its gradient with respect to ``log_probs``.
+    The modulating factor is computed as (-expm1(log p_t))**gamma, which
+    stays accurate as p_t -> 1."""
     if gamma < 0:
         raise ParameterError(f"gamma must be >= 0, got {gamma}")
     _check_normalized(log_probs)
     targets = np.atleast_1d(np.asarray(targets, dtype=np.int64))
-    if log_probs.data.ndim != 2 or targets.shape != log_probs.data.shape[:1]:
-        raise ShapeError(f"targets {targets.shape} do not match log_probs {log_probs.data.shape}")
+    if log_probs.ndim != 2 or targets.shape != log_probs.shape[:1]:
+        raise ShapeError(f"targets {targets.shape} do not match log_probs {log_probs.shape}")
     rows = np.arange(targets.size)
-    lp_t = log_probs.data[rows, targets]
+    lp_t = log_probs[rows, targets]
     alpha = weights.per_sample(targets).astype(lp_t.dtype)
     one_minus_p = -np.expm1(lp_t)
     modulation = np.power(one_minus_p, gamma)
-    data = np.asarray(np.mean(-(modulation * lp_t * alpha), dtype=np.float64), dtype=lp_t.dtype)
+    loss = np.asarray(np.mean(-(modulation * lp_t * alpha), dtype=np.float64), dtype=lp_t.dtype)
 
-    # d loss / d log p_t, its products associated as written: another
-    # association moves the gradient, and so the trained weights, in the last bit
-    def bwd(g):
-        g_w = -(g / lp_t.size) * alpha
-        # d/dx x**gamma = gamma * x**(gamma - 1), set to 0 where it is not
-        # finite: at x = 0 (p_t = 1) when gamma < 1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            deriv = gamma * np.power(one_minus_p, gamma - 1.0)
-        deriv[~np.isfinite(deriv)] = 0.0
-        full = np.zeros_like(log_probs.data)
-        full[rows, targets] = g_w * modulation - (g_w * lp_t * deriv) * np.exp(lp_t)
-        ad._accum(log_probs, full)
-
-    return ad._result(data, (log_probs,), bwd)
+    # d loss / d log p_t, its products associated as written and the unit
+    # in the loss's dtype: another association moves the gradient, and so
+    # the trained weights, in the last bit
+    g_w = -(np.ones((), lp_t.dtype) / lp_t.size) * alpha
+    # d/dx x**gamma = gamma * x**(gamma - 1), set to 0 where it is not
+    # finite: at x = 0 (p_t = 1) when gamma < 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        deriv = gamma * np.power(one_minus_p, gamma - 1.0)
+    deriv[~np.isfinite(deriv)] = 0.0
+    grad = np.zeros_like(log_probs)
+    grad[rows, targets] = g_w * modulation - (g_w * lp_t * deriv) * np.exp(lp_t)
+    return float(loss), grad

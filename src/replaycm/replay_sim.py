@@ -209,6 +209,7 @@ def generate_corpus(out_dir, n_sources: int, utt_per_source: int, seed: int,
     if sample_rate < MIN_SAMPLE_RATE:
         raise ParameterError(f"sample_rate {sample_rate} Hz is below {MIN_SAMPLE_RATE} Hz, "
                              f"the lowest at which every source gets {MIN_HARMONICS} harmonics")
+    split_of_source = _split_sources(n_sources)
     out_dir = Path(out_dir)
     wav_dir = out_dir / "wav"
     if wav_dir.exists() and any(wav_dir.iterdir()):
@@ -216,7 +217,6 @@ def generate_corpus(out_dir, n_sources: int, utt_per_source: int, seed: int,
     wav_dir.mkdir(parents=True, exist_ok=True)
 
     root_rng = np.random.default_rng(seed)
-    split_of_source = _split_sources(n_sources)
 
     # per-source voice character: fundamental, harmonic count, rolloff
     sources = []

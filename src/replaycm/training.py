@@ -208,11 +208,11 @@ def train(model: ResNet, train_entries, dev_entries, store: FeatureStore,
             targets = np.array([1 if e.label == "bonafide" else 0 for e in batch])
             x = Tensor(grams.astype(np.float32)[:, None, :, :])
             log_probs = model.forward(x, train=True)
-            loss = objectives.bfl(log_probs, targets, weights, cfg.gamma)
+            loss, grad = objectives.bfl(log_probs.data, targets, weights, cfg.gamma)
             optimizer.zero_grad()
-            ad.backward(loss)
+            ad.backward(log_probs, grad)
             optimizer.step()
-            epoch_loss += loss.item()
+            epoch_loss += loss
             n_batches += 1
 
         train_loss = epoch_loss / n_batches

@@ -1,3 +1,4 @@
+import math
 import shutil
 import struct
 
@@ -142,7 +143,8 @@ def test_error_exit_is_single_parseable_line(tmp_path, capsys):
 
 def test_simulate_collision_errors_cleanly(pipeline, capsys):
     _, corpus, _, _, _, _ = pipeline
-    code = main(["simulate", "--out", str(corpus), "--sources", "2",
+    # three sources: two cannot fill the splits, a parameter error checked first
+    code = main(["simulate", "--out", str(corpus), "--sources", "3",
                  "--utts", "1", "--seed", "0"])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:io:")
@@ -402,6 +404,30 @@ def test_size_a_header_claims_beyond_the_file_is_a_format_error(pipeline, tmp_pa
     assert err.startswith(f"error:format: {bad}:"), err
 
 
+@pytest.mark.parametrize("name, reshape", [("param/fc_b", lambda s: [1, *s]),
+                                           ("buffer/stem_bn_running_mean", lambda s: [1, *s]),
+                                           ("param/stem_conv", lambda s: [math.prod(s)])],
+                         ids=["fc-bias-2d", "running-mean-2d", "stem-kernel-flat"])
+@pytest.mark.parametrize("command", ["score", "saliency"])
+def test_array_of_another_shape_than_the_model_is_a_format_error(pipeline, tmp_path, capsys,
+                                                                  command, name, reshape):
+    # the same byte count, so only a shape check against the model can catch it
+    _, corpus, feats, ckpt, _, _ = pipeline
+    state = load_checkpoint(ckpt)[0].state()
+    shape = list(state[name].shape)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(ckpt_with_array_entry(ckpt.read_bytes(), sorted(state).index(name),
+                                          shape=reshape(shape)))
+    utt_id, protocol = _one_utterance(corpus, tmp_path)
+    args = {"score": ["score", "--ckpt", str(bad), "--feature-dir", str(feats),
+                      "--protocol", str(protocol), "--out", str(tmp_path / "s.txt")],
+            "saliency": ["saliency", "--ckpt", str(bad), "--feature",
+                         str(feats / f"{utt_id}.fgram"), "--out", str(tmp_path / "s.fgram")]}
+    err = _error_line(main(args[command]), capsys)
+    assert err.startswith(f"error:format: {bad}:"), err
+    assert name in err and str(shape) in err and str(reshape(shape)) in err, err
+
+
 @pytest.mark.parametrize("score", ["inf", "nan", "1e400"])
 @pytest.mark.parametrize("command", ["fuse", "evaluate"])
 def test_non_finite_score_is_a_parse_error(tmp_path, capsys, command, score):
@@ -571,6 +597,15 @@ def test_negative_simulate_seed_is_a_parameter_error(tmp_path, capsys):
     err = _error_line(main(["simulate", "--out", str(out), "--sources", "3", "--utts", "1",
                             "--seed", "-1"]), capsys)
     assert err.startswith("error:parameter:") and "seed" in err, err
+    assert not out.exists()
+
+
+def test_simulate_with_too_few_sources_for_the_splits_leaves_no_directory(tmp_path, capsys):
+    # the source count is checked before any directory is made
+    out = tmp_path / "corpus"
+    err = _error_line(main(["simulate", "--out", str(out), "--sources", "2", "--utts", "1"]),
+                      capsys)
+    assert err.startswith("error:parameter:") and "eval would get 0" in err, err
     assert not out.exists()
 
 

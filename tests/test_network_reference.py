@@ -12,7 +12,7 @@ operands, which bounds every term's contribution to a float sum.
 import numpy as np
 import pytest
 
-from conftest import leaf, weighted_sum
+from conftest import leaf
 from replaycm import autodiff as ad
 from replaycm.autodiff import BN_EPS, BN_MOMENTUM, BatchNorm2d
 
@@ -146,7 +146,7 @@ def test_conv2d_within_float32_rounding_of_the_reference(c_in, c_out, kernel, st
     x, w = leaf(x0), leaf(w0)
     y = ad.conv2d(x, w, stride, pad)
     g = rng.standard_normal(y.shape).astype(np.float32)
-    ad.backward(weighted_sum(y, g))
+    ad.backward(y, g)
     assert y.data.dtype == x.grad.dtype == w.grad.dtype == np.float32
 
     want = conv2d_reference(x0, w0, stride, pad, g)
@@ -163,7 +163,7 @@ def test_maxpool2d_matches_the_reference(stride, rng):
     x = leaf(x0)
     y = ad.maxpool2d(x, kernel=3, stride=stride, pad=1)
     g = rng.standard_normal(y.shape).astype(np.float32)
-    ad.backward(weighted_sum(y, g))
+    ad.backward(y, g)
 
     out, dx = maxpool2d_reference(x0, 3, stride, 1, g)
     _, magnitude = maxpool2d_reference(x0, 3, stride, 1, np.abs(g))
@@ -187,7 +187,7 @@ def test_batchnorm2d_within_float32_rounding_of_the_reference(channels, bins, fr
     x = leaf(x0)
     y = bn(x, train)
     g = rng.standard_normal(y.shape).astype(np.float32)
-    ad.backward(weighted_sum(y, g))
+    ad.backward(y, g)
 
     y_ref, mean_ref, var_ref, dx_ref, dgamma_ref, dbeta_ref = batchnorm_reference(
         x0, gamma0, beta0, mean0, var0, train, g)

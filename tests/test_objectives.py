@@ -15,11 +15,19 @@ def bce(log_probs, targets, weights):
     return bfl(log_probs, targets, weights, 0.0)
 
 
-def _lp(p_target: float, target: int = 1) -> Tensor:
+def _lp(p_target: float, target: int = 1) -> np.ndarray:
     probs = np.array([[1.0 - p_target, p_target]]) if target == 1 else \
         np.array([[p_target, 1.0 - p_target]])
     with np.errstate(divide="ignore"):  # a p_target that rounds to 1 gives the other class log(0)
-        return Tensor(np.log(probs))
+        return np.log(probs)
+
+
+def loss_and_backward(logits: Tensor, targets, weights: ClassWeights, gamma: float) -> float:
+    """The loss of log_softmax(logits), its gradient propagated into ``logits``."""
+    lp = ad.log_softmax(logits)
+    loss, grad = bfl(lp.data, targets, weights, gamma)
+    ad.backward(lp, grad)
+    return loss
 
 
 def five_op_chain(lp: np.ndarray, targets: np.ndarray, weights: ClassWeights, gamma: float):
@@ -56,6 +64,8 @@ def five_op_chain(lp: np.ndarray, targets: np.ndarray, weights: ClassWeights, ga
 
 
 class TestOneTapeNode:
+    """``bfl``'s closed form against the tape of ops it replaced."""
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 1.7, 2.0, 3.0])
     def test_matches_the_five_op_chain_bit_for_bit(self, dtype, gamma, rng):
@@ -67,45 +77,36 @@ class TestOneTapeNode:
             lp0 = ad.log_softmax(Tensor(logits.astype(dtype))).data
             assert lp0[6, 1] == 0.0 and lp0[7, 0] < -20.0
             w = ClassWeights(float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)))
-            lp = leaf(lp0.copy())
-            loss = bfl(lp, targets, w, gamma)
-            ad.backward(loss)
+            loss, grad = bfl(lp0, targets, w, gamma)
             ref_loss, ref_grad = five_op_chain(lp0, targets, w, gamma)
-            assert loss.data.dtype == ref_loss.dtype == lp.grad.dtype == ref_grad.dtype == dtype
-            assert np.array_equal(loss.data, ref_loss)
-            assert np.array_equal(lp.grad, ref_grad)
-
-    def test_log_probs_are_the_only_parent(self, rng):
-        lp = ad.log_softmax(leaf(rng.standard_normal((4, 2))))
-        loss = bfl(lp, [0, 1, 1, 0], UNIT, 2.0)
-        assert len(loss._parents) == 1 and loss._parents[0] is lp
+            assert ref_loss.dtype == grad.dtype == ref_grad.dtype == dtype
+            assert loss == float(ref_loss)  # both exact, so equal to the bit
+            assert np.array_equal(grad, ref_grad)
 
     def test_targets_must_match_the_rows(self):
         with pytest.raises(ShapeError):
-            bfl(Tensor(np.log(np.full((3, 2), 0.5))), [1], UNIT, 2.0)
+            bfl(np.log(np.full((3, 2), 0.5)), [1], UNIT, 2.0)
 
 
 class TestBce:
     def test_certain_prediction_zero_loss(self):
-        assert bce(_lp(1.0 - 1e-300), [1], UNIT).item() == pytest.approx(0.0, abs=1e-12)
+        assert bce(_lp(1.0 - 1e-300), [1], UNIT)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_half_probability(self):
-        assert bce(_lp(0.5), [1], UNIT).item() == pytest.approx(np.log(2), abs=1e-12)
+        assert bce(_lp(0.5), [1], UNIT)[0] == pytest.approx(np.log(2), abs=1e-12)
 
     def test_alpha_scales_loss_and_gradient(self):
         logits = leaf(np.array([[0.3, -0.2]]))
         losses, grads = [], []
         for alpha in (1.0, 2.0):
             lt = leaf(logits.data.copy())
-            loss = bce(ad.log_softmax(lt), [1], ClassWeights(1.0, alpha))
-            ad.backward(loss)
-            losses.append(loss.item())
+            losses.append(loss_and_backward(lt, [1], ClassWeights(1.0, alpha), 0.0))
             grads.append(lt.grad.copy())
         assert losses[1] == pytest.approx(2 * losses[0], rel=1e-12)
         assert np.allclose(grads[1], 2 * grads[0], rtol=1e-12)
 
     def test_rejects_unnormalized(self):
-        bad = Tensor(np.log(np.array([[0.5, 0.6]])))
+        bad = np.log(np.array([[0.5, 0.6]]))
         with pytest.raises(ContractError):
             bce(bad, [1], UNIT)
 
@@ -114,40 +115,39 @@ class TestBfl:
     def test_gamma_zero_equals_bce(self, rng):
         # balanced cross-entropy, the mean of -alpha_t * log p_t, computed directly
         for _ in range(20):
-            lp = ad.log_softmax(Tensor(rng.standard_normal((6, 2))))
+            lp = ad.log_softmax(Tensor(rng.standard_normal((6, 2)))).data
             targets = rng.integers(0, 2, 6)
             w = ClassWeights(0.7, 1.9)
-            ref = -np.mean(w.per_sample(targets) * lp.data[np.arange(6), targets])
-            assert abs(bfl(lp, targets, w, 0.0).item() - ref) <= 1e-12
+            ref = -np.mean(w.per_sample(targets) * lp[np.arange(6), targets])
+            assert abs(bfl(lp, targets, w, 0.0)[0] - ref) <= 1e-12
 
     def test_reference_value(self):
-        assert bfl(_lp(0.5), [1], UNIT, 2.0).item() == pytest.approx(
+        assert bfl(_lp(0.5), [1], UNIT, 2.0)[0] == pytest.approx(
             0.25 * np.log(2), abs=1e-9
         )
 
     def test_confident_sample_has_zero_loss_and_gradient(self):
         logits = leaf(np.array([[-60.0, 60.0]]))
-        loss = bfl(ad.log_softmax(logits), [1], UNIT, 2.0)
-        ad.backward(loss)
-        assert loss.item() == pytest.approx(0.0, abs=1e-20)
+        loss = loss_and_backward(logits, [1], UNIT, 2.0)
+        assert loss == pytest.approx(0.0, abs=1e-20)
         assert np.max(np.abs(logits.grad)) < 1e-12
 
     def test_monotone_decreasing_in_p(self):
         ps = np.linspace(0.01, 0.99, 50)
-        vals = [bfl(_lp(p), [1], UNIT, 2.0).item() for p in ps]
+        vals = [bfl(_lp(p), [1], UNIT, 2.0)[0] for p in ps]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_bfl_below_bce(self):
         for p in np.linspace(0.01, 0.99, 25):
             for gamma in (0.5, 1.0, 2.0, 5.0):
-                assert bfl(_lp(p), [1], UNIT, gamma).item() <= bce(_lp(p), [1], UNIT).item()
+                assert bfl(_lp(p), [1], UNIT, gamma)[0] <= bce(_lp(p), [1], UNIT)[0]
 
     def test_focusing_property(self):
         # hard (p=0.6) vs easy (p=0.99): BFL ratio tops the BCE ratio > 100x
-        hard_bfl = bfl(_lp(0.6), [1], UNIT, 2.0).item()
-        easy_bfl = bfl(_lp(0.99), [1], UNIT, 2.0).item()
-        hard_bce = bce(_lp(0.6), [1], UNIT).item()
-        easy_bce = bce(_lp(0.99), [1], UNIT).item()
+        hard_bfl = bfl(_lp(0.6), [1], UNIT, 2.0)[0]
+        easy_bfl = bfl(_lp(0.99), [1], UNIT, 2.0)[0]
+        hard_bce = bce(_lp(0.6), [1], UNIT)[0]
+        easy_bce = bce(_lp(0.99), [1], UNIT)[0]
         assert (hard_bfl / easy_bfl) / (hard_bce / easy_bce) > 100.0
 
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0, 5.0])
@@ -158,10 +158,10 @@ class TestBfl:
             w = ClassWeights(float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)))
 
             def f(lv):
-                return bfl(ad.log_softmax(Tensor(lv)), targets, w, gamma).item()
+                return bfl(ad.log_softmax(Tensor(lv)).data, targets, w, gamma)[0]
 
             t = leaf(logits0.copy())
-            ad.backward(bfl(ad.log_softmax(t), targets, w, gamma))
+            loss_and_backward(t, targets, w, gamma)
             numeric = finite_difference_gradient(f, logits0, step=1e-5)
             # relative where the gradient is meaningful, absolute near zero
             denom = np.maximum(np.abs(numeric), 1e-6)
@@ -178,7 +178,7 @@ class TestLossRatio:
 
     @staticmethod
     def ratio(p_t: float, gamma: float) -> float:
-        return bfl(_lp(p_t), [1], UNIT, gamma).item() / bce(_lp(p_t), [1], UNIT).item()
+        return bfl(_lp(p_t), [1], UNIT, gamma)[0] / bce(_lp(p_t), [1], UNIT)[0]
 
     def test_easy_sample_downweighted_100x(self):
         assert self.ratio(0.9, 2.0) == pytest.approx(0.01, abs=1e-12)

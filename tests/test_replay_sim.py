@@ -182,8 +182,8 @@ class TestGenerateCorpus:
 
     def test_collision_rejected(self, corpus):
         out, _ = corpus
-        with pytest.raises(FileExistsError):
-            generate_corpus(out, n_sources=2, utt_per_source=1, seed=1)
+        with pytest.raises(FileExistsError):  # 2 sources would fail the split check first
+            generate_corpus(out, n_sources=3, utt_per_source=1, seed=1)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         kw = dict(n_sources=3, utt_per_source=1, seed=4)
