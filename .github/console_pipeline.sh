@@ -2,8 +2,8 @@
 # The console script end to end on a toy corpus, written under the current
 # directory: every front-end, training with the focal loss and with BCE (each
 # seeds the backward pass with the loss's gradient), scoring, a saliency map
-# (a one-hot seed), mean fusion and evaluation, then inputs that must each end
-# in one error:parameter: line with exit code 1.
+# (a one-hot seed), mean fusion, evaluation and the per-attack breakdown, then
+# inputs that must each end in one error:<category>: line with exit code 1.
 #
 #   bash .github/console_pipeline.sh    # with replaycm on PATH
 set -euo pipefail
@@ -29,25 +29,37 @@ replaycm train --feature-dir toy/stft --protocol-train toy/protocol_train.txt \
 replaycm score --ckpt toy/model.ckpt --feature-dir toy/stft \
   --protocol toy/protocol_eval.txt --out toy/eval_scores.txt
 replaycm evaluate --scores toy/eval_scores.txt --protocol toy/protocol_eval.txt
+replaycm breakdown --scores toy/eval_scores.txt --protocol toy/protocol_eval.txt
 utt=$(head -n 1 toy/protocol_eval.txt | cut -d ' ' -f 1)
 replaycm saliency --ckpt toy/bce.ckpt --feature "toy/stft/$utt.fgram" --out toy/saliency.fgram
 replaycm fuse --method mean --scores toy/eval_scores.txt toy/eval_scores.txt \
   --out toy/fused.txt
 replaycm evaluate --scores toy/fused.txt --protocol toy/protocol_eval.txt
 
-expect_parameter_error() {
-  local code=0
+# expect_error CATEGORY COMMAND...
+expect_error() {
+  local category=$1 code=0
+  shift
   "$@" 2> toy/stderr.txt || code=$?
   if [ "$code" -ne 1 ] || [ "$(wc -l < toy/stderr.txt)" -ne 1 ] \
-      || ! grep -q '^error:parameter: ' toy/stderr.txt; then
-    echo "expected exit 1 and one error:parameter: line (got exit $code) from: $*" >&2
+      || ! grep -q "^error:$category: " toy/stderr.txt; then
+    echo "expected exit 1 and one error:$category: line (got exit $code) from: $*" >&2
     cat toy/stderr.txt >&2
     exit 1
   fi
 }
 # the dev flags serve lr fusion only
-expect_parameter_error replaycm fuse --method mean \
+expect_error parameter replaycm fuse --method mean \
   --scores toy/eval_scores.txt toy/eval_scores.txt --dev-scores toy/eval_scores.txt \
   --out toy/rejected.txt
-expect_parameter_error replaycm simulate --out toy/rejected --sources 3 --utts 1 --seed -1
+expect_error parameter replaycm simulate --out toy/rejected --sources 3 --utts 1 --seed -1
+# the dev protocol's two classes are checked before the first epoch
+: > toy/empty_protocol.txt
+expect_error data replaycm train --feature-dir toy/stft --protocol-train toy/protocol_train.txt \
+  --protocol-dev toy/empty_protocol.txt --objective bfl --config toy/one_epoch.cfg \
+  --out toy/rejected.ckpt
+if [ -e toy/rejected.ckpt ] || [ -e toy/rejected.ckpt.log ]; then
+  echo "a rejected train left toy/rejected.ckpt or its .log behind" >&2
+  exit 1
+fi
 echo "console pipeline passed"

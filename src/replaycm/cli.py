@@ -113,9 +113,7 @@ def cmd_train(args) -> int:
     store = FeatureStore(args.feature_dir)
     bins, frames = store.load(entries_train[0].utt_id).shape
     model_cfg = ResNetConfig(**cfg["model"], input_bins=bins, input_frames=frames)
-    train_cfg = dict(cfg["train"])
-    train_cfg["betas"] = (train_cfg.pop("beta1"), train_cfg.pop("beta2"))
-    tcfg = TrainConfig(**train_cfg, gamma=gamma)
+    tcfg = TrainConfig(**cfg["train"], gamma=gamma)
     model = ResNet(model_cfg, seed=tcfg.seed)
     result = train(model, entries_train, entries_dev, store, tcfg,
                    log_path=str(args.out) + ".log")
@@ -130,9 +128,8 @@ def cmd_train(args) -> int:
 def cmd_score(args) -> int:
     model, _ = load_checkpoint(args.ckpt)
     with _job_map(args.jobs) as map_fn:
-        records = training._score_entries(model, read_protocol(args.protocol),
-                                          FeatureStore(args.feature_dir), map_fn=map_fn)
-    scores = {r.utt_id: r.score for r in records}
+        scores = training._score_entries(model, read_protocol(args.protocol),
+                                         FeatureStore(args.feature_dir), map_fn=map_fn)
     write_score_file(scores, args.out)
     print(f"scored {len(scores)} utterances to {args.out}")
     return 0
@@ -166,10 +163,7 @@ def _labeled_records(score_path, protocol_path):
     missing = [e.utt_id for e in entries if e.utt_id not in scores]
     if missing:
         raise DataError(f"scores missing for {len(missing)} utterance(s): {missing[:5]}")
-    return [
-        scoring.ScoreRecord(e.utt_id, scores[e.utt_id], e.label, e.attack_code)
-        for e in entries
-    ]
+    return entries, scores
 
 
 def _tdcf_params(config_path) -> metrics.TdcfParams:
@@ -178,16 +172,16 @@ def _tdcf_params(config_path) -> metrics.TdcfParams:
 
 
 def cmd_evaluate(args) -> int:
-    records = _labeled_records(args.scores, args.protocol)
-    eer_val, _ = metrics.eer(records)
-    tdcf_val, _ = metrics.min_tdcf_norm(records, _tdcf_params(args.tdcf_config))
+    bona, spoof = metrics.split_scores(*_labeled_records(args.scores, args.protocol))
+    eer_val, _ = metrics.eer(bona, spoof)
+    tdcf_val, _ = metrics.min_tdcf_norm(bona, spoof, _tdcf_params(args.tdcf_config))
     print(f"eer={eer_val:.6f} min_tdcf={tdcf_val:.6f}")
     return 0
 
 
 def cmd_breakdown(args) -> int:
-    records = _labeled_records(args.scores, args.protocol)
-    rows = metrics.breakdown(records, _tdcf_params(args.tdcf_config))
+    rows = metrics.breakdown(*_labeled_records(args.scores, args.protocol),
+                             _tdcf_params(args.tdcf_config))
     sys.stdout.write(metrics.format_breakdown(rows))
     return 0
 

@@ -31,7 +31,6 @@ def _defaults() -> dict:
     mgd = MgdParams()
     model = ResNetConfig()
     train = asdict(TrainConfig())
-    train["beta1"], train["beta2"] = train.pop("betas")
     del train["gamma"]  # train --gamma and --objective bce are its only sources
     return {
         "audio": {"sample_rate": _keyword_defaults(generate_corpus)["sample_rate"]},

@@ -1,5 +1,9 @@
 """Countermeasure evaluation: EER, normalized minimum t-DCF, breakdowns.
 
+The metrics take two score arrays, bonafide and spoof.  ``split_scores`` is
+the one join of a ``{utt_id: score}`` dict with protocol labels, and the one
+place that checks the scores are finite and cover both classes.
+
 Scores are log-likelihood ratios (higher = more bonafide).  An utterance is
 accepted at threshold s if score >= s, so P_fa (spoof accepted) is
 non-increasing and P_miss (bonafide rejected) non-decreasing in s.  The EER
@@ -24,13 +28,13 @@ class ErrorCurve:
     p_miss: np.ndarray  # bonafide rejected, non-decreasing
 
 
-def _split_scores(records):
-    bona = np.array([r.score for r in records if r.label == "bonafide"], dtype=np.float64)
-    spoof = np.array([r.score for r in records if r.label == "spoof"], dtype=np.float64)
+def split_scores(entries, scores: dict):
+    """(bonafide, spoof) float64 arrays of the scores of protocol ``entries``."""
+    bona, spoof = (np.array([scores[e.utt_id] for e in entries if e.label == label], np.float64)
+                   for label in ("bonafide", "spoof"))
     if bona.size == 0 or spoof.size == 0:
-        raise MetricError(
-            f"need scores from both classes, got {bona.size} bonafide / {spoof.size} spoof"
-        )
+        raise MetricError(f"need scores from both classes, got {bona.size} bonafide / "
+                          f"{spoof.size} spoof")
     if not (np.all(np.isfinite(bona)) and np.all(np.isfinite(spoof))):
         raise MetricError("scores must be finite")
     return bona, spoof
@@ -75,7 +79,8 @@ def _roc_frontier(curve: ErrorCurve):
     return pts[hull], thr[hull]
 
 
-def eer_from_scores(bona: np.ndarray, spoof: np.ndarray):
+def eer(bona: np.ndarray, spoof: np.ndarray):
+    """Equal error rate and its threshold."""
     curve = error_curve(bona, spoof)
     hp, ht = _roc_frontier(curve)
     # diff = p_miss - p_fa strictly decreases along the hull from the
@@ -93,12 +98,6 @@ def eer_from_scores(bona: np.ndarray, spoof: np.ndarray):
     else:
         thr = t1 if np.isfinite(t1) else t2
     return float(eer_val), float(thr)
-
-
-def eer(records):
-    """Equal error rate and its threshold from labeled score records."""
-    bona, spoof = _split_scores(records)
-    return eer_from_scores(bona, spoof)
 
 
 # ---------------------------------------------------------------------------
@@ -145,32 +144,29 @@ class TdcfParams:
         return c1, c2
 
 
-def min_tdcf_norm(records, params: TdcfParams):
+def min_tdcf_norm(bona: np.ndarray, spoof: np.ndarray, params: TdcfParams):
     """Minimum normalized t-DCF over all CM thresholds, and the threshold."""
     c1, c2 = params.coefficients()
-    bona, spoof = _split_scores(records)
     curve = error_curve(bona, spoof)
     tdcf = c1 * curve.p_miss + c2 * curve.p_fa
     k = int(np.argmin(tdcf))
     return float(tdcf[k] / min(c1, c2)), float(curve.thresholds[k])
 
 
-def breakdown(records, params: TdcfParams):
+def breakdown(entries, scores: dict, params: TdcfParams):
     """Per-attack-code (EER, min t-DCF, n_spoof) rows, code-sorted.
 
     Each attack code is evaluated against the full bonafide set.  Codes are
     taken as ``read_protocol`` checked them.
     """
-    bona_records = [r for r in records if r.label == "bonafide"]
-    spoof_records = [r for r in records if r.label == "spoof"]
+    bona_entries = [e for e in entries if e.label == "bonafide"]
+    spoof_entries = [e for e in entries if e.label == "spoof"]
     rows = []
-    codes = sorted({r.attack_code for r in spoof_records})
-    for code in codes:
-        subset = bona_records + [r for r in spoof_records if r.attack_code == code]
-        e, _ = eer(subset)
-        t, _ = min_tdcf_norm(subset, params)
-        rows.append({"attack_code": code, "eer": e, "min_tdcf": t,
-                     "n_spoof": sum(1 for r in spoof_records if r.attack_code == code)})
+    for code in sorted({e.attack_code for e in spoof_entries}):
+        subset = bona_entries + [e for e in spoof_entries if e.attack_code == code]
+        bona, spoof = split_scores(subset, scores)
+        rows.append({"attack_code": code, "eer": eer(bona, spoof)[0],
+                     "min_tdcf": min_tdcf_norm(bona, spoof, params)[0], "n_spoof": spoof.size})
     return rows
 
 

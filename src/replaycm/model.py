@@ -271,6 +271,8 @@ def load_checkpoint(path):
             raise FormatError(f"{path}: directory claims {need} array bytes, file holds {left}")
         arrays = {}
         for name, dtype, shape in directory:
+            if name in arrays:
+                raise FormatError(f"{path}: array {name!r} is listed twice")
             raw = fh.read(dtype.itemsize * math.prod(shape))
             arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
             if not np.all(np.isfinite(arrays[name])):
@@ -283,4 +285,7 @@ def load_checkpoint(path):
         raise FormatError(f"{path}: checkpoint lacks array {exc}") from exc
     except ShapeError as exc:
         raise FormatError(f"{path}: {exc}") from exc
+    unknown = sorted(set(arrays) - set(model.state()))
+    if unknown:
+        raise FormatError(f"{path}: array {unknown[0]!r} is not one of the model's")
     return model, header.get("extra", {})

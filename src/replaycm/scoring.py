@@ -15,14 +15,6 @@ LR_GRAD_TOL = 1e-8
 LR_MAX_ITER = 200
 
 
-@dataclass
-class ScoreRecord:
-    utt_id: str
-    score: float
-    label: str  # "bonafide" | "spoof"
-    attack_code: str  # "-" for bonafide
-
-
 # 309 integer digits (the largest float is 1.8e308) and 6 decimals
 _SCORE_CONTEXT = Context(prec=315)
 

@@ -12,9 +12,8 @@ from . import objectives
 from .autodiff import Tensor
 from .errors import DataError, FormatError, ParameterError, ShapeError, TrainingError, ascii_lines
 from .features import read_gram
-from .metrics import eer
+from .metrics import eer, split_scores
 from .model import ResNet, score_batch
-from .scoring import ScoreRecord
 
 FEATURE_MANIFEST = "features.manifest"
 ADAM_EPS = 1e-8
@@ -27,7 +26,8 @@ MAX_GAMMA = float(np.finfo(np.float32).max)
 @dataclass
 class TrainConfig:
     lr: float = 3e-4
-    betas: tuple = (0.9, 0.999)
+    beta1: float = 0.9
+    beta2: float = 0.999
     weight_decay: float = 5e-5
     plateau_patience: int = 3
     plateau_factor: float = 0.1
@@ -53,8 +53,9 @@ class TrainConfig:
             raise ParameterError(f"plateau_factor must lie in (0, 1), got {self.plateau_factor}")
         if self.plateau_patience < 1:
             raise ParameterError(f"plateau_patience must be >= 1, got {self.plateau_patience}")
-        if not all(0.0 <= b < 1.0 for b in self.betas):  # AdamW divides by 1 - beta**t
-            raise ParameterError(f"beta1 and beta2 must lie in [0, 1), got {self.betas}")
+        betas = (self.beta1, self.beta2)
+        if not all(0.0 <= b < 1.0 for b in betas):  # AdamW divides by 1 - beta**t
+            raise ParameterError(f"beta1 and beta2 must lie in [0, 1), got {betas}")
         if self.weight_decay < 0:
             raise ParameterError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if not 0.0 <= self.gamma <= MAX_GAMMA:  # false for nan too
@@ -156,16 +157,14 @@ class TrainResult:
     best_epoch: int
 
 
-def _score_entries(model: ResNet, entries, store: FeatureStore, map_fn=map) -> list:
-    """ScoreRecords for ``entries``, scored SCORE_BATCH at a time; the grams of
-    each batch are read through ``map_fn`` (see ``FeatureStore.load_batch``)."""
-    records = []
+def _score_entries(model: ResNet, entries, store: FeatureStore, map_fn=map) -> dict:
+    """{utt_id: score} for ``entries``, scored SCORE_BATCH at a time; the grams
+    of each batch are read through ``map_fn`` (see ``FeatureStore.load_batch``)."""
+    scores = {}
     for start in range(0, len(entries), SCORE_BATCH):
-        chunk = entries[start : start + SCORE_BATCH]
-        grams = store.load_batch([e.utt_id for e in chunk], map_fn)
-        for e, s in zip(chunk, score_batch(model, grams)):
-            records.append(ScoreRecord(e.utt_id, float(s), e.label, e.attack_code))
-    return records
+        utt_ids = [e.utt_id for e in entries[start : start + SCORE_BATCH]]
+        scores.update(zip(utt_ids, score_batch(model, store.load_batch(utt_ids, map_fn)).tolist()))
+    return scores
 
 
 def train(model: ResNet, train_entries, dev_entries, store: FeatureStore,
@@ -175,11 +174,13 @@ def train(model: ResNet, train_entries, dev_entries, store: FeatureStore,
     After ``plateau_patience`` epochs in a row without a lower dev EER the
     optimizer's lr is multiplied by ``plateau_factor``.  ``log_path`` gets
     one ``<epoch> <train loss> <dev EER> <lr>`` line per epoch."""
-    n_spoof = sum(1 for e in train_entries if e.label == "spoof")
-    n_bona = len(train_entries) - n_spoof
-    if n_spoof < 1 or n_bona < 1:
-        raise DataError(f"training needs both classes, got {n_bona} bonafide and "
-                        f"{n_spoof} spoof utterances")
+    # the training set last, so that its counts are left for the class weights
+    for what, entries in (("the dev protocol", dev_entries), ("training", train_entries)):
+        n_spoof = sum(1 for e in entries if e.label == "spoof")
+        n_bona = len(entries) - n_spoof
+        if n_spoof < 1 or n_bona < 1:
+            raise DataError(f"{what} needs both classes, got {n_bona} bonafide and "
+                            f"{n_spoof} spoof utterances")
     for e in train_entries + dev_entries:
         if e.utt_id not in store.paths:
             raise DataError(f"no feature file for utterance {e.utt_id!r}")
@@ -189,7 +190,7 @@ def train(model: ResNet, train_entries, dev_entries, store: FeatureStore,
     else:
         weights = objectives.ClassWeights(*cfg.alpha)
 
-    optimizer = AdamW(model.parameters(), cfg.lr, cfg.betas, cfg.weight_decay)
+    optimizer = AdamW(model.parameters(), cfg.lr, (cfg.beta1, cfg.beta2), cfg.weight_decay)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x54524E]))
 
     order = np.arange(len(train_entries))
@@ -216,8 +217,7 @@ def train(model: ResNet, train_entries, dev_entries, store: FeatureStore,
             n_batches += 1
 
         train_loss = epoch_loss / n_batches
-        dev_records = _score_entries(model, dev_entries, store)
-        dev_eer, _ = eer(dev_records)
+        dev_eer, _ = eer(*split_scores(dev_entries, _score_entries(model, dev_entries, store)))
         history.append({"epoch": epoch, "train_loss": train_loss,
                         "dev_eer": dev_eer, "lr": optimizer.lr})
         if dev_eer < best.best_dev_eer:

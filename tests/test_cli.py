@@ -1,3 +1,4 @@
+import json
 import math
 import shutil
 import struct
@@ -174,11 +175,11 @@ def test_score_with_jobs_matches_serial(pipeline, tmp_path):
     assert par.read_bytes() == scores.read_bytes()
 
 
-def _train_args(pipeline, out, cfg, protocol_train=None):
+def _train_args(pipeline, out, cfg, protocol_train=None, protocol_dev=None):
     _, corpus, feats, _, _, _ = pipeline
     return ["train", "--feature-dir", str(feats),
             "--protocol-train", str(protocol_train or corpus / "protocol_train.txt"),
-            "--protocol-dev", str(corpus / "protocol_dev.txt"),
+            "--protocol-dev", str(protocol_dev or corpus / "protocol_dev.txt"),
             "--objective", "bfl", "--config", str(cfg), "--out", str(out)]
 
 
@@ -202,6 +203,23 @@ def test_single_class_training_protocol_is_a_data_error(pipeline, tmp_path, caps
     err = _error_line(main(_train_args(pipeline, tmp_path / "m.ckpt", cfg, protocol)), capsys)
     assert err.startswith("error:data:") and f"0 bonafide and {len(spoof)} spoof" in err, err
     assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("labels", [(), ("spoof",)], ids=["empty", "spoof-only"])
+def test_dev_protocol_without_both_classes_is_a_data_error(pipeline, tmp_path, capsys, labels):
+    # checked with the training set's classes, before an epoch is trained
+    from replaycm.replay_sim import read_protocol
+
+    _, corpus, _, _, _, cfg = pipeline
+    dev = [e for e in read_protocol(corpus / "protocol_dev.txt") if e.label in labels]
+    assert len(dev) > 0 or not labels
+    protocol = tmp_path / "dev.txt"
+    protocol.write_text("".join(f"{e.utt_id} {e.attack_code} {e.label}\n" for e in dev))
+    out = tmp_path / "m.ckpt"
+    err = _error_line(main(_train_args(pipeline, out, cfg, protocol_dev=protocol)), capsys)
+    assert err == ("error:data: the dev protocol needs both classes, "
+                   f"got 0 bonafide and {len(dev)} spoof utterances"), err
+    assert not out.exists() and not (tmp_path / "m.ckpt.log").exists()
 
 
 @pytest.mark.parametrize("gamma", ["inf", "nan", "1e308"])
@@ -412,20 +430,49 @@ def test_size_a_header_claims_beyond_the_file_is_a_format_error(pipeline, tmp_pa
 def test_array_of_another_shape_than_the_model_is_a_format_error(pipeline, tmp_path, capsys,
                                                                   command, name, reshape):
     # the same byte count, so only a shape check against the model can catch it
-    _, corpus, feats, ckpt, _, _ = pipeline
+    ckpt = pipeline[3]
     state = load_checkpoint(ckpt)[0].state()
     shape = list(state[name].shape)
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(ckpt_with_array_entry(ckpt.read_bytes(), sorted(state).index(name),
                                           shape=reshape(shape)))
-    utt_id, protocol = _one_utterance(corpus, tmp_path)
-    args = {"score": ["score", "--ckpt", str(bad), "--feature-dir", str(feats),
-                      "--protocol", str(protocol), "--out", str(tmp_path / "s.txt")],
-            "saliency": ["saliency", "--ckpt", str(bad), "--feature",
-                         str(feats / f"{utt_id}.fgram"), "--out", str(tmp_path / "s.fgram")]}
-    err = _error_line(main(args[command]), capsys)
+    err = _error_line(main(_checkpoint_command(command, bad, pipeline, tmp_path)), capsys)
     assert err.startswith(f"error:format: {bad}:"), err
     assert name in err and str(shape) in err and str(reshape(shape)) in err, err
+
+
+def _checkpoint_command(command, ckpt, pipeline, tmp_path) -> list:
+    """``score`` or ``saliency`` of one dev utterance under ``ckpt``."""
+    _, corpus, feats, _, _, _ = pipeline
+    utt_id, protocol = _one_utterance(corpus, tmp_path)
+    if command == "score":
+        return ["score", "--ckpt", str(ckpt), "--feature-dir", str(feats),
+                "--protocol", str(protocol), "--out", str(tmp_path / "s.txt")]
+    return ["saliency", "--ckpt", str(ckpt), "--feature", str(feats / f"{utt_id}.fgram"),
+            "--out", str(tmp_path / "s.fgram")]
+
+
+@pytest.mark.parametrize("name, problem", [("param/zzz_extra", "is not one of the model's"),
+                                           ("param/fc_b", "is listed twice")],
+                         ids=["unknown-name", "name-listed-twice"])
+@pytest.mark.parametrize("command", ["score", "saliency"])
+def test_array_the_model_does_not_have_is_a_format_error(pipeline, tmp_path, capsys,
+                                                          command, name, problem):
+    # one more array of a shape the model could take, appended with its bytes,
+    # so the byte count holds and the array would load
+    ckpt = pipeline[3]
+    state = load_checkpoint(ckpt)[0].state()
+    extra = np.ones(state[name].shape if name in state else [1], "<f4")
+    blob = ckpt.read_bytes()
+    header_end = 10 + int.from_bytes(blob[6:10], "little")
+    header = json.loads(blob[10:header_end])
+    header["arrays"].append({"name": name, "dtype": "<f4", "shape": list(extra.shape)})
+    text = json.dumps(header).encode()
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(blob[:6] + struct.pack("<I", len(text)) + text + blob[header_end:]
+                    + extra.tobytes())
+    err = _error_line(main(_checkpoint_command(command, bad, pipeline, tmp_path)), capsys)
+    assert err == f"error:format: {bad}: array {name!r} {problem}", err
 
 
 @pytest.mark.parametrize("score", ["inf", "nan", "1e400"])

@@ -30,7 +30,8 @@ def test_rejects_values_nothing_reads(tmp_path, text):
 def test_defaults_come_from_the_owning_dataclasses():
     train, model, mgd = TrainConfig(), ResNetConfig(), MgdParams()
     assert DEFAULTS["train"]["lr"] == train.lr
-    assert (DEFAULTS["train"]["beta1"], DEFAULTS["train"]["beta2"]) == train.betas
+    assert (DEFAULTS["train"]["beta1"], DEFAULTS["train"]["beta2"]) == (train.beta1, train.beta2)
+    assert TrainConfig(**DEFAULTS["train"]) == train  # the section is the dataclass, gamma aside
     assert "objective" not in DEFAULTS["train"] and "gamma" not in DEFAULTS["train"]
     assert DEFAULTS["model"]["block_counts"] == "3,4,6,3"
     assert DEFAULTS["model"]["fc_width"] == model.fc_width

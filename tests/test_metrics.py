@@ -6,22 +6,23 @@ from replaycm.metrics import (
     TdcfParams,
     breakdown,
     eer,
-    eer_from_scores,
     error_curve,
     format_breakdown,
     min_tdcf_norm,
+    split_scores,
 )
-from replaycm.scoring import ScoreRecord
+from replaycm.replay_sim import ManifestEntry
 
 PARAMS = TdcfParams()
 
 
-def records_from(bona, spoof, codes=None):
-    recs = [ScoreRecord(f"b{i}", float(s), "bonafide", "-") for i, s in enumerate(bona)]
-    for i, s in enumerate(spoof):
-        code = codes[i] if codes is not None else "AA"
-        recs.append(ScoreRecord(f"s{i}", float(s), "spoof", code))
-    return recs
+def labeled(bona, spoof, codes=None):
+    """Protocol entries and a {utt_id: score} dict for the two score lists;
+    spoof i carries ``codes[i]`` (default "AA")."""
+    entries = [ManifestEntry(f"b{i}", "bonafide", "-") for i in range(len(bona))]
+    entries += [ManifestEntry(f"s{i}", "spoof", "AA" if codes is None else codes[i])
+                for i in range(len(spoof))]
+    return entries, {e.utt_id: float(s) for e, s in zip(entries, [*bona, *spoof])}
 
 
 def oracle_operating_points(bona, spoof):
@@ -58,20 +59,17 @@ def oracle_min_tdcf_norm(bona, spoof, params):
 
 class TestEer:
     def test_perfect_separation(self):
-        recs = records_from([1.0, 2.0, 3.0], [-1.0, -2.0])
-        value, _ = eer(recs)
+        value, _ = eer(np.array([1.0, 2.0, 3.0]), np.array([-1.0, -2.0]))
         assert value == 0.0
 
     def test_interpolated_crossing_example(self):
-        recs = records_from([0.9, 0.8], [0.85, 0.2])
-        value, _ = eer(recs)
+        value, _ = eer(np.array([0.9, 0.8]), np.array([0.85, 0.2]))
         assert value == pytest.approx(0.25, abs=1e-12)
 
     def test_random_labels_near_half(self, rng):
         scores = rng.standard_normal(2000)
         labels = rng.random(2000) < 0.5
-        recs = records_from(scores[labels], scores[~labels])
-        value, _ = eer(recs)
+        value, _ = eer(scores[labels], scores[~labels])
         assert abs(value - 0.5) < 0.05
 
     def test_matches_brute_force_oracle(self, rng):
@@ -84,30 +82,38 @@ class TestEer:
             else:
                 bona = rng.standard_normal(nb) + rng.uniform(-1, 1)
                 spoof = rng.standard_normal(ns)
-            value, _ = eer_from_scores(bona, spoof)
+            value, _ = eer(bona, spoof)
             assert value == pytest.approx(oracle_rocch_eer(bona, spoof), abs=1e-12)
             assert -1e-12 <= value <= 0.5 + 1e-12
 
     def test_monotone_transform_invariance(self, rng):
         bona = rng.standard_normal(80) + 0.7
         spoof = rng.standard_normal(120)
-        base, _ = eer_from_scores(bona, spoof)
+        base, _ = eer(bona, spoof)
         warp = lambda x: np.exp(0.5 * x) + 0.1 * x
-        warped, _ = eer_from_scores(warp(bona), warp(spoof))
+        warped, _ = eer(warp(bona), warp(spoof))
         assert warped == pytest.approx(base, abs=1e-12)
 
     def test_threshold_separates_at_eer_point(self):
-        recs = records_from([1.0, 2.0], [-2.0, -1.0])
-        _, threshold = eer(recs)
+        _, threshold = eer(np.array([1.0, 2.0]), np.array([-2.0, -1.0]))
         assert -1.0 < threshold < 1.0
 
+
+class TestSplitScores:
+    def test_arrays_follow_the_labels(self):
+        entries, scores = labeled([1.0, 2.0], [-1.0])
+        scores["other"] = 5.0  # a score the protocol does not list is not read
+        bona, spoof = split_scores(entries, scores)
+        assert bona.dtype == spoof.dtype == np.float64
+        assert bona.tolist() == [1.0, 2.0] and spoof.tolist() == [-1.0]
+
     def test_single_class_rejected(self):
-        with pytest.raises(MetricError):
-            eer([ScoreRecord("a", 1.0, "bonafide", "-")])
+        with pytest.raises(MetricError, match="got 1 bonafide / 0 spoof"):
+            split_scores(*labeled([1.0], []))
 
     def test_non_finite_rejected(self):
-        with pytest.raises(MetricError):
-            eer(records_from([np.nan], [0.0]))
+        with pytest.raises(MetricError, match="finite"):
+            split_scores(*labeled([np.nan], [0.0]))
 
 
 class TestErrorCurve:
@@ -123,13 +129,11 @@ class TestErrorCurve:
 
 class TestMinTdcf:
     def test_perfect_cm_zero_cost(self):
-        recs = records_from([5.0, 6.0], [1.0, 2.0])
-        value, _ = min_tdcf_norm(recs, PARAMS)
+        value, _ = min_tdcf_norm(np.array([5.0, 6.0]), np.array([1.0, 2.0]), PARAMS)
         assert value == 0.0
 
     def test_uninformative_cm_costs_one(self):
-        recs = records_from([0.5, 0.5, 0.5], [0.5, 0.5])
-        value, _ = min_tdcf_norm(recs, PARAMS)
+        value, _ = min_tdcf_norm(np.full(3, 0.5), np.full(2, 0.5), PARAMS)
         assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_brute_force_oracle(self, rng):
@@ -139,16 +143,15 @@ class TestMinTdcf:
             ns = int(rng.integers(2, 40))
             bona = rng.standard_normal(nb) + 0.4
             spoof = rng.standard_normal(ns)
-            recs = records_from(bona, spoof)
-            value, _ = min_tdcf_norm(recs, params)
+            value, _ = min_tdcf_norm(bona, spoof, params)
             assert value == pytest.approx(oracle_min_tdcf_norm(bona, spoof, params), abs=1e-12)
             assert value >= 0.0
 
     def test_shift_invariance(self, rng):
         bona = rng.standard_normal(30) + 1
         spoof = rng.standard_normal(30)
-        a, _ = min_tdcf_norm(records_from(bona, spoof), PARAMS)
-        b, _ = min_tdcf_norm(records_from(bona + 123.5, spoof + 123.5), PARAMS)
+        a, _ = min_tdcf_norm(bona, spoof, PARAMS)
+        b, _ = min_tdcf_norm(bona + 123.5, spoof + 123.5, PARAMS)
         assert a == b
 
     def test_degenerate_operating_point_rejected(self):
@@ -170,25 +173,24 @@ class TestBreakdown:
     def test_single_code_matches_global(self, rng):
         bona = rng.standard_normal(20) + 1.0
         spoof = rng.standard_normal(30)
-        recs = records_from(bona, spoof, codes=["AA"] * 30)
-        rows = breakdown(recs, PARAMS)
+        rows = breakdown(*labeled(bona, spoof, codes=["AA"] * 30), PARAMS)
         assert len(rows) == 1
         assert rows[0]["attack_code"] == "AA"
         assert rows[0]["n_spoof"] == 30
-        assert rows[0]["eer"] == eer(recs)[0]
-        assert rows[0]["min_tdcf"] == min_tdcf_norm(recs, PARAMS)[0]
+        assert rows[0]["eer"] == eer(bona, spoof)[0]
+        assert rows[0]["min_tdcf"] == min_tdcf_norm(bona, spoof, PARAMS)[0]
 
     def test_per_code_bookkeeping(self, rng):
         codes = ["AA"] * 4 + ["BB"] * 6 + ["CC"] * 2
-        recs = records_from(rng.standard_normal(5) + 1, rng.standard_normal(12), codes)
-        rows = breakdown(recs, PARAMS)
+        rows = breakdown(*labeled(rng.standard_normal(5) + 1, rng.standard_normal(12), codes),
+                         PARAMS)
         assert [r["attack_code"] for r in rows] == ["AA", "BB", "CC"]
         assert [r["n_spoof"] for r in rows] == [4, 6, 2]
 
     def test_format_is_tab_separated(self, rng):
-        recs = records_from(rng.standard_normal(4) + 1, rng.standard_normal(9),
-                            codes=["AA"] * 9)
-        text = format_breakdown(breakdown(recs, PARAMS))
+        entries, scores = labeled(rng.standard_normal(4) + 1, rng.standard_normal(9),
+                                  codes=["AA"] * 9)
+        text = format_breakdown(breakdown(entries, scores, PARAMS))
         lines = text.strip().split("\n")
         assert lines[0] == "attack_code\teer\tmin_tdcf\tn_spoof"
         assert lines[1].startswith("AA\t")

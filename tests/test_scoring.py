@@ -4,19 +4,15 @@ import numpy as np
 import pytest
 
 from replaycm.errors import AlignmentError, NumericError, ParameterError, ParseError
-from replaycm.metrics import eer
-from replaycm.scoring import (
-    ScoreRecord,
-    lr_fuse_train,
-    mean_fuse,
-    read_score_file,
-    write_score_file,
-)
+from replaycm.metrics import eer, split_scores
+from replaycm.replay_sim import ManifestEntry
+from replaycm.scoring import lr_fuse_train, mean_fuse, read_score_file, write_score_file
 
 
-def labeled(utt_id: str, score: float, label: str) -> ScoreRecord:
-    """A record whose spoofs all carry one attack code."""
-    return ScoreRecord(utt_id, score, label, "-" if label == "bonafide" else "AA")
+def labeled(labels: dict) -> list:
+    """Protocol entries for {utt_id: label}; the spoofs all carry one attack code."""
+    return [ManifestEntry(u, label, "-" if label == "bonafide" else "AA")
+            for u, label in labels.items()]
 
 
 class TestScoreFiles:
@@ -119,8 +115,7 @@ class TestLrFuse:
         s2 = {u: float(rng.standard_normal()) for u in labels}
         model = lr_fuse_train([s1, s2], labels)
         fused = model.fuse([s1, s2])
-        records = [labeled(u, fused[u], labels[u]) for u in labels]
-        assert eer(records)[0] == 0.0
+        assert eer(*split_scores(labeled(labels), fused))[0] == 0.0
 
     def test_duplicate_system_preserves_ranking(self, rng):
         base = {f"u{i}": float(rng.standard_normal()) for i in range(40)}
@@ -153,16 +148,14 @@ class TestCrossModuleProperties:
         if len(set(labels.values())) < 2:
             labels["u0"] = "bonafide"
             labels["u1"] = "spoof"
-        records = [labeled(u, s, labels[u]) for u, s in scores.items()]
-        base = eer(records)[0]
-        warped = [labeled(u, float(np.tanh(s) * 4 + s**3 * 0.01), labels[u])
-                  for u, s in scores.items()]
-        assert eer(warped)[0] == pytest.approx(base, abs=1e-12)
+        base = eer(*split_scores(labeled(labels), scores))[0]
+        warped = {u: float(np.tanh(s) * 4 + s**3 * 0.01) for u, s in scores.items()}
+        assert eer(*split_scores(labeled(labels), warped))[0] == pytest.approx(base, abs=1e-12)
 
     def test_mean_fusing_copies_keeps_eer(self, rng):
         scores = {f"u{i}": float(rng.standard_normal()) for i in range(60)}
         labels = {u: ("bonafide" if i < 20 else "spoof") for i, u in enumerate(scores)}
         fused = mean_fuse([scores, scores, scores])
-        base = eer([labeled(u, scores[u], labels[u]) for u in scores])[0]
-        after = eer([labeled(u, fused[u], labels[u]) for u in scores])[0]
+        base = eer(*split_scores(labeled(labels), scores))[0]
+        after = eer(*split_scores(labeled(labels), fused))[0]
         assert after == base

@@ -114,14 +114,12 @@ def test_best_dev_checkpoint_retained(tmp_path, rng):
     model = ResNet(TOY_CFG, seed=7)
     cfg = TrainConfig(lr=3e-3, batch_size=4, max_epochs=10, seed=7)
     result = train(model, train_entries, dev_entries, store, cfg, tmp_path / "train.log")
-    from replaycm.metrics import eer
-    from replaycm.scoring import ScoreRecord
+    from replaycm.metrics import eer, split_scores
 
-    grams = store.load_batch([e.utt_id for e in dev_entries])
-    scores = score_batch(model, grams)
-    records = [ScoreRecord(e.utt_id, float(s), e.label, e.attack_code)
-               for e, s in zip(dev_entries, scores)]
-    assert eer(records)[0] == pytest.approx(result.best_dev_eer, abs=1e-12)
+    utt_ids = [e.utt_id for e in dev_entries]
+    scores = dict(zip(utt_ids, score_batch(model, store.load_batch(utt_ids)).tolist()))
+    dev_eer, _ = eer(*split_scores(dev_entries, scores))
+    assert dev_eer == pytest.approx(result.best_dev_eer, abs=1e-12)
 
 
 def test_train_config_validation():
@@ -158,7 +156,7 @@ def test_lr_is_cut_after_patience_epochs_without_a_better_dev_eer(tmp_path, rng,
                                                                   dev_eers, lrs, best_epoch):
     # the lr column holds the lr each epoch trained at; patience 3, factor 0.1
     scripted = iter(dev_eers)
-    monkeypatch.setattr(training, "eer", lambda records: (next(scripted), 0.0))
+    monkeypatch.setattr(training, "eer", lambda bona, spoof: (next(scripted), 0.0))
     train_entries, dev_entries = make_toy_features(tmp_path, rng)
     cfg = TrainConfig(lr=LR, batch_size=4, max_epochs=len(dev_eers), plateau_patience=3,
                       plateau_factor=0.1)
