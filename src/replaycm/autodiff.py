@@ -5,7 +5,11 @@ promoted dtype of their operands, and reductions accumulate in float64 before
 casting back.  Every primitive records a backward closure on the implicit
 tape (the parent links).  ``backward(out, grad)`` takes the gradient of a
 loss with respect to ``out``, topologically sorts the graph and fills
-``.grad`` on every tensor that requires gradients.
+``.grad`` on its leaves only: the tensors that require gradients but were
+made by no op, such as the optimizer's parameters and a saliency map's
+input.  It frees the graph behind it: each interior tensor loses its
+gradient, closure and parent links as soon as its closure has run, so the
+graph can be backpropagated once, and a second pass raises ContractError.
 
 The engine holds the ops the ResNet runs, and no other: ``add``, ``relu``,
 ``log_softmax``, ``linear``, ``conv2d``, ``maxpool2d``, ``global_avg_pool``
@@ -33,7 +37,7 @@ from .errors import ContractError, ShapeError
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data):
         if isinstance(data, np.ndarray) and data.dtype in (np.float32, np.float64):
@@ -74,9 +78,15 @@ def _accum(tensor: Tensor, grad: np.ndarray):
         tensor.grad = tensor.grad + grad
 
 
+def _released(g):
+    """Stands in for the closure of an interior tensor once a backward pass
+    has run it and freed the graph behind it."""
+    raise ContractError("backward: the graph was freed by an earlier backward pass")
+
+
 def backward(out: Tensor, grad: np.ndarray) -> None:
-    """Populate ``.grad`` of every requires_grad tensor reachable from ``out``,
-    given ``grad``, a loss's gradient with respect to ``out``."""
+    """Populate ``.grad`` of every leaf tensor reachable from ``out``, given
+    ``grad``, a loss's gradient with respect to ``out``, and free the graph."""
     if np.shape(grad) != out.data.shape:
         raise ContractError(f"backward: gradient of shape {np.shape(grad)} "
                             f"for an output of shape {out.data.shape}")
@@ -103,8 +113,11 @@ def backward(out: Tensor, grad: np.ndarray) -> None:
         node.grad = None
     _accum(out, np.asarray(grad))
     for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
+        if node._backward is None:
+            continue  # a leaf keeps its gradient
+        if node.grad is not None:
             node._backward(node.grad)
+        node.grad, node._backward, node._parents = None, _released, ()
 
 
 # ---------------------------------------------------------------------------
@@ -209,20 +222,25 @@ def conv2d(x: Tensor, weight: Tensor, stride: int, pad: int) -> Tensor:
     # 64-bit end to end
     out_dtype = _promote(x, weight)
     xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    win = _windows(xp.astype(out_dtype, copy=False), kh, kw, stride)
-    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, ho * wo)
+    # the tape keeps this padded input, not cols (kh * kw times its size):
+    # the weight gradient builds cols from it again, the same bytes
+    xp = xp.astype(out_dtype, copy=False)
+
+    def im2col():
+        win = _windows(xp, kh, kw, stride)
+        return win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, ho * wo)
+
     w2 = weight.data.reshape(co, c * kh * kw).astype(out_dtype, copy=False)
-    data = np.matmul(w2, cols).reshape(n, co, ho, wo)
-    xp_shape = xp.shape  # the tape keeps cols, not the padded input
+    data = np.matmul(w2, im2col()).reshape(n, co, ho, wo)
 
     def bwd(g):
         g2 = g.reshape(n, co, ho * wo).astype(out_dtype, copy=False)
         if weight.requires_grad:
-            dw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0, dtype=np.float64)
+            dw = np.matmul(g2, im2col().transpose(0, 2, 1)).sum(axis=0, dtype=np.float64)
             _accum(weight, dw.reshape(weight.data.shape))
         if x.requires_grad:
             dcols = np.matmul(w2.T, g2).reshape(n, c, kh, kw, ho, wo)
-            dxp = _fold(dcols.transpose(0, 1, 4, 5, 2, 3), xp_shape, stride, dcols.dtype)
+            dxp = _fold(dcols.transpose(0, 1, 4, 5, 2, 3), xp.shape, stride, dcols.dtype)
             dx = dxp[:, :, pad : pad + h, pad : pad + w] if pad else dxp
             _accum(x, dx)
 

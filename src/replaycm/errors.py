@@ -3,9 +3,13 @@
 Every error carries a stable machine-readable ``category`` so the CLI can
 emit single-line, parseable diagnostics.  ``ascii_lines`` is the one reader
 of the toolkit's text files (protocols, score files, feature manifests), so
-that a stray byte in any of them is a ``ParseError`` too.
+that a stray byte in any of them is a ``ParseError`` too.  ``atomic_open``
+is the one writer of checkpoints and score files, so that a failed or killed
+write never leaves one half written.
 """
 
+import os
+from contextlib import contextmanager
 from pathlib import Path
 
 
@@ -97,3 +101,21 @@ def ascii_lines(path):
             raise ParseError(f"{path}:{lineno}: non-ASCII byte {raw[exc.start]:#04x}") from exc
         if line:
             yield lineno, line
+
+
+@contextmanager
+def atomic_open(path, mode, **kwargs):
+    """Open a temporary file beside ``path`` for writing; when the block ends
+    without an exception it is renamed onto ``path`` in one step, and when it
+    raises it is removed and ``path`` keeps what it held.  A process killed
+    mid-write leaves at most the temporary file, never a partial ``path``.
+    The rename is atomic, not durable: nothing is flushed to disk."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

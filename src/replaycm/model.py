@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import BatchNorm2d, Tensor
-from .errors import FormatError, ParameterError, ShapeError
+from .errors import FormatError, ParameterError, ShapeError, atomic_open
 
 
 @dataclass
@@ -231,7 +231,7 @@ def save_checkpoint(path, model: ResNet, extra: dict) -> None:
         },
         sort_keys=True,
     ).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_CKPT_HEAD.pack(_CKPT_MAGIC, _CKPT_VERSION, len(header)))
         fh.write(header)
         for entry in directory:

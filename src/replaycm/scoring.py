@@ -8,7 +8,8 @@ from decimal import ROUND_HALF_UP, Context, Decimal
 
 import numpy as np
 
-from .errors import AlignmentError, NumericError, ParameterError, ParseError, ascii_lines
+from .errors import (AlignmentError, NumericError, ParameterError, ParseError, ascii_lines,
+                     atomic_open)
 
 LR_RIDGE = 1e-4
 LR_GRAD_TOL = 1e-8
@@ -34,10 +35,10 @@ def _format_score(utt_id: str, score: float) -> str:
 def write_score_file(scores: dict, path) -> None:
     """One line per utterance: ``<utt_id> <score>`` with 6 decimal places,
     sorted by utt_id so identical score sets serialize byte-identically.
-    Every line is formatted before the file is opened, so a score that
-    cannot be written leaves no file behind."""
+    The file is replaced whole (``atomic_open``), so a score that cannot be
+    written leaves the previous file, or none, behind."""
     lines = [f"{utt_id} {_format_score(utt_id, scores[utt_id])}\n" for utt_id in sorted(scores)]
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.writelines(lines)
 
 

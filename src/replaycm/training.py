@@ -213,6 +213,7 @@ def train(model: ResNet, train_entries, dev_entries, store: FeatureStore,
             optimizer.zero_grad()
             ad.backward(log_probs, grad)
             optimizer.step()
+            del x, log_probs  # not held through the next forward
             epoch_loss += loss
             n_batches += 1
 

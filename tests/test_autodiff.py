@@ -54,6 +54,17 @@ def test_backward_rejects_a_gradient_of_another_shape(rng):
             ad.backward(ad.add(x, x), np.ones(shape))
 
 
+@pytest.mark.parametrize("second", ["same output", "output sharing the graph"])
+def test_a_freed_graph_refuses_a_second_backward(second, rng):
+    w = leaf(rng.standard_normal((2, 3)))
+    h = ad.linear(Tensor(rng.standard_normal((4, 3))), w, Tensor(np.zeros(2)))
+    first, other = ad.relu(h), ad.log_softmax(h)
+    ad.backward(first, np.ones(first.shape))
+    out = first if second == "same output" else other
+    with pytest.raises(ContractError, match="freed by an earlier backward"):
+        ad.backward(out, np.ones(out.shape))
+
+
 def test_shape_error_names_both_shapes():
     x = Tensor(np.zeros((2, 3)))
     w = Tensor(np.zeros((4, 5)))

@@ -72,6 +72,16 @@ class TestScoreFiles:
             write_score_file({"a": 0.5, "z": score}, path)
         assert not path.exists()
 
+    def test_a_write_that_fails_midway_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "scores.txt"
+        write_score_file({"a": 0.5}, path)
+        before = path.read_bytes()
+        # "a" is written before the non-ASCII "\xe9" fails to encode
+        with pytest.raises(UnicodeEncodeError):
+            write_score_file({"a": 0.25, "\xe9": 0.75}, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["scores.txt"]
+
 
 class TestMeanFuse:
     def test_sum_that_overflows_still_averages(self):
