@@ -2,8 +2,9 @@
 # The console script end to end on a toy corpus, written under the current
 # directory: every front-end, training with the focal loss and with BCE (each
 # seeds the backward pass with the loss's gradient), scoring, a saliency map
-# (a one-hot seed), mean fusion, evaluation and the per-attack breakdown, then
-# inputs that must each end in one error:<category>: line with exit code 1.
+# (a one-hot seed), mean fusion, evaluation and the per-attack breakdown, the
+# evaluation of scores near the float maximum, then inputs that must each end
+# in one error:<category>: line with exit code 1.
 #
 #   bash .github/console_pipeline.sh    # with replaycm on PATH
 set -euo pipefail
@@ -35,6 +36,17 @@ replaycm saliency --ckpt toy/bce.ckpt --feature "toy/stft/$utt.fgram" --out toy/
 replaycm fuse --method mean --scores toy/eval_scores.txt toy/eval_scores.txt \
   --out toy/fused.txt
 replaycm evaluate --scores toy/fused.txt --protocol toy/protocol_eval.txt
+# scores near 1.8e308 separate perfectly: no threshold arithmetic may overflow
+printf 'b - bonafide\ns0 AA spoof\ns1 AA spoof\n' > toy/extreme_protocol.txt
+printf 'b 1.7e308\ns0 1.6e308\ns1 -1\n' > toy/extreme_scores.txt
+replaycm evaluate --scores toy/extreme_scores.txt --protocol toy/extreme_protocol.txt \
+  > toy/stdout.txt 2> toy/stderr.txt
+if [ "$(cat toy/stdout.txt)" != "eer=0.000000 min_tdcf=0.000000" ] || [ -s toy/stderr.txt ]; then
+  echo "evaluate of scores near 1.8e308: expected eer=0.000000 min_tdcf=0.000000 and" \
+    "an empty stderr, got:" >&2
+  cat toy/stdout.txt toy/stderr.txt >&2
+  exit 1
+fi
 
 # expect_error CATEGORY COMMAND...
 expect_error() {

@@ -7,9 +7,11 @@ tape (the parent links).  ``backward(out, grad)`` takes the gradient of a
 loss with respect to ``out``, topologically sorts the graph and fills
 ``.grad`` on its leaves only: the tensors that require gradients but were
 made by no op, such as the optimizer's parameters and a saliency map's
-input.  It frees the graph behind it: each interior tensor loses its
-gradient, closure and parent links as soon as its closure has run, so the
-graph can be backpropagated once, and a second pass raises ContractError.
+input.  A pass first resets the gradient of every tensor it reaches, so a
+leaf's ``.grad`` is this pass's alone and nothing else has to zero it.  It
+frees the graph behind it: each interior tensor loses its gradient, closure
+and parent links as soon as its closure has run, so the graph can be
+backpropagated once, and a second pass raises ContractError.
 
 The engine holds the ops the ResNet runs, and no other: ``add``, ``relu``,
 ``log_softmax``, ``linear``, ``conv2d``, ``maxpool2d``, ``global_avg_pool``

@@ -173,8 +173,8 @@ def _tdcf_params(config_path) -> metrics.TdcfParams:
 
 def cmd_evaluate(args) -> int:
     bona, spoof = metrics.split_scores(*_labeled_records(args.scores, args.protocol))
-    eer_val, _ = metrics.eer(bona, spoof)
-    tdcf_val, _ = metrics.min_tdcf_norm(bona, spoof, _tdcf_params(args.tdcf_config))
+    eer_val = metrics.eer(bona, spoof)
+    tdcf_val = metrics.min_tdcf_norm(bona, spoof, _tdcf_params(args.tdcf_config))
     print(f"eer={eer_val:.6f} min_tdcf={tdcf_val:.6f}")
     return 0
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import Waveform
-from .errors import FormatError, InternalError, ParameterError
+from .errors import FormatError, InternalError, ParameterError, atomic_open
 
 N_FRAMES_FIXED = 500
 LOG_EPS = 1e-10
@@ -335,7 +335,7 @@ _HEADER = struct.Struct("<4sHBII")
 
 def write_gram(gram: FeatureGram, path) -> None:
     data = np.ascontiguousarray(gram.data, dtype="<f4")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _VERSION, KIND_CODES[gram.kind],
                               data.shape[0], data.shape[1]))
         fh.write(data.tobytes())

@@ -1,15 +1,19 @@
 """Countermeasure evaluation: EER, normalized minimum t-DCF, breakdowns.
 
-The metrics take two score arrays, bonafide and spoof.  ``split_scores`` is
-the one join of a ``{utt_id: score}`` dict with protocol labels, and the one
-place that checks the scores are finite and cover both classes.
+The metrics take two score arrays, bonafide and spoof, and each returns one
+float.  ``split_scores`` is the one join of a ``{utt_id: score}`` dict with
+protocol labels, and the one place that checks the scores are finite and
+cover both classes.
 
 Scores are log-likelihood ratios (higher = more bonafide).  An utterance is
-accepted at threshold s if score >= s, so P_fa (spoof accepted) is
-non-increasing and P_miss (bonafide rejected) non-decreasing in s.  The EER
-is read off the convex hull of the empirical ROC: the crossing of the hull
-with the P_fa = P_miss diagonal, linearly interpolated between the two hull
-vertices straddling it.
+accepted at threshold s if score >= s.  The operating points are taken at
+the distinct scores themselves, ascending, then at +inf (accept nothing):
+no threshold between two scores accepts anything a score does not, and no
+arithmetic on the scores can overflow or round.  P_fa (spoof accepted) is
+non-increasing and P_miss (bonafide rejected) non-decreasing along them.
+The EER is read off the convex hull of the empirical ROC: the crossing of
+the hull with the P_fa = P_miss diagonal, linearly interpolated between the
+two hull vertices straddling it.
 """
 
 from __future__ import annotations
@@ -19,13 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MetricError, ParameterError
-
-
-@dataclass
-class ErrorCurve:
-    thresholds: np.ndarray  # candidate thresholds, ascending; +-inf endpoints
-    p_fa: np.ndarray  # spoof accepted, non-increasing
-    p_miss: np.ndarray  # bonafide rejected, non-decreasing
 
 
 def split_scores(entries, scores: dict):
@@ -40,31 +37,22 @@ def split_scores(entries, scores: dict):
     return bona, spoof
 
 
-def error_curve(bona: np.ndarray, spoof: np.ndarray) -> ErrorCurve:
-    """Operating points swept over midpoints between adjacent distinct scores
-    plus -inf / +inf endpoints."""
-    allscores = np.unique(np.concatenate([bona, spoof]))
-    if allscores.size > 1:
-        mids = (allscores[:-1] + allscores[1:]) / 2.0
-    else:
-        mids = np.empty(0)
-    thresholds = np.concatenate([[-np.inf], mids, [np.inf]])
-    bona_sorted = np.sort(bona)
-    spoof_sorted = np.sort(spoof)
+def error_curve(bona: np.ndarray, spoof: np.ndarray):
+    """(p_fa, p_miss) at each distinct score, ascending, then at +inf."""
+    thresholds = np.append(np.unique(np.concatenate([bona, spoof])), np.inf)
     # accept iff score >= threshold
-    p_fa = 1.0 - np.searchsorted(spoof_sorted, thresholds, side="left") / spoof.size
-    p_miss = np.searchsorted(bona_sorted, thresholds, side="left") / bona.size
-    return ErrorCurve(thresholds, p_fa, p_miss)
+    p_fa = 1.0 - np.searchsorted(np.sort(spoof), thresholds, side="left") / spoof.size
+    p_miss = np.searchsorted(np.sort(bona), thresholds, side="left") / bona.size
+    return p_fa, p_miss
 
 
-def _roc_frontier(curve: ErrorCurve):
+def _roc_frontier(p_fa: np.ndarray, p_miss: np.ndarray) -> np.ndarray:
     """One operating point per distinct p_fa (its minimum p_miss), then the
     lower convex hull, sorted by p_fa ascending."""
     # thresholds ascend, so p_fa is non-increasing and within an equal-p_fa
     # run the first point (smallest threshold) has the smallest p_miss
-    uniq_fa, first_idx = np.unique(curve.p_fa, return_index=True)
-    pts = np.stack([uniq_fa, curve.p_miss[first_idx]], axis=1)
-    thr = curve.thresholds[first_idx]
+    uniq_fa, first_idx = np.unique(p_fa, return_index=True)
+    pts = np.stack([uniq_fa, p_miss[first_idx]], axis=1)
     hull = []
     for i in range(pts.shape[0]):
         while len(hull) >= 2:
@@ -75,29 +63,21 @@ def _roc_frontier(curve: ErrorCurve):
             else:
                 break
         hull.append(i)
-    hull = np.array(hull, dtype=np.int64)
-    return pts[hull], thr[hull]
+    return pts[hull]
 
 
-def eer(bona: np.ndarray, spoof: np.ndarray):
-    """Equal error rate and its threshold."""
-    curve = error_curve(bona, spoof)
-    hp, ht = _roc_frontier(curve)
+def eer(bona: np.ndarray, spoof: np.ndarray) -> float:
+    """Equal error rate of the ROC convex hull."""
+    hp = _roc_frontier(*error_curve(bona, spoof))
     # diff = p_miss - p_fa strictly decreases along the hull from the
     # reject-all end (p_fa 0) to the accept-all end (p_fa 1, p_miss 0)
     diff = hp[:, 1] - hp[:, 0]
     if diff[0] <= 0:
-        return float(hp[0, 0]), float(ht[0])
+        return float(hp[0, 0])
     k = int(np.searchsorted(-diff, 0.0, side="left"))
     d1, d2 = diff[k - 1], diff[k]
     s = 0.0 if d1 == d2 else d1 / (d1 - d2)
-    eer_val = hp[k - 1, 0] + s * (hp[k, 0] - hp[k - 1, 0])
-    t1, t2 = ht[k - 1], ht[k]
-    if np.isfinite(t1) and np.isfinite(t2):
-        thr = t1 + s * (t2 - t1)
-    else:
-        thr = t1 if np.isfinite(t1) else t2
-    return float(eer_val), float(thr)
+    return float(hp[k - 1, 0] + s * (hp[k, 0] - hp[k - 1, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -144,13 +124,11 @@ class TdcfParams:
         return c1, c2
 
 
-def min_tdcf_norm(bona: np.ndarray, spoof: np.ndarray, params: TdcfParams):
-    """Minimum normalized t-DCF over all CM thresholds, and the threshold."""
+def min_tdcf_norm(bona: np.ndarray, spoof: np.ndarray, params: TdcfParams) -> float:
+    """Minimum normalized t-DCF over all CM thresholds."""
     c1, c2 = params.coefficients()
-    curve = error_curve(bona, spoof)
-    tdcf = c1 * curve.p_miss + c2 * curve.p_fa
-    k = int(np.argmin(tdcf))
-    return float(tdcf[k] / min(c1, c2)), float(curve.thresholds[k])
+    p_fa, p_miss = error_curve(bona, spoof)
+    return float(np.min(c1 * p_miss + c2 * p_fa) / min(c1, c2))
 
 
 def breakdown(entries, scores: dict, params: TdcfParams):
@@ -165,8 +143,8 @@ def breakdown(entries, scores: dict, params: TdcfParams):
     for code in sorted({e.attack_code for e in spoof_entries}):
         subset = bona_entries + [e for e in spoof_entries if e.attack_code == code]
         bona, spoof = split_scores(subset, scores)
-        rows.append({"attack_code": code, "eer": eer(bona, spoof)[0],
-                     "min_tdcf": min_tdcf_norm(bona, spoof, params)[0], "n_spoof": spoof.size})
+        rows.append({"attack_code": code, "eer": eer(bona, spoof),
+                     "min_tdcf": min_tdcf_norm(bona, spoof, params), "n_spoof": spoof.size})
     return rows
 
 

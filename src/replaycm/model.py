@@ -27,7 +27,7 @@ class ResNetConfig:
     block_counts: tuple = (3, 4, 6, 3)
     base_channels: int = 16
     fc_width: int = 32
-    n_classes: int = 2
+    n_classes: int = 2  # spoof and bonafide; kept in checkpoint headers
     input_bins: int = 513
     input_frames: int = 500
     scale: int = 4  # a quarter-width network unless a config says otherwise
@@ -45,9 +45,11 @@ class ResNetConfig:
             raise ParameterError(
                 f"scale {self.scale} must divide base_channels {self.base_channels}"
             )
-        for name in ("base_channels", "fc_width", "n_classes", "input_bins", "input_frames"):
+        for name in ("base_channels", "fc_width", "input_bins", "input_frames"):
             if getattr(self, name) < 1:
                 raise ParameterError(f"{name} must be positive")
+        if self.n_classes != 2:  # score_batch and saliency_map read both classes
+            raise ParameterError(f"n_classes must be 2 (spoof, bonafide), got {self.n_classes}")
 
     @property
     def stage_channels(self) -> tuple:
@@ -264,6 +266,8 @@ def load_checkpoint(path):
             directory = [_array_entry(e) for e in header["arrays"]]
         except (ValueError, KeyError, TypeError) as exc:
             raise FormatError(f"{path}: malformed checkpoint header: {exc!r}") from exc
+        except ParameterError as exc:  # a well-formed config no model can take
+            raise FormatError(f"{path}: {exc}") from exc
         # checked against the file before any read, so no claimed size is ever allocated
         need = sum(dtype.itemsize * math.prod(shape) for _, dtype, shape in directory)
         left = os.fstat(fh.fileno()).st_size - fh.tell()

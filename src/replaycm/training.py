@@ -10,7 +10,8 @@ import numpy as np
 from . import autodiff as ad
 from . import objectives
 from .autodiff import Tensor
-from .errors import DataError, FormatError, ParameterError, ShapeError, TrainingError, ascii_lines
+from .errors import (DataError, FormatError, ParameterError, ShapeError, TrainingError,
+                     ascii_lines, atomic_open)
 from .features import read_gram
 from .metrics import eer, split_scores
 from .model import ResNet, score_batch
@@ -96,10 +97,6 @@ class AdamW:
             update = m_hat / (np.sqrt(v_hat) + ADAM_EPS) + self.weight_decay * p.data
             p.data = (p.data - self.lr * update).astype(p.data.dtype)
 
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
-
 
 class FeatureStore:
     """Loads feature grams by utt_id via the extraction manifest."""
@@ -147,7 +144,8 @@ def write_feature_manifest(feature_dir, mapping: dict) -> None:
     merged = _read_manifest(path) if path.exists() else {}
     merged.update(mapping)
     lines = [f"{utt_id} {rel}" for utt_id, rel in sorted(merged.items())]
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    with atomic_open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 @dataclass
@@ -210,7 +208,6 @@ def train(model: ResNet, train_entries, dev_entries, store: FeatureStore,
             x = Tensor(grams.astype(np.float32)[:, None, :, :])
             log_probs = model.forward(x, train=True)
             loss, grad = objectives.bfl(log_probs.data, targets, weights, cfg.gamma)
-            optimizer.zero_grad()
             ad.backward(log_probs, grad)
             optimizer.step()
             del x, log_probs  # not held through the next forward
@@ -218,7 +215,7 @@ def train(model: ResNet, train_entries, dev_entries, store: FeatureStore,
             n_batches += 1
 
         train_loss = epoch_loss / n_batches
-        dev_eer, _ = eer(*split_scores(dev_entries, _score_entries(model, dev_entries, store)))
+        dev_eer = eer(*split_scores(dev_entries, _score_entries(model, dev_entries, store)))
         history.append({"epoch": epoch, "train_loss": train_loss,
                         "dev_eer": dev_eer, "lr": optimizer.lr})
         if dev_eer < best.best_dev_eer:
@@ -237,5 +234,6 @@ def train(model: ResNet, train_entries, dev_entries, store: FeatureStore,
 
     lines = [f"{h['epoch']} {h['train_loss']:.6f} {h['dev_eer']:.6f} {h['lr']:.8f}"
              for h in history]
-    Path(log_path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    with atomic_open(log_path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
     return best

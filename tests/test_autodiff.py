@@ -220,6 +220,14 @@ def test_grad_accumulates_across_reuse(rng):
     assert np.array_equal(x.grad, np.full(3, 2.0, dtype=np.float32))
 
 
+def test_a_new_pass_replaces_a_leafs_gradient(rng):
+    # the one reset of a gradient: the optimizer zeroes nothing between steps
+    x = leaf(rng.standard_normal((3,)).astype(np.float32))
+    x.grad = np.full(3, 7.0, dtype=np.float32)  # left by an earlier pass
+    ad.backward(ad.relu(x), np.ones(3))
+    assert np.array_equal(x.grad, (x.data > 0).astype(np.float32))
+
+
 def test_input_gradient_identity_selector(rng):
     x = leaf(rng.standard_normal((2, 3)).astype(np.float32))
     ad.backward(x, np.ones((2, 3)))

@@ -94,6 +94,20 @@ def test_evaluate_hand_built_pair(tmp_path, capsys):
     assert out.startswith("eer=0.250000 ")
 
 
+@pytest.mark.parametrize("bona, spoof", [("1.7e308", ["1.6e308", "-1"]),
+                                         ("10000000000000002.000000", ["10000000000000000.000000"])],
+                         ids=["near-the-float-maximum", "one-ulp-apart"])
+def test_evaluate_separates_scores_no_midpoint_can(tmp_path, capsys, bona, spoof):
+    # a threshold halfway between two scores once overflowed (a RuntimeWarning
+    # and eer=0.333333 min_tdcf=0.500000) or rounded onto the spoof's (0.5, 1)
+    protocol = tmp_path / "protocol.txt"
+    protocol.write_text("b - bonafide\n" + "".join(f"s{i} AA spoof\n" for i in range(len(spoof))))
+    scores = tmp_path / "scores.txt"
+    scores.write_text(f"b {bona}\n" + "".join(f"s{i} {s}\n" for i, s in enumerate(spoof)))
+    assert main(["evaluate", "--scores", str(scores), "--protocol", str(protocol)]) == 0
+    assert capsys.readouterr() == ("eer=0.000000 min_tdcf=0.000000\n", "")
+
+
 def test_saliency_preserves_dims(pipeline, tmp_path):
     root, corpus, feats, ckpt, _, _ = pipeline
     from replaycm.replay_sim import read_protocol
@@ -450,6 +464,43 @@ def _checkpoint_command(command, ckpt, pipeline, tmp_path) -> list:
                 "--protocol", str(protocol), "--out", str(tmp_path / "s.txt")]
     return ["saliency", "--ckpt", str(ckpt), "--feature", str(feats / f"{utt_id}.fgram"),
             "--out", str(tmp_path / "s.fgram")]
+
+
+def _ckpt_with_config(blob: bytes, **config) -> bytes:
+    """The checkpoint ``blob`` with ``config`` set in its header's model
+    config, and its output layer cut or repeated to ``n_classes`` rows, so
+    that the file is one such a model would write."""
+    header_end = 10 + int.from_bytes(blob[6:10], "little")
+    header = json.loads(blob[10:header_end])
+    header["config"].update(config)
+    payload, offset = [], header_end
+    for entry in header["arrays"]:
+        dtype, shape = np.dtype(entry["dtype"]), entry["shape"]
+        size = dtype.itemsize * math.prod(shape)
+        array = np.frombuffer(blob[offset:offset + size], dtype).reshape(shape)
+        offset += size
+        if entry["name"] in ("param/out_w", "param/out_b"):
+            array = np.resize(array, (header["config"]["n_classes"], *shape[1:]))
+            entry["shape"] = list(array.shape)
+        payload.append(array.tobytes())
+    text = json.dumps(header).encode()
+    return blob[:6] + struct.pack("<I", len(text)) + text + b"".join(payload)
+
+
+@pytest.mark.parametrize("config, problem", [
+    ({"n_classes": 1}, "n_classes must be 2 (spoof, bonafide), got 1"),
+    ({"n_classes": 3}, "n_classes must be 2 (spoof, bonafide), got 3"),
+    ({"scale": 3}, "scale 3 must divide base_channels 16"),
+], ids=["one-class", "three-class", "scale-3"])
+@pytest.mark.parametrize("command", ["score", "saliency"])
+def test_model_config_the_cli_cannot_score_is_a_format_error(pipeline, tmp_path, capsys,
+                                                              command, config, problem):
+    # one class once ended in an IndexError traceback and three were scored as
+    # two; a config the model rejected was a parameter error naming no file
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(_ckpt_with_config(pipeline[3].read_bytes(), **config))
+    err = _error_line(main(_checkpoint_command(command, bad, pipeline, tmp_path)), capsys)
+    assert err == f"error:format: {bad}: {problem}", err
 
 
 @pytest.mark.parametrize("name, problem", [("param/zzz_extra", "is not one of the model's"),

@@ -1,3 +1,4 @@
+import signal
 import sys
 import threading
 import time
@@ -454,6 +455,25 @@ class TestGramFiles:
         assert back.kind == "MGD"
         assert back.utt_id == "u1"
         assert np.array_equal(back.data, g.data)
+
+    def test_a_write_that_fails_midway_keeps_the_previous_file(self, tmp_path, rng):
+        resource = pytest.importorskip("resource")
+        path = tmp_path / "u.fgram"
+        write_gram(FeatureGram("STFT", np.zeros((8, 10), np.float32), "u"), path)
+        before = path.read_bytes()
+        # a file-size limit past the header: the payload write fails with EFBIG
+        # (SIGXFSZ ignored, so the limit raises instead of killing the process)
+        limits = resource.getrlimit(resource.RLIMIT_FSIZE)
+        handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (64, limits[1]))
+        try:
+            with pytest.raises(OSError, match="too large"):
+                write_gram(FeatureGram("STFT", rng.standard_normal((8, 10)), "u"), path)
+        finally:
+            resource.setrlimit(resource.RLIMIT_FSIZE, limits)
+            signal.signal(signal.SIGXFSZ, handler)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["u.fgram"]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.fgram"

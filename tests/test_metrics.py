@@ -14,6 +14,9 @@ from replaycm.metrics import (
 from replaycm.replay_sim import ManifestEntry
 
 PARAMS = TdcfParams()
+# (bonafide, spoof) scores that separate perfectly, with two adjacent distinct
+# scores whose sum overflows
+EXTREME = [([1.7e308], [1.6e308, -1.0]), ([-1.6e308, 1.0], [-1.7e308])]
 
 
 def labeled(bona, spoof, codes=None):
@@ -26,11 +29,10 @@ def labeled(bona, spoof, codes=None):
 
 
 def oracle_operating_points(bona, spoof):
-    """Brute force: every distinct score as an accept-if-greater-or-equal
-    threshold, plus the accept-everything endpoint."""
+    """Brute force: (p_fa, p_miss) at every distinct score, ascending, as an
+    accept-if-greater-or-equal threshold, then at the accept-nothing +inf."""
     cand = np.concatenate([np.unique(np.concatenate([bona, spoof])), [np.inf]])
-    pts = {(float(np.mean(spoof >= t)), float(np.mean(bona < t))) for t in cand}
-    return np.array(sorted(pts))
+    return np.array([(np.mean(spoof >= t), np.mean(bona < t)) for t in cand])
 
 
 def oracle_rocch_eer(bona, spoof):
@@ -59,17 +61,17 @@ def oracle_min_tdcf_norm(bona, spoof, params):
 
 class TestEer:
     def test_perfect_separation(self):
-        value, _ = eer(np.array([1.0, 2.0, 3.0]), np.array([-1.0, -2.0]))
+        value = eer(np.array([1.0, 2.0, 3.0]), np.array([-1.0, -2.0]))
         assert value == 0.0
 
     def test_interpolated_crossing_example(self):
-        value, _ = eer(np.array([0.9, 0.8]), np.array([0.85, 0.2]))
+        value = eer(np.array([0.9, 0.8]), np.array([0.85, 0.2]))
         assert value == pytest.approx(0.25, abs=1e-12)
 
     def test_random_labels_near_half(self, rng):
         scores = rng.standard_normal(2000)
         labels = rng.random(2000) < 0.5
-        value, _ = eer(scores[labels], scores[~labels])
+        value = eer(scores[labels], scores[~labels])
         assert abs(value - 0.5) < 0.05
 
     def test_matches_brute_force_oracle(self, rng):
@@ -82,21 +84,27 @@ class TestEer:
             else:
                 bona = rng.standard_normal(nb) + rng.uniform(-1, 1)
                 spoof = rng.standard_normal(ns)
-            value, _ = eer(bona, spoof)
+            value = eer(bona, spoof)
             assert value == pytest.approx(oracle_rocch_eer(bona, spoof), abs=1e-12)
             assert -1e-12 <= value <= 0.5 + 1e-12
 
     def test_monotone_transform_invariance(self, rng):
         bona = rng.standard_normal(80) + 0.7
         spoof = rng.standard_normal(120)
-        base, _ = eer(bona, spoof)
+        base = eer(bona, spoof)
         warp = lambda x: np.exp(0.5 * x) + 0.1 * x
-        warped, _ = eer(warp(bona), warp(spoof))
+        warped = eer(warp(bona), warp(spoof))
         assert warped == pytest.approx(base, abs=1e-12)
 
-    def test_threshold_separates_at_eer_point(self):
-        _, threshold = eer(np.array([1.0, 2.0]), np.array([-2.0, -1.0]))
-        assert -1.0 < threshold < 1.0
+    @pytest.mark.parametrize("bona, spoof", [
+        ([10000000000000002.0], [1e16]), ([np.nextafter(1.0, 2.0)], [1.0]), *EXTREME,
+    ], ids=["one-ulp-apart-1e16", "one-ulp-apart-1.0", "near+1.8e308", "near-1.8e308"])
+    def test_separable_scores_at_the_float_edges(self, bona, spoof):
+        # a threshold halfway between two adjacent scores once rounded onto
+        # one of them, or overflowed with a RuntimeWarning (an error here)
+        bona, spoof = np.array(bona), np.array(spoof)
+        assert eer(bona, spoof) == 0.0
+        assert min_tdcf_norm(bona, spoof, PARAMS) == 0.0
 
 
 class TestSplitScores:
@@ -120,20 +128,35 @@ class TestErrorCurve:
     def test_endpoints_and_monotonicity(self, rng):
         bona = rng.standard_normal(40) + 1
         spoof = rng.standard_normal(60)
-        curve = error_curve(bona, spoof)
-        assert curve.p_fa[0] == 1.0 and curve.p_miss[0] == 0.0
-        assert curve.p_fa[-1] == 0.0 and curve.p_miss[-1] == 1.0
-        assert np.all(np.diff(curve.p_fa) <= 0)
-        assert np.all(np.diff(curve.p_miss) >= 0)
+        p_fa, p_miss = error_curve(bona, spoof)
+        assert p_fa[0] == 1.0 and p_miss[0] == 0.0
+        assert p_fa[-1] == 0.0 and p_miss[-1] == 1.0
+        assert np.all(np.diff(p_fa) <= 0)
+        assert np.all(np.diff(p_miss) >= 0)
+
+    def test_points_are_the_oracles_in_order(self, rng):
+        sets = [(np.array(b), np.array(s)) for b, s in EXTREME]
+        for trial in range(60):
+            nb, ns = (int(n) for n in rng.integers(1, 30, 2))
+            if trial % 3 == 0:  # heavy ties
+                sets.append((rng.integers(0, 4, nb).astype(float),
+                             rng.integers(0, 4, ns).astype(float)))
+            else:
+                sets.append((rng.standard_normal(nb) + 1, rng.standard_normal(ns)))
+        for bona, spoof in sets:
+            points = np.stack(error_curve(bona, spoof), axis=1)
+            expected = oracle_operating_points(bona, spoof)
+            assert points.shape == expected.shape
+            assert np.allclose(points, expected, rtol=0, atol=1e-12)
 
 
 class TestMinTdcf:
     def test_perfect_cm_zero_cost(self):
-        value, _ = min_tdcf_norm(np.array([5.0, 6.0]), np.array([1.0, 2.0]), PARAMS)
+        value = min_tdcf_norm(np.array([5.0, 6.0]), np.array([1.0, 2.0]), PARAMS)
         assert value == 0.0
 
     def test_uninformative_cm_costs_one(self):
-        value, _ = min_tdcf_norm(np.full(3, 0.5), np.full(2, 0.5), PARAMS)
+        value = min_tdcf_norm(np.full(3, 0.5), np.full(2, 0.5), PARAMS)
         assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_brute_force_oracle(self, rng):
@@ -143,15 +166,15 @@ class TestMinTdcf:
             ns = int(rng.integers(2, 40))
             bona = rng.standard_normal(nb) + 0.4
             spoof = rng.standard_normal(ns)
-            value, _ = min_tdcf_norm(bona, spoof, params)
+            value = min_tdcf_norm(bona, spoof, params)
             assert value == pytest.approx(oracle_min_tdcf_norm(bona, spoof, params), abs=1e-12)
             assert value >= 0.0
 
     def test_shift_invariance(self, rng):
         bona = rng.standard_normal(30) + 1
         spoof = rng.standard_normal(30)
-        a, _ = min_tdcf_norm(bona, spoof, PARAMS)
-        b, _ = min_tdcf_norm(bona + 123.5, spoof + 123.5, PARAMS)
+        a = min_tdcf_norm(bona, spoof, PARAMS)
+        b = min_tdcf_norm(bona + 123.5, spoof + 123.5, PARAMS)
         assert a == b
 
     def test_degenerate_operating_point_rejected(self):
@@ -177,8 +200,8 @@ class TestBreakdown:
         assert len(rows) == 1
         assert rows[0]["attack_code"] == "AA"
         assert rows[0]["n_spoof"] == 30
-        assert rows[0]["eer"] == eer(bona, spoof)[0]
-        assert rows[0]["min_tdcf"] == min_tdcf_norm(bona, spoof, PARAMS)[0]
+        assert rows[0]["eer"] == eer(bona, spoof)
+        assert rows[0]["min_tdcf"] == min_tdcf_norm(bona, spoof, PARAMS)
 
     def test_per_code_bookkeeping(self, rng):
         codes = ["AA"] * 4 + ["BB"] * 6 + ["CC"] * 2

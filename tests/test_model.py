@@ -176,7 +176,6 @@ class TestAdamW:
 
         lp = log_probs()
         before, grad = bfl(lp.data, targets, weights, 0.0)
-        opt.zero_grad()
         ad.backward(lp, grad)
         opt.step()
         assert bfl(log_probs().data, targets, weights, 0.0)[0] < before

@@ -125,7 +125,7 @@ class TestLrFuse:
         s2 = {u: float(rng.standard_normal()) for u in labels}
         model = lr_fuse_train([s1, s2], labels)
         fused = model.fuse([s1, s2])
-        assert eer(*split_scores(labeled(labels), fused))[0] == 0.0
+        assert eer(*split_scores(labeled(labels), fused)) == 0.0
 
     def test_duplicate_system_preserves_ranking(self, rng):
         base = {f"u{i}": float(rng.standard_normal()) for i in range(40)}
@@ -158,14 +158,14 @@ class TestCrossModuleProperties:
         if len(set(labels.values())) < 2:
             labels["u0"] = "bonafide"
             labels["u1"] = "spoof"
-        base = eer(*split_scores(labeled(labels), scores))[0]
+        base = eer(*split_scores(labeled(labels), scores))
         warped = {u: float(np.tanh(s) * 4 + s**3 * 0.01) for u, s in scores.items()}
-        assert eer(*split_scores(labeled(labels), warped))[0] == pytest.approx(base, abs=1e-12)
+        assert eer(*split_scores(labeled(labels), warped)) == pytest.approx(base, abs=1e-12)
 
     def test_mean_fusing_copies_keeps_eer(self, rng):
         scores = {f"u{i}": float(rng.standard_normal()) for i in range(60)}
         labels = {u: ("bonafide" if i < 20 else "spoof") for i, u in enumerate(scores)}
         fused = mean_fuse([scores, scores, scores])
-        base = eer(*split_scores(labeled(labels), scores))[0]
-        after = eer(*split_scores(labeled(labels), fused))[0]
+        base = eer(*split_scores(labeled(labels), scores))
+        after = eer(*split_scores(labeled(labels), fused))
         assert after == base

@@ -118,7 +118,7 @@ def test_best_dev_checkpoint_retained(tmp_path, rng):
 
     utt_ids = [e.utt_id for e in dev_entries]
     scores = dict(zip(utt_ids, score_batch(model, store.load_batch(utt_ids)).tolist()))
-    dev_eer, _ = eer(*split_scores(dev_entries, scores))
+    dev_eer = eer(*split_scores(dev_entries, scores))
     assert dev_eer == pytest.approx(result.best_dev_eer, abs=1e-12)
 
 
@@ -156,7 +156,7 @@ def test_lr_is_cut_after_patience_epochs_without_a_better_dev_eer(tmp_path, rng,
                                                                   dev_eers, lrs, best_epoch):
     # the lr column holds the lr each epoch trained at; patience 3, factor 0.1
     scripted = iter(dev_eers)
-    monkeypatch.setattr(training, "eer", lambda bona, spoof: (next(scripted), 0.0))
+    monkeypatch.setattr(training, "eer", lambda bona, spoof: next(scripted))
     train_entries, dev_entries = make_toy_features(tmp_path, rng)
     cfg = TrainConfig(lr=LR, batch_size=4, max_epochs=len(dev_eers), plateau_patience=3,
                       plateau_factor=0.1)
