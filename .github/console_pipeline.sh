@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # The console script end to end on a toy corpus, written under the current
 # directory: every front-end, training with the focal loss and with BCE (each
-# seeds the backward pass with the loss's gradient), scoring, a saliency map
-# (a one-hot seed), mean fusion, evaluation and the per-attack breakdown, the
+# seeds the backward pass with the loss's gradient), scoring at one job and at
+# two (byte for byte the same), a saliency map (a one-hot seed), mean fusion, evaluation and the per-attack breakdown, the
 # evaluation of scores near the float maximum, then inputs that must each end
 # in one error:<category>: line with exit code 1.
 #
@@ -29,6 +29,10 @@ replaycm train --feature-dir toy/stft --protocol-train toy/protocol_train.txt \
   --out toy/bce.ckpt
 replaycm score --ckpt toy/model.ckpt --feature-dir toy/stft \
   --protocol toy/protocol_eval.txt --out toy/eval_scores.txt
+# pool threads run whole batches, forward included, and give the serial bytes
+replaycm score --ckpt toy/model.ckpt --feature-dir toy/stft \
+  --protocol toy/protocol_eval.txt --out toy/eval_scores_jobs2.txt --jobs 2
+cmp toy/eval_scores.txt toy/eval_scores_jobs2.txt
 replaycm evaluate --scores toy/eval_scores.txt --protocol toy/protocol_eval.txt
 replaycm breakdown --scores toy/eval_scores.txt --protocol toy/protocol_eval.txt
 utt=$(head -n 1 toy/protocol_eval.txt | cut -d ' ' -f 1)
@@ -69,6 +73,15 @@ expect_error parameter replaycm simulate --out toy/rejected --sources 3 --utts 1
 : > toy/empty_protocol.txt
 expect_error data replaycm train --feature-dir toy/stft --protocol-train toy/protocol_train.txt \
   --protocol-dev toy/empty_protocol.txt --objective bfl --config toy/one_epoch.cfg \
+  --out toy/rejected.ckpt
+# a feature directory holds one kind: STFT train grams with MGD dev grams
+# of the same shape stop before the first epoch
+replaycm extract --feature stft --protocol toy/protocol_train.txt --wav-dir toy/wav \
+  --out toy/mixed --bin-stride 8 --frame-stride 10
+replaycm extract --feature mgd --protocol toy/protocol_dev.txt --wav-dir toy/wav \
+  --out toy/mixed --bin-stride 8 --frame-stride 10
+expect_error data replaycm train --feature-dir toy/mixed --protocol-train toy/protocol_train.txt \
+  --protocol-dev toy/protocol_dev.txt --objective bfl --config toy/one_epoch.cfg \
   --out toy/rejected.ckpt
 if [ -e toy/rejected.ckpt ] || [ -e toy/rejected.ckpt.log ]; then
   echo "a rejected train left toy/rejected.ckpt or its .log behind" >&2

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import wave
 from dataclasses import dataclass
 
@@ -83,8 +84,6 @@ def read_wav(path) -> Waveform:
     words = np.frombuffer(raw, dtype="<i2")
     if words.size == 0:
         raise FormatError(f"{path}: empty data chunk")
-    import os
-
     utt_id = os.path.splitext(os.path.basename(str(path)))[0]
     return Waveform(dequantize(words), sample_rate, utt_id)
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from . import features as feat
 from . import metrics, replay_sim, scoring, training
+from .audio_io import read_wav
 from .config import load_config
 from .errors import DataError, ParameterError, ReplayCmError
 from .features import FrameSpec, MgdParams, read_gram, reduce_gram, write_gram
@@ -66,11 +67,8 @@ def cmd_simulate(args) -> int:
 
 def _extract_one(entry, wav_dir: Path, out_dir: Path, frontend,
                  bin_stride: int, frame_stride: int) -> tuple:
-    from .audio_io import read_wav
-
     path = wav_dir / f"{entry.utt_id}.wav"
     w = read_wav(path)
-    w.utt_id = entry.utt_id
     try:
         gram = frontend(w)
     except ParameterError as exc:  # frames and kernels follow the WAV's rate
@@ -128,8 +126,11 @@ def cmd_train(args) -> int:
 def cmd_score(args) -> int:
     model, _ = load_checkpoint(args.ckpt)
     with _job_map(args.jobs) as map_fn:
-        scores = training._score_entries(model, read_protocol(args.protocol),
-                                         FeatureStore(args.feature_dir), map_fn=map_fn)
+        entries = read_protocol(args.protocol)
+        store = FeatureStore(args.feature_dir)
+        if entries:  # fixes the store's kind and shape before any pool thread reads it
+            store.load(entries[0].utt_id)
+        scores = training._score_entries(model, entries, store, map_fn=map_fn)
     write_score_file(scores, args.out)
     print(f"scored {len(scores)} utterances to {args.out}")
     return 0

@@ -99,7 +99,9 @@ class AdamW:
 
 
 class FeatureStore:
-    """Loads feature grams by utt_id via the extraction manifest."""
+    """Loads feature grams by utt_id via the extraction manifest.  The first
+    gram loaded fixes the kind and shape of every later one; load it before
+    any thread pool reads the store, so the error names the same grams."""
 
     def __init__(self, feature_dir):
         self.feature_dir = Path(feature_dir)
@@ -108,21 +110,26 @@ class FeatureStore:
             raise DataError(f"feature manifest {manifest} not found")
         self.paths = {utt_id: self.feature_dir / rel
                       for utt_id, rel in _read_manifest(manifest).items()}
+        self.first = None  # (utt_id, kind, shape) of the first gram loaded
 
     def load(self, utt_id: str) -> np.ndarray:
         if utt_id not in self.paths:
             raise DataError(f"no feature file for utterance {utt_id!r}")
-        return read_gram(self.paths[utt_id], utt_id).data
+        gram = read_gram(self.paths[utt_id], utt_id)
+        if self.first is None:
+            self.first = (utt_id, gram.kind, gram.data.shape)
+        first_id, kind, shape = self.first
+        if gram.kind != kind:
+            raise DataError(f"gram of {utt_id!r} is {gram.kind}, but gram of "
+                            f"{first_id!r} is {kind}")
+        if gram.data.shape != shape:
+            raise ShapeError(f"gram of {utt_id!r} is {gram.data.shape}, but gram of "
+                             f"{first_id!r} is {shape}")
+        return gram.data
 
-    def load_batch(self, utt_ids, map_fn=map) -> np.ndarray:
-        """(N, bins, frames) stack of the grams of ``utt_ids``, read through
-        ``map_fn`` (the builtin ``map`` or a thread pool's)."""
-        grams = list(map_fn(self.load, utt_ids))
-        for utt_id, gram in zip(utt_ids, grams):
-            if gram.shape != grams[0].shape:
-                raise ShapeError(f"gram of {utt_id!r} is {gram.shape}, but gram of "
-                                 f"{utt_ids[0]!r} is {grams[0].shape}")
-        return np.stack(grams)
+    def load_batch(self, utt_ids) -> np.ndarray:
+        """(N, bins, frames) stack of the grams of ``utt_ids``, read one after another."""
+        return np.stack([self.load(utt_id) for utt_id in utt_ids])
 
 
 def _read_manifest(path) -> dict:
@@ -156,13 +163,17 @@ class TrainResult:
 
 
 def _score_entries(model: ResNet, entries, store: FeatureStore, map_fn=map) -> dict:
-    """{utt_id: score} for ``entries``, scored SCORE_BATCH at a time; the grams
-    of each batch are read through ``map_fn`` (see ``FeatureStore.load_batch``)."""
-    scores = {}
-    for start in range(0, len(entries), SCORE_BATCH):
-        utt_ids = [e.utt_id for e in entries[start : start + SCORE_BATCH]]
-        scores.update(zip(utt_ids, score_batch(model, store.load_batch(utt_ids, map_fn)).tolist()))
-    return scores
+    """{utt_id: score} for ``entries``, in their order.  ``map_fn`` (the
+    builtin ``map`` or a thread pool's) maps one job over the batches of
+    SCORE_BATCH utterances: read the grams, run the eval-mode forward, return
+    the scores.  An eval-mode forward writes no model state, so pool threads
+    give the serial scores."""
+    def score(batch):
+        return zip(batch, score_batch(model, store.load_batch(batch)).tolist())
+
+    batches = [[e.utt_id for e in entries[start : start + SCORE_BATCH]]
+               for start in range(0, len(entries), SCORE_BATCH)]
+    return {utt_id: s for pairs in map_fn(score, batches) for utt_id, s in pairs}
 
 
 def train(model: ResNet, train_entries, dev_entries, store: FeatureStore,
@@ -182,6 +193,7 @@ def train(model: ResNet, train_entries, dev_entries, store: FeatureStore,
     for e in train_entries + dev_entries:
         if e.utt_id not in store.paths:
             raise DataError(f"no feature file for utterance {e.utt_id!r}")
+    store.load(dev_entries[0].utt_id)  # a dev gram of another kind or shape stops here
 
     if cfg.alpha == "auto":
         weights = objectives.ClassWeights.auto(n_spoof, n_bona)

@@ -2,15 +2,19 @@ import json
 import math
 import shutil
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from conftest import ckpt_with_array_entry
+from replaycm import training
 from replaycm.audio_io import read_wav
 from replaycm.cli import main
 from replaycm.features import read_gram
-from replaycm.model import load_checkpoint
+from replaycm.model import load_checkpoint, score_batch
+from replaycm.replay_sim import read_protocol
 from replaycm.scoring import read_score_file, write_score_file
 
 
@@ -110,8 +114,6 @@ def test_evaluate_separates_scores_no_midpoint_can(tmp_path, capsys, bona, spoof
 
 def test_saliency_preserves_dims(pipeline, tmp_path):
     root, corpus, feats, ckpt, _, _ = pipeline
-    from replaycm.replay_sim import read_protocol
-
     utt = read_protocol(corpus / "protocol_eval.txt")[0].utt_id
     out = tmp_path / "sal.fgram"
     assert main(["saliency", "--ckpt", str(ckpt),
@@ -139,8 +141,6 @@ def test_extract_with_jobs_matches_serial(pipeline, tmp_path):
                  "--wav-dir", str(corpus / "wav"), "--out", str(out),
                  "--bin-stride", "32", "--frame-stride", "25",
                  "--jobs", "3"]) == 0
-    from replaycm.replay_sim import read_protocol
-
     for e in read_protocol(corpus / "protocol_dev.txt"):
         a = read_gram(out / f"{e.utt_id}.fgram")
         b = read_gram(feats / f"{e.utt_id}.fgram")
@@ -173,8 +173,6 @@ def test_gd_and_mgd_extraction(pipeline, tmp_path):
                      "--protocol", str(corpus / "protocol_dev.txt"),
                      "--wav-dir", str(corpus / "wav"), "--out", str(out),
                      "--bin-stride", "32", "--frame-stride", "25"]) == 0
-        from replaycm.replay_sim import read_protocol
-
         utt = read_protocol(corpus / "protocol_dev.txt")[0].utt_id
         gram = read_gram(out / f"{utt}.fgram")
         assert gram.kind == ("GD" if feature == "gd" else "MGD")
@@ -186,6 +184,34 @@ def test_score_with_jobs_matches_serial(pipeline, tmp_path):
     assert main(["score", "--ckpt", str(ckpt), "--feature-dir", str(feats),
                  "--protocol", str(corpus / "protocol_eval.txt"),
                  "--out", str(par), "--jobs", "2"]) == 0
+    assert par.read_bytes() == scores.read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["2", "3"])
+def test_score_jobs_runs_whole_batches_in_the_pool(pipeline, tmp_path, monkeypatch, jobs):
+    # each pool job reads a batch's grams and runs its forward, not one gram
+    # read; threads switch often, and 3 is more of them than CI has cores
+    _, corpus, feats, ckpt, scores, _ = pipeline
+    n_eval = len((corpus / "protocol_eval.txt").read_text().splitlines())
+    monkeypatch.setattr(training, "SCORE_BATCH", 2)
+    threads = []
+
+    def recording_score_batch(model, grams):
+        threads.append(threading.current_thread())
+        return score_batch(model, grams)
+
+    monkeypatch.setattr(training, "score_batch", recording_score_batch)
+    par = tmp_path / "par.txt"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        assert main(["score", "--ckpt", str(ckpt), "--feature-dir", str(feats),
+                     "--protocol", str(corpus / "protocol_eval.txt"),
+                     "--out", str(par), "--jobs", jobs]) == 0
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(threads) == -(-n_eval // 2) >= 3
+    assert threading.main_thread() not in threads
     assert par.read_bytes() == scores.read_bytes()
 
 
@@ -208,8 +234,6 @@ def test_single_alpha_is_a_parameter_error(pipeline, tmp_path, capsys):
 
 
 def test_single_class_training_protocol_is_a_data_error(pipeline, tmp_path, capsys):
-    from replaycm.replay_sim import read_protocol
-
     _, corpus, _, _, _, cfg = pipeline
     spoof = [e for e in read_protocol(corpus / "protocol_train.txt") if e.label == "spoof"]
     protocol = tmp_path / "spoof.txt"
@@ -222,8 +246,6 @@ def test_single_class_training_protocol_is_a_data_error(pipeline, tmp_path, caps
 @pytest.mark.parametrize("labels", [(), ("spoof",)], ids=["empty", "spoof-only"])
 def test_dev_protocol_without_both_classes_is_a_data_error(pipeline, tmp_path, capsys, labels):
     # checked with the training set's classes, before an epoch is trained
-    from replaycm.replay_sim import read_protocol
-
     _, corpus, _, _, _, cfg = pipeline
     dev = [e for e in read_protocol(corpus / "protocol_dev.txt") if e.label in labels]
     assert len(dev) > 0 or not labels
@@ -295,8 +317,6 @@ def test_truncated_or_garbage_checkpoint_is_a_format_error(pipeline, tmp_path, c
 def mixed_shape_feats(pipeline, tmp_path):
     """A copy of the pipeline's feature dir in which the second utterance of
     the train and eval protocols is re-extracted at another bin stride."""
-    from replaycm.replay_sim import read_protocol
-
     _, corpus, feats, _, _, _ = pipeline
     mixed = tmp_path / "mixed"
     shutil.copytree(feats, mixed)
@@ -343,6 +363,54 @@ def test_score_jobs_on_mixed_gram_shapes_is_a_shape_error(pipeline, mixed_shape_
     _assert_shape_error(code, capsys, odd_ids)
 
 
+@pytest.fixture
+def mixed_kind_feats(pipeline, tmp_path):
+    """A feature dir holding STFT grams of the train protocol and MGD grams,
+    of the same shape, of the dev protocol."""
+    _, corpus, _, _, _, _ = pipeline
+    mixed = tmp_path / "mixed"
+    for feature, split in (("stft", "train"), ("mgd", "dev")):
+        assert main(["extract", "--feature", feature,
+                     "--protocol", str(corpus / f"protocol_{split}.txt"),
+                     "--wav-dir", str(corpus / "wav"), "--out", str(mixed),
+                     "--bin-stride", "32", "--frame-stride", "25"]) == 0
+    return mixed
+
+
+def _assert_kind_error(code, capsys, first_id, other_id):
+    err = _error_line(code, capsys)
+    assert err == (f"error:data: gram of {other_id!r} is MGD, "
+                   f"but gram of {first_id!r} is STFT"), err
+
+
+def test_train_on_mixed_gram_kinds_is_a_data_error(pipeline, mixed_kind_feats, tmp_path, capsys):
+    # STFT train grams once trained a model whose epoch was picked on MGD dev grams
+    corpus, cfg = pipeline[1], pipeline[5]
+    capsys.readouterr()
+    out = tmp_path / "m.ckpt"
+    args = _train_args(pipeline, out, cfg)
+    args[args.index("--feature-dir") + 1] = str(mixed_kind_feats)
+    _assert_kind_error(main(args), capsys, read_protocol(corpus / "protocol_train.txt")[0].utt_id,
+                       read_protocol(corpus / "protocol_dev.txt")[0].utt_id)
+    assert not out.exists() and not (tmp_path / "m.ckpt.log").exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_score_on_mixed_gram_kinds_is_a_data_error(pipeline, mixed_kind_feats, tmp_path, capsys,
+                                                   jobs):
+    _, corpus, _, ckpt, _, _ = pipeline
+    protocol = tmp_path / "both.txt"
+    protocol.write_text((corpus / "protocol_train.txt").read_text()
+                        + (corpus / "protocol_dev.txt").read_text())
+    capsys.readouterr()
+    out = tmp_path / "s.txt"
+    code = main(["score", "--ckpt", str(ckpt), "--feature-dir", str(mixed_kind_feats),
+                 "--protocol", str(protocol), "--out", str(out), "--jobs", jobs])
+    _assert_kind_error(code, capsys, read_protocol(corpus / "protocol_train.txt")[0].utt_id,
+                       read_protocol(corpus / "protocol_dev.txt")[0].utt_id)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value", [("hop", 0), ("hop", -128), ("n_octaves", 0),
                                         ("bins_per_octave", 0)])
 def test_cqt_value_below_one_is_a_parameter_error(pipeline, tmp_path, capsys, key, value):
@@ -371,8 +439,6 @@ def test_config_the_parser_rejects_is_a_parameter_error(tmp_path, capsys, text):
 
 
 def _one_utterance(corpus, tmp_path):
-    from replaycm.replay_sim import read_protocol
-
     entry = read_protocol(corpus / "protocol_dev.txt")[0]
     protocol = tmp_path / "one.txt"
     protocol.write_text(f"{entry.utt_id} {entry.attack_code} {entry.label}\n")

@@ -53,10 +53,15 @@ def test_hooked_span_is_recorded(spans, command, name):
     assert name in {s[1] for s in spans[command]}
 
 
-@pytest.mark.parametrize("command", ["train", "score"])
-def test_every_gram_load_has_a_parent(spans, command):
-    # score --jobs 2 reads grams in pool threads; their spans must still nest
+@pytest.mark.parametrize("command, name", [
+    pytest.param("train", "training.load", id="train"),
+    pytest.param("score", "training.load", id="score"),
+    pytest.param("score", "model.score_batch", id="score-model.score_batch"),
+])
+def test_every_gram_load_has_a_parent(spans, command, name):
+    # score --jobs 2 reads grams and runs forwards in pool threads, a batch a
+    # job; their spans must still nest under the span that submitted them
     ids = {s[0] for s in spans[command]}
-    loads = [s for s in spans[command] if s[1] == "training.load"]
-    assert loads
-    assert all(s[4] in ids for s in loads)
+    found = [s for s in spans[command] if s[1] == name]
+    assert found
+    assert all(s[4] in ids for s in found)
