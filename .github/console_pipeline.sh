@@ -87,4 +87,11 @@ if [ -e toy/rejected.ckpt ] || [ -e toy/rejected.ckpt.log ]; then
   echo "a rejected train left toy/rejected.ckpt or its .log behind" >&2
   exit 1
 fi
+# a checkpoint records the kind it was trained on: the STFT model neither
+# scores nor maps the MGD dev grams of the same shape
+expect_error data replaycm score --ckpt toy/model.ckpt --feature-dir toy/mixed \
+  --protocol toy/protocol_dev.txt --out toy/rejected.txt
+dev_utt=$(head -n 1 toy/protocol_dev.txt | cut -d ' ' -f 1)
+expect_error data replaycm saliency --ckpt toy/model.ckpt --feature "toy/mixed/$dev_utt.fgram" \
+  --out toy/rejected.fgram
 echo "console pipeline passed"

@@ -21,9 +21,10 @@ log-probabilities, and a saliency map seeds a one-hot one.
 
 Only tensors whose gradient someone consumes record a tape: an op records
 nothing when none of its inputs requires gradients.  Tensors are built
-without gradients; the optimizer turns them on for the parameters it steps,
-and a saliency map for its input only.  So scoring a fresh or loaded model
-records no tape, and a backward pass computes no weight gradient nobody
+without gradients; the model's train-mode forward turns them on for its
+parameters and its eval-mode forward turns them off, and a saliency map turns
+them on for its input only.  So scoring records no tape, even between
+training steps, and a backward pass computes no weight gradient nobody
 reads.
 
 Convolution and max pooling read their windows through one strided view

@@ -109,13 +109,14 @@ def cmd_train(args) -> int:
         raise DataError(f"training protocol {args.protocol_train} lists no utterances")
     entries_dev = read_protocol(args.protocol_dev)
     store = FeatureStore(args.feature_dir)
-    bins, frames = store.load(entries_train[0].utt_id).shape
+    store.load(entries_train[0].utt_id)
+    _, kind, (bins, frames) = store.first
     model_cfg = ResNetConfig(**cfg["model"], input_bins=bins, input_frames=frames)
     tcfg = TrainConfig(**cfg["train"], gamma=gamma)
     model = ResNet(model_cfg, seed=tcfg.seed)
     result = train(model, entries_train, entries_dev, store, tcfg,
                    log_path=str(args.out) + ".log")
-    save_checkpoint(args.out, model, extra={"objective": args.objective,
+    save_checkpoint(args.out, model, extra={"kind": kind, "objective": args.objective,
                                             "best_dev_eer": result.best_dev_eer,
                                             "best_epoch": result.best_epoch})
     print(f"best dev EER {result.best_dev_eer:.6f} at epoch {result.best_epoch}; "
@@ -123,13 +124,20 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _check_kind(ckpt, extra: dict, gram_path, kind: str) -> None:
+    if kind != extra["kind"]:
+        raise DataError(f"checkpoint {ckpt} was trained on {extra['kind']} grams, "
+                        f"but gram {gram_path} is {kind}")
+
+
 def cmd_score(args) -> int:
-    model, _ = load_checkpoint(args.ckpt)
+    model, extra = load_checkpoint(args.ckpt)
     with _job_map(args.jobs) as map_fn:
         entries = read_protocol(args.protocol)
         store = FeatureStore(args.feature_dir)
         if entries:  # fixes the store's kind and shape before any pool thread reads it
             store.load(entries[0].utt_id)
+            _check_kind(args.ckpt, extra, store.paths[entries[0].utt_id], store.first[1])
         scores = training._score_entries(model, entries, store, map_fn=map_fn)
     write_score_file(scores, args.out)
     print(f"scored {len(scores)} utterances to {args.out}")
@@ -188,8 +196,9 @@ def cmd_breakdown(args) -> int:
 
 
 def cmd_saliency(args) -> int:
-    model, _ = load_checkpoint(args.ckpt)
+    model, extra = load_checkpoint(args.ckpt)
     gram = read_gram(args.feature)
+    _check_kind(args.ckpt, extra, args.feature, gram.kind)
     smap = saliency_map(model, gram.data)
     out = feat.FeatureGram(gram.kind, smap.astype(np.float32), gram.utt_id)
     write_gram(out, args.out)

@@ -10,7 +10,7 @@ log-probabilities.  ``scale`` divides all channel widths for desk-scale runs.
 from __future__ import annotations
 
 import json
-import math
+import operator
 import os
 import struct
 from dataclasses import asdict, dataclass
@@ -20,6 +20,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import BatchNorm2d, Tensor
 from .errors import FormatError, ParameterError, ShapeError, atomic_open
+from .features import KIND_CODES
+
+# the output layer's width: spoof and bonafide, read by score_batch and saliency_map
+N_CLASSES = 2
 
 
 @dataclass
@@ -27,7 +31,6 @@ class ResNetConfig:
     block_counts: tuple = (3, 4, 6, 3)
     base_channels: int = 16
     fc_width: int = 32
-    n_classes: int = 2  # spoof and bonafide; kept in checkpoint headers
     input_bins: int = 513
     input_frames: int = 500
     scale: int = 4  # a quarter-width network unless a config says otherwise
@@ -35,26 +38,42 @@ class ResNetConfig:
     def __post_init__(self):
         counts = self.block_counts
         try:
-            self.block_counts = tuple(int(b) for b in
-                                      (counts.split(",") if isinstance(counts, str) else counts))
+            parts = counts.split(",") if isinstance(counts, str) else counts
+            self.block_counts = tuple(int(b) if isinstance(b, str) else operator.index(b)
+                                      for b in parts)  # a header's 3.5 is an error, not 3
         except (TypeError, ValueError):
             self.block_counts = ()
         if len(self.block_counts) != 4 or any(b < 1 for b in self.block_counts):
             raise ParameterError(f"block_counts must be four positive ints, got {counts!r}")
-        if self.scale < 1 or self.base_channels % self.scale != 0:
+        for name in ("base_channels", "fc_width", "input_bins", "input_frames", "scale"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 1:
+                raise ParameterError(f"{name} must be a positive int, got {value!r}")
+        if self.base_channels % self.scale != 0:
             raise ParameterError(
                 f"scale {self.scale} must divide base_channels {self.base_channels}"
             )
-        for name in ("base_channels", "fc_width", "input_bins", "input_frames"):
-            if getattr(self, name) < 1:
-                raise ParameterError(f"{name} must be positive")
-        if self.n_classes != 2:  # score_batch and saliency_map read both classes
-            raise ParameterError(f"n_classes must be 2 (spoof, bonafide), got {self.n_classes}")
 
     @property
     def stage_channels(self) -> tuple:
         c = self.base_channels // self.scale
         return (c, 2 * c, 4 * c, 8 * c)
+
+    @property
+    def state_bytes(self) -> int:
+        """Bytes of the arrays of ``ResNet(self).state()``: float32 weights,
+        and per batch-norm channel two float32 parameters and two float64
+        buffers.  A block has a projection where its channels double."""
+        chans = self.stage_channels
+        weights = 9 * chans[0] + self.fc_width * (chans[3] + 1) + N_CLASSES * (self.fc_width + 1)
+        norm_channels = in_ch = chans[0]
+        for out_ch, n_blocks in zip(chans, self.block_counts):
+            proj = out_ch != in_ch
+            # 3x3 convs: in -> out, then 2 * n_blocks - 1 of out -> out; a 1x1 projection
+            weights += 9 * out_ch * (in_ch + (2 * n_blocks - 1) * out_ch) + proj * out_ch * in_ch
+            norm_channels += out_ch * (2 * n_blocks + proj)
+            in_ch = out_ch
+        return 4 * weights + 24 * norm_channels
 
 
 def _kaiming_conv(rng: np.random.Generator, co: int, ci: int, k: int) -> np.ndarray:
@@ -118,11 +137,13 @@ class ResNet:
             self.stages.append(blocks)
         self.fc_w = Tensor(_kaiming_linear(rng, cfg.fc_width, chans[3]))
         self.fc_b = Tensor(np.zeros(cfg.fc_width, dtype=np.float32))
-        self.out_w = Tensor(_kaiming_linear(rng, cfg.n_classes, cfg.fc_width))
-        self.out_b = Tensor(np.zeros(cfg.n_classes, dtype=np.float32))
+        self.out_w = Tensor(_kaiming_linear(rng, N_CLASSES, cfg.fc_width))
+        self.out_b = Tensor(np.zeros(N_CLASSES, dtype=np.float32))
 
     def forward(self, x: Tensor, train: bool) -> Tensor:
-        """(N, 1, bins, frames) batch to (N, n_classes) log-probabilities."""
+        """(N, 1, bins, frames) batch to (N, N_CLASSES) log-probabilities.  A
+        train-mode forward turns the parameters' gradients on and an eval-mode
+        one turns them off, so scoring records no tape."""
         if x.data.ndim != 4 or x.data.shape[1] != 1:
             raise ShapeError(f"expected (N, 1, bins, frames) input, got {x.data.shape}")
         if x.data.shape[2] != self.cfg.input_bins or x.data.shape[3] != self.cfg.input_frames:
@@ -130,6 +151,8 @@ class ResNet:
                 f"input {x.data.shape[2:]} does not match configured "
                 f"({self.cfg.input_bins}, {self.cfg.input_frames})"
             )
+        for p in self.parameters().values():
+            p.requires_grad = train
         h = ad.relu(self.stem_bn(ad.conv2d(x, self.stem_conv, stride=1, pad=1), train))
         h = ad.maxpool2d(h, kernel=3, stride=1, pad=1)
         for blocks in self.stages:
@@ -169,16 +192,12 @@ class ResNet:
 
     def load_state(self, arrays: dict) -> None:
         """Set every parameter (as float32) and buffer (as float64) from
-        ``arrays``, keyed as ``state`` keys them; KeyError names a missing
-        one, ShapeError one whose shape is not the model's."""
+        ``arrays``, keyed and shaped as ``state`` gives them."""
         for name, owner, attr in self._arrays():
             current = getattr(owner, attr)
             is_param = isinstance(current, Tensor)
             key = f"param/{name}" if is_param else f"buffer/{name}"
             value = np.array(arrays[key], dtype=np.float32 if is_param else np.float64)
-            if value.shape != current.shape:
-                raise ShapeError(f"array {key!r} has shape {list(value.shape)}, "
-                                 f"the model's is {list(current.shape)}")
             if is_param:
                 current.data = value
             else:
@@ -209,44 +228,24 @@ def saliency_map(model: ResNet, gram: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: magic, version and header length, json header (config +
-# array directory + extras), then the raw little-endian buffers in directory
-# order
+# checkpoint format, version 2: magic, version and header length, a json
+# header {"config", "extra"}, then the arrays of the model's ``state()`` in
+# name order, little-endian; the model the config builds fixes their layout.
+# ``extra["kind"]`` names the kind of gram the model was trained on.
 
 _CKPT_MAGIC = b"RCMC"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2
 _CKPT_HEAD = struct.Struct("<4sHI")
 
 
 def save_checkpoint(path, model: ResNet, extra: dict) -> None:
-    arrays = model.state()
-    directory = [
-        {"name": name, "dtype": arr.dtype.str, "shape": list(arr.shape)}
-        for name, arr in sorted(arrays.items())
-    ]
-    header = json.dumps(
-        {
-            "config": asdict(model.cfg),
-            "arrays": directory,
-            "optimizer": {},  # version-1 readers look this key up
-            "extra": extra,
-        },
-        sort_keys=True,
-    ).encode("utf-8")
+    header = json.dumps({"config": asdict(model.cfg), "extra": extra},
+                        sort_keys=True).encode("utf-8")
     with atomic_open(path, "wb") as fh:
         fh.write(_CKPT_HEAD.pack(_CKPT_MAGIC, _CKPT_VERSION, len(header)))
         fh.write(header)
-        for entry in directory:
-            fh.write(arrays[entry["name"]].tobytes())
-
-
-def _array_entry(e: dict) -> tuple:
-    """(name, dtype, shape) of a directory entry; save_checkpoint writes only
-    float arrays."""
-    dtype, shape = np.dtype(e["dtype"]), [int(n) for n in e["shape"]]
-    if dtype.kind != "f" or any(n < 0 for n in shape):
-        raise ValueError(f"array entry {e!r} is not a float array of a valid shape")
-    return e["name"], dtype, shape
+        for _, array in sorted(model.state().items()):
+            fh.write(array.astype(array.dtype.newbyteorder("<"), copy=False).tobytes())
 
 
 def load_checkpoint(path):
@@ -263,33 +262,24 @@ def load_checkpoint(path):
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
             cfg = ResNetConfig(**header["config"])
-            directory = [_array_entry(e) for e in header["arrays"]]
+            extra = header["extra"]
+            if extra["kind"] not in KIND_CODES:
+                raise ValueError(f"unknown gram kind {extra['kind']!r}")
         except (ValueError, KeyError, TypeError) as exc:
             raise FormatError(f"{path}: malformed checkpoint header: {exc!r}") from exc
         except ParameterError as exc:  # a well-formed config no model can take
             raise FormatError(f"{path}: {exc}") from exc
-        # checked against the file before any read, so no claimed size is ever allocated
-        need = sum(dtype.itemsize * math.prod(shape) for _, dtype, shape in directory)
+        # checked against the file before the model is built, so no claimed size is allocated
         left = os.fstat(fh.fileno()).st_size - fh.tell()
-        if need != left:
-            raise FormatError(f"{path}: directory claims {need} array bytes, file holds {left}")
+        if cfg.state_bytes != left:
+            raise FormatError(f"{path}: config needs {cfg.state_bytes} array bytes, "
+                              f"file holds {left}")
+        model = ResNet(cfg, seed=0)
         arrays = {}
-        for name, dtype, shape in directory:
-            if name in arrays:
-                raise FormatError(f"{path}: array {name!r} is listed twice")
-            raw = fh.read(dtype.itemsize * math.prod(shape))
-            arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        for name, array in sorted(model.state().items()):
+            raw = fh.read(array.nbytes)
+            arrays[name] = np.frombuffer(raw, array.dtype.newbyteorder("<")).reshape(array.shape)
             if not np.all(np.isfinite(arrays[name])):
                 raise FormatError(f"{path}: non-finite values in array {name!r}")
-
-    model = ResNet(cfg, seed=0)
-    try:
-        model.load_state(arrays)
-    except KeyError as exc:
-        raise FormatError(f"{path}: checkpoint lacks array {exc}") from exc
-    except ShapeError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-    unknown = sorted(set(arrays) - set(model.state()))
-    if unknown:
-        raise FormatError(f"{path}: array {unknown[0]!r} is not one of the model's")
-    return model, header.get("extra", {})
+    model.load_state(arrays)
+    return model, extra

@@ -71,8 +71,6 @@ class AdamW:
 
     def __init__(self, params: dict, lr: float, betas: tuple, weight_decay: float):
         self.params = params
-        for p in params.values():
-            p.requires_grad = True  # the only code that turns gradients on for a model
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.weight_decay = weight_decay
@@ -166,8 +164,9 @@ def _score_entries(model: ResNet, entries, store: FeatureStore, map_fn=map) -> d
     """{utt_id: score} for ``entries``, in their order.  ``map_fn`` (the
     builtin ``map`` or a thread pool's) maps one job over the batches of
     SCORE_BATCH utterances: read the grams, run the eval-mode forward, return
-    the scores.  An eval-mode forward writes no model state, so pool threads
-    give the serial scores."""
+    the scores.  An eval-mode forward writes no model state but the
+    parameters' gradient flags, each to off, so pool threads give the serial
+    scores."""
     def score(batch):
         return zip(batch, score_batch(model, store.load_batch(batch)).tolist())
 

@@ -55,15 +55,15 @@ def gradcheck(build, x0: np.ndarray, seed: int = 0, step: float = 1e-3,
     return rel
 
 
-def ckpt_with_array_entry(blob: bytes, index: int, **fields) -> bytes:
-    """The checkpoint ``blob`` with ``fields`` (``shape``, ``dtype``) set in
-    entry ``index`` (modulo their count) of its array directory; the array
-    bytes are left as they are."""
+def ckpt_with_config(blob: bytes, payload: bytes = None, **config) -> bytes:
+    """The checkpoint ``blob`` with ``config`` set in its header's model
+    config, and ``payload``, if given, in place of the arrays after it."""
     header_end = 10 + int.from_bytes(blob[6:10], "little")
     header = json.loads(blob[10:header_end])
-    header["arrays"][index % len(header["arrays"])].update(fields)
+    header["config"].update(config)
     text = json.dumps(header).encode()
-    return blob[:6] + struct.pack("<I", len(text)) + text + blob[header_end:]
+    arrays = blob[header_end:] if payload is None else payload
+    return blob[:6] + struct.pack("<I", len(text)) + text + arrays
 
 
 @pytest.fixture

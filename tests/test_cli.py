@@ -1,5 +1,3 @@
-import json
-import math
 import shutil
 import struct
 import sys
@@ -8,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import ckpt_with_array_entry
+from conftest import ckpt_with_config
 from replaycm import training
 from replaycm.audio_io import read_wav
 from replaycm.cli import main
@@ -300,8 +298,6 @@ def test_truncated_or_garbage_checkpoint_is_a_format_error(pipeline, tmp_path, c
     cases.append(blob[:10] + b"\xff" * (header_end - 10) + blob[header_end:])
     cases.append(blob[:10] + b"[]".ljust(header_end - 10) + blob[header_end:])
     cases.append(blob[:10] + b'{"arrays": []}'.ljust(header_end - 10) + blob[header_end:])
-    # same byte count as a float32 array, but no float
-    cases += [ckpt_with_array_entry(blob, 0, dtype=dtype) for dtype in ("|S4", "|V4", "|O")]
     for case in cases:
         bad.write_bytes(case)
         code = main(["score", "--ckpt", str(bad), "--feature-dir", str(feats),
@@ -483,10 +479,12 @@ def test_evaluate_non_ascii_file_is_a_parse_error(tmp_path, capsys, bad):
 
 
 @pytest.mark.parametrize("kind, dims", [("gram", [2**32 - 1, 2**32 - 1]), ("gram", [2**20, 2**12]),
-                                        ("ckpt", [2**32, 2**32]), ("ckpt", [2**20, 2**12])],
-                         ids=["gram-overflow", "gram-16GiB", "ckpt-wraps-to-0", "ckpt-16GiB"])
+                                        ("ckpt", 912), ("ckpt", 61_800)],
+                         ids=["gram-overflow", "gram-16GiB", "ckpt-16GiB", "ckpt-72TiB"])
 def test_size_a_header_claims_beyond_the_file_is_a_format_error(pipeline, tmp_path, capsys,
                                                                   kind, dims):
+    # a checkpoint's model, built before any size check, once ended in a
+    # MemoryError traceback
     _, corpus, feats, ckpt, _, _ = pipeline
     utt_id, _ = _one_utterance(corpus, tmp_path)
     gram = feats / f"{utt_id}.fgram"
@@ -495,30 +493,11 @@ def test_size_a_header_claims_beyond_the_file_is_a_format_error(pipeline, tmp_pa
         blob = gram.read_bytes()  # n_bins and n_frames are the u32s at bytes 7-14
         bad.write_bytes(blob[:7] + struct.pack("<II", *dims) + blob[15:])
         args = ["--ckpt", str(ckpt), "--feature", str(bad)]
-    else:
-        bad.write_bytes(ckpt_with_array_entry(ckpt.read_bytes(), 0, shape=dims))
+    else:  # base_channels of a model of 16 GiB or 72 TiB at scale 1
+        bad.write_bytes(ckpt_with_config(ckpt.read_bytes(), base_channels=dims, scale=1))
         args = ["--ckpt", str(bad), "--feature", str(gram)]
     err = _error_line(main(["saliency", *args, "--out", str(tmp_path / "s.fgram")]), capsys)
     assert err.startswith(f"error:format: {bad}:"), err
-
-
-@pytest.mark.parametrize("name, reshape", [("param/fc_b", lambda s: [1, *s]),
-                                           ("buffer/stem_bn_running_mean", lambda s: [1, *s]),
-                                           ("param/stem_conv", lambda s: [math.prod(s)])],
-                         ids=["fc-bias-2d", "running-mean-2d", "stem-kernel-flat"])
-@pytest.mark.parametrize("command", ["score", "saliency"])
-def test_array_of_another_shape_than_the_model_is_a_format_error(pipeline, tmp_path, capsys,
-                                                                  command, name, reshape):
-    # the same byte count, so only a shape check against the model can catch it
-    ckpt = pipeline[3]
-    state = load_checkpoint(ckpt)[0].state()
-    shape = list(state[name].shape)
-    bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(ckpt_with_array_entry(ckpt.read_bytes(), sorted(state).index(name),
-                                          shape=reshape(shape)))
-    err = _error_line(main(_checkpoint_command(command, bad, pipeline, tmp_path)), capsys)
-    assert err.startswith(f"error:format: {bad}:"), err
-    assert name in err and str(shape) in err and str(reshape(shape)) in err, err
 
 
 def _checkpoint_command(command, ckpt, pipeline, tmp_path) -> list:
@@ -532,64 +511,64 @@ def _checkpoint_command(command, ckpt, pipeline, tmp_path) -> list:
             "--out", str(tmp_path / "s.fgram")]
 
 
-def _ckpt_with_config(blob: bytes, **config) -> bytes:
-    """The checkpoint ``blob`` with ``config`` set in its header's model
-    config, and its output layer cut or repeated to ``n_classes`` rows, so
-    that the file is one such a model would write."""
-    header_end = 10 + int.from_bytes(blob[6:10], "little")
-    header = json.loads(blob[10:header_end])
-    header["config"].update(config)
-    payload, offset = [], header_end
-    for entry in header["arrays"]:
-        dtype, shape = np.dtype(entry["dtype"]), entry["shape"]
-        size = dtype.itemsize * math.prod(shape)
-        array = np.frombuffer(blob[offset:offset + size], dtype).reshape(shape)
-        offset += size
-        if entry["name"] in ("param/out_w", "param/out_b"):
-            array = np.resize(array, (header["config"]["n_classes"], *shape[1:]))
-            entry["shape"] = list(array.shape)
-        payload.append(array.tobytes())
-    text = json.dumps(header).encode()
-    return blob[:6] + struct.pack("<I", len(text)) + text + b"".join(payload)
+def _ckpt_with_classes(ckpt, n_classes: int) -> bytes:
+    """The checkpoint at ``ckpt`` with ``n_classes`` in its header's model
+    config, and its output layer cut or repeated to that many rows, so that
+    the file is one a model of that many classes would write."""
+    state = load_checkpoint(ckpt)[0].state()
+    for name in ("param/out_w", "param/out_b"):
+        state[name] = np.resize(state[name], (n_classes, *state[name].shape[1:]))
+    payload = b"".join(array.tobytes() for _, array in sorted(state.items()))
+    return ckpt_with_config(ckpt.read_bytes(), payload, n_classes=n_classes)
+
+
+_NO_N_CLASSES = ("malformed checkpoint header: TypeError(\"ResNetConfig.__init__() got an "
+                 "unexpected keyword argument 'n_classes'\")")
 
 
 @pytest.mark.parametrize("config, problem", [
-    ({"n_classes": 1}, "n_classes must be 2 (spoof, bonafide), got 1"),
-    ({"n_classes": 3}, "n_classes must be 2 (spoof, bonafide), got 3"),
+    ({"n_classes": 1}, _NO_N_CLASSES),
+    ({"n_classes": 3}, _NO_N_CLASSES),
     ({"scale": 3}, "scale 3 must divide base_channels 16"),
-], ids=["one-class", "three-class", "scale-3"])
+    ({"base_channels": 16.0}, "base_channels must be a positive int, got 16.0"),
+    ({"block_counts": [3.5, 4, 6, 3]},
+     "block_counts must be four positive ints, got [3.5, 4, 6, 3]"),
+], ids=["one-class", "three-class", "scale-3", "float-width", "float-block-count"])
 @pytest.mark.parametrize("command", ["score", "saliency"])
 def test_model_config_the_cli_cannot_score_is_a_format_error(pipeline, tmp_path, capsys,
                                                               command, config, problem):
     # one class once ended in an IndexError traceback and three were scored as
-    # two; a config the model rejected was a parameter error naming no file
+    # two; a config the model rejected was a parameter error naming no file,
+    # a float width a TypeError traceback, and 3.5 blocks were read as 3.
+    # The output layer is N_CLASSES wide, so a header that names a width is malformed
     bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(_ckpt_with_config(pipeline[3].read_bytes(), **config))
+    if "n_classes" in config:
+        bad.write_bytes(_ckpt_with_classes(pipeline[3], config["n_classes"]))
+    else:
+        bad.write_bytes(ckpt_with_config(pipeline[3].read_bytes(), **config))
     err = _error_line(main(_checkpoint_command(command, bad, pipeline, tmp_path)), capsys)
     assert err == f"error:format: {bad}: {problem}", err
 
 
-@pytest.mark.parametrize("name, problem", [("param/zzz_extra", "is not one of the model's"),
-                                           ("param/fc_b", "is listed twice")],
-                         ids=["unknown-name", "name-listed-twice"])
-@pytest.mark.parametrize("command", ["score", "saliency"])
-def test_array_the_model_does_not_have_is_a_format_error(pipeline, tmp_path, capsys,
-                                                          command, name, problem):
-    # one more array of a shape the model could take, appended with its bytes,
-    # so the byte count holds and the array would load
-    ckpt = pipeline[3]
-    state = load_checkpoint(ckpt)[0].state()
-    extra = np.ones(state[name].shape if name in state else [1], "<f4")
-    blob = ckpt.read_bytes()
-    header_end = 10 + int.from_bytes(blob[6:10], "little")
-    header = json.loads(blob[10:header_end])
-    header["arrays"].append({"name": name, "dtype": "<f4", "shape": list(extra.shape)})
-    text = json.dumps(header).encode()
-    bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(blob[:6] + struct.pack("<I", len(text)) + text + blob[header_end:]
-                    + extra.tobytes())
-    err = _error_line(main(_checkpoint_command(command, bad, pipeline, tmp_path)), capsys)
-    assert err == f"error:format: {bad}: array {name!r} {problem}", err
+@pytest.mark.parametrize("command, jobs", [("score", "1"), ("score", "2"), ("saliency", None)],
+                         ids=["score-1", "score-2", "saliency"])
+def test_gram_of_another_kind_than_the_checkpoint_is_a_data_error(pipeline, mixed_kind_feats,
+                                                                  tmp_path, capsys, command, jobs):
+    # an STFT checkpoint once scored MGD grams of the same shape, and mapped them
+    _, corpus, _, ckpt, _, _ = pipeline
+    utt_id = read_protocol(corpus / "protocol_dev.txt")[0].utt_id
+    gram = mixed_kind_feats / f"{utt_id}.fgram"
+    out = tmp_path / "out"
+    if command == "score":
+        args = ["score", "--ckpt", str(ckpt), "--feature-dir", str(mixed_kind_feats),
+                "--protocol", str(corpus / "protocol_dev.txt"), "--out", str(out), "--jobs", jobs]
+    else:
+        args = ["saliency", "--ckpt", str(ckpt), "--feature", str(gram), "--out", str(out)]
+    capsys.readouterr()
+    err = _error_line(main(args), capsys)
+    assert err == (f"error:data: checkpoint {ckpt} was trained on STFT grams, "
+                   f"but gram {gram} is MGD")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("score", ["inf", "nan", "1e400"])
@@ -663,7 +642,7 @@ def test_frames_follow_the_wav_sample_rate(corpus_8k, tmp_path, feature):
 def test_non_finite_checkpoint_array_is_a_format_error(pipeline, tmp_path, capsys):
     _, corpus, feats, ckpt, _, _ = pipeline
     bad = tmp_path / "nan.ckpt"
-    # directory order is sorted by name, so the last bytes are param/stem_conv's float32s
+    # the arrays are in name order, so the last bytes are param/stem_conv's float32s
     bad.write_bytes(ckpt.read_bytes()[:-4] + struct.pack("<f", float("nan")))
     out = tmp_path / "s.txt"
     err = _error_line(main(["score", "--ckpt", str(bad), "--feature-dir", str(feats),

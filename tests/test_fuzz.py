@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ckpt_with_array_entry
+from conftest import ckpt_with_config
 from replaycm.audio_io import Waveform, read_wav, write_wav
 from replaycm.config import DEFAULTS, load_config
 from replaycm.errors import ReplayCmError
@@ -24,6 +24,8 @@ from replaycm.training import _read_manifest
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 U32 = st.one_of(st.integers(0, 16), st.integers(0, 2**32 - 1))
+# a model config value: mostly near the toy model's, sometimes far past any file
+CONFIG_INT = st.one_of(st.integers(-1, 16), st.integers(-2**64, 2**64))
 TOY = ResNetConfig(base_channels=16, scale=8, fc_width=8, input_bins=8, input_frames=10)
 
 
@@ -32,7 +34,7 @@ def valid(tmp_path_factory):
     """The bytes of one valid file of each kind, and a path to write inputs to."""
     root = tmp_path_factory.mktemp("fuzz")
     write_gram(FeatureGram("MGD", np.arange(12, dtype=np.float32).reshape(3, 4), "g"), root / "g")
-    save_checkpoint(root / "c", ResNet(TOY, seed=0), extra={"objective": "bfl"})
+    save_checkpoint(root / "c", ResNet(TOY, seed=0), extra={"kind": "MGD", "objective": "bfl"})
     write_wav(Waveform(np.linspace(-0.5, 0.5, 40), 16000, "w"), root / "w")
     return {
         "gram": (root / "g").read_bytes(),
@@ -158,11 +160,11 @@ def test_load_checkpoint_gives_a_model_or_an_error(valid, data):
     blob = data.draw(st.one_of(
         st.binary(max_size=64),
         st.builds(_ckpt_header, st.just(blob), st.sampled_from([b"RCMC", b"FGRM"]),
-                  st.one_of(st.just(1), st.integers(0, 2**16 - 1)), U32),
-        st.builds(ckpt_with_array_entry, st.just(blob), st.integers(0, 2**16),
-                  shape=st.lists(U32, max_size=4)),
-        st.builds(ckpt_with_array_entry, st.just(blob), st.integers(0, 2**16),
-                  dtype=st.sampled_from(["<f8", ">f4", "<f2", "<i4", "|S4", "|V4", "|O", "?"])),
+                  st.one_of(st.just(2), st.integers(0, 2**16 - 1)), U32),
+        st.fixed_dictionaries({}, optional={
+            "base_channels": CONFIG_INT, "scale": CONFIG_INT, "fc_width": CONFIG_INT,
+            "block_counts": st.lists(CONFIG_INT, max_size=5),
+        }).map(lambda config: ckpt_with_config(blob, **config)),
         damaged(blob),
         damaged(blob[header_end:]).map(lambda arrays: blob[:header_end] + arrays),
     ))

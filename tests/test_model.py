@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import ckpt_with_array_entry, leaf
+from conftest import leaf
 from replaycm import autodiff as ad
 from replaycm.autodiff import Tensor
 from replaycm.errors import FormatError, ParameterError, ShapeError, TrainingError
@@ -22,6 +22,8 @@ from replaycm.objectives import ClassWeights, bfl
 from replaycm.training import AdamW
 
 TOY = ResNetConfig(base_channels=16, scale=8, fc_width=8, input_bins=8, input_frames=10)
+# the header extra every checkpoint carries: the kind of gram it was trained on
+KIND = {"kind": "STFT"}
 
 
 def stage_output_shapes(cfg: ResNetConfig) -> list:
@@ -189,22 +191,55 @@ class TestCheckpoint:
         for p in model.parameters().values():
             p.data = p.data + rng.standard_normal(p.data.shape).astype(np.float32)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, model, extra={"note": "t"})
+        save_checkpoint(path, model, extra={**KIND, "note": "t"})
         loaded, extra = load_checkpoint(path)
-        assert extra == {"note": "t"}
+        assert extra == {**KIND, "note": "t"}
         state, loaded_state = model.state(), loaded.state()
         assert state.keys() == loaded_state.keys()
         assert all(np.array_equal(loaded_state[name], a) for name, a in state.items())
 
-    @pytest.mark.parametrize("index", [0, -1], ids=["buffer", "param"])
-    def test_missing_array_is_a_format_error(self, tmp_path, index):
+    def test_arrays_follow_the_header_in_name_order_little_endian(self, tmp_path, rng):
+        model = ResNet(TOY, seed=7)
+        model.forward(Tensor(rng.standard_normal((4, 1, 8, 10)).astype(np.float32)), train=True)
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, ResNet(TOY, seed=1), extra={})
+        save_checkpoint(path, model, extra=KIND)
         blob = path.read_bytes()
-        header = json.loads(blob[10:10 + int.from_bytes(blob[6:10], "little")])
-        name = header["arrays"][index]["name"]
-        path.write_bytes(ckpt_with_array_entry(blob, index, name=name + "_renamed"))
-        with pytest.raises(FormatError, match=f"lacks array '{name}'"):
+        header_len = int.from_bytes(blob[6:10], "little")
+        assert blob[:6] == b"RCMC\x02\x00"
+        assert json.loads(blob[10:10 + header_len]) == {
+            "config": {"block_counts": [3, 4, 6, 3], "base_channels": 16, "fc_width": 8,
+                       "input_bins": 8, "input_frames": 10, "scale": 8},
+            "extra": KIND}
+        state = sorted(model.state().items())
+        assert {a.dtype.str for n, a in state if n.startswith("param/")} == {"<f4"}
+        assert {a.dtype.str for n, a in state if n.startswith("buffer/")} == {"<f8"}
+        payload = b"".join(a.tobytes() for _, a in state)
+        assert blob[10 + header_len:] == payload
+        assert len(payload) == TOY.state_bytes
+
+    @pytest.mark.parametrize("block_counts", [(1, 1, 1, 1), (3, 4, 6, 3), (2, 1, 3, 1)])
+    @pytest.mark.parametrize("base_channels, scale", [(16, 8), (16, 1), (12, 3)])
+    @pytest.mark.parametrize("fc_width", [1, 32])
+    def test_state_bytes_are_the_models(self, block_counts, base_channels, scale, fc_width):
+        cfg = ResNetConfig(block_counts=block_counts, base_channels=base_channels, scale=scale,
+                           fc_width=fc_width, input_bins=8, input_frames=10)
+        assert cfg.state_bytes == sum(a.nbytes for a in ResNet(cfg, seed=0).state().values())
+
+    def test_version_1_is_unsupported(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, ResNet(TOY, seed=1), extra=KIND)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:4] + b"\x01\x00" + blob[6:])
+        with pytest.raises(FormatError) as exc:
+            load_checkpoint(path)
+        assert str(exc.value) == f"{path}: unsupported checkpoint version 1"
+
+    @pytest.mark.parametrize("extra", [{}, {"kind": "LFCC"}, {"kind": ["STFT"]}],
+                             ids=["no-kind", "unknown-kind", "list-kind"])
+    def test_a_header_without_a_known_kind_is_a_format_error(self, tmp_path, extra):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, ResNet(TOY, seed=1), extra=extra)
+        with pytest.raises(FormatError, match="malformed checkpoint header"):
             load_checkpoint(path)
 
     def test_state_copies_and_load_state_restores(self, rng):
@@ -227,7 +262,7 @@ class TestCheckpoint:
         grams = rng.standard_normal((5, 8, 10)).astype(np.float32)
         before = score_batch(model, grams)
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, model, extra={})
+        save_checkpoint(path, model, extra=KIND)
         loaded, _ = load_checkpoint(path)
         after = score_batch(loaded, grams)
         assert np.array_equal(before, after)
@@ -263,22 +298,48 @@ class TestSaliency:
 
 
 class TestGradientPolicy:
-    """Only the optimizer turns gradients on for the model's parameters."""
+    """A train-mode forward turns the parameters' gradients on, an eval-mode
+    forward turns them off."""
 
     def test_eval_forward_records_no_tape(self, tmp_path, rng):
         model = ResNet(TOY, seed=3)
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, model, extra={})
+        save_checkpoint(path, model, extra=KIND)
         x = Tensor(rng.standard_normal((2, 1, 8, 10)).astype(np.float32))
         for net in (model, load_checkpoint(path)[0]):
             lp = net.forward(x, train=False)
             assert lp._parents == () and lp._backward is None and not lp.requires_grad
 
-    def test_optimizer_turns_gradients_on(self):
-        params = ResNet(TOY, seed=3).parameters()
+    def test_the_forward_mode_turns_gradients_on_and_off(self, rng):
+        model = ResNet(TOY, seed=3)
+        params = model.parameters()
         assert not any(p.requires_grad for p in params.values())
-        AdamW(params, lr=1e-3, betas=(0.9, 0.999), weight_decay=0.0)
-        assert all(p.requires_grad for p in params.values())
+        x = Tensor(rng.standard_normal((2, 1, 8, 10)).astype(np.float32))
+        for train in (True, False, True):
+            lp = model.forward(x, train=train)
+            assert all(p.requires_grad == train for p in params.values())
+            assert lp.requires_grad == train
+
+    def test_scoring_after_a_training_step_records_no_tape(self, rng):
+        # AdamW once turned every parameter's gradient on for good, so train's
+        # dev scoring recorded a tape nobody read: 151 MB at this shape, 22 MB without
+        model = ResNet(ResNetConfig(input_bins=65, input_frames=50), seed=0)
+        optimizer = AdamW(model.parameters(), lr=1e-3, betas=(0.9, 0.999), weight_decay=0.0)
+        x = Tensor(rng.standard_normal((2, 1, 65, 50)).astype(np.float32))
+        lp = model.forward(x, train=True)
+        ad.backward(lp, np.full(lp.shape, 1 / 4))
+        optimizer.step()
+        del x, lp
+        grams = rng.standard_normal((32, 65, 50)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            score_batch(model, grams)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
     def test_saliency_computes_no_parameter_gradient(self, rng):
         model = ResNet(TOY, seed=4)

@@ -78,7 +78,7 @@ def test_checkpoint_of_trained_model_reproduces_dev_scores(tmp_path, rng):
     grams = store.load_batch([e.utt_id for e in dev_entries])
     before = score_batch(model, grams)
     path = tmp_path / "ck.ckpt"
-    save_checkpoint(path, model, extra={})
+    save_checkpoint(path, model, extra={"kind": "STFT"})
     loaded, _ = load_checkpoint(path)
     assert np.array_equal(score_batch(loaded, grams), before)
 
