@@ -11,7 +11,19 @@ input.  A pass first resets the gradient of every tensor it reaches, so a
 leaf's ``.grad`` is this pass's alone and nothing else has to zero it.  It
 frees the graph behind it: each interior tensor loses its gradient, closure
 and parent links as soon as its closure has run, so the graph can be
-backpropagated once, and a second pass raises ContractError.
+backpropagated once, and a second pass raises ContractError.  The pass pops
+each node off its topological list, so an interior tensor, data and all, goes
+as soon as its own closure and its consumers' have run, unless the caller
+holds it.
+
+The tape keeps each array once.  A closure keeps its parents, which are alive
+anyway, and what it cannot rebuild from them cheaply: ``conv2d`` keeps its
+input, not a padded copy or its im2col buffer, and pads, casts and builds the
+columns again for the weight gradient; ``BatchNorm2d`` keeps the per-channel
+``mu`` and ``inv_std`` and rebuilds the normalized input only where a gradient
+reads it; ``maxpool2d`` keeps the slot of each window's maximum, and its
+backward adds the gradient tap by tap.  Each rebuilt value is the same bytes
+as the one the forward used.
 
 The engine holds the ops the ResNet runs, and no other: ``add``, ``relu``,
 ``log_softmax``, ``linear``, ``conv2d``, ``maxpool2d``, ``global_avg_pool``
@@ -115,7 +127,10 @@ def backward(out: Tensor, grad: np.ndarray) -> None:
     for node in topo:
         node.grad = None
     _accum(out, np.asarray(grad))
-    for node in reversed(topo):
+    # popped, not iterated: once its consumers and it have run, nothing here
+    # holds an interior tensor, so its data goes before the pass ends
+    while topo:
+        node = topo.pop()
         if node._backward is None:
             continue  # a leaf keeps its gradient
         if node.grad is not None:
@@ -224,13 +239,14 @@ def conv2d(x: Tensor, weight: Tensor, stride: int, pad: int) -> Tensor:
     # training batches stay in sgemm, float64 tensors (gradient checks) get
     # 64-bit end to end
     out_dtype = _promote(x, weight)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    # the tape keeps this padded input, not cols (kh * kw times its size):
-    # the weight gradient builds cols from it again, the same bytes
-    xp = xp.astype(out_dtype, copy=False)
+    padding = ((0, 0), (0, 0), (pad, pad), (pad, pad))
 
     def im2col():
-        win = _windows(xp, kh, kw, stride)
+        # the tape keeps x, the parent, and neither its padded copy nor cols
+        # (kh * kw times its size): the weight gradient pads, casts and
+        # builds cols again, the same bytes
+        xp = np.pad(x.data, padding) if pad else x.data
+        win = _windows(xp.astype(out_dtype, copy=False), kh, kw, stride)
         return win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, ho * wo)
 
     w2 = weight.data.reshape(co, c * kh * kw).astype(out_dtype, copy=False)
@@ -243,7 +259,8 @@ def conv2d(x: Tensor, weight: Tensor, stride: int, pad: int) -> Tensor:
             _accum(weight, dw.reshape(weight.data.shape))
         if x.requires_grad:
             dcols = np.matmul(w2.T, g2).reshape(n, c, kh, kw, ho, wo)
-            dxp = _fold(dcols.transpose(0, 1, 4, 5, 2, 3), xp.shape, stride, dcols.dtype)
+            xp_shape = (n, c, h + 2 * pad, w + 2 * pad)
+            dxp = _fold(dcols.transpose(0, 1, 4, 5, 2, 3), xp_shape, stride, dcols.dtype)
             dx = dxp[:, :, pad : pad + h, pad : pad + w] if pad else dxp
             _accum(x, dx)
 
@@ -262,15 +279,19 @@ def maxpool2d(x: Tensor, kernel: int, stride: int, pad: int) -> Tensor:
     win = _windows(xp, kernel, kernel, stride).reshape(n, c, ho, wo, kernel * kernel)
     # argmax keeps the first maximal tap in row-major order; the tape keeps
     # only that slot, in the smallest integer type (uint8 for 3x3 windows)
-    slot = win.argmax(axis=-1)[..., None].astype(np.min_scalar_type(kernel * kernel - 1))
-    best = np.take_along_axis(win, slot, axis=-1)[..., 0]
+    slot = win.argmax(axis=-1).astype(np.min_scalar_type(kernel * kernel - 1))
+    best = np.take_along_axis(win, slot[..., None], axis=-1)[..., 0]
     # the tape keeps slot only, not the padded input or its window copy
-    xp_shape, win_shape = xp.shape, win.shape
+    xp_shape = xp.shape
 
     def bwd(g):
-        dwin = np.zeros(win_shape, dtype=np.float64)
-        np.put_along_axis(dwin, slot, g[..., None], axis=-1)
-        dxp = _fold(dwin.reshape(n, c, ho, wo, kernel, kernel), xp_shape, stride, np.float64)
+        # dwin[..., k] is g where slot == k and 0 elsewhere: tap k adds it
+        # to dxp in _fold's order, without a (n, c, ho, wo, k*k) dwin
+        dxp = np.zeros(xp_shape, dtype=np.float64)
+        for k in range(kernel * kernel):
+            i, j = divmod(k, kernel)
+            dxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += \
+                np.where(slot == k, g, 0)
         dx = dxp[:, :, pad : pad + h, pad : pad + w] if pad else dxp
         _accum(x, dx)
 
@@ -328,10 +349,17 @@ class BatchNorm2d:
             mu = self.running_mean
             var = self.running_var
         inv_std = (1.0 / np.sqrt(var + BN_EPS)).astype(dt)
-        xhat = (x.data - mu.astype(dt)[:, None, None]) * inv_std[:, None, None]
-        data = gamma.data.astype(dt)[:, None, None] * xhat + beta.data.astype(dt)[:, None, None]
+
+        def normalized():
+            return (x.data - mu.astype(dt)[:, None, None]) * inv_std[:, None, None]
+
+        scale = gamma.data.astype(dt)[:, None, None]
+        data = scale * normalized() + beta.data.astype(dt)[:, None, None]
 
         def bwd(g):
+            # the tape keeps mu and inv_std, not xhat: it is rebuilt from x,
+            # the parent, only where a gradient reads it, the same bytes
+            xhat = normalized() if gamma.requires_grad or (train and x.requires_grad) else None
             if gamma.requires_grad:
                 _accum(gamma, (g * xhat).sum(axis=(0, 2, 3), dtype=np.float64))
             if beta.requires_grad:

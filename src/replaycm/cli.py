@@ -16,7 +16,7 @@ from . import metrics, replay_sim, scoring, training
 from .audio_io import read_wav
 from .config import load_config
 from .errors import DataError, ParameterError, ReplayCmError
-from .features import FrameSpec, MgdParams, read_gram, reduce_gram, write_gram
+from .features import FrameSpec, MgdParams, read_gram, write_gram
 from .model import ResNet, ResNetConfig, load_checkpoint, save_checkpoint, saliency_map
 from .replay_sim import read_protocol
 from .scoring import read_score_file, write_score_file
@@ -25,12 +25,13 @@ from .training import FeatureStore, TrainConfig, train, write_feature_manifest
 
 def _framed(gram_fn, cfg: dict, **kwargs):
     """``gram_fn`` of one waveform, framed at the waveform's own sample rate."""
-    return lambda w: gram_fn(w, FrameSpec.from_ms(w.sample_rate, **cfg["stft"]), **kwargs)
+    return lambda w, **strides: gram_fn(w, FrameSpec.from_ms(w.sample_rate, **cfg["stft"]),
+                                        **kwargs, **strides)
 
 
-# feature kind -> the gram function of one waveform under a resolved config;
-# looked up when a command runs, so wrappers installed after import (such as
-# perfbench's tracer) take effect
+# feature kind -> the gram function of one waveform and the strides under a
+# resolved config; looked up when a command runs, so wrappers installed after
+# import (such as perfbench's tracer) take effect
 FRONTENDS = {
     "stft": lambda cfg: _framed(feat.stft_gram, cfg),
     "gd": lambda cfg: _framed(feat.gd_gram, cfg),
@@ -70,16 +71,17 @@ def _extract_one(entry, wav_dir: Path, out_dir: Path, frontend,
     path = wav_dir / f"{entry.utt_id}.wav"
     w = read_wav(path)
     try:
-        gram = frontend(w)
+        gram = frontend(w, bin_stride=bin_stride, frame_stride=frame_stride)
     except ParameterError as exc:  # frames and kernels follow the WAV's rate
         raise ParameterError(f"{path} at {w.sample_rate} Hz: {exc}") from exc
-    gram = reduce_gram(gram, bin_stride, frame_stride)
     filename = f"{entry.utt_id}.fgram"
     write_gram(gram, out_dir / filename)
     return entry.utt_id, filename
 
 
 def cmd_extract(args) -> int:
+    if args.bin_stride < 1 or args.frame_stride < 1:
+        raise ParameterError("strides must be >= 1")
     frontend = FRONTENDS[args.feature](load_config(args.config))
     entries = read_protocol(args.protocol)
     wav_dir = Path(args.wav_dir)
@@ -220,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--utts", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, builds="the corpus")
 
     p = sub.add_parser("extract", help="extract feature grams for a protocol")
     p.add_argument("--feature", required=True, choices=tuple(FRONTENDS))
@@ -231,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--bin-stride", type=int, default=1)
     p.add_argument("--frame-stride", type=int, default=1)
-    p.set_defaults(func=cmd_extract)
+    p.set_defaults(func=cmd_extract, builds="feature grams")
 
     p = sub.add_parser("train", help="train a countermeasure model")
     p.add_argument("--feature-dir", required=True)
@@ -243,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"focal exponent (default {TrainConfig.gamma:g})")
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, builds="a model")
 
     p = sub.add_parser("score", help="score a protocol with a checkpoint")
     p.add_argument("--ckpt", required=True)
@@ -251,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=cmd_score)
+    p.set_defaults(func=cmd_score, builds="scores")
 
     p = sub.add_parser("fuse", help="fuse score files (mean or logistic regression)")
     p.add_argument("--method", required=True, choices=("mean", "lr"))
@@ -259,25 +261,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dev-scores", nargs="+", default=None)
     p.add_argument("--dev-protocol", default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_fuse)
+    p.set_defaults(func=cmd_fuse, builds="fused scores")
 
     p = sub.add_parser("evaluate", help="EER and min t-DCF for a score file")
     p.add_argument("--scores", required=True)
     p.add_argument("--protocol", required=True)
     p.add_argument("--tdcf-config", default=None)
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(func=cmd_evaluate, builds="metrics")
 
     p = sub.add_parser("breakdown", help="per-attack-code metric table")
     p.add_argument("--scores", required=True)
     p.add_argument("--protocol", required=True)
     p.add_argument("--tdcf-config", default=None)
-    p.set_defaults(func=cmd_breakdown)
+    p.set_defaults(func=cmd_breakdown, builds="metrics")
 
     p = sub.add_parser("saliency", help="|input gradient| for one feature gram")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--feature", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_saliency)
+    p.set_defaults(func=cmd_saliency, builds="a saliency map")
 
     return parser
 
@@ -292,6 +294,10 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"error:io: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a size that a config or an input can claim
+        print(f"error:resource: {args.command} ran out of memory building {args.builds}: "
+              f"{' '.join(str(exc).split()) or 'no detail'}", file=sys.stderr)
         return 1
 
 

@@ -32,11 +32,13 @@ def _defaults() -> dict:
     model = ResNetConfig()
     train = asdict(TrainConfig())
     del train["gamma"]  # train --gamma and --objective bce are its only sources
+    cqt = _keyword_defaults(cqt_gram)
+    del cqt["bin_stride"], cqt["frame_stride"]  # extract's flags are their only source
     return {
         "audio": {"sample_rate": _keyword_defaults(generate_corpus)["sample_rate"]},
         "stft": _keyword_defaults(FrameSpec.from_ms),
         "mgd": {"rho": mgd.rho, "lambda": mgd.lam, "lifter_len": mgd.lifter_len},
-        "cqt": _keyword_defaults(cqt_gram),
+        "cqt": cqt,
         "model": {
             "block_counts": ",".join(str(b) for b in model.block_counts),
             "base_channels": model.base_channels,

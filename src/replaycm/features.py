@@ -1,7 +1,11 @@
 """Time-frequency front-ends: STFT-gram, GD/MGD-gram and CQT-gram.
 
 All grams are shaped to exactly 500 frames (truncate long inputs, cyclically
-repeat short ones) so the classifier always sees a fixed-size matrix.
+repeat short ones) so the classifier always sees a fixed-size matrix: column
+j reads frame j mod n_frames.  A gram function keeps every ``bin_stride``-th
+bin and every ``frame_stride``-th column of that matrix, and computes only
+what those cells read: the spectra of the distinct frames they read, once
+each, and per-bin math on the kept bins alone.
 """
 
 from __future__ import annotations
@@ -99,12 +103,17 @@ def _frame(samples: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(samples, frame_len)[::hop]
 
 
-def _spectra(w: Waveform, spec: FrameSpec, ramped: bool = False) -> tuple:
-    """One-sided spectra of the windowed frames, each (n_fft/2 + 1, n_frames):
-    (X,) or, if ``ramped``, (X, Y) with Y the spectrum of the index-ramped
-    windowed frames.  Frame t covers samples [t*hop, t*hop + frame_len).
+def _fixed_columns(n_frames: int, frame_stride: int) -> tuple:
+    """(frames, cols): the distinct frames that the kept columns of the fixed
+    gram read, in order, and each kept column's index into ``frames``."""
+    return np.unique(np.arange(0, N_FRAMES_FIXED, frame_stride) % n_frames, return_inverse=True)
+
+
+def _spectra(frames: np.ndarray, spec: FrameSpec, ramped: bool = False) -> tuple:
+    """One-sided spectra of the windowed ``frames`` (n_frames, frame_len),
+    each (n_fft/2 + 1, n_frames): (X,) or, if ``ramped``, (X, Y) with Y the
+    spectrum of the index-ramped windowed frames.
     """
-    frames = _frame(w.samples, spec.frame_len, spec.hop)
     win = _window(spec.window, spec.frame_len)
     # both weighted stacks in one buffer, so one rfft serves X and Y
     weighted = np.empty((2 if ramped else 1, *frames.shape))
@@ -116,26 +125,25 @@ def _spectra(w: Waveform, spec: FrameSpec, ramped: bool = False) -> tuple:
 
 
 def stft(w: Waveform, spec: FrameSpec) -> np.ndarray:
-    """One-sided short-time spectra, shape (n_fft/2 + 1, n_frames)."""
-    return _spectra(w, spec)[0]
+    """One-sided short-time spectra, shape (n_fft/2 + 1, n_frames).  Frame t
+    covers samples [t*hop, t*hop + frame_len)."""
+    return _spectra(_frame(w.samples, spec.frame_len, spec.hop), spec)[0]
 
 
-def shape_fixed(gram: np.ndarray) -> np.ndarray:
-    """Truncate to, or cyclically repeat frames up to, exactly N_FRAMES_FIXED."""
-    gram = np.asarray(gram)
-    if gram.ndim != 2 or gram.shape[1] < 1:
-        raise ParameterError(f"cannot shape empty gram of shape {gram.shape}")
-    t = gram.shape[1]
-    if t >= N_FRAMES_FIXED:
-        return gram[:, :N_FRAMES_FIXED]
-    reps = int(np.ceil(N_FRAMES_FIXED / t))
-    return np.tile(gram, (1, reps))[:, :N_FRAMES_FIXED]
+def _gram_spectra(w: Waveform, spec: FrameSpec, frame_stride: int, ramped: bool = False):
+    """The ``_spectra`` of the distinct frames that the fixed gram's kept
+    columns read, and each kept column's index among them."""
+    frames = _frame(w.samples, spec.frame_len, spec.hop)
+    kept, cols = _fixed_columns(frames.shape[0], frame_stride)
+    return _spectra(frames[kept], spec, ramped), cols
 
 
-def stft_gram(w: Waveform, spec: FrameSpec) -> FeatureGram:
+def stft_gram(w: Waveform, spec: FrameSpec, bin_stride: int = 1,
+              frame_stride: int = 1) -> FeatureGram:
     """Log-power spectrogram: log(|X|^2 + eps), fixed to 500 frames."""
-    mag2 = np.abs(stft(w, spec)) ** 2
-    return FeatureGram("STFT", shape_fixed(np.log(mag2 + LOG_EPS)), w.utt_id)
+    (x_spec,), cols = _gram_spectra(w, spec, frame_stride)
+    mag2 = np.abs(x_spec[::bin_stride]) ** 2
+    return FeatureGram("STFT", np.log(mag2 + LOG_EPS)[:, cols], w.utt_id)
 
 
 @functools.lru_cache(maxsize=8)
@@ -171,27 +179,41 @@ def mgd_spectra(w: Waveform, spec: FrameSpec, p: MgdParams) -> np.ndarray:
     spectrum, Y the spectrum of the index-ramped frame and S the cepstrally
     smoothed magnitude of X; the output is sign(tau') |tau'|^rho.
     """
-    x_spec, y_spec = _spectra(w, spec, ramped=True)
-    mag = np.maximum(np.abs(x_spec), MAG_FLOOR)
-    smooth = cepstral_smooth(mag, p.lifter_len) if p.smoothing else mag
+    frames = _frame(w.samples, spec.frame_len, spec.hop)
+    return _group_delay(*_spectra(frames, spec, ramped=True), p, 1, w.utt_id)
+
+
+def _group_delay(x_spec: np.ndarray, y_spec: np.ndarray, p: MgdParams, bin_stride: int,
+                 utt_id: str) -> np.ndarray:
+    """``mgd_spectra`` of the spectra X and Y, on every bin_stride-th bin."""
+    if p.smoothing:  # the cepstral smoothing reads every bin
+        smooth = cepstral_smooth(np.abs(x_spec), p.lifter_len)[::bin_stride]
+    else:
+        smooth = np.maximum(np.abs(x_spec[::bin_stride]), MAG_FLOOR)
+    x_spec, y_spec = x_spec[::bin_stride], y_spec[::bin_stride]
     with np.errstate(over="ignore", invalid="ignore"):
         cross = x_spec.real * y_spec.real + x_spec.imag * y_spec.imag
         tau_raw = cross / np.power(smooth, 2.0 * p.lam)
         tau = np.sign(tau_raw) * np.power(np.abs(tau_raw), p.rho)
     if not np.all(np.isfinite(tau)):
-        raise InternalError(f"non-finite modified group delay for {w.utt_id!r}")
+        raise InternalError(f"non-finite modified group delay for {utt_id!r}")
     return tau
 
 
-def mgd_gram(w: Waveform, spec: FrameSpec, p: MgdParams) -> FeatureGram:
-    return FeatureGram("MGD", shape_fixed(mgd_spectra(w, spec, p)), w.utt_id)
+def mgd_gram(w: Waveform, spec: FrameSpec, p: MgdParams, bin_stride: int = 1,
+             frame_stride: int = 1) -> FeatureGram:
+    spectra, cols = _gram_spectra(w, spec, frame_stride, ramped=True)
+    return FeatureGram("MGD", _group_delay(*spectra, p, bin_stride, w.utt_id)[:, cols], w.utt_id)
 
 
-def gd_gram(w: Waveform, spec: FrameSpec) -> FeatureGram:
+def gd_gram(w: Waveform, spec: FrameSpec, bin_stride: int = 1,
+            frame_stride: int = 1) -> FeatureGram:
     """Vanilla group-delay gram (X_R Y_R + X_I Y_I) / |X|^2 per frame: MGD
     with rho = lambda = 1 and no cepstral smoothing."""
-    tau = mgd_spectra(w, spec, MgdParams(rho=1.0, lam=1.0, smoothing=False))
-    return FeatureGram("GD", shape_fixed(tau), w.utt_id)
+    spectra, cols = _gram_spectra(w, spec, frame_stride, ramped=True)
+    tau = _group_delay(*spectra, MgdParams(rho=1.0, lam=1.0, smoothing=False), bin_stride,
+                       w.utt_id)
+    return FeatureGram("GD", tau[:, cols], w.utt_id)
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +293,10 @@ class CqtKernel:
         # how far a window reaches from its center, in samples at sample_rate
         self.reach = max(d * (kernel.shape[0] // 2) for d, kernel in self.octaves)
 
-    def transform(self, samples: np.ndarray) -> np.ndarray:
+    def transform(self, samples: np.ndarray, frames=slice(None)) -> np.ndarray:
         """Magnitude CQT, shape (n_bins, n_frames); frame t centered on t*hop.
+        ``frames`` selects the frames (columns) to keep, after each octave's
+        kernel product: a product of fewer rows would round differently.
 
         The utterance is zero-padded to a period that no window reaches
         across.  Octave o reads that period at sr / d_o: its spectrum cut at
@@ -293,8 +317,8 @@ class CqtKernel:
             # frame t holds decimated samples t*hop/d - half .. t*hop/d + half,
             # read round the period
             ring = np.roll(signals[d], half)
-            frames = np.lib.stride_tricks.sliding_window_view(ring, kernel.shape[0])
-            prod = frames[:: self.hop // d][:n_frames] @ kernel
+            windows = np.lib.stride_tricks.sliding_window_view(ring, kernel.shape[0])
+            prod = (windows[:: self.hop // d][:n_frames] @ kernel)[frames]
             n_bins = kernel.shape[1] // 2
             mags.append(np.hypot(prod[:, :n_bins], prod[:, n_bins:]).T)
         return np.concatenate(mags)
@@ -314,15 +338,19 @@ def _cached_kernel(sample_rate: int, n_octaves: int, bins_per_octave: int,
         return _KERNEL_CACHE[key]
 
 
-def cqt_gram(w: Waveform, hop: int = 128, n_octaves: int = 9,
-             bins_per_octave: int = 96) -> FeatureGram:
+def cqt_gram(w: Waveform, hop: int = 128, n_octaves: int = 9, bins_per_octave: int = 96,
+             bin_stride: int = 1, frame_stride: int = 1) -> FeatureGram:
     """Log-compressed constant-Q magnitude gram, fixed to 500 frames."""
     if min(hop, n_octaves, bins_per_octave) < 1:
         raise ParameterError(f"cqt hop, n_octaves and bins_per_octave must be >= 1, got "
                              f"{hop}, {n_octaves} and {bins_per_octave}")
+    if w.samples.size < hop:
+        raise ParameterError(f"input of {w.samples.size} samples too short for one "
+                             f"{hop}-sample cqt hop")
+    kept, cols = _fixed_columns(w.samples.size // hop, frame_stride)
     kernel = _cached_kernel(w.sample_rate, n_octaves, bins_per_octave, hop)
-    mags = kernel.transform(w.samples)
-    return FeatureGram("CQT", shape_fixed(np.log(mags + LOG_EPS)), w.utt_id)
+    mags = kernel.transform(w.samples, kept)[::bin_stride]
+    return FeatureGram("CQT", np.log(mags + LOG_EPS)[:, cols], w.utt_id)
 
 
 # ---------------------------------------------------------------------------
@@ -364,11 +392,3 @@ def read_gram(path, utt_id: str = "") -> FeatureGram:
         raise FormatError(f"{path}: non-finite cells in {KIND_NAMES[kind_code]} gram")
     return FeatureGram(KIND_NAMES[kind_code], np.array(data), utt_id)
 
-
-def reduce_gram(gram: FeatureGram, bin_stride: int, frame_stride: int) -> FeatureGram:
-    """Subsample rows/columns for desk-scale training runs."""
-    if bin_stride < 1 or frame_stride < 1:
-        raise ParameterError("strides must be >= 1")
-    if bin_stride == 1 and frame_stride == 1:
-        return gram
-    return FeatureGram(gram.kind, gram.data[::bin_stride, ::frame_stride], gram.utt_id)

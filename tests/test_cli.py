@@ -857,3 +857,85 @@ def test_lr_fusion_of_extreme_scores_is_one_numeric_error(tmp_path, capsys):
     err = _error_line(code, capsys)
     assert err.startswith("error:numeric: logistic fusion gradient norm is"), err
     assert not (tmp_path / "fused.txt").exists()
+
+
+def test_strides_are_checked_before_any_wav_is_read(tmp_path, capsys):
+    protocol = tmp_path / "protocol.txt"
+    protocol.write_text("u0 - bonafide\n")
+    code = main(["extract", "--feature", "stft", "--protocol", str(protocol),
+                 "--wav-dir", str(tmp_path / "no_wavs"), "--out", str(tmp_path / "out"),
+                 "--frame-stride", "0"])
+    assert _error_line(code, capsys) == "error:parameter: strides must be >= 1"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cqt_hop_longer_than_the_utterance_is_a_parameter_error(pipeline, tmp_path, capsys):
+    _, corpus, _, _, _, _ = pipeline
+    cfg = tmp_path / "hop.cfg"
+    cfg.write_text("[cqt]\nhop = 100000000\n")
+    code = main(["extract", "--feature", "cqt", "--protocol", str(corpus / "protocol_dev.txt"),
+                 "--wav-dir", str(corpus / "wav"), "--out", str(tmp_path / "cqt"),
+                 "--config", str(cfg)])
+    err = _error_line(code, capsys)
+    assert err.startswith("error:parameter: ") and "too short for one 100000000-sample cqt hop" \
+        in err, err
+
+
+def test_stride_keys_are_not_cqt_config_keys(pipeline, tmp_path, capsys):
+    _, corpus, _, _, _, _ = pipeline
+    for key in ("bin_stride", "frame_stride"):
+        cfg = tmp_path / f"{key}.cfg"
+        cfg.write_text(f"[cqt]\n{key} = 2\n")
+        code = main(["extract", "--feature", "cqt", "--protocol", str(corpus / "protocol_dev.txt"),
+                     "--wav-dir", str(corpus / "wav"), "--out", str(tmp_path / "cqt"),
+                     "--config", str(cfg)])
+        assert _error_line(code, capsys) == f"error:parameter: unknown config key '{key}' in [cqt]"
+
+
+# 1 GiB of address space: the interpreter, numpy and the toy corpus fit, and
+# no host's memory decides the outcome
+ADDRESS_SPACE_LIMIT = 1 << 30
+
+
+@pytest.mark.parametrize("command, config, what", [
+    ("extract-stft", "[stft]\nn_fft = 100000000000\n", "71.3 TiB"),
+    ("extract-mgd", "[stft]\nn_fft = 100000000000\n", "143. TiB"),
+    ("extract-cqt", "[cqt]\nbins_per_octave = 100000000\n", "6.71 GiB"),
+    ("train", "[model]\nbase_channels = 1048576\nscale = 1\n", "TiB"),
+    ("train", "[model]\nfc_width = 100000000000\n", "TiB"),
+], ids=["n_fft-stft", "n_fft-mgd", "bins_per_octave", "base_channels", "fc_width"])
+def test_out_of_memory_is_one_resource_line(pipeline, tmp_path, command, config, what):
+    resource = pytest.importorskip("resource")
+    import os
+    import subprocess
+    from pathlib import Path
+
+    _, corpus, feats, _, _, _ = pipeline
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    if command == "train":
+        args = _train_args(pipeline, out, cfg)
+    else:
+        args = ["extract", "--feature", command.split("-")[1],
+                "--protocol", str(corpus / "protocol_dev.txt"), "--wav-dir", str(corpus / "wav"),
+                "--out", str(out), "--config", str(cfg)]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_LIMIT, ADDRESS_SPACE_LIMIT))
+
+    run = subprocess.run([sys.executable, "-m", "replaycm.cli", *args], env=env,
+                         preexec_fn=limit, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1 and run.stdout == "", (run.returncode, run.stdout, run.stderr)
+    assert len(run.stderr.splitlines()) == 1, run.stderr
+    verb = args[0]
+    builds = "feature grams" if verb == "extract" else "a model"
+    assert run.stderr.startswith(f"error:resource: {verb} ran out of memory building {builds}: "
+                                 f"Unable to allocate "), run.stderr
+    assert what in run.stderr
+    if verb == "extract":  # made before the first WAV is read, and left empty
+        assert list(out.iterdir()) == []
+    else:
+        assert not out.exists() and not Path(str(out) + ".log").exists()

@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from replaycm.audio_io import Waveform, synth_tone_complex
 from replaycm.errors import FormatError, InternalError, ParameterError
@@ -12,6 +14,8 @@ from replaycm.features import (
     MAX_WINDOW_S,
     CqtKernel,
     FeatureGram,
+    LOG_EPS,
+    N_FRAMES_FIXED,
     FrameSpec,
     MgdParams,
     cepstral_smooth,
@@ -22,8 +26,6 @@ from replaycm.features import (
     mgd_gram,
     mgd_spectra,
     read_gram,
-    reduce_gram,
-    shape_fixed,
     stft,
     stft_gram,
     write_gram,
@@ -110,7 +112,33 @@ class TestStftGram:
             assert g.data.shape == (513, 500)
 
 
+def shape_fixed(gram: np.ndarray) -> np.ndarray:
+    """The earlier path's first step: truncate to, or cyclically repeat frames
+    up to, exactly N_FRAMES_FIXED."""
+    gram = np.asarray(gram)
+    if gram.ndim != 2 or gram.shape[1] < 1:
+        raise ParameterError(f"cannot shape empty gram of shape {gram.shape}")
+    t = gram.shape[1]
+    if t >= N_FRAMES_FIXED:
+        return gram[:, :N_FRAMES_FIXED]
+    reps = int(np.ceil(N_FRAMES_FIXED / t))
+    return np.tile(gram, (1, reps))[:, :N_FRAMES_FIXED]
+
+
+def reduce_gram(gram: FeatureGram, bin_stride: int, frame_stride: int) -> FeatureGram:
+    """The earlier path's second step: subsample the fixed gram's rows and
+    columns."""
+    if bin_stride < 1 or frame_stride < 1:
+        raise ParameterError("strides must be >= 1")
+    if bin_stride == 1 and frame_stride == 1:
+        return gram
+    return FeatureGram(gram.kind, gram.data[::bin_stride, ::frame_stride], gram.utt_id)
+
+
 class TestShapeFixed:
+    """``shape_fixed`` and ``reduce_gram`` are the oracle of the strided
+    grams (``TestStridedGrams``); these tests pin the oracle itself."""
+
     def test_truncates_long(self, rng):
         g = rng.standard_normal((7, 700))
         out = shape_fixed(g)
@@ -491,6 +519,7 @@ class TestGramFiles:
             read_gram(path)
 
     def test_reduce_gram(self, rng):
+        # the oracle's second step, see TestShapeFixed
         g = FeatureGram("STFT", rng.standard_normal((64, 50)).astype(np.float32), "u")
         r = reduce_gram(g, bin_stride=8, frame_stride=5)
         assert r.data.shape == (8, 10)
@@ -499,3 +528,76 @@ class TestGramFiles:
     def test_gram_must_be_finite(self):
         with pytest.raises(InternalError):
             FeatureGram("STFT", np.array([[np.inf, 0.0]]), "u")
+
+
+# 8 kHz, so that utterances of over 500 frames stay short: 200-sample frames
+# every 80 samples, and a 12-bin, 6-octave CQT at hop 80
+STRIDE_SR = 8000
+STRIDE_SPEC = FrameSpec.from_ms(STRIDE_SR)
+STRIDE_CQT = dict(hop=80, n_octaves=6, bins_per_octave=12)
+
+
+def full_resolution(kind: str, w: Waveform) -> np.ndarray:
+    """Every bin of every frame, before the fixed gram's columns are taken."""
+    if kind == "STFT":
+        return np.log(np.abs(stft(w, STRIDE_SPEC)) ** 2 + LOG_EPS)
+    if kind == "GD":
+        return mgd_spectra(w, STRIDE_SPEC, MgdParams(rho=1.0, lam=1.0, smoothing=False))
+    if kind == "MGD":
+        return mgd_spectra(w, STRIDE_SPEC, MgdParams())
+    kernel = CqtKernel(STRIDE_SR, STRIDE_CQT["n_octaves"], STRIDE_CQT["bins_per_octave"],
+                       STRIDE_CQT["hop"])
+    return np.log(kernel.transform(w.samples) + LOG_EPS)
+
+
+def strided_gram(kind: str, w: Waveform, bin_stride: int, frame_stride: int) -> FeatureGram:
+    strides = dict(bin_stride=bin_stride, frame_stride=frame_stride)
+    if kind == "STFT":
+        return stft_gram(w, STRIDE_SPEC, **strides)
+    if kind == "GD":
+        return gd_gram(w, STRIDE_SPEC, **strides)
+    if kind == "MGD":
+        return mgd_gram(w, STRIDE_SPEC, MgdParams(), **strides)
+    return cqt_gram(w, **STRIDE_CQT, **strides)
+
+
+class TestStridedGrams:
+    """A gram function computes only the cells its strides keep, and they are
+    the cells of the earlier path: ``shape_fixed`` of every frame, then
+    ``reduce_gram``."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(["STFT", "GD", "MGD", "CQT"]),
+           n_frames=st.one_of(st.integers(1, 40), st.integers(1, 650)),
+           extra=st.integers(0, STRIDE_SPEC.hop - 1),
+           bin_stride=st.one_of(st.integers(1, 8), st.integers(1, 600)),
+           frame_stride=st.one_of(st.integers(1, 12), st.integers(1, 600)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_strided_gram_is_the_fixed_gram_subsampled(self, kind, n_frames, extra, bin_stride,
+                                                       frame_stride, seed):
+        n = STRIDE_SPEC.frame_len + (n_frames - 1) * STRIDE_SPEC.hop + extra
+        w = Waveform(np.random.default_rng(seed).uniform(-0.5, 0.5, n), STRIDE_SR, "u")
+        got = strided_gram(kind, w, bin_stride, frame_stride)
+        oracle = reduce_gram(FeatureGram(kind, shape_fixed(full_resolution(kind, w)), "u"),
+                             bin_stride, frame_stride)
+        assert got.kind == kind and got.data.shape == oracle.data.shape
+        if kind == "MGD":
+            # the lifter's DCT product runs over the kept frames only, and a
+            # BLAS product of fewer columns may round the last bits of a
+            # float64 cell differently; the written float32 cells are equal
+            np.testing.assert_allclose(got.data, oracle.data, rtol=1e-12, atol=0)
+        else:
+            assert np.array_equal(got.data, oracle.data)
+        assert got.data.astype("<f4").tobytes() == oracle.data.astype("<f4").tobytes()
+
+    @pytest.mark.parametrize("kind", ["STFT", "GD", "MGD", "CQT"])
+    def test_stride_1_is_the_fixed_gram(self, kind, rng):
+        w = Waveform(rng.uniform(-0.5, 0.5, STRIDE_SR), STRIDE_SR, "u")  # 1 s
+        assert np.array_equal(strided_gram(kind, w, 1, 1).data,
+                              shape_fixed(full_resolution(kind, w)))
+
+    def test_cqt_hop_longer_than_the_utterance_is_rejected(self):
+        w = Waveform(np.ones(127), SR, "short")
+        with pytest.raises(ParameterError, match="127 samples too short for one 128-sample"):
+            cqt_gram(w, hop=128)
+        assert cqt_gram(Waveform(np.ones(128), SR, "one")).data.shape == (864, 500)
