@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from replaycm.audio_io import Waveform, synth_tone_complex
 from replaycm.errors import FormatError, InternalError, ParameterError
 from replaycm.features import (
+    LOG_EPS,
     MAX_WINDOW_S,
+    N_FRAMES_FIXED,
     CqtKernel,
     FeatureGram,
-    LOG_EPS,
-    N_FRAMES_FIXED,
     FrameSpec,
     MgdParams,
     cepstral_smooth,

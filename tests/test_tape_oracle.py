@@ -8,6 +8,7 @@ loop are the oracle: every ``.grad`` must be equal in bytes.
 """
 
 import tracemalloc
+import weakref
 
 import numpy as np
 from hypothesis import given, settings
@@ -213,3 +214,23 @@ def test_a_detect_shaped_train_step_peaks_under_60_mb():
     finally:
         tracemalloc.stop()
     assert peak < 60e6
+
+
+def test_an_interior_tensor_goes_once_its_consumers_have_run(rng):
+    x = leaf(rng.standard_normal((2, 3)))
+    h1 = ad.relu(x)
+    h2 = ad.relu(h1)
+    out = ad.relu(h2)
+    h2_ref = weakref.ref(h2)
+    gone = []
+    h1_backward = h1._backward
+
+    def probe(g):  # h1's closure runs after out's and h2's
+        gone.append(h2_ref() is None)
+        h1_backward(g)
+
+    h1._backward = probe
+    del h1, h2
+    ad.backward(out, np.ones(out.shape))
+    assert gone == [True]
+    assert np.array_equal(x.grad, (x.data > 0).astype(x.data.dtype))
