@@ -365,7 +365,7 @@ class BatchNorm2d:
             if beta.requires_grad:
                 _accum(beta, g.sum(axis=(0, 2, 3), dtype=np.float64))
             if x.requires_grad:
-                gx = g * gamma.data.astype(dt)[:, None, None]
+                gx = g * scale
                 if train:
                     m = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
                     sum_gx = gx.sum(axis=(0, 2, 3), dtype=np.float64).astype(dt)
