@@ -2,7 +2,8 @@
 # The console script end to end on a toy corpus, written under the current
 # directory: every front-end, training with the focal loss and with BCE (each
 # seeds the backward pass with the loss's gradient), scoring at one job and at
-# two (byte for byte the same), a saliency map (a one-hot seed), mean fusion, evaluation and the per-attack breakdown, the
+# two (byte for byte the same), a saliency map drawn twice (a one-hot seed; byte
+# for byte the same), mean fusion, evaluation and the per-attack breakdown, the
 # evaluation of scores near the float maximum, then inputs that must each end
 # in one error:<category>: line with exit code 1.
 #
@@ -37,6 +38,9 @@ replaycm evaluate --scores toy/eval_scores.txt --protocol toy/protocol_eval.txt
 replaycm breakdown --scores toy/eval_scores.txt --protocol toy/protocol_eval.txt
 utt=$(head -n 1 toy/protocol_eval.txt | cut -d ' ' -f 1)
 replaycm saliency --ckpt toy/bce.ckpt --feature "toy/stft/$utt.fgram" --out toy/saliency.fgram
+# the eval-mode backward through the fused batch-norm epilogues is deterministic
+replaycm saliency --ckpt toy/bce.ckpt --feature "toy/stft/$utt.fgram" --out toy/saliency_again.fgram
+cmp toy/saliency.fgram toy/saliency_again.fgram
 replaycm fuse --method mean --scores toy/eval_scores.txt toy/eval_scores.txt \
   --out toy/fused.txt
 replaycm evaluate --scores toy/fused.txt --protocol toy/protocol_eval.txt

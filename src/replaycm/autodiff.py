@@ -23,11 +23,13 @@ columns again for the weight gradient; ``BatchNorm2d`` keeps the per-channel
 ``mu`` and ``inv_std`` and rebuilds the normalized input only where a gradient
 reads it; ``maxpool2d`` keeps the slot of each window's maximum, and its
 backward adds the gradient tap by tap.  Each rebuilt value is the same bytes
-as the one the forward used.
+as the one the forward used.  ``BatchNorm2d`` ends in a block's residual add
+and ReLU, so a basic block keeps four arrays of its output's size, the
+outputs of its convs and batch norms, and a 16-gram 65x50 step traces ~30 MB.
 
-The engine holds the ops the ResNet runs, and no other: ``add``, ``relu``,
-``log_softmax``, ``linear``, ``conv2d``, ``maxpool2d``, ``global_avg_pool``
-and ``BatchNorm2d``.  The training loss is not on the tape:
+The engine holds the ops the ResNet runs, and no other: ``relu`` (in the
+head), ``log_softmax``, ``linear``, ``conv2d``, ``maxpool2d``,
+``global_avg_pool`` and ``BatchNorm2d``.  The training loss is not on the tape:
 ``objectives.bfl`` returns its gradient with respect to the
 log-probabilities, and a saliency map seeds a one-hot one.
 
@@ -39,9 +41,8 @@ them on for its input only.  So scoring records no tape, even between
 training steps, and a backward pass computes no weight gradient nobody
 reads.
 
-Convolution and max pooling read their windows through one strided view
-(``_windows``); ``_fold`` is its adjoint and holds the only loop over kernel
-taps.
+Convolution reads its windows through one strided view (``_windows``);
+``_fold`` is its adjoint.  Max pooling walks the taps itself, copying no window.
 """
 
 from __future__ import annotations
@@ -140,20 +141,6 @@ def backward(out: Tensor, grad: np.ndarray) -> None:
 
 # ---------------------------------------------------------------------------
 # elementwise and dense primitives
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"add needs operands of one shape, got {a.data.shape} and {b.data.shape}")
-    data = a.data + b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            _accum(a, g)
-        if b.requires_grad:
-            _accum(b, g)
-
-    return _result(data, (a, b), bwd)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -276,12 +263,18 @@ def maxpool2d(x: Tensor, kernel: int, stride: int, pad: int) -> Tensor:
     if ho <= 0 or wo <= 0:
         raise ShapeError(f"maxpool2d: window {kernel} too large for input {x.data.shape}")
     xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)), constant_values=-np.inf) if pad else x.data
-    win = _windows(xp, kernel, kernel, stride).reshape(n, c, ho, wo, kernel * kernel)
-    # argmax keeps the first maximal tap in row-major order; the tape keeps
-    # only that slot, in the smallest integer type (uint8 for 3x3 windows)
-    slot = win.argmax(axis=-1).astype(np.min_scalar_type(kernel * kernel - 1))
-    best = np.take_along_axis(win, slot[..., None], axis=-1)[..., 0]
-    # the tape keeps slot only, not the padded input or its window copy
+    # a running maximum by argmax's rule: a later tap takes a window only if
+    # greater, or a NaN over a number, and takes it bit for bit, so -0.0 and
+    # NaN keep their bytes.  The tape keeps the slot, in the smallest int type
+    best = xp[:, :, : stride * ho : stride, : stride * wo : stride].copy()
+    slot = np.zeros(best.shape, np.min_scalar_type(kernel * kernel - 1))
+    bits = best.view(f"u{xp.itemsize}")
+    for k in range(1, kernel * kernel):
+        i, j = divmod(k, kernel)
+        tap = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
+        take = ~(tap <= best) & (best == best)
+        slot += take * (k - slot)
+        bits ^= (bits ^ tap.view(bits.dtype)) * take
     xp_shape = xp.shape
 
     def bwd(g):
@@ -320,6 +313,10 @@ class BatchNorm2d:
     Not a primitive function because it owns state: gamma/beta parameters and
     running mean/var buffers (updated with momentum BN_MOMENTUM in training
     mode, frozen affine map in eval mode).
+
+    A call can end in a block's epilogue, in place on the output: add
+    ``residual``, then clip at 0 if ``relu``.  The backward masks with
+    ``out > 0``, so no pre-activation array reaches the tape.
     """
 
     def __init__(self, channels: int):
@@ -328,7 +325,8 @@ class BatchNorm2d:
         self.running_mean = np.zeros(channels, dtype=np.float64)
         self.running_var = np.ones(channels, dtype=np.float64)
 
-    def __call__(self, x: Tensor, train: bool) -> Tensor:
+    def __call__(self, x: Tensor, train: bool, residual: Tensor | None = None,
+                 relu: bool = False) -> Tensor:
         if x.data.ndim != 4 or x.data.shape[1] != self.gamma.data.shape[0]:
             raise ShapeError(
                 f"batchnorm2d: input {x.data.shape} does not carry "
@@ -336,6 +334,9 @@ class BatchNorm2d:
             )
         gamma, beta = self.gamma, self.beta
         dt = x.data.dtype
+        if residual is not None and (residual.shape, residual.data.dtype) != (x.shape, dt):
+            raise ShapeError(f"batchnorm2d: residual {residual.shape} {residual.data.dtype} "
+                             f"does not match input {x.shape} {dt}")
         if train:
             # statistics accumulate in float64; elementwise math stays in dt
             m = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
@@ -355,8 +356,16 @@ class BatchNorm2d:
 
         scale = gamma.data.astype(dt)[:, None, None]
         data = scale * normalized() + beta.data.astype(dt)[:, None, None]
+        if residual is not None:
+            data += residual.data
+        if relu:
+            np.maximum(data, 0, out=data)
 
         def bwd(g):
+            if relu:
+                g = g * (data > 0)
+            if residual is not None and residual.requires_grad:
+                _accum(residual, g)
             # the tape keeps mu and inv_std, not xhat: it is rebuilt from x,
             # the parent, only where a gradient reads it, the same bytes
             xhat = normalized() if gamma.requires_grad or (train and x.requires_grad) else None
@@ -378,4 +387,5 @@ class BatchNorm2d:
                     dx = gx * inv_std[:, None, None]
                 _accum(x, dx)
 
-        return _result(data, (x, gamma, beta), bwd)
+        parents = (x, gamma, beta) if residual is None else (x, gamma, beta, residual)
+        return _result(data, parents, bwd)

@@ -39,7 +39,9 @@ def split_scores(entries, scores: dict):
 
 def error_curve(bona: np.ndarray, spoof: np.ndarray):
     """(p_fa, p_miss) at each distinct score, ascending, then at +inf."""
-    thresholds = np.append(np.unique(np.concatenate([bona, spoof])), np.inf)
+    # np.unique's values, by sort then mask: np.unique imports numpy.ma in numpy 2
+    scores = np.sort(np.concatenate([bona, spoof]))
+    thresholds = np.concatenate([scores[:1], scores[1:][scores[1:] != scores[:-1]], [np.inf]])
     # accept iff score >= threshold
     p_fa = 1.0 - np.searchsorted(np.sort(spoof), thresholds, side="left") / spoof.size
     p_miss = np.searchsorted(np.sort(bona), thresholds, side="left") / bona.size

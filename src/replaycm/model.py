@@ -5,6 +5,8 @@ input shape is preserved).  Four stages of two-conv basic blocks with 1x1
 projection shortcuts at each stride-2 stage transition, then global average
 pooling, a hidden fully-connected layer and a 2-class output read out as
 log-probabilities.  ``scale`` divides all channel widths for desk-scale runs.
+Each batch norm but a projection's ends in its ReLU, a block's second after
+the shortcut add, so the tape keeps four arrays of a block's output size.
 """
 
 from __future__ import annotations
@@ -102,13 +104,12 @@ class BasicBlock:
             self.proj_bn = None
 
     def __call__(self, x: Tensor, train: bool) -> Tensor:
-        out = ad.relu(self.bn1(ad.conv2d(x, self.conv1, stride=self.stride, pad=1), train))
-        out = self.bn2(ad.conv2d(out, self.conv2, stride=1, pad=1), train)
         if self.proj is not None:
             shortcut = self.proj_bn(ad.conv2d(x, self.proj, stride=self.stride, pad=0), train)
         else:
             shortcut = x
-        return ad.relu(ad.add(out, shortcut))
+        out = self.bn1(ad.conv2d(x, self.conv1, stride=self.stride, pad=1), train, relu=True)
+        return self.bn2(ad.conv2d(out, self.conv2, stride=1, pad=1), train, shortcut, relu=True)
 
 
 def _named_arrays(prefix: str, owner):
@@ -153,7 +154,7 @@ class ResNet:
             )
         for p in self.parameters().values():
             p.requires_grad = train
-        h = ad.relu(self.stem_bn(ad.conv2d(x, self.stem_conv, stride=1, pad=1), train))
+        h = self.stem_bn(ad.conv2d(x, self.stem_conv, stride=1, pad=1), train, relu=True)
         h = ad.maxpool2d(h, kernel=3, stride=1, pad=1)
         for blocks in self.stages:
             for block in blocks:

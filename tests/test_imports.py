@@ -1,7 +1,11 @@
 """No command imports scipy: the package needs numpy alone, and scipy
-serves only the tests' oracles.  Every command runs in a fresh interpreter,
+serves only the tests' oracles.  Nor does a command load a ``numpy.ma``
+module that ``import numpy`` alone does not (none in numpy 2, where
+``np.unique`` imports it on its first call; all of them in numpy 1.24, whose
+``import numpy`` loads it).  Every command runs in a fresh interpreter,
 since the test process has loaded scipy already."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -14,19 +18,32 @@ ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
     p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
 
 # runs the CLI on its arguments (none: the import alone), then prints the
-# names of the scipy modules loaded as its last line
+# names of the scipy and numpy.ma modules loaded as its last line
 CLI = ("import sys\n"
        "from replaycm.cli import main\n"
        "code = main(sys.argv[1:]) if sys.argv[1:] else 0\n")
-LOADED = ("print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+NUMPY = "import sys, numpy\ncode = 0\n"
+LOADED = ("print(' '.join(m for m in sys.modules\n"
+          "               if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma']))\n"
           "sys.exit(code)\n")
 
 
-def _scipy_loaded(*argv) -> set:
-    proc = subprocess.run([sys.executable, "-c", CLI + LOADED, *map(str, argv)],
+def _loaded(program, *argv) -> set:
+    proc = subprocess.run([sys.executable, "-c", program + LOADED, *map(str, argv)],
                           env=ENV, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.splitlines()[-1].split())
+
+
+@functools.cache
+def _numpy_alone() -> frozenset:
+    return frozenset(_loaded(NUMPY))
+
+
+def _scipy_loaded(*argv) -> set:
+    """The scipy modules, and the numpy.ma modules beyond numpy's own, that
+    the command ``argv`` loads."""
+    return _loaded(CLI, *argv) - _numpy_alone()
 
 
 def _argv(command, pipeline, tmp_path) -> list:

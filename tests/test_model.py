@@ -81,7 +81,7 @@ class TestArchitecture:
         model = ResNet(cfg, seed=1)
         seen = []
         x = Tensor(np.zeros((1, 1, 37, 50), dtype=np.float32))
-        h = ad.relu(model.stem_bn(ad.conv2d(x, model.stem_conv, 1, 1), False))
+        h = model.stem_bn(ad.conv2d(x, model.stem_conv, 1, 1), False, relu=True)
         h = ad.maxpool2d(h, kernel=3, stride=1, pad=1)
         seen.append(h.data.shape[1:])
         for blocks in model.stages:
