@@ -1,22 +1,49 @@
 #!/usr/bin/env bash
 # The console script end to end on a toy corpus, written under the current
-# directory: every front-end, training with the focal loss and with BCE (each
-# seeds the backward pass with the loss's gradient), scoring at one job and at
-# two (byte for byte the same), a saliency map drawn twice (a one-hot seed; byte
-# for byte the same), mean fusion, evaluation and the per-attack breakdown, the
-# evaluation of scores near the float maximum, then inputs that must each end
-# in one error:<category>: line with exit code 1.
+# directory: every front-end at full resolution and at strides 8/10 (a strided
+# gram is the full one subsampled), training with the focal loss twice (byte
+# for byte the same) and with BCE (each seeds the backward pass with the loss's
+# gradient), scoring at one job and at two (byte for byte the same), a saliency
+# map drawn twice (a one-hot seed; byte for byte the same), mean fusion,
+# evaluation and the per-attack breakdown, the evaluation of scores near the
+# float maximum, then inputs that must each end in one error:<category>: line
+# with exit code 1, an allocation past the address space among them.
 #
 #   bash .github/console_pipeline.sh    # with replaycm on PATH
 set -euo pipefail
 
 replaycm simulate --out toy --sources 3 --utts 1
-# the MGD lifter's DCT basis, first built in pool threads
-replaycm extract --feature mgd --protocol toy/protocol_dev.txt --wav-dir toy/wav \
-  --out toy/mgd --jobs 2
-# the multi-rate CQT and the locked kernel cache
-replaycm extract --feature cqt --protocol toy/protocol_dev.txt --wav-dir toy/wav \
-  --out toy/cqt --jobs 2
+# in pool threads: the MGD lifter's DCT basis, and the multi-rate CQT with its
+# locked kernel cache, are first built there
+for kind in stft gd mgd cqt; do
+  replaycm extract --feature $kind --protocol toy/protocol_dev.txt --wav-dir toy/wav \
+    --out toy/$kind-full --jobs 2
+  replaycm extract --feature $kind --protocol toy/protocol_dev.txt --wav-dir toy/wav \
+    --out toy/$kind-8x10 --bin-stride 8 --frame-stride 10
+done
+# extract computes only the cells a strided gram keeps: they are the full
+# gram's every 8th bin of every 10th frame, bytes and all
+python3 - <<'EOF_PY'
+import sys
+from pathlib import Path
+
+import numpy as np
+
+
+def cells(path):
+    blob = path.read_bytes()  # magic, version, kind, then bins and frames at bytes 7-14
+    bins, frames = (int.from_bytes(blob[i:i + 4], "little") for i in (7, 11))
+    return np.frombuffer(blob, "<f4", offset=15).reshape(bins, frames)
+
+
+for kind in ("stft", "gd", "mgd", "cqt"):
+    fulls = sorted(Path(f"toy/{kind}-full").glob("*.fgram"))
+    for full in fulls:
+        if cells(Path(f"toy/{kind}-8x10") / full.name).tobytes() != \
+                cells(full)[::8, ::10].tobytes():
+            sys.exit(f"{kind} {full.name}: the strided gram is not the full one subsampled")
+    print(f"{kind}: {len(fulls)} strided grams are the full ones subsampled")
+EOF_PY
 for split in train dev eval; do
   replaycm extract --feature stft --protocol toy/protocol_$split.txt --wav-dir toy/wav \
     --out toy/stft --bin-stride 8 --frame-stride 10
@@ -25,6 +52,12 @@ printf '[train]\nmax_epochs = 1\nbatch_size = 5\n' > toy/one_epoch.cfg
 replaycm train --feature-dir toy/stft --protocol-train toy/protocol_train.txt \
   --protocol-dev toy/protocol_dev.txt --objective bfl --config toy/one_epoch.cfg \
   --out toy/model.ckpt
+# a fixed seed trains the same model, byte for byte
+replaycm train --feature-dir toy/stft --protocol-train toy/protocol_train.txt \
+  --protocol-dev toy/protocol_dev.txt --objective bfl --config toy/one_epoch.cfg \
+  --out toy/model_again.ckpt
+cmp toy/model.ckpt toy/model_again.ckpt
+cmp toy/model.ckpt.log toy/model_again.ckpt.log
 replaycm train --feature-dir toy/stft --protocol-train toy/protocol_train.txt \
   --protocol-dev toy/protocol_dev.txt --objective bce --config toy/one_epoch.cfg \
   --out toy/bce.ckpt
@@ -98,4 +131,11 @@ expect_error data replaycm score --ckpt toy/model.ckpt --feature-dir toy/mixed \
 dev_utt=$(head -n 1 toy/protocol_dev.txt | cut -d ' ' -f 1)
 expect_error data replaycm saliency --ckpt toy/model.ckpt --feature "toy/mixed/$dev_utt.fgram" \
   --out toy/rejected.fgram
+# a 71 TiB STFT buffer under a 2 GB address space: one error:resource: line
+printf '[stft]\nn_fft = 100000000000\n' > toy/huge_fft.cfg
+(
+  ulimit -v 2000000
+  expect_error resource replaycm extract --feature stft --protocol toy/protocol_dev.txt \
+    --wav-dir toy/wav --out toy/huge --config toy/huge_fft.cfg
+)
 echo "console pipeline passed"

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, ParameterError, UnsupportedError
+from .errors import FormatError, ParameterError, UnsupportedError, atomic_open
 
 # Quantization: write q(x) = clamp(round_half_away(x * 32768), -32768, 32767),
 # read x = q / 32768.  Full-scale -1.0 maps to -32768 and back exactly; the
@@ -93,7 +93,7 @@ def write_wav(w: Waveform, path) -> None:
     if np.max(np.abs(w.samples)) > 1.0 + 1e-12:
         raise ParameterError("samples exceed [-1, 1]; normalize before writing")
     words = quantize(w.samples)
-    with wave.open(str(path), "wb") as wf:
+    with atomic_open(path, "wb") as fh, wave.open(fh, "wb") as wf:
         wf.setnchannels(1)
         wf.setsampwidth(2)
         wf.setframerate(w.sample_rate)

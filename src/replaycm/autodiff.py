@@ -27,11 +27,11 @@ as the one the forward used.  ``BatchNorm2d`` ends in a block's residual add
 and ReLU, so a basic block keeps four arrays of its output's size, the
 outputs of its convs and batch norms, and a 16-gram 65x50 step traces ~30 MB.
 
-The engine holds the ops the ResNet runs, and no other: ``relu`` (in the
-head), ``log_softmax``, ``linear``, ``conv2d``, ``maxpool2d``,
-``global_avg_pool`` and ``BatchNorm2d``.  The training loss is not on the tape:
-``objectives.bfl`` returns its gradient with respect to the
-log-probabilities, and a saliency map seeds a one-hot one.
+The engine holds the ops the ResNet runs, and no other: ``log_softmax``,
+``linear``, ``conv2d``, ``maxpool2d``, ``global_avg_pool`` and
+``BatchNorm2d``; each ReLU ends a batch norm or the hidden ``linear``.  The
+training loss is not on the tape: ``objectives.bfl`` returns its gradient
+with respect to the log-probabilities, and a saliency map seeds a one-hot one.
 
 Only tensors whose gradient someone consumes record a tape: an op records
 nothing when none of its inputs requires gradients.  Tensors are built
@@ -140,16 +140,7 @@ def backward(out: Tensor, grad: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# elementwise and dense primitives
-
-
-def relu(a: Tensor) -> Tensor:
-    data = np.maximum(a.data, 0)
-
-    def bwd(g):
-        _accum(a, g * (a.data > 0))
-
-    return _result(data, (a,), bwd)
+# dense primitives
 
 
 def log_softmax(a: Tensor) -> Tensor:
@@ -167,16 +158,21 @@ def log_softmax(a: Tensor) -> Tensor:
     return _result(data, (a,), bwd)
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """x (N, D) @ weight (O, D) transposed, plus bias (O,)."""
+def linear(x: Tensor, weight: Tensor, bias: Tensor, relu: bool) -> Tensor:
+    """x (N, D) @ weight (O, D) transposed, plus bias (O,), clipped at 0 in
+    place if ``relu``: the backward masks with ``out > 0``, as a batch norm's."""
     if x.data.ndim != 2 or weight.data.ndim != 2 or x.data.shape[1] != weight.data.shape[1]:
         raise ShapeError(f"linear mismatch: input {x.data.shape}, weight {weight.data.shape}")
     dt = _promote(x, weight)
     xd = x.data.astype(dt, copy=False)
     wd = weight.data.astype(dt, copy=False)
     data = xd @ wd.T + bias.data.astype(dt, copy=False)
+    if relu:
+        np.maximum(data, 0, out=data)
 
     def bwd(g):
+        if relu:
+            g = g * (data > 0)
         if x.requires_grad:
             _accum(x, g @ wd)
         if weight.requires_grad:

@@ -41,9 +41,8 @@ def _defaults() -> dict:
         "cqt": cqt,
         "model": {
             "block_counts": ",".join(str(b) for b in model.block_counts),
-            "base_channels": model.base_channels,
+            "channels": model.channels,
             "fc_width": model.fc_width,
-            "scale": model.scale,
         },
         "train": train,
         "tdcf": asdict(TdcfParams()),

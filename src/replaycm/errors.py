@@ -4,9 +4,9 @@ Every error carries a stable machine-readable ``category`` so the CLI can
 emit single-line, parseable diagnostics.  ``ascii_lines`` is the one reader
 of the toolkit's text files (protocols, score files, feature manifests), so
 that a stray byte in any of them is a ``ParseError`` too.  ``atomic_open``
-is the one writer of checkpoints, score files, grams, feature manifests and
-training logs, so that a failed or killed write never leaves one half
-written.
+is the one writer of WAVs, protocols, checkpoints, score files, grams,
+feature manifests and training logs, so that a failed or killed write never
+leaves one half written.
 """
 
 import os

@@ -4,9 +4,10 @@ Stem: 3x3 conv -> batchnorm/ReLU -> 3x3 max pool (stride 1, so the printed
 input shape is preserved).  Four stages of two-conv basic blocks with 1x1
 projection shortcuts at each stride-2 stage transition, then global average
 pooling, a hidden fully-connected layer and a 2-class output read out as
-log-probabilities.  ``scale`` divides all channel widths for desk-scale runs.
-Each batch norm but a projection's ends in its ReLU, a block's second after
-the shortcut add, so the tape keeps four arrays of a block's output size.
+log-probabilities.  ``channels`` is stage 0's width, doubled at each later
+stage: 16 in the paper, 4 by default for desk-scale runs.  Each batch norm
+but a projection's ends in its ReLU, a block's second after the shortcut add,
+so the tape keeps four arrays of a block's output size.
 """
 
 from __future__ import annotations
@@ -31,11 +32,10 @@ N_CLASSES = 2
 @dataclass
 class ResNetConfig:
     block_counts: tuple = (3, 4, 6, 3)
-    base_channels: int = 16
+    channels: int = 4  # stage 0's width; the paper's network has 16
     fc_width: int = 32
     input_bins: int = 513
     input_frames: int = 500
-    scale: int = 4  # a quarter-width network unless a config says otherwise
 
     def __post_init__(self):
         counts = self.block_counts
@@ -47,19 +47,14 @@ class ResNetConfig:
             self.block_counts = ()
         if len(self.block_counts) != 4 or any(b < 1 for b in self.block_counts):
             raise ParameterError(f"block_counts must be four positive ints, got {counts!r}")
-        for name in ("base_channels", "fc_width", "input_bins", "input_frames", "scale"):
+        for name in ("channels", "fc_width", "input_bins", "input_frames"):
             value = getattr(self, name)
             if not isinstance(value, int) or value < 1:
                 raise ParameterError(f"{name} must be a positive int, got {value!r}")
-        if self.base_channels % self.scale != 0:
-            raise ParameterError(
-                f"scale {self.scale} must divide base_channels {self.base_channels}"
-            )
 
     @property
     def stage_channels(self) -> tuple:
-        c = self.base_channels // self.scale
-        return (c, 2 * c, 4 * c, 8 * c)
+        return tuple(self.channels * 2**i for i in range(4))
 
     @property
     def state_bytes(self) -> int:
@@ -78,26 +73,21 @@ class ResNetConfig:
         return 4 * weights + 24 * norm_channels
 
 
-def _kaiming_conv(rng: np.random.Generator, co: int, ci: int, k: int) -> np.ndarray:
-    fan_in = ci * k * k
-    std = np.sqrt(2.0 / fan_in)
-    return (rng.standard_normal((co, ci, k, k)) * std).astype(np.float32)
-
-
-def _kaiming_linear(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
-    std = np.sqrt(2.0 / in_dim)
-    return (rng.standard_normal((out_dim, in_dim)) * std).astype(np.float32)
+def _kaiming(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    """He-normal float32 weights of ``shape``, (out, in, ...): fan-in ``prod(shape[1:])``."""
+    std = np.sqrt(2.0 / np.prod(shape[1:]))
+    return (rng.standard_normal(shape) * std).astype(np.float32)
 
 
 class BasicBlock:
     def __init__(self, rng, in_ch: int, out_ch: int, stride: int):
         self.stride = stride
-        self.conv1 = Tensor(_kaiming_conv(rng, out_ch, in_ch, 3))
+        self.conv1 = Tensor(_kaiming(rng, out_ch, in_ch, 3, 3))
         self.bn1 = BatchNorm2d(out_ch)
-        self.conv2 = Tensor(_kaiming_conv(rng, out_ch, out_ch, 3))
+        self.conv2 = Tensor(_kaiming(rng, out_ch, out_ch, 3, 3))
         self.bn2 = BatchNorm2d(out_ch)
         if stride != 1 or in_ch != out_ch:
-            self.proj = Tensor(_kaiming_conv(rng, out_ch, in_ch, 1))
+            self.proj = Tensor(_kaiming(rng, out_ch, in_ch, 1, 1))
             self.proj_bn = BatchNorm2d(out_ch)
         else:
             self.proj = None
@@ -125,7 +115,7 @@ class ResNet:
         self.cfg = cfg
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5245534E]))
         chans = cfg.stage_channels
-        self.stem_conv = Tensor(_kaiming_conv(rng, chans[0], 1, 3))
+        self.stem_conv = Tensor(_kaiming(rng, chans[0], 1, 3, 3))
         self.stem_bn = BatchNorm2d(chans[0])
         self.stages = []
         in_ch = chans[0]
@@ -136,9 +126,9 @@ class ResNet:
                 blocks.append(BasicBlock(rng, in_ch, out_ch, stride))
                 in_ch = out_ch
             self.stages.append(blocks)
-        self.fc_w = Tensor(_kaiming_linear(rng, cfg.fc_width, chans[3]))
+        self.fc_w = Tensor(_kaiming(rng, cfg.fc_width, chans[3]))
         self.fc_b = Tensor(np.zeros(cfg.fc_width, dtype=np.float32))
-        self.out_w = Tensor(_kaiming_linear(rng, N_CLASSES, cfg.fc_width))
+        self.out_w = Tensor(_kaiming(rng, N_CLASSES, cfg.fc_width))
         self.out_b = Tensor(np.zeros(N_CLASSES, dtype=np.float32))
 
     def forward(self, x: Tensor, train: bool) -> Tensor:
@@ -160,8 +150,8 @@ class ResNet:
             for block in blocks:
                 h = block(h, train)
         h = ad.global_avg_pool(h)
-        h = ad.relu(ad.linear(h, self.fc_w, self.fc_b))
-        logits = ad.linear(h, self.out_w, self.out_b)
+        h = ad.linear(h, self.fc_w, self.fc_b, relu=True)
+        logits = ad.linear(h, self.out_w, self.out_b, relu=False)
         return ad.log_softmax(logits)
 
     # --- parameters and buffers ----------------------------------------

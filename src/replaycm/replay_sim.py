@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio_io import PEAK, Waveform, synth_tone_complex, write_wav
-from .errors import ParameterError, ParseError, ascii_lines
+from .errors import ParameterError, ParseError, ascii_lines, atomic_open
 
 # distance: direct-path gain, reverb decay time constant (s), direct-to-reverb
 # ratio (dB); all worsen A -> C
@@ -152,7 +152,7 @@ class ManifestEntry:
 
 def write_protocol(entries, path) -> None:
     """One utterance per line: ``<utt_id> <attack_code|-> <bonafide|spoof>``."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="ascii", newline="\n") as fh:
         for e in entries:
             fh.write(f"{e.utt_id} {e.attack_code} {e.label}\n")
 
@@ -165,6 +165,8 @@ def read_protocol(path) -> list:
         if len(parts) != 3:
             raise ParseError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
         utt_id, code, label = parts
+        if "/" in utt_id or "\\" in utt_id:  # file names are built from it
+            raise ParseError(f"{path}:{lineno}: utt_id {utt_id!r} contains a path separator")
         if utt_id in seen:
             raise ParseError(f"{path}:{lineno}: duplicate utt_id {utt_id!r}")
         seen.add(utt_id)

@@ -194,10 +194,7 @@ def train(model: ResNet, train_entries, dev_entries, store: FeatureStore,
             raise DataError(f"no feature file for utterance {e.utt_id!r}")
     store.load(dev_entries[0].utt_id)  # a dev gram of another kind or shape stops here
 
-    if cfg.alpha == "auto":
-        weights = objectives.ClassWeights.auto(n_spoof, n_bona)
-    else:
-        weights = objectives.ClassWeights(*cfg.alpha)
+    alpha = objectives.auto_alpha(n_spoof, n_bona) if cfg.alpha == "auto" else cfg.alpha
 
     optimizer = AdamW(model.parameters(), cfg.lr, (cfg.beta1, cfg.beta2), cfg.weight_decay)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x54524E]))
@@ -218,7 +215,7 @@ def train(model: ResNet, train_entries, dev_entries, store: FeatureStore,
             targets = np.array([1 if e.label == "bonafide" else 0 for e in batch])
             x = Tensor(grams.astype(np.float32)[:, None, :, :])
             log_probs = model.forward(x, train=True)
-            loss, grad = objectives.bfl(log_probs.data, targets, weights, cfg.gamma)
+            loss, grad = objectives.bfl(log_probs.data, targets, alpha, cfg.gamma)
             ad.backward(log_probs, grad)
             optimizer.step()
             del x, log_probs  # not held through the next forward

@@ -57,10 +57,12 @@ def gradcheck(build, x0: np.ndarray, seed: int = 0, step: float = 1e-3,
 
 def ckpt_with_config(blob: bytes, payload: bytes = None, **config) -> bytes:
     """The checkpoint ``blob`` with ``config`` set in its header's model
-    config, and ``payload``, if given, in place of the arrays after it."""
+    config, a key set to None removed, and ``payload``, if given, in place
+    of the arrays after it."""
     header_end = 10 + int.from_bytes(blob[6:10], "little")
     header = json.loads(blob[10:header_end])
     header["config"].update(config)
+    header["config"] = {k: v for k, v in header["config"].items() if v is not None}
     text = json.dumps(header).encode()
     arrays = blob[header_end:] if payload is None else payload
     return blob[:6] + struct.pack("<I", len(text)) + text + arrays
@@ -84,7 +86,7 @@ def pipeline(tmp_path_factory):
     cfg = root / "toy.cfg"
     cfg.write_text(
         "[train]\nlr = 2e-3\nbatch_size = 6\nmax_epochs = 2\nseed = 1\n"
-        "[model]\nscale = 8\nfc_width = 8\n"
+        "[model]\nchannels = 2\nfc_width = 8\n"
     )
     assert main(["simulate", "--out", str(corpus), "--sources", "4",
                  "--utts", "2", "--seed", "5"]) == 0

@@ -103,6 +103,23 @@ def test_write_rejects_out_of_range(tmp_path):
         write_wav(Waveform(np.array([1.5, 0.0]), 8000, "x"), tmp_path / "x.wav")
 
 
+@pytest.mark.parametrize("previous", [True, False], ids=["previous-file", "no-file"])
+def test_a_write_that_fails_midway_keeps_the_previous_file(tmp_path, monkeypatch, previous):
+    path = tmp_path / "u.wav"
+    if previous:
+        write_wav(Waveform(np.zeros(40), 16000, "u"), path)
+    before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
+
+    def fail(self, data):  # after the header, as a full disk would
+        self.writeframesraw(data[:10])
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(wave.Wave_write, "writeframes", fail)
+    with pytest.raises(OSError, match="no space"):
+        write_wav(Waveform(np.linspace(-0.5, 0.5, 40), 16000, "u"), path)
+    assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
+
+
 def test_synth_deterministic():
     a = synth_tone_complex(200.0, 10, 0.25, 16000, 99, 0.7)
     b = synth_tone_complex(200.0, 10, 0.25, 16000, 99, 0.7)

@@ -8,7 +8,7 @@ from replaycm import autodiff as ad
 from replaycm.autodiff import BatchNorm2d, Tensor
 from replaycm.errors import ContractError, ShapeError
 from test_network_reference import maxpool2d_reference
-from test_tape_oracle import oracle_add
+from test_tape_oracle import oracle_add, oracle_relu
 
 
 def test_conv2d_hand_example():
@@ -20,9 +20,10 @@ def test_conv2d_hand_example():
 
 
 def test_relu_backward_signs():
-    x = leaf(np.array([-1.0, 1.0]))
-    ad.backward(ad.relu(x), np.ones(2))
-    assert x.grad.tolist() == [0.0, 1.0]
+    x = leaf(np.array([[-1.0, 1.0]]))
+    identity = ad.linear(x, Tensor(np.eye(2)), Tensor(np.zeros(2)), relu=True)
+    ad.backward(identity, np.ones((1, 2)))
+    assert x.grad.tolist() == [[0.0, 1.0]]
 
 
 def test_global_avg_pool_constant():
@@ -44,7 +45,8 @@ def test_backward_mean_of_squares(rng):
     # x . x through linear with x as both input and weight, so both
     # branches of the backward land on the same tensor.
     x = leaf(rng.standard_normal((1, 5)).astype(np.float32))
-    ad.backward(ad.linear(x, x, Tensor(np.zeros(1, dtype=np.float32))), np.full((1, 1), 1 / 5))
+    ad.backward(ad.linear(x, x, Tensor(np.zeros(1, dtype=np.float32)), relu=False),
+                np.full((1, 1), 1 / 5))
     assert np.allclose(x.grad, 2 * x.data / 5, rtol=1e-6)
 
 
@@ -58,8 +60,8 @@ def test_backward_rejects_a_gradient_of_another_shape(rng):
 @pytest.mark.parametrize("second", ["same output", "output sharing the graph"])
 def test_a_freed_graph_refuses_a_second_backward(second, rng):
     w = leaf(rng.standard_normal((2, 3)))
-    h = ad.linear(Tensor(rng.standard_normal((4, 3))), w, Tensor(np.zeros(2)))
-    first, other = ad.relu(h), ad.log_softmax(h)
+    h = ad.linear(Tensor(rng.standard_normal((4, 3))), w, Tensor(np.zeros(2)), relu=False)
+    first, other = oracle_relu(h), ad.log_softmax(h)
     ad.backward(first, np.ones(first.shape))
     out = first if second == "same output" else other
     with pytest.raises(ContractError, match="freed by an earlier backward"):
@@ -70,7 +72,7 @@ def test_shape_error_names_both_shapes():
     x = Tensor(np.zeros((2, 3)))
     w = Tensor(np.zeros((4, 5)))
     with pytest.raises(ShapeError, match=r"2, 3.*4, 5"):
-        ad.linear(x, w, Tensor(np.zeros(4)))
+        ad.linear(x, w, Tensor(np.zeros(4)), relu=False)
 
 
 @pytest.mark.parametrize("op", [pytest.param(oracle_add, id="add")])
@@ -119,22 +121,23 @@ def test_primitive_gradients_finite_difference(seed):
     d_in, d_out = int(rng.integers(2, 6)), int(rng.integers(2, 6))
     wl = Tensor(rng.standard_normal((d_out, d_in)))
     bl = Tensor(rng.standard_normal(d_out))
-    gradcheck(lambda t: ad.linear(t, wl, bl), rng.standard_normal((3, d_in)), seed)
+    gradcheck(lambda t: ad.linear(t, wl, bl, relu=False), rng.standard_normal((3, d_in)), seed)
 
     gradcheck(lambda t: ad.log_softmax(t), rng.standard_normal((4, 3)), seed)
 
     other = Tensor(rng.standard_normal((3, 4)))
     gradcheck(lambda t: oracle_add(t, other), rng.standard_normal((3, 4)), seed)
 
-    # relu away from the kink
+    # the hidden layer's ReLU away from the kink, through an identity layer
     xr = rng.uniform(0.05, 1.0, (3, 4)) * rng.choice([-1.0, 1.0], (3, 4))
-    gradcheck(lambda t: ad.relu(t), xr, seed)
+    eye, zero = Tensor(np.eye(4)), Tensor(np.zeros(4))
+    gradcheck(lambda t: ad.linear(t, eye, zero, relu=True), xr, seed)
 
 
 @pytest.mark.parametrize("kernel, stride, pad", [(3, 1, 1), (2, 2, 0), (3, 2, 1)])
 def test_maxpool_ties_go_to_the_first_tap(kernel, stride, pad, rng):
     constant = np.full((2, 2, 5, 6), 0.75)
-    post_relu = ad.relu(Tensor(-np.abs(rng.standard_normal((2, 2, 5, 6))))).data
+    post_relu = oracle_relu(Tensor(-np.abs(rng.standard_normal((2, 2, 5, 6))))).data
     for x0 in (constant, post_relu):
         x = leaf(x0.copy())
         y = ad.maxpool2d(x, kernel=kernel, stride=stride, pad=pad)
@@ -219,7 +222,7 @@ def test_forward_determinism(rng):
 def test_inference_records_no_tape(rng):
     x = Tensor(rng.standard_normal((2, 2)).astype(np.float32))
     y = ad.linear(x, Tensor(rng.standard_normal((2, 2)).astype(np.float32)),
-                  Tensor(np.zeros(2, dtype=np.float32)))
+                  Tensor(np.zeros(2, dtype=np.float32)), relu=True)
     assert y._parents == () and y._backward is None and not y.requires_grad
 
 
@@ -234,7 +237,7 @@ def test_a_new_pass_replaces_a_leafs_gradient(rng):
     # the one reset of a gradient: the optimizer zeroes nothing between steps
     x = leaf(rng.standard_normal((3,)).astype(np.float32))
     x.grad = np.full(3, 7.0, dtype=np.float32)  # left by an earlier pass
-    ad.backward(ad.relu(x), np.ones(3))
+    ad.backward(oracle_relu(x), np.ones(3))
     assert np.array_equal(x.grad, (x.data > 0).astype(np.float32))
 
 
@@ -251,7 +254,7 @@ def test_input_gradient_linear_model_is_weight_row(rng):
 
     for _ in range(3):
         x = leaf(rng.standard_normal((1, 4)))
-        ad.backward(ad.linear(x, w, b), select_1)
+        ad.backward(ad.linear(x, w, b, relu=False), select_1)
         assert np.allclose(np.abs(x.grad[0]), np.abs(w.data[1]))
 
 
@@ -262,7 +265,7 @@ def test_input_gradient_two_layer_net_finite_difference(rng):
     b2 = Tensor(rng.standard_normal(2))
 
     def net(t):
-        return ad.log_softmax(ad.linear(ad.relu(ad.linear(t, w1, b1)), w2, b2))
+        return ad.log_softmax(ad.linear(ad.linear(t, w1, b1, relu=True), w2, b2, relu=False))
 
     x0 = rng.standard_normal((1, 4))
     x = leaf(x0)

@@ -441,6 +441,27 @@ def _one_utterance(corpus, tmp_path):
     return entry.utt_id, protocol
 
 
+@pytest.mark.parametrize("utt_id", ["../../escaped", "sub/x", "..\\escaped"],
+                         ids=["dot-dot", "subdirectory", "backslash"])
+def test_an_utt_id_with_a_path_separator_is_a_parse_error(pipeline, tmp_path, capsys, utt_id):
+    # extract builds file names from the utt_id: ../../escaped once read
+    # <wav-dir>/../../escaped.wav, wrote <out>/../../escaped.fgram and exited 0
+    _, corpus, _, _, _, _ = pipeline
+    wav = next((corpus / "wav").glob("*.wav")).read_bytes()
+    wav_dir, out = tmp_path / "a" / "b" / "wav", tmp_path / "a" / "b" / "out"
+    (wav_dir / "sub").mkdir(parents=True)
+    for name in ("../../escaped", "sub/x", "..\\escaped"):  # each one a WAV to read
+        (wav_dir / f"{name}.wav").write_bytes(wav)
+    before = sorted(tmp_path.rglob("*"))
+    protocol = tmp_path / "protocol.txt"
+    protocol.write_text(f"{utt_id} - bonafide\n")
+    code = main(["extract", "--feature", "stft", "--protocol", str(protocol),
+                 "--wav-dir", str(wav_dir), "--out", str(out)])
+    assert _error_line(code, capsys) == (f"error:parse: {protocol}:1: utt_id {utt_id!r} "
+                                         f"contains a path separator")
+    assert sorted(tmp_path.rglob("*")) == sorted([*before, protocol])
+
+
 def test_extract_of_a_truncated_wav_is_a_format_error(pipeline, tmp_path, capsys):
     _, corpus, _, _, _, _ = pipeline
     utt_id, protocol = _one_utterance(corpus, tmp_path)
@@ -493,8 +514,8 @@ def test_size_a_header_claims_beyond_the_file_is_a_format_error(pipeline, tmp_pa
         blob = gram.read_bytes()  # n_bins and n_frames are the u32s at bytes 7-14
         bad.write_bytes(blob[:7] + struct.pack("<II", *dims) + blob[15:])
         args = ["--ckpt", str(ckpt), "--feature", str(bad)]
-    else:  # base_channels of a model of 16 GiB or 72 TiB at scale 1
-        bad.write_bytes(ckpt_with_config(ckpt.read_bytes(), base_channels=dims, scale=1))
+    else:  # the width of a model of 16 GiB or 72 TiB
+        bad.write_bytes(ckpt_with_config(ckpt.read_bytes(), channels=dims))
         args = ["--ckpt", str(bad), "--feature", str(gram)]
     err = _error_line(main(["saliency", *args, "--out", str(tmp_path / "s.fgram")]), capsys)
     assert err.startswith(f"error:format: {bad}:"), err
@@ -529,11 +550,10 @@ _NO_N_CLASSES = ("malformed checkpoint header: TypeError(\"ResNetConfig.__init__
 @pytest.mark.parametrize("config, problem", [
     ({"n_classes": 1}, _NO_N_CLASSES),
     ({"n_classes": 3}, _NO_N_CLASSES),
-    ({"scale": 3}, "scale 3 must divide base_channels 16"),
-    ({"base_channels": 16.0}, "base_channels must be a positive int, got 16.0"),
+    ({"channels": 2.0}, "channels must be a positive int, got 2.0"),
     ({"block_counts": [3.5, 4, 6, 3]},
      "block_counts must be four positive ints, got [3.5, 4, 6, 3]"),
-], ids=["one-class", "three-class", "scale-3", "float-width", "float-block-count"])
+], ids=["one-class", "three-class", "float-width", "float-block-count"])
 @pytest.mark.parametrize("command", ["score", "saliency"])
 def test_model_config_the_cli_cannot_score_is_a_format_error(pipeline, tmp_path, capsys,
                                                               command, config, problem):
@@ -548,6 +568,31 @@ def test_model_config_the_cli_cannot_score_is_a_format_error(pipeline, tmp_path,
         bad.write_bytes(ckpt_with_config(pipeline[3].read_bytes(), **config))
     err = _error_line(main(_checkpoint_command(command, bad, pipeline, tmp_path)), capsys)
     assert err == f"error:format: {bad}: {problem}", err
+
+
+@pytest.mark.parametrize("key", ["base_channels", "scale"])
+def test_the_old_width_keys_are_unknown_config_keys(pipeline, tmp_path, capsys, key):
+    # stage 0's width is [model] channels: a base_channels = 16 that once
+    # meant a quarter of 16 must not train a model four times as wide
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(f"[model]\n{key} = 16\n")
+    code = main(_train_args(pipeline, tmp_path / "m.ckpt", cfg))
+    assert _error_line(code, capsys) == f"error:parameter: unknown config key '{key}' in [model]"
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("old", [{"channels": None, "base_channels": 16, "scale": 8},
+                                 {"base_channels": 2}, {"scale": 1}],
+                         ids=["old-header", "base_channels", "scale"])
+def test_a_header_with_the_old_width_keys_is_a_format_error(pipeline, tmp_path, capsys, old):
+    # "old-header" is the config a checkpoint of the base_channels/scale
+    # format carries for this model; the other two add one key to it
+    bad = tmp_path / "old.ckpt"
+    bad.write_bytes(ckpt_with_config(pipeline[3].read_bytes(), **old))
+    err = _error_line(main(_checkpoint_command("score", bad, pipeline, tmp_path)), capsys)
+    key = "base_channels" if "base_channels" in old else "scale"
+    assert err == (f"error:format: {bad}: malformed checkpoint header: TypeError(\"ResNetConfig."
+                   f"__init__() got an unexpected keyword argument '{key}'\")"), err
 
 
 @pytest.mark.parametrize("command, jobs", [("score", "1"), ("score", "2"), ("saliency", None)],
@@ -901,9 +946,9 @@ ADDRESS_SPACE_LIMIT = 1 << 30
     ("extract-stft", "[stft]\nn_fft = 100000000000\n", "71.3 TiB"),
     ("extract-mgd", "[stft]\nn_fft = 100000000000\n", "143. TiB"),
     ("extract-cqt", "[cqt]\nbins_per_octave = 100000000\n", "6.71 GiB"),
-    ("train", "[model]\nbase_channels = 1048576\nscale = 1\n", "TiB"),
+    ("train", "[model]\nchannels = 1048576\n", "TiB"),
     ("train", "[model]\nfc_width = 100000000000\n", "TiB"),
-], ids=["n_fft-stft", "n_fft-mgd", "bins_per_octave", "base_channels", "fc_width"])
+], ids=["n_fft-stft", "n_fft-mgd", "bins_per_octave", "channels", "fc_width"])
 def test_out_of_memory_is_one_resource_line(pipeline, tmp_path, command, config, what):
     resource = pytest.importorskip("resource")
     import os

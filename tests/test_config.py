@@ -35,7 +35,7 @@ def test_defaults_come_from_the_owning_dataclasses():
     assert "objective" not in DEFAULTS["train"] and "gamma" not in DEFAULTS["train"]
     assert DEFAULTS["model"]["block_counts"] == "3,4,6,3"
     assert DEFAULTS["model"]["fc_width"] == model.fc_width
-    assert DEFAULTS["model"]["scale"] == model.scale
+    assert DEFAULTS["model"]["channels"] == model.channels
     assert DEFAULTS["mgd"] == {"rho": mgd.rho, "lambda": mgd.lam, "lifter_len": mgd.lifter_len}
     assert TdcfParams(**DEFAULTS["tdcf"]) == TdcfParams()
     # 25 ms frames every 10 ms, at the default 16 kHz

@@ -26,7 +26,7 @@ FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 U32 = st.one_of(st.integers(0, 16), st.integers(0, 2**32 - 1))
 # a model config value: mostly near the toy model's, sometimes far past any file
 CONFIG_INT = st.one_of(st.integers(-1, 16), st.integers(-2**64, 2**64))
-TOY = ResNetConfig(base_channels=16, scale=8, fc_width=8, input_bins=8, input_frames=10)
+TOY = ResNetConfig(channels=2, fc_width=8, input_bins=8, input_frames=10)
 
 
 @pytest.fixture(scope="module")
@@ -162,7 +162,7 @@ def test_load_checkpoint_gives_a_model_or_an_error(valid, data):
         st.builds(_ckpt_header, st.just(blob), st.sampled_from([b"RCMC", b"FGRM"]),
                   st.one_of(st.just(2), st.integers(0, 2**16 - 1)), U32),
         st.fixed_dictionaries({}, optional={
-            "base_channels": CONFIG_INT, "scale": CONFIG_INT, "fc_width": CONFIG_INT,
+            "channels": CONFIG_INT, "fc_width": CONFIG_INT,
             "block_counts": st.lists(CONFIG_INT, max_size=5),
         }).map(lambda config: ckpt_with_config(blob, **config)),
         damaged(blob),

@@ -5,14 +5,16 @@ from conftest import finite_difference_gradient, leaf
 from replaycm import autodiff as ad
 from replaycm.autodiff import Tensor
 from replaycm.errors import ContractError, ParameterError, ShapeError
-from replaycm.objectives import ClassWeights, bfl
+from replaycm.objectives import auto_alpha, bfl
+from replaycm.training import TrainConfig
 
-UNIT = ClassWeights(1.0, 1.0)
+# (spoof, bonafide) class weights
+UNIT = (1.0, 1.0)
 
 
-def bce(log_probs, targets, weights):
+def bce(log_probs, targets, alpha):
     """Balanced cross-entropy: the focal loss at gamma = 0."""
-    return bfl(log_probs, targets, weights, 0.0)
+    return bfl(log_probs, targets, alpha, 0.0)
 
 
 def _lp(p_target: float, target: int = 1) -> np.ndarray:
@@ -22,34 +24,39 @@ def _lp(p_target: float, target: int = 1) -> np.ndarray:
         return np.log(probs)
 
 
-def loss_and_backward(logits: Tensor, targets, weights: ClassWeights, gamma: float) -> float:
+def loss_and_backward(logits: Tensor, targets, alpha: tuple, gamma: float) -> float:
     """The loss of log_softmax(logits), its gradient propagated into ``logits``."""
     lp = ad.log_softmax(logits)
-    loss, grad = bfl(lp.data, targets, weights, gamma)
+    loss, grad = bfl(lp.data, targets, alpha, gamma)
     ad.backward(lp, grad)
     return loss
 
 
-def five_op_chain(lp: np.ndarray, targets: np.ndarray, weights: ClassWeights, gamma: float):
+def per_sample(alpha: tuple, targets) -> np.ndarray:
+    """Each sample's class weight: alpha[1] for bonafide (1), alpha[0] for spoof."""
+    return np.where(np.asarray(targets) == 1, alpha[1], alpha[0])
+
+
+def five_op_chain(lp: np.ndarray, targets: np.ndarray, alpha: tuple, gamma: float):
     """Loss and log_probs gradient of the tape that once built bfl from
     gather_rows, expm1, neg, pow_scalar, mul, mul, neg and tmean: every step
     as those ops computed it, forward and then backward in tape order."""
     dt = lp.dtype
     rows = np.arange(lp.shape[0])
     lp_t = lp[rows, targets]  # gather_rows
-    alpha = weights.per_sample(targets).astype(dt)
+    alpha_t = per_sample(alpha, targets).astype(dt)
     expm1 = np.expm1(lp_t)
     one_minus_p = -expm1  # neg
     modulation = np.power(one_minus_p, gamma)  # pow_scalar
     product = modulation * lp_t  # mul
-    weighted = product * alpha  # mul by the constant alpha tensor
+    weighted = product * alpha_t  # mul by the constant alpha tensor
     negated = -weighted  # neg
     loss = np.asarray(negated.mean(dtype=np.float64), dtype=dt)  # tmean
 
     g = np.ones_like(loss)
     g_negated = np.broadcast_to(g / negated.size, negated.shape).astype(dt)
     g_weighted = -g_negated
-    g_product = (g_weighted * alpha).astype(dt)
+    g_product = (g_weighted * alpha_t).astype(dt)
     g_modulation = (g_product * lp_t).astype(dt)
     g_lp_t = (g_product * modulation).astype(dt)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -76,7 +83,7 @@ class TestOneTapeNode:
             targets = np.concatenate([rng.integers(0, 2, 6), [1, 0]])
             lp0 = ad.log_softmax(Tensor(logits.astype(dtype))).data
             assert lp0[6, 1] == 0.0 and lp0[7, 0] < -20.0
-            w = ClassWeights(float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)))
+            w = (float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)))
             loss, grad = bfl(lp0, targets, w, gamma)
             ref_loss, ref_grad = five_op_chain(lp0, targets, w, gamma)
             assert ref_loss.dtype == grad.dtype == ref_grad.dtype == dtype
@@ -100,7 +107,7 @@ class TestBce:
         losses, grads = [], []
         for alpha in (1.0, 2.0):
             lt = leaf(logits.data.copy())
-            losses.append(loss_and_backward(lt, [1], ClassWeights(1.0, alpha), 0.0))
+            losses.append(loss_and_backward(lt, [1], (1.0, alpha), 0.0))
             grads.append(lt.grad.copy())
         assert losses[1] == pytest.approx(2 * losses[0], rel=1e-12)
         assert np.allclose(grads[1], 2 * grads[0], rtol=1e-12)
@@ -117,8 +124,8 @@ class TestBfl:
         for _ in range(20):
             lp = ad.log_softmax(Tensor(rng.standard_normal((6, 2)))).data
             targets = rng.integers(0, 2, 6)
-            w = ClassWeights(0.7, 1.9)
-            ref = -np.mean(w.per_sample(targets) * lp[np.arange(6), targets])
+            w = (0.7, 1.9)
+            ref = -np.mean(per_sample(w, targets) * lp[np.arange(6), targets])
             assert abs(bfl(lp, targets, w, 0.0)[0] - ref) <= 1e-12
 
     def test_reference_value(self):
@@ -155,7 +162,7 @@ class TestBfl:
         for trial in range(25):
             logits0 = rng.standard_normal((4, 2)) * 2.0
             targets = rng.integers(0, 2, 4)
-            w = ClassWeights(float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)))
+            w = (float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)))
 
             def f(lv):
                 return bfl(ad.log_softmax(Tensor(lv)).data, targets, w, gamma)[0]
@@ -193,16 +200,17 @@ class TestLossRatio:
 
 class TestClassWeights:
     def test_auto_inverse_frequency_normalized(self):
-        w = ClassWeights.auto(n_spoof=900, n_bonafide=100)
-        assert w.alpha_spoof == pytest.approx(1000 / 1800)
-        assert w.alpha_bonafide == pytest.approx(1000 / 200)
+        alpha = auto_alpha(n_spoof=900, n_bonafide=100)
+        assert alpha == (pytest.approx(1000 / 1800), pytest.approx(1000 / 200))
         targets = np.array([0] * 900 + [1] * 100)
-        assert w.per_sample(targets).mean() == pytest.approx(1.0)
+        assert per_sample(alpha, targets).mean() == pytest.approx(1.0)
 
     def test_ratio_matches_inverse_frequency(self):
-        w = ClassWeights.auto(n_spoof=90, n_bonafide=10)
-        assert w.alpha_bonafide / w.alpha_spoof == pytest.approx(9.0)
+        alpha_spoof, alpha_bonafide = auto_alpha(n_spoof=90, n_bonafide=10)
+        assert alpha_bonafide / alpha_spoof == pytest.approx(9.0)
 
     def test_validation(self):
-        with pytest.raises(ParameterError):
-            ClassWeights(0.0, 1.0)
+        # TrainConfig is the one check of a given pair, of either class's weight
+        for alpha in ("1,0", "1,-1", "1,inf", "0,0"):
+            with pytest.raises(ParameterError, match="alpha"):
+                TrainConfig(alpha=alpha)

@@ -4,9 +4,9 @@
 ``mu`` and ``inv_std`` rather than ``xhat`` and ends in a block's residual
 add and ReLU, the max pool takes a running maximum tap by tap and its
 backward adds tap by tap rather than folding a float64 window buffer, and
-``backward`` pops each node off its list.  Test-only copies of the earlier
-ops and backward loop are the oracle: every output and ``.grad`` must be
-equal in bytes.
+``backward`` pops each node off its list, and the hidden linear layer ends
+in its ReLU.  Test-only copies of the earlier ops and backward loop are the
+oracle: every output and ``.grad`` must be equal in bytes.
 """
 
 import tracemalloc
@@ -66,6 +66,17 @@ def oracle_add(a, b):
             ad._accum(b, g)
 
     return ad._result(data, (a, b), bwd)
+
+
+def oracle_relu(a):
+    """The engine's earlier ``relu``.  Its callers now end a batch norm or
+    the hidden linear layer in it."""
+    data = np.maximum(a.data, 0)
+
+    def bwd(g):
+        ad._accum(a, g * (a.data > 0))
+
+    return ad._result(data, (a,), bwd)
 
 
 def oracle_conv2d(x, weight, stride, pad):
@@ -201,7 +212,7 @@ def run(engine: str, g: dict) -> list:
     for p in (weight, bn.gamma, bn.beta):
         p.requires_grad = g["params"]
     y = bn(conv2d(x, weight, g["stride"], g["pad"]), train=g["train"])
-    z = oracle_add(ad.relu(y), y)  # y has two consumers
+    z = oracle_add(oracle_relu(y), y)  # y has two consumers
     out = maxpool2d(z, g["pool"], g["pool_stride"], g["pool_pad"])
     backward(out, rng.standard_normal(out.shape).astype(out.data.dtype))
     grads = [x.grad] + ([weight.grad, bn.gamma.grad, bn.beta.grad] if g["params"] else [])
@@ -252,7 +263,7 @@ def epilogue(fused: bool, e: dict) -> list:
         if residual is not None:
             out = oracle_add(out, residual)
         if e["relu"]:
-            out = ad.relu(out)
+            out = oracle_relu(out)
     ad.backward(out, rng.standard_normal(out.shape).astype(out.data.dtype))
     grads = [x.grad] + ([residual.grad] if e["residual"] else [])
     grads += [bn.gamma.grad, bn.beta.grad] if e["params"] else []
@@ -263,6 +274,60 @@ def epilogue(fused: bool, e: dict) -> list:
 @given(epilogues())
 def test_the_fused_epilogue_keeps_every_byte(e):
     fused, chain = epilogue(True, e), epilogue(False, e)
+    assert len(fused) == len(chain)
+    for a, b in zip(fused, chain):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+# the values a linear layer's input and bias may hold beyond finite numbers
+LINEAR_VALUES = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]
+
+
+@st.composite
+def linears(draw):
+    """A linear layer's sizes, dtypes, which tensors take gradients, and
+    where its input and bias hold one of LINEAR_VALUES (a pick past the list
+    keeps the random value)."""
+    n, d, o = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    picks = st.integers(0, 2 * len(LINEAR_VALUES))
+    return dict(
+        n=n, d=d, o=o,
+        x_dtype=draw(st.sampled_from([np.float32, np.float64])),
+        w_dtype=draw(st.sampled_from([np.float32, np.float64])),
+        params=draw(st.booleans()),  # False: the input alone, as a saliency map takes it
+        x_picks=draw(hnp.arrays(np.int8, (n, d), elements=picks)),
+        b_picks=draw(hnp.arrays(np.int8, (o,), elements=picks)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def _with_values(values: np.ndarray, picks: np.ndarray) -> np.ndarray:
+    hit = picks < len(LINEAR_VALUES)
+    values[hit] = np.array(LINEAR_VALUES, values.dtype)[picks[hit]]
+    return values
+
+
+def linear_relu(fused: bool, e: dict) -> list:
+    rng = np.random.default_rng(e["seed"])
+    x = leaf(_with_values(rng.standard_normal((e["n"], e["d"])).astype(e["x_dtype"]),
+                          e["x_picks"]))
+    weight = Tensor(rng.standard_normal((e["o"], e["d"])).astype(e["w_dtype"]))
+    bias = Tensor(_with_values(rng.standard_normal(e["o"]).astype(e["w_dtype"]), e["b_picks"]))
+    weight.requires_grad = bias.requires_grad = e["params"]
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, inf * 0
+        if fused:
+            out = ad.linear(x, weight, bias, relu=True)
+        else:
+            out = oracle_relu(ad.linear(x, weight, bias, relu=False))
+        ad.backward(out, rng.standard_normal(out.shape).astype(out.data.dtype))
+    return [out.data, x.grad] + ([weight.grad, bias.grad] if e["params"] else [])
+
+
+@settings(max_examples=200, deadline=None)
+@given(linears())
+def test_the_linear_relu_keeps_every_byte(e):
+    fused, chain = linear_relu(True, e), linear_relu(False, e)
     assert len(fused) == len(chain)
     for a, b in zip(fused, chain):
         assert a.dtype == b.dtype and a.shape == b.shape
@@ -350,16 +415,16 @@ def test_an_identity_block_keeps_four_arrays_of_its_output_size():
         if stage:
             h, w = (h + 1) // 2, (w + 1) // 2
         expected += (4 * count + (2 if stage else 0)) * n * ch * h * w * 4
-    # the head: average pool, hidden layer and its ReLU, logits, log-probabilities
-    expected += n * (chans[3] + 2 * cfg.fc_width + 2 * 2) * 4
+    # the head: average pool, hidden layer (ReLU fused), logits, log-probabilities
+    expected += n * (chans[3] + cfg.fc_width + 2 * 2) * 4
     assert kept == expected
 
 
 def test_an_interior_tensor_goes_once_its_consumers_have_run(rng):
     x = leaf(rng.standard_normal((2, 3)))
-    h1 = ad.relu(x)
-    h2 = ad.relu(h1)
-    out = ad.relu(h2)
+    h1 = oracle_relu(x)
+    h2 = oracle_relu(h1)
+    out = oracle_relu(h2)
     h2_ref = weakref.ref(h2)
     gone = []
     h1_backward = h1._backward

@@ -8,7 +8,7 @@ from replaycm.model import ResNet, ResNetConfig, load_checkpoint, save_checkpoin
 from replaycm.replay_sim import ManifestEntry
 from replaycm.training import FeatureStore, TrainConfig, train, write_feature_manifest
 
-TOY_CFG = ResNetConfig(base_channels=16, scale=8, fc_width=8, input_bins=8, input_frames=10)
+TOY_CFG = ResNetConfig(channels=2, fc_width=8, input_bins=8, input_frames=10)
 
 
 def make_toy_features(root, rng, n_train=12, n_dev=8, separation=1.0):
