@@ -7,7 +7,9 @@
 # map drawn twice (a one-hot seed; byte for byte the same), mean fusion,
 # evaluation and the per-attack breakdown, the evaluation of scores near the
 # float maximum, then inputs that must each end in one error:<category>: line
-# with exit code 1, an allocation past the address space among them.
+# with exit code 1: a feature directory of mixed kinds, a manifest naming a
+# file outside its directory and an allocation past the address space among
+# them.
 #
 #   bash .github/console_pipeline.sh    # with replaycm on PATH
 set -euo pipefail
@@ -128,9 +130,20 @@ fi
 # scores nor maps the MGD dev grams of the same shape
 expect_error data replaycm score --ckpt toy/model.ckpt --feature-dir toy/mixed \
   --protocol toy/protocol_dev.txt --out toy/rejected.txt
+# the store fixes the kind when it opens, before any pool thread reads it
+expect_error data replaycm score --ckpt toy/model.ckpt --feature-dir toy/mixed \
+  --protocol toy/protocol_dev.txt --out toy/rejected.txt --jobs 2
 dev_utt=$(head -n 1 toy/protocol_dev.txt | cut -d ' ' -f 1)
 expect_error data replaycm saliency --ckpt toy/model.ckpt --feature "toy/mixed/$dev_utt.fgram" \
   --out toy/rejected.fgram
+# a manifest names files in its own directory: "../<utt>.fgram" is rejected
+# even where that gram exists
+mkdir -p toy/escape
+cp "toy/stft/$dev_utt.fgram" "toy/$dev_utt.fgram"
+printf '%s ../%s.fgram\n' "$dev_utt" "$dev_utt" > toy/escape/features.manifest
+head -n 1 toy/protocol_dev.txt > toy/one_dev.txt
+expect_error format replaycm score --ckpt toy/model.ckpt --feature-dir toy/escape \
+  --protocol toy/one_dev.txt --out toy/rejected.txt
 # a 71 TiB STFT buffer under a 2 GB address space: one error:resource: line
 printf '[stft]\nn_fft = 100000000000\n' > toy/huge_fft.cfg
 (

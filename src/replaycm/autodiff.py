@@ -41,8 +41,9 @@ them on for its input only.  So scoring records no tape, even between
 training steps, and a backward pass computes no weight gradient nobody
 reads.
 
-Convolution reads its windows through one strided view (``_windows``);
-``_fold`` is its adjoint.  Max pooling walks the taps itself, copying no window.
+Convolution reads its windows through one strided view (``_windows``); its
+adjoint ``_fold`` adds window gradients back tap by tap for the conv and the
+max pool alike.  The max-pool forward walks the taps itself, copying no window.
 """
 
 from __future__ import annotations
@@ -197,15 +198,18 @@ def _windows(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
 
 
-def _fold(dwin: np.ndarray, xp_shape, stride: int, dtype) -> np.ndarray:
-    """Adjoint of ``_windows``: scatter-add (n, c, ho, wo, kh, kw) window
-    gradients back onto a zero array of ``xp_shape``, tap by tap."""
-    _, _, ho, wo, kh, kw = dwin.shape
-    dxp = np.zeros(xp_shape, dtype=dtype)
+def _fold(tap, x_shape, kh: int, kw: int, stride: int, pad: int, dtype) -> np.ndarray:
+    """Adjoint of ``_windows`` on an input of ``x_shape`` padded by ``pad``: add
+    ``tap(i, j)``, the (n, c, ho, wo) gradient of every window's tap (i, j), to
+    a zero padded array in row-major tap order; return its unpadded part."""
+    n, c, h, w = x_shape
+    ho = _conv_out_size(h, kh, stride, pad)
+    wo = _conv_out_size(w, kw, stride, pad)
+    dxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=dtype)
     for i in range(kh):
         for j in range(kw):
-            dxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += dwin[..., i, j]
-    return dxp
+            dxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += tap(i, j)
+    return dxp[:, :, pad : pad + h, pad : pad + w] if pad else dxp
 
 
 def conv2d(x: Tensor, weight: Tensor, stride: int, pad: int) -> Tensor:
@@ -242,10 +246,8 @@ def conv2d(x: Tensor, weight: Tensor, stride: int, pad: int) -> Tensor:
             _accum(weight, dw.reshape(weight.data.shape))
         if x.requires_grad:
             dcols = np.matmul(w2.T, g2).reshape(n, c, kh, kw, ho, wo)
-            xp_shape = (n, c, h + 2 * pad, w + 2 * pad)
-            dxp = _fold(dcols.transpose(0, 1, 4, 5, 2, 3), xp_shape, stride, dcols.dtype)
-            dx = dxp[:, :, pad : pad + h, pad : pad + w] if pad else dxp
-            _accum(x, dx)
+            _accum(x, _fold(lambda i, j: dcols[:, :, i, j], x.data.shape, kh, kw, stride, pad,
+                            dcols.dtype))
 
     return _result(data, (x, weight), bwd)
 
@@ -271,18 +273,12 @@ def maxpool2d(x: Tensor, kernel: int, stride: int, pad: int) -> Tensor:
         take = ~(tap <= best) & (best == best)
         slot += take * (k - slot)
         bits ^= (bits ^ tap.view(bits.dtype)) * take
-    xp_shape = xp.shape
 
     def bwd(g):
-        # dwin[..., k] is g where slot == k and 0 elsewhere: tap k adds it
-        # to dxp in _fold's order, without a (n, c, ho, wo, k*k) dwin
-        dxp = np.zeros(xp_shape, dtype=np.float64)
-        for k in range(kernel * kernel):
-            i, j = divmod(k, kernel)
-            dxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += \
-                np.where(slot == k, g, 0)
-        dx = dxp[:, :, pad : pad + h, pad : pad + w] if pad else dxp
-        _accum(x, dx)
+        # a window's tap gets g where its maximum sits and 0 elsewhere, one
+        # tap at a time rather than one (n, c, ho, wo, k*k) buffer
+        _accum(x, _fold(lambda i, j: np.where(slot == i * kernel + j, g, 0), x.data.shape,
+                        kernel, kernel, stride, pad, np.float64))
 
     return _result(best, (x,), bwd)
 

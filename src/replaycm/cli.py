@@ -110,15 +110,14 @@ def cmd_train(args) -> int:
     if not entries_train:
         raise DataError(f"training protocol {args.protocol_train} lists no utterances")
     entries_dev = read_protocol(args.protocol_dev)
-    store = FeatureStore(args.feature_dir)
-    store.load(entries_train[0].utt_id)
-    _, kind, (bins, frames) = store.first
+    store = FeatureStore(args.feature_dir, [e.utt_id for e in entries_train + entries_dev])
+    bins, frames = store.shape
     model_cfg = ResNetConfig(**cfg["model"], input_bins=bins, input_frames=frames)
     tcfg = TrainConfig(**cfg["train"], gamma=gamma)
     model = ResNet(model_cfg, seed=tcfg.seed)
     result = train(model, entries_train, entries_dev, store, tcfg,
                    log_path=str(args.out) + ".log")
-    save_checkpoint(args.out, model, extra={"kind": kind, "objective": args.objective,
+    save_checkpoint(args.out, model, extra={"kind": store.kind, "objective": args.objective,
                                             "best_dev_eer": result.best_dev_eer,
                                             "best_epoch": result.best_epoch})
     print(f"best dev EER {result.best_dev_eer:.6f} at epoch {result.best_epoch}; "
@@ -136,10 +135,9 @@ def cmd_score(args) -> int:
     model, extra = load_checkpoint(args.ckpt)
     with _job_map(args.jobs) as map_fn:
         entries = read_protocol(args.protocol)
-        store = FeatureStore(args.feature_dir)
-        if entries:  # fixes the store's kind and shape before any pool thread reads it
-            store.load(entries[0].utt_id)
-            _check_kind(args.ckpt, extra, store.paths[entries[0].utt_id], store.first[1])
+        store = FeatureStore(args.feature_dir, [e.utt_id for e in entries])
+        if entries:
+            _check_kind(args.ckpt, extra, store.paths[store.first_id], store.kind)
         scores = training._score_entries(model, entries, store, map_fn=map_fn)
     write_score_file(scores, args.out)
     print(f"scored {len(scores)} utterances to {args.out}")

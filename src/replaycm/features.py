@@ -5,7 +5,8 @@ repeat short ones) so the classifier always sees a fixed-size matrix: column
 j reads frame j mod n_frames.  A gram function keeps every ``bin_stride``-th
 bin and every ``frame_stride``-th column of that matrix, and computes only
 what those cells read: the spectra of the distinct frames they read, once
-each, and per-bin math on the kept bins alone.
+each, and per-bin math on the kept bins alone.  STFT, GD and MGD take their
+spectra through one path, ``_gram_spectra``; GD and MGD share ``_group_delay``.
 """
 
 from __future__ import annotations
@@ -96,24 +97,24 @@ def _window(name: str, length: int) -> np.ndarray:
     raise ParameterError(f"unknown window {name!r}")
 
 
-def _frame(samples: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
-    n = samples.size
-    if n < frame_len:
-        raise ParameterError(f"input of {n} samples too short for one {frame_len}-sample frame")
-    return np.lib.stride_tricks.sliding_window_view(samples, frame_len)[::hop]
-
-
 def _fixed_columns(n_frames: int, frame_stride: int) -> tuple:
     """(frames, cols): the distinct frames that the kept columns of the fixed
     gram read, in order, and each kept column's index into ``frames``."""
     return np.unique(np.arange(0, N_FRAMES_FIXED, frame_stride) % n_frames, return_inverse=True)
 
 
-def _spectra(frames: np.ndarray, spec: FrameSpec, ramped: bool = False) -> tuple:
-    """One-sided spectra of the windowed ``frames`` (n_frames, frame_len),
-    each (n_fft/2 + 1, n_frames): (X,) or, if ``ramped``, (X, Y) with Y the
-    spectrum of the index-ramped windowed frames.
-    """
+def _gram_spectra(w: Waveform, spec: FrameSpec, frame_stride: int, ramped: bool = False):
+    """One-sided spectra, each (n_fft/2 + 1, n_kept), of the distinct windowed
+    frames that the fixed gram's kept columns read, and each kept column's
+    index among them: ((X,), cols) or, if ``ramped``, ((X, Y), cols) with Y
+    the spectrum of the index-ramped windowed frames.  Frame t covers samples
+    [t*hop, t*hop + frame_len)."""
+    if w.samples.size < spec.frame_len:
+        raise ParameterError(f"input of {w.samples.size} samples too short for one "
+                             f"{spec.frame_len}-sample frame")
+    frames = np.lib.stride_tricks.sliding_window_view(w.samples, spec.frame_len)[:: spec.hop]
+    kept, cols = _fixed_columns(frames.shape[0], frame_stride)
+    frames = frames[kept]
     win = _window(spec.window, spec.frame_len)
     # both weighted stacks in one buffer, so one rfft serves X and Y
     weighted = np.empty((2 if ramped else 1, *frames.shape))
@@ -121,21 +122,7 @@ def _spectra(frames: np.ndarray, spec: FrameSpec, ramped: bool = False) -> tuple
     if ramped:
         np.multiply(frames, np.arange(spec.frame_len), out=weighted[1])
         weighted[1] *= win
-    return tuple(np.fft.rfft(weighted, n=spec.n_fft, axis=2).transpose(0, 2, 1))
-
-
-def stft(w: Waveform, spec: FrameSpec) -> np.ndarray:
-    """One-sided short-time spectra, shape (n_fft/2 + 1, n_frames).  Frame t
-    covers samples [t*hop, t*hop + frame_len)."""
-    return _spectra(_frame(w.samples, spec.frame_len, spec.hop), spec)[0]
-
-
-def _gram_spectra(w: Waveform, spec: FrameSpec, frame_stride: int, ramped: bool = False):
-    """The ``_spectra`` of the distinct frames that the fixed gram's kept
-    columns read, and each kept column's index among them."""
-    frames = _frame(w.samples, spec.frame_len, spec.hop)
-    kept, cols = _fixed_columns(frames.shape[0], frame_stride)
-    return _spectra(frames[kept], spec, ramped), cols
+    return tuple(np.fft.rfft(weighted, n=spec.n_fft, axis=2).transpose(0, 2, 1)), cols
 
 
 def stft_gram(w: Waveform, spec: FrameSpec, bin_stride: int = 1,
@@ -172,20 +159,14 @@ def cepstral_smooth(mag: np.ndarray, lifter_len: int) -> np.ndarray:
     return np.exp(smooth, out=smooth)
 
 
-def mgd_spectra(w: Waveform, spec: FrameSpec, p: MgdParams) -> np.ndarray:
-    """Modified group delay per frame, shape (n_fft/2 + 1, n_frames).
+def _group_delay(x_spec: np.ndarray, y_spec: np.ndarray, p: MgdParams, bin_stride: int,
+                 utt_id: str) -> np.ndarray:
+    """Modified group delay of the spectra X and Y, on every bin_stride-th bin.
 
     tau' = (X_R Y_R + X_I Y_I) / S^(2 lambda) with X the windowed-frame
     spectrum, Y the spectrum of the index-ramped frame and S the cepstrally
     smoothed magnitude of X; the output is sign(tau') |tau'|^rho.
     """
-    frames = _frame(w.samples, spec.frame_len, spec.hop)
-    return _group_delay(*_spectra(frames, spec, ramped=True), p, 1, w.utt_id)
-
-
-def _group_delay(x_spec: np.ndarray, y_spec: np.ndarray, p: MgdParams, bin_stride: int,
-                 utt_id: str) -> np.ndarray:
-    """``mgd_spectra`` of the spectra X and Y, on every bin_stride-th bin."""
     if p.smoothing:  # the cepstral smoothing reads every bin
         smooth = cepstral_smooth(np.abs(x_spec), p.lifter_len)[::bin_stride]
     else:

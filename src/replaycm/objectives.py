@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError, ParameterError, ShapeError
+from .errors import ContractError, ShapeError
 
 NORMALIZATION_TOL = 1e-6
 
@@ -43,8 +43,6 @@ def bfl(log_probs: np.ndarray, targets, alpha: tuple, gamma: float) -> tuple:
     the loss, rounded to the dtype of ``log_probs``, and its gradient with
     respect to ``log_probs``.  The modulating factor is computed as
     (-expm1(log p_t))**gamma, which stays accurate as p_t -> 1."""
-    if gamma < 0:
-        raise ParameterError(f"gamma must be >= 0, got {gamma}")
     _check_normalized(log_probs)
     targets = np.atleast_1d(np.asarray(targets, dtype=np.int64))
     if log_probs.ndim != 2 or targets.shape != log_probs.shape[:1]:

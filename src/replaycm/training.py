@@ -97,32 +97,37 @@ class AdamW:
 
 
 class FeatureStore:
-    """Loads feature grams by utt_id via the extraction manifest.  The first
-    gram loaded fixes the kind and shape of every later one; load it before
-    any thread pool reads the store, so the error names the same grams."""
+    """Loads feature grams by utt_id via the extraction manifest.  It checks
+    that the manifest lists each of ``utt_ids``, and the gram of the first,
+    ``first_id``, fixes the kind and shape of all (none if ``utt_ids`` is
+    empty); it changes nothing after that, so pool threads may share it."""
 
-    def __init__(self, feature_dir):
+    def __init__(self, feature_dir, utt_ids):
         self.feature_dir = Path(feature_dir)
         manifest = self.feature_dir / FEATURE_MANIFEST
         if not manifest.exists():
             raise DataError(f"feature manifest {manifest} not found")
         self.paths = {utt_id: self.feature_dir / rel
                       for utt_id, rel in _read_manifest(manifest).items()}
-        self.first = None  # (utt_id, kind, shape) of the first gram loaded
+        for utt_id in utt_ids:
+            if utt_id not in self.paths:
+                raise DataError(f"no feature file for utterance {utt_id!r}")
+        self.first_id = self.kind = self.shape = None
+        if utt_ids:
+            self.first_id = utt_ids[0]
+            gram = read_gram(self.paths[self.first_id], self.first_id)
+            self.kind, self.shape = gram.kind, gram.data.shape
 
     def load(self, utt_id: str) -> np.ndarray:
         if utt_id not in self.paths:
             raise DataError(f"no feature file for utterance {utt_id!r}")
         gram = read_gram(self.paths[utt_id], utt_id)
-        if self.first is None:
-            self.first = (utt_id, gram.kind, gram.data.shape)
-        first_id, kind, shape = self.first
-        if gram.kind != kind:
+        if gram.kind != self.kind:
             raise DataError(f"gram of {utt_id!r} is {gram.kind}, but gram of "
-                            f"{first_id!r} is {kind}")
-        if gram.data.shape != shape:
+                            f"{self.first_id!r} is {self.kind}")
+        if gram.data.shape != self.shape:
             raise ShapeError(f"gram of {utt_id!r} is {gram.data.shape}, but gram of "
-                             f"{first_id!r} is {shape}")
+                             f"{self.first_id!r} is {self.shape}")
         return gram.data
 
     def load_batch(self, utt_ids) -> np.ndarray:
@@ -139,6 +144,8 @@ def _read_manifest(path) -> dict:
             raise FormatError(f"{path}:{lineno}: expected '<utt_id> <gram file>'")
         if fields[0] in entries:
             raise FormatError(f"{path}:{lineno}: duplicate utt_id {fields[0]!r}")
+        if "/" in fields[1] or "\\" in fields[1]:  # a file in the manifest's directory
+            raise FormatError(f"{path}:{lineno}: file name {fields[1]!r} contains a path separator")
         entries[fields[0]] = fields[1]
     return entries
 
@@ -189,9 +196,6 @@ def train(model: ResNet, train_entries, dev_entries, store: FeatureStore,
         if n_spoof < 1 or n_bona < 1:
             raise DataError(f"{what} needs both classes, got {n_bona} bonafide and "
                             f"{n_spoof} spoof utterances")
-    for e in train_entries + dev_entries:
-        if e.utt_id not in store.paths:
-            raise DataError(f"no feature file for utterance {e.utt_id!r}")
     store.load(dev_entries[0].utt_id)  # a dev gram of another kind or shape stops here
 
     alpha = objectives.auto_alpha(n_spoof, n_bona) if cfg.alpha == "auto" else cfg.alpha

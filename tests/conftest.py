@@ -55,6 +55,23 @@ def gradcheck(build, x0: np.ndarray, seed: int = 0, step: float = 1e-3,
     return rel
 
 
+WINDOWS = {"hamming": np.hamming, "hann": np.hanning, "rect": np.ones}
+
+
+def explicit_spectra(w, spec):
+    """One-sided spectra (n_fft/2 + 1, n_frames) of the frames of waveform
+    ``w``, frame t the samples [t*hop, t*hop + frame_len): X of the windowed
+    frames and Y of the index-ramped windowed frames, the ramp applied before
+    the window, each weighted stack through its own rfft."""
+    win = WINDOWS[spec.window](spec.frame_len)
+    idx = np.arange(spec.frame_len)[None, :] + spec.hop * np.arange(
+        (w.samples.size - spec.frame_len) // spec.hop + 1)[:, None]
+    frames = w.samples[idx]
+    x = np.fft.rfft(frames * win, n=spec.n_fft, axis=1).T
+    y = np.fft.rfft(frames * np.arange(spec.frame_len) * win, n=spec.n_fft, axis=1).T
+    return x, y
+
+
 def ckpt_with_config(blob: bytes, payload: bytes = None, **config) -> bytes:
     """The checkpoint ``blob`` with ``config`` set in its header's model
     config, a key set to None removed, and ``payload``, if given, in place

@@ -487,6 +487,24 @@ def test_extract_into_a_malformed_manifest_is_a_format_error(pipeline, tmp_path,
     assert err.startswith("error:format:") and "features.manifest:1:" in err, err
 
 
+def test_score_of_a_manifest_naming_a_file_outside_is_a_format_error(pipeline, tmp_path,
+                                                                      capsys):
+    # the gram sits where "../<utt>.fgram" leads, so only the manifest check stops score
+    _, corpus, feats, ckpt, _, _ = pipeline
+    utt_id, protocol = _one_utterance(corpus, tmp_path)
+    shutil.copy(feats / f"{utt_id}.fgram", tmp_path / f"{utt_id}.fgram")
+    escape = tmp_path / "escape"
+    escape.mkdir()
+    (escape / "features.manifest").write_text(f"{utt_id} ../{utt_id}.fgram\n")
+    out = tmp_path / "s.txt"
+    code = main(["score", "--ckpt", str(ckpt), "--feature-dir", str(escape),
+                 "--protocol", str(protocol), "--out", str(out)])
+    err = _error_line(code, capsys)
+    assert err == (f"error:format: {escape / 'features.manifest'}:1: file name "
+                   f"'../{utt_id}.fgram' contains a path separator"), err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", ["scores", "protocol"])
 def test_evaluate_non_ascii_file_is_a_parse_error(tmp_path, capsys, bad):
     files = {"scores": tmp_path / "scores.txt", "protocol": tmp_path / "protocol.txt"}

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import explicit_spectra
 from replaycm.audio_io import Waveform, synth_tone_complex
 from replaycm.errors import FormatError, InternalError, ParameterError
 from replaycm.features import (
@@ -18,15 +19,14 @@ from replaycm.features import (
     FeatureGram,
     FrameSpec,
     MgdParams,
+    _group_delay,
     cepstral_smooth,
     cqt_center_frequencies,
     cqt_fmin,
     cqt_gram,
     gd_gram,
     mgd_gram,
-    mgd_spectra,
     read_gram,
-    stft,
     stft_gram,
     write_gram,
 )
@@ -41,50 +41,60 @@ def _noise_wave(rng, n=4000, scale=0.5):
     return Waveform(rng.uniform(-scale, scale, n), SR, "noise")
 
 
+def power(w: Waveform, spec: FrameSpec) -> np.ndarray:
+    """|X|^2 per bin and frame, read back from the STFT gram, whose first
+    columns are the first frames in order."""
+    return np.exp(stft_gram(w, spec).data) - LOG_EPS
+
+
 class TestStft:
     def test_impulse_has_flat_spectrum(self):
         samples = np.zeros(1200)
         samples[0] = 1.0
         spec = FrameSpec(frame_len=1024, hop=512, window="rect", n_fft=1024)
-        x = stft(Waveform(samples, SR, "imp"), spec)
-        assert x.shape[0] == 513
-        assert np.allclose(np.abs(x[:, 0]), 1.0, atol=1e-12)
+        p = power(Waveform(samples, SR, "imp"), spec)
+        assert p.shape[0] == 513
+        assert np.allclose(p[:, 0], 1.0, atol=1e-12)
 
     def test_sine_at_bin_center_concentrates(self):
         k0 = 64
         n = np.arange(2048)
         w = Waveform(np.sin(2 * np.pi * k0 * n / 1024), SR, "sine")
         spec = FrameSpec(frame_len=1024, hop=1024, window="rect", n_fft=1024)
-        mags = np.abs(stft(w, spec)[:, 0])
-        assert mags.argmax() == k0
-        side = np.delete(mags, k0)
-        assert side.max() < 1e-9 * mags[k0]
+        p = power(w, spec)[:, 0]
+        assert p.argmax() == k0
+        side = np.delete(p, k0)
+        assert side.max() < 1e-18 * p[k0]  # 1e-9 of the peak's magnitude
 
     def test_parseval_energy(self, rng):
         # two-sided spectral energy of one frame equals n_fft * windowed energy
         w = _noise_wave(rng)
         spec = SPEC
-        x = stft(w, spec)
         frame = w.samples[: spec.frame_len] * np.hamming(spec.frame_len)
         full = np.fft.fft(frame, spec.n_fft)
         assert np.sum(np.abs(full) ** 2) == pytest.approx(
             spec.n_fft * np.sum(frame**2), rel=1e-10
         )
-        # one-sided stft matches the full-spectrum oracle bin by bin
-        assert np.allclose(x[:, 0], full[:513], atol=1e-9)
+        # the gram's first column matches the full-spectrum oracle bin by bin
+        oracle = np.log(np.abs(full[:513]) ** 2 + LOG_EPS)
+        assert np.allclose(stft_gram(w, spec).data[:, 0], oracle, rtol=0, atol=1e-9)
 
     def test_frame_layout_and_time_shift(self, rng):
+        # 23 frames; frame t covers samples [t*hop, t*hop + frame_len)
         spec = FrameSpec(frame_len=400, hop=160, window="rect", n_fft=1024)
-        base = rng.uniform(-0.5, 0.5, 4000)
-        shifted = np.concatenate([np.zeros(spec.hop), base])[:4000]
-        a = stft(Waveform(base, SR, "a"), spec)
-        b = stft(Waveform(shifted, SR, "b"), spec)
-        n_common = min(a.shape[1], b.shape[1]) - 1
-        assert np.allclose(b[:, 1 : 1 + n_common], a[:, :n_common], atol=1e-12)
+        base = Waveform(rng.uniform(-0.5, 0.5, 4000), SR, "a")
+        shifted = Waveform(np.concatenate([np.zeros(spec.hop), base.samples])[:4000], SR, "b")
+        a, b = power(base, spec), power(shifted, spec)
+        assert np.allclose(b[:, 1:23], a[:, :22], rtol=1e-9, atol=1e-11)
+        oracle = np.abs(explicit_spectra(base, spec)[0]) ** 2
+        assert oracle.shape[1] == 23
+        assert np.allclose(a[:, :23], oracle, rtol=1e-9, atol=1e-11)
 
     def test_too_short_input_rejected(self):
-        with pytest.raises(ParameterError):
-            stft(Waveform(np.zeros(100), SR, "x"), SPEC)
+        for gram in (lambda w: stft_gram(w, SPEC), lambda w: gd_gram(w, SPEC),
+                     lambda w: mgd_gram(w, SPEC, MgdParams())):
+            with pytest.raises(ParameterError, match="100 samples too short for one 400-sample"):
+                gram(Waveform(np.zeros(100), SR, "x"))
 
     def test_frame_spec_invariants(self):
         with pytest.raises(ParameterError):
@@ -202,22 +212,11 @@ class TestMgd:
             w = _noise_wave(rng)
             assert np.max(np.abs(mgd_gram(w, spec, p).data - gd_gram(w, spec).data)) < 1e-9
 
-    @staticmethod
-    def _explicit_spectra(w, spec):
-        # each weighted stack through its own rfft, the ramp applied before the window
-        win = np.hamming(spec.frame_len)
-        idx = np.arange(spec.frame_len)[None, :] + spec.hop * np.arange(
-            (w.samples.size - spec.frame_len) // spec.hop + 1)[:, None]
-        frames = w.samples[idx]
-        x = np.fft.rfft(frames * win, n=spec.n_fft, axis=1).T
-        y = np.fft.rfft(frames * np.arange(spec.frame_len) * win, n=spec.n_fft, axis=1).T
-        return x, y
-
     def test_gd_is_the_explicit_formula_bit_for_bit(self, rng):
         spec = SPEC
         for _ in range(10):
             w = _noise_wave(rng)
-            x, y = self._explicit_spectra(w, spec)
+            x, y = explicit_spectra(w, spec)
             mag = np.maximum(np.abs(x), 1e-10)
             gd = (x.real * y.real + x.imag * y.imag) / mag**2
             assert np.array_equal(gd_gram(w, spec).data, shape_fixed(gd))
@@ -230,7 +229,7 @@ class TestMgd:
         spec, p = SPEC, MgdParams()
         for _ in range(10):
             w = _noise_wave(rng)
-            x, y = self._explicit_spectra(w, spec)
+            x, y = explicit_spectra(w, spec)
             mag = np.maximum(np.abs(x), 1e-10)
             ceps = scipy.fft.dct(np.log(mag), axis=0, norm="ortho")
             ceps[p.lifter_len:] = 0.0
@@ -245,8 +244,8 @@ class TestMgd:
         spec = SPEC
         w = _noise_wave(rng)
         p = MgdParams(rho=0.2, lam=0.7)
-        tau = mgd_spectra(w, spec, p)
-        raw = mgd_spectra(w, spec, MgdParams(rho=1.0, lam=0.7, lifter_len=p.lifter_len))
+        tau = mgd_gram(w, spec, p).data
+        raw = mgd_gram(w, spec, MgdParams(rho=1.0, lam=0.7, lifter_len=p.lifter_len)).data
         assert np.all(np.sign(tau) == np.sign(raw))
 
     def test_single_pole_group_delay(self):
@@ -538,13 +537,16 @@ STRIDE_CQT = dict(hop=80, n_octaves=6, bins_per_octave=12)
 
 
 def full_resolution(kind: str, w: Waveform) -> np.ndarray:
-    """Every bin of every frame, before the fixed gram's columns are taken."""
+    """Every bin of every frame, before the fixed gram's columns are taken:
+    the spectra of ``explicit_spectra``, and the group delays of
+    ``_group_delay``, whose formula ``TestMgd`` checks."""
     if kind == "STFT":
-        return np.log(np.abs(stft(w, STRIDE_SPEC)) ** 2 + LOG_EPS)
+        return np.log(np.abs(explicit_spectra(w, STRIDE_SPEC)[0]) ** 2 + LOG_EPS)
     if kind == "GD":
-        return mgd_spectra(w, STRIDE_SPEC, MgdParams(rho=1.0, lam=1.0, smoothing=False))
+        return _group_delay(*explicit_spectra(w, STRIDE_SPEC),
+                            MgdParams(rho=1.0, lam=1.0, smoothing=False), 1, "u")
     if kind == "MGD":
-        return mgd_spectra(w, STRIDE_SPEC, MgdParams())
+        return _group_delay(*explicit_spectra(w, STRIDE_SPEC), MgdParams(), 1, "u")
     kernel = CqtKernel(STRIDE_SR, STRIDE_CQT["n_octaves"], STRIDE_CQT["bins_per_octave"],
                        STRIDE_CQT["hop"])
     return np.log(kernel.transform(w.samples) + LOG_EPS)

@@ -174,10 +174,6 @@ class TestBfl:
             denom = np.maximum(np.abs(numeric), 1e-6)
             assert np.max(np.abs(t.grad - numeric) / denom) < 1e-4
 
-    def test_gamma_validation(self):
-        with pytest.raises(ParameterError):
-            bfl(_lp(0.5), [1], UNIT, -1.0)
-
 
 class TestLossRatio:
     """BFL / BCE (BFL at gamma = 0) for one sample with unit weights is

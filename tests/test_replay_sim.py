@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 import scipy.signal
 
+from conftest import explicit_spectra
 from replaycm import replay_sim
 from replaycm.audio_io import PEAK, Waveform, quantize, read_wav, synth_tone_complex
 from replaycm.errors import ParameterError, ParseError
-from replaycm.features import FrameSpec, stft
+from replaycm.features import FrameSpec
 from replaycm.replay_sim import (
     ATTACK_CODES,
     QUALITY_PARAMS,
@@ -22,8 +23,8 @@ SR = 16000
 def log_spectral_distance(w1: Waveform, w2: Waveform) -> float:
     """Independent closeness proxy: RMS distance of log power spectra."""
     spec = FrameSpec.from_ms(SR)
-    a = np.log(np.abs(stft(w1, spec)) ** 2 + 1e-10)
-    b = np.log(np.abs(stft(w2, spec)) ** 2 + 1e-10)
+    a = np.log(np.abs(explicit_spectra(w1, spec)[0]) ** 2 + 1e-10)
+    b = np.log(np.abs(explicit_spectra(w2, spec)[0]) ** 2 + 1e-10)
     return float(np.sqrt(np.mean((a - b) ** 2)))
 
 

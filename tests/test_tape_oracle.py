@@ -3,10 +3,11 @@
 ``conv2d`` keeps its input rather than a padded copy, ``BatchNorm2d`` keeps
 ``mu`` and ``inv_std`` rather than ``xhat`` and ends in a block's residual
 add and ReLU, the max pool takes a running maximum tap by tap and its
-backward adds tap by tap rather than folding a float64 window buffer, and
-``backward`` pops each node off its list, and the hidden linear layer ends
-in its ReLU.  Test-only copies of the earlier ops and backward loop are the
-oracle: every output and ``.grad`` must be equal in bytes.
+backward hands ``_fold`` one tap at a time rather than a float64 window
+buffer, and ``backward`` pops each node off its list, and the hidden linear
+layer ends in its ReLU.  Test-only copies of the earlier ops, ``_fold`` and
+backward loop are the oracle: every output and ``.grad`` must be equal in
+bytes.
 """
 
 import tracemalloc
@@ -79,6 +80,17 @@ def oracle_relu(a):
     return ad._result(data, (a,), bwd)
 
 
+def oracle_fold(dwin, xp_shape, stride, dtype):
+    """The earlier ``_fold``: scatter-add (n, c, ho, wo, kh, kw) window
+    gradients back onto a zero array of the padded shape, tap by tap."""
+    _, _, ho, wo, kh, kw = dwin.shape
+    dxp = np.zeros(xp_shape, dtype=dtype)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += dwin[..., i, j]
+    return dxp
+
+
 def oracle_conv2d(x, weight, stride, pad):
     """The earlier conv: its closure keeps the padded, cast input."""
     n, c, h, w = x.data.shape
@@ -103,7 +115,7 @@ def oracle_conv2d(x, weight, stride, pad):
             ad._accum(weight, dw.reshape(weight.data.shape))
         if x.requires_grad:
             dcols = np.matmul(w2.T, g2).reshape(n, c, kh, kw, ho, wo)
-            dxp = ad._fold(dcols.transpose(0, 1, 4, 5, 2, 3), xp.shape, stride, dcols.dtype)
+            dxp = oracle_fold(dcols.transpose(0, 1, 4, 5, 2, 3), xp.shape, stride, dcols.dtype)
             dx = dxp[:, :, pad : pad + h, pad : pad + w] if pad else dxp
             ad._accum(x, dx)
 
@@ -126,7 +138,7 @@ def oracle_maxpool2d(x, kernel, stride, pad):
     def bwd(g):
         dwin = np.zeros(win_shape, dtype=np.float64)
         np.put_along_axis(dwin, slot, g[..., None], axis=-1)
-        dxp = ad._fold(dwin.reshape(n, c, ho, wo, kernel, kernel), xp_shape, stride, np.float64)
+        dxp = oracle_fold(dwin.reshape(n, c, ho, wo, kernel, kernel), xp_shape, stride, np.float64)
         dx = dxp[:, :, pad : pad + h, pad : pad + w] if pad else dxp
         ad._accum(x, dx)
 

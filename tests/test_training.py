@@ -2,13 +2,18 @@ import numpy as np
 import pytest
 
 from replaycm import training
-from replaycm.errors import DataError, FormatError, ParameterError, ParseError
+from replaycm.errors import DataError, FormatError, ParameterError, ParseError, ShapeError
 from replaycm.features import FeatureGram, write_gram
 from replaycm.model import ResNet, ResNetConfig, load_checkpoint, save_checkpoint, score_batch
 from replaycm.replay_sim import ManifestEntry
 from replaycm.training import FeatureStore, TrainConfig, train, write_feature_manifest
 
 TOY_CFG = ResNetConfig(channels=2, fc_width=8, input_bins=8, input_frames=10)
+
+
+def toy_store(root, *protocols) -> FeatureStore:
+    """The feature store of ``root`` built for the utterances of ``protocols``."""
+    return FeatureStore(root, [e.utt_id for entries in protocols for e in entries])
 
 
 def make_toy_features(root, rng, n_train=12, n_dev=8, separation=1.0):
@@ -32,7 +37,7 @@ def make_toy_features(root, rng, n_train=12, n_dev=8, separation=1.0):
 
 def test_separable_toy_reaches_zero_dev_eer(tmp_path, rng):
     train_entries, dev_entries = make_toy_features(tmp_path, rng)
-    store = FeatureStore(tmp_path)
+    store = toy_store(tmp_path, train_entries, dev_entries)
     model = ResNet(TOY_CFG, seed=3)
     cfg = TrainConfig(lr=3e-3, batch_size=4, max_epochs=30, seed=3, gamma=2.0)
     result = train(model, train_entries, dev_entries, store, cfg, tmp_path / "train.log")
@@ -42,7 +47,7 @@ def test_separable_toy_reaches_zero_dev_eer(tmp_path, rng):
 
 def test_training_is_deterministic(tmp_path, rng):
     train_entries, dev_entries = make_toy_features(tmp_path, rng)
-    store = FeatureStore(tmp_path)
+    store = toy_store(tmp_path, train_entries, dev_entries)
     cfg = TrainConfig(lr=1e-3, batch_size=4, max_epochs=3, seed=11, gamma=0.0)
     logs = []
     for _ in range(2):
@@ -55,7 +60,7 @@ def test_training_is_deterministic(tmp_path, rng):
 
 def test_log_line_format(tmp_path, rng):
     train_entries, dev_entries = make_toy_features(tmp_path, rng)
-    store = FeatureStore(tmp_path)
+    store = toy_store(tmp_path, train_entries, dev_entries)
     model = ResNet(TOY_CFG, seed=0)
     cfg = TrainConfig(lr=1e-3, batch_size=4, max_epochs=2, seed=0)
     log_path = tmp_path / "train.log"
@@ -71,7 +76,7 @@ def test_log_line_format(tmp_path, rng):
 
 def test_checkpoint_of_trained_model_reproduces_dev_scores(tmp_path, rng):
     train_entries, dev_entries = make_toy_features(tmp_path, rng)
-    store = FeatureStore(tmp_path)
+    store = toy_store(tmp_path, train_entries, dev_entries)
     model = ResNet(TOY_CFG, seed=5)
     cfg = TrainConfig(lr=1e-3, batch_size=4, max_epochs=2, seed=5)
     train(model, train_entries, dev_entries, store, cfg, tmp_path / "train.log")
@@ -85,24 +90,42 @@ def test_checkpoint_of_trained_model_reproduces_dev_scores(tmp_path, rng):
 
 def test_missing_feature_file_names_utterance(tmp_path, rng):
     train_entries, dev_entries = make_toy_features(tmp_path, rng)
-    store = FeatureStore(tmp_path)
     ghost = ManifestEntry("ghost99", "spoof", "AA")
-    model = ResNet(TOY_CFG, seed=0)
-    cfg = TrainConfig(max_epochs=1, gamma=0.0)
-    with pytest.raises(DataError, match="ghost99"):
-        train(model, train_entries + [ghost], dev_entries, store, cfg, tmp_path / "train.log")
-    with pytest.raises(DataError, match="ghost99"):
-        store.load("ghost99")
+    with pytest.raises(DataError, match="^no feature file for utterance 'ghost99'$"):
+        toy_store(tmp_path, train_entries, [ghost], dev_entries)
+    with pytest.raises(DataError, match="^no feature file for utterance 'ghost99'$"):
+        toy_store(tmp_path, train_entries, dev_entries).load("ghost99")
+
+
+def test_the_first_gram_fixes_kind_and_shape(tmp_path, rng):
+    train_entries, dev_entries = make_toy_features(tmp_path, rng)
+    write_gram(FeatureGram("MGD", np.zeros((8, 10), np.float32), "mgd"), tmp_path / "mgd.fgram")
+    write_gram(FeatureGram("STFT", np.zeros((8, 9), np.float32), "short"),
+               tmp_path / "short.fgram")
+    write_feature_manifest(tmp_path, {"mgd": "mgd.fgram", "short": "short.fgram"})
+    store = toy_store(tmp_path, dev_entries, train_entries)
+    assert (store.first_id, store.kind, store.shape) == ("dv00", "STFT", (8, 10))
+    with pytest.raises(DataError, match="^gram of 'mgd' is MGD, but gram of 'dv00' is STFT$"):
+        store.load("mgd")
+    with pytest.raises(ShapeError, match=r"^gram of 'short' is \(8, 9\), but gram of 'dv00' is"):
+        store.load_batch(["tr00", "short"])
+    assert (store.first_id, store.kind, store.shape) == ("dv00", "STFT", (8, 10))
+    empty = toy_store(tmp_path)
+    assert (empty.first_id, empty.kind, empty.shape) == (None, None, None)
 
 
 @pytest.mark.parametrize("content, error, where", [
     (b"u1 u1.fgram\nfoo\n", FormatError, ":2: expected"),
     (b"u1 u1.fgram\nu\xe92 u2.fgram\n", ParseError, ":2: non-ASCII byte 0xe9"),
     (b"a x.fgram\n\na y.fgram\n", FormatError, ":3: duplicate utt_id 'a'"),
-], ids=["one-field-line", "non-ascii-byte", "repeated-utt-id"])
+    (b"a x.fgram\nu ../outside.fgram\n", FormatError,
+     r":2: file name '../outside.fgram' contains a path separator"),
+    (b"u sub\\u.fgram\n", FormatError, r":1: file name 'sub\\\\u.fgram' contains a path separator"),
+], ids=["one-field-line", "non-ascii-byte", "repeated-utt-id", "dot-dot", "backslash"])
 def test_manifest_readers_name_the_bad_line(tmp_path, content, error, where):
     (tmp_path / "features.manifest").write_bytes(content)
-    for read in (FeatureStore, lambda d: write_feature_manifest(d, {"u3": "u3.fgram"})):
+    for read in (lambda d: FeatureStore(d, []),
+                 lambda d: write_feature_manifest(d, {"u3": "u3.fgram"})):
         with pytest.raises(error, match="features.manifest" + where):
             read(tmp_path)
 
@@ -110,7 +133,7 @@ def test_manifest_readers_name_the_bad_line(tmp_path, content, error, where):
 def test_best_dev_checkpoint_retained(tmp_path, rng):
     # the returned model must correspond to the best epoch, not the last
     train_entries, dev_entries = make_toy_features(tmp_path, rng)
-    store = FeatureStore(tmp_path)
+    store = toy_store(tmp_path, train_entries, dev_entries)
     model = ResNet(TOY_CFG, seed=7)
     cfg = TrainConfig(lr=3e-3, batch_size=4, max_epochs=10, seed=7)
     result = train(model, train_entries, dev_entries, store, cfg, tmp_path / "train.log")
@@ -139,8 +162,8 @@ def test_training_on_one_class_is_a_data_error(tmp_path, rng, label, alpha):
     counts = {"spoof": (0, len(one_class)), "bonafide": (len(one_class), 0)}[label]
     cfg = TrainConfig(max_epochs=1, alpha=alpha)
     with pytest.raises(DataError, match=r"both classes, got %d bonafide and %d spoof" % counts):
-        train(ResNet(TOY_CFG, seed=0), one_class, dev_entries, FeatureStore(tmp_path), cfg,
-              tmp_path / "train.log")
+        train(ResNet(TOY_CFG, seed=0), one_class, dev_entries,
+              toy_store(tmp_path, one_class, dev_entries), cfg, tmp_path / "train.log")
 
 
 LR = 1e-3
@@ -161,7 +184,7 @@ def test_lr_is_cut_after_patience_epochs_without_a_better_dev_eer(tmp_path, rng,
     cfg = TrainConfig(lr=LR, batch_size=4, max_epochs=len(dev_eers), plateau_patience=3,
                       plateau_factor=0.1)
     result = train(ResNet(TOY_CFG, seed=0), train_entries, dev_entries,
-                   FeatureStore(tmp_path), cfg, tmp_path / "train.log")
+                   toy_store(tmp_path, train_entries, dev_entries), cfg, tmp_path / "train.log")
     assert [h["lr"] for h in result.history] == lrs
     assert [h["dev_eer"] for h in result.history] == list(dev_eers)
     assert (result.best_epoch, result.best_dev_eer) == (best_epoch, min(dev_eers))
