@@ -6,10 +6,11 @@
 # gradient), scoring at one job and at two (byte for byte the same), a saliency
 # map drawn twice (a one-hot seed; byte for byte the same), mean fusion,
 # evaluation and the per-attack breakdown, the evaluation of scores near the
-# float maximum, then inputs that must each end in one error:<category>: line
-# with exit code 1: a feature directory of mixed kinds, a manifest naming a
-# file outside its directory and an allocation past the address space among
-# them.
+# float maximum, mean fusion of empty score files, then inputs that must each
+# end in one error:<category>: line with exit code 1: lr fusion on one-class
+# dev data, a window of another name, a feature directory of mixed kinds, a
+# manifest naming a file outside its directory and an allocation past the
+# address space among them.
 #
 #   bash .github/console_pipeline.sh    # with replaycm on PATH
 set -euo pipefail
@@ -107,7 +108,25 @@ expect_error() {
 expect_error parameter replaycm fuse --method mean \
   --scores toy/eval_scores.txt toy/eval_scores.txt --dev-scores toy/eval_scores.txt \
   --out toy/rejected.txt
+# lr fusion fits on dev utterances of both classes: three bonafide lines are rejected
+printf 'b0 - bonafide\nb1 - bonafide\nb2 - bonafide\n' > toy/bonafide_protocol.txt
+printf 'b0 0.5\nb1 1.5\nb2 -0.25\n' > toy/bonafide_scores.txt
+expect_error data replaycm fuse --method lr --scores toy/eval_scores.txt toy/eval_scores.txt \
+  --dev-scores toy/bonafide_scores.txt toy/bonafide_scores.txt \
+  --dev-protocol toy/bonafide_protocol.txt --out toy/rejected.txt
+# mean fusion of empty score files writes an empty file, as score of an empty protocol does
+: > toy/empty_scores.txt
+replaycm fuse --method mean --scores toy/empty_scores.txt toy/empty_scores.txt \
+  --out toy/empty_fused.txt
+if [ ! -e toy/empty_fused.txt ] || [ -s toy/empty_fused.txt ]; then
+  echo "mean fusion of empty score files did not write an empty file" >&2
+  exit 1
+fi
 expect_error parameter replaycm simulate --out toy/rejected --sources 3 --utts 1 --seed -1
+# [stft] window is hamming, hann or rect
+printf '[stft]\nwindow = boxcar\n' > toy/boxcar.cfg
+expect_error parameter replaycm extract --feature stft --protocol toy/protocol_dev.txt \
+  --wav-dir toy/wav --out toy/rejected --config toy/boxcar.cfg
 # the dev protocol's two classes are checked before the first epoch
 : > toy/empty_protocol.txt
 expect_error data replaycm train --feature-dir toy/stft --protocol-train toy/protocol_train.txt \

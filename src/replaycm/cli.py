@@ -282,6 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# how numpy words a size past any address space, for which it raises
+# ValueError, not MemoryError
+NUMPY_TOO_BIG = ("array is too big", "Maximum allowed size exceeded",
+                 "Maximum allowed dimension exceeded")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -293,7 +299,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error:io: {exc}", file=sys.stderr)
         return 1
-    except MemoryError as exc:  # a size that a config or an input can claim
+    except (MemoryError, ValueError) as exc:  # a size that a config or an input can claim
+        if isinstance(exc, ValueError) and not str(exc).startswith(NUMPY_TOO_BIG):
+            raise
         print(f"error:resource: {args.command} ran out of memory building {args.builds}: "
               f"{' '.join(str(exc).split()) or 'no detail'}", file=sys.stderr)
         return 1

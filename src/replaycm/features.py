@@ -3,10 +3,11 @@
 All grams are shaped to exactly 500 frames (truncate long inputs, cyclically
 repeat short ones) so the classifier always sees a fixed-size matrix: column
 j reads frame j mod n_frames.  A gram function keeps every ``bin_stride``-th
-bin and every ``frame_stride``-th column of that matrix, and computes only
-what those cells read: the spectra of the distinct frames they read, once
-each, and per-bin math on the kept bins alone.  STFT, GD and MGD take their
-spectra through one path, ``_gram_spectra``; GD and MGD share ``_group_delay``.
+bin and every ``frame_stride``-th column of that matrix.  STFT, GD and MGD
+transform only the distinct frames the kept columns read, through one path,
+``_gram_spectra``; GD and MGD share ``_group_delay``, MGD over the cepstrally
+smoothed magnitude and GD over the magnitude itself.  The CQT computes every
+frame and takes the kept columns afterwards.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ MAG_FLOOR = 1e-10
 
 KIND_CODES = {"STFT": 0, "GD": 1, "MGD": 2, "CQT": 3}
 KIND_NAMES = {v: k for k, v in KIND_CODES.items()}
+# the analysis windows that [stft] window may name
+WINDOWS = {"hamming": np.hamming, "hann": np.hanning, "rect": np.ones}
 
 
 @dataclass
@@ -43,16 +46,14 @@ class FrameSpec:
                 f"need 0 < hop <= frame_len <= n_fft, got "
                 f"hop={self.hop} frame_len={self.frame_len} n_fft={self.n_fft}"
             )
+        if self.window not in WINDOWS:
+            raise ParameterError(f"unknown window {self.window!r}; expected hamming, hann or rect")
 
     @classmethod
     def from_ms(cls, sample_rate: int, frame_ms: float = 25.0, hop_ms: float = 10.0,
                 window: str = "hamming", n_fft: int = 1024) -> "FrameSpec":
-        return cls(
-            frame_len=int(round(frame_ms * sample_rate / 1000.0)),
-            hop=int(round(hop_ms * sample_rate / 1000.0)),
-            window=window,
-            n_fft=n_fft,
-        )
+        return cls(int(round(frame_ms * sample_rate / 1000.0)),
+                   int(round(hop_ms * sample_rate / 1000.0)), window, n_fft)
 
 
 @dataclass
@@ -60,7 +61,6 @@ class MgdParams:
     rho: float = 0.2
     lam: float = 0.7
     lifter_len: int = 30
-    smoothing: bool = True  # False degrades MGD to the vanilla GD function
 
     def __post_init__(self):
         if not (0 < self.rho <= 1.0):
@@ -87,20 +87,9 @@ class FeatureGram:
             raise InternalError(f"non-finite cells in {self.kind} gram for {self.utt_id!r}")
 
 
-def _window(name: str, length: int) -> np.ndarray:
-    if name == "hamming":
-        return np.hamming(length)
-    if name == "hann":
-        return np.hanning(length)
-    if name in ("rect", "rectangular", "boxcar"):
-        return np.ones(length)
-    raise ParameterError(f"unknown window {name!r}")
-
-
-def _fixed_columns(n_frames: int, frame_stride: int) -> tuple:
-    """(frames, cols): the distinct frames that the kept columns of the fixed
-    gram read, in order, and each kept column's index into ``frames``."""
-    return np.unique(np.arange(0, N_FRAMES_FIXED, frame_stride) % n_frames, return_inverse=True)
+def _fixed_columns(n_frames: int, frame_stride: int) -> np.ndarray:
+    """The frame that each kept column of the fixed gram reads."""
+    return np.arange(0, N_FRAMES_FIXED, frame_stride) % n_frames
 
 
 def _gram_spectra(w: Waveform, spec: FrameSpec, frame_stride: int, ramped: bool = False):
@@ -113,9 +102,9 @@ def _gram_spectra(w: Waveform, spec: FrameSpec, frame_stride: int, ramped: bool 
         raise ParameterError(f"input of {w.samples.size} samples too short for one "
                              f"{spec.frame_len}-sample frame")
     frames = np.lib.stride_tricks.sliding_window_view(w.samples, spec.frame_len)[:: spec.hop]
-    kept, cols = _fixed_columns(frames.shape[0], frame_stride)
+    kept, cols = np.unique(_fixed_columns(frames.shape[0], frame_stride), return_inverse=True)
     frames = frames[kept]
-    win = _window(spec.window, spec.frame_len)
+    win = WINDOWS[spec.window](spec.frame_len)
     # both weighted stacks in one buffer, so one rfft serves X and Y
     weighted = np.empty((2 if ramped else 1, *frames.shape))
     np.multiply(frames, win, out=weighted[0])
@@ -159,40 +148,39 @@ def cepstral_smooth(mag: np.ndarray, lifter_len: int) -> np.ndarray:
     return np.exp(smooth, out=smooth)
 
 
-def _group_delay(x_spec: np.ndarray, y_spec: np.ndarray, p: MgdParams, bin_stride: int,
-                 utt_id: str) -> np.ndarray:
-    """Modified group delay of the spectra X and Y, on every bin_stride-th bin.
-
-    tau' = (X_R Y_R + X_I Y_I) / S^(2 lambda) with X the windowed-frame
-    spectrum, Y the spectrum of the index-ramped frame and S the cepstrally
-    smoothed magnitude of X; the output is sign(tau') |tau'|^rho.
+def _group_delay(x_spec: np.ndarray, y_spec: np.ndarray, smooth: np.ndarray, rho: float,
+                 lam: float, utt_id: str) -> np.ndarray:
+    """Group delay of the spectra X and Y over the magnitude S, all three on
+    the same bins: tau' = (X_R Y_R + X_I Y_I) / S^(2 lambda), output
+    sign(tau') |tau'|^rho.  X is the windowed-frame spectrum and Y the
+    spectrum of the index-ramped frame.  MGD passes the cepstrally smoothed
+    magnitude of X as S; GD passes |X| itself with rho = lambda = 1.
     """
-    if p.smoothing:  # the cepstral smoothing reads every bin
-        smooth = cepstral_smooth(np.abs(x_spec), p.lifter_len)[::bin_stride]
-    else:
-        smooth = np.maximum(np.abs(x_spec[::bin_stride]), MAG_FLOOR)
-    x_spec, y_spec = x_spec[::bin_stride], y_spec[::bin_stride]
     with np.errstate(over="ignore", invalid="ignore"):
         cross = x_spec.real * y_spec.real + x_spec.imag * y_spec.imag
-        tau_raw = cross / np.power(smooth, 2.0 * p.lam)
-        tau = np.sign(tau_raw) * np.power(np.abs(tau_raw), p.rho)
+        tau_raw = cross / np.power(smooth, 2.0 * lam)
+        tau = np.sign(tau_raw) * np.power(np.abs(tau_raw), rho)
     if not np.all(np.isfinite(tau)):
-        raise InternalError(f"non-finite modified group delay for {utt_id!r}")
+        raise InternalError(f"non-finite group delay for {utt_id!r}")
     return tau
 
 
 def mgd_gram(w: Waveform, spec: FrameSpec, p: MgdParams, bin_stride: int = 1,
              frame_stride: int = 1) -> FeatureGram:
-    spectra, cols = _gram_spectra(w, spec, frame_stride, ramped=True)
-    return FeatureGram("MGD", _group_delay(*spectra, p, bin_stride, w.utt_id)[:, cols], w.utt_id)
+    (x_spec, y_spec), cols = _gram_spectra(w, spec, frame_stride, ramped=True)
+    smooth = cepstral_smooth(np.abs(x_spec), p.lifter_len)  # reads every bin
+    tau = _group_delay(x_spec[::bin_stride], y_spec[::bin_stride], smooth[::bin_stride],
+                       p.rho, p.lam, w.utt_id)
+    return FeatureGram("MGD", tau[:, cols], w.utt_id)
 
 
 def gd_gram(w: Waveform, spec: FrameSpec, bin_stride: int = 1,
             frame_stride: int = 1) -> FeatureGram:
-    """Vanilla group-delay gram (X_R Y_R + X_I Y_I) / |X|^2 per frame: MGD
-    with rho = lambda = 1 and no cepstral smoothing."""
-    spectra, cols = _gram_spectra(w, spec, frame_stride, ramped=True)
-    tau = _group_delay(*spectra, MgdParams(rho=1.0, lam=1.0, smoothing=False), bin_stride,
+    """Group-delay gram (X_R Y_R + X_I Y_I) / |X|^2 per frame: the unsmoothed
+    ratio, with |X| floored at MAG_FLOOR."""
+    (x_spec, y_spec), cols = _gram_spectra(w, spec, frame_stride, ramped=True)
+    x_spec, y_spec = x_spec[::bin_stride], y_spec[::bin_stride]
+    tau = _group_delay(x_spec, y_spec, np.maximum(np.abs(x_spec), MAG_FLOOR), 1.0, 1.0,
                        w.utt_id)
     return FeatureGram("GD", tau[:, cols], w.utt_id)
 
@@ -213,6 +201,8 @@ GUARD_BINS = 64
 def cqt_fmin(sample_rate: int, n_octaves: int) -> float:
     """Lowest center frequency: 32.7 Hz when n_octaves fit under Nyquist,
     otherwise Nyquist / 2**n_octaves so the top octave ends at Nyquist."""
+    if n_octaves > 1023:  # 2.0**1024 overflows a float
+        raise ParameterError(f"cqt n_octaves must be at most 1023, got {n_octaves}")
     nyquist = sample_rate / 2.0
     if ANCHOR_FMIN_HZ * 2.0**n_octaves <= nyquist:
         return ANCHOR_FMIN_HZ
@@ -247,9 +237,9 @@ class CqtKernel:
         # Q = f_k / (f_{k+1} - f_k), the same for every bin
         self.q_factor = 1.0 / (2.0 ** (1.0 / bins_per_octave) - 1.0)
         cap = max(int(round(MAX_WINDOW_S * sample_rate)), 32)
-        self.lengths = np.clip(
-            np.round(self.q_factor * sample_rate / self.freqs).astype(int), 2, cap
-        )
+        with np.errstate(over="ignore"):  # clipped in float, so an inf length is the cap
+            lengths = np.round(self.q_factor * sample_rate / self.freqs)
+        self.lengths = np.clip(lengths, 2, cap).astype(int)
         self.hop = hop
         # the largest power of 2 that divides hop, at most 2**MAX_HALVINGS
         self.max_decimation = min(hop & -hop, 2**MAX_HALVINGS)
@@ -274,10 +264,9 @@ class CqtKernel:
         # how far a window reaches from its center, in samples at sample_rate
         self.reach = max(d * (kernel.shape[0] // 2) for d, kernel in self.octaves)
 
-    def transform(self, samples: np.ndarray, frames=slice(None)) -> np.ndarray:
-        """Magnitude CQT, shape (n_bins, n_frames); frame t centered on t*hop.
-        ``frames`` selects the frames (columns) to keep, after each octave's
-        kernel product: a product of fewer rows would round differently.
+    def transform(self, samples: np.ndarray) -> np.ndarray:
+        """Magnitude CQT of every frame, shape (n_bins, n_frames) with
+        n_frames = max(samples.size // hop, 1); frame t centered on t*hop.
 
         The utterance is zero-padded to a period that no window reaches
         across.  Octave o reads that period at sr / d_o: its spectrum cut at
@@ -299,7 +288,7 @@ class CqtKernel:
             # read round the period
             ring = np.roll(signals[d], half)
             windows = np.lib.stride_tricks.sliding_window_view(ring, kernel.shape[0])
-            prod = (windows[:: self.hop // d][:n_frames] @ kernel)[frames]
+            prod = windows[:: self.hop // d][:n_frames] @ kernel
             n_bins = kernel.shape[1] // 2
             mags.append(np.hypot(prod[:, :n_bins], prod[:, n_bins:]).T)
         return np.concatenate(mags)
@@ -328,10 +317,9 @@ def cqt_gram(w: Waveform, hop: int = 128, n_octaves: int = 9, bins_per_octave: i
     if w.samples.size < hop:
         raise ParameterError(f"input of {w.samples.size} samples too short for one "
                              f"{hop}-sample cqt hop")
-    kept, cols = _fixed_columns(w.samples.size // hop, frame_stride)
-    kernel = _cached_kernel(w.sample_rate, n_octaves, bins_per_octave, hop)
-    mags = kernel.transform(w.samples, kept)[::bin_stride]
-    return FeatureGram("CQT", np.log(mags + LOG_EPS)[:, cols], w.utt_id)
+    mags = _cached_kernel(w.sample_rate, n_octaves, bins_per_octave, hop).transform(w.samples)
+    cols = _fixed_columns(mags.shape[1], frame_stride)
+    return FeatureGram("CQT", np.log(mags[::bin_stride] + LOG_EPS)[:, cols], w.utt_id)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ from decimal import ROUND_HALF_UP, Context, Decimal
 
 import numpy as np
 
-from .errors import (AlignmentError, NumericError, ParameterError, ParseError, ascii_lines,
-                     atomic_open)
+from .errors import (AlignmentError, DataError, NumericError, ParameterError, ParseError,
+                     ascii_lines, atomic_open)
 
 LR_RIDGE = 1e-4
 LR_GRAD_TOL = 1e-8
@@ -73,7 +73,8 @@ class FusionModel:
 
 
 def _aligned_matrix(score_sets):
-    """Stack K score dicts into (n_utts, K); utt_id sets must agree."""
+    """Stack K score dicts into (n_utts, K), (0, K) for empty sets; utt_id
+    sets must agree."""
     if len(score_sets) < 1:
         raise ParameterError("need at least one score set")
     base = set(score_sets[0])
@@ -85,7 +86,7 @@ def _aligned_matrix(score_sets):
             )
     utt_ids = sorted(base)
     mat = np.array([[s[u] for s in score_sets] for u in utt_ids], dtype=np.float64)
-    return mat, utt_ids
+    return mat.reshape(len(utt_ids), len(score_sets)), utt_ids
 
 
 def mean_fuse(score_sets) -> dict:
@@ -105,7 +106,8 @@ def lr_fuse_train(score_sets, labels: dict) -> FusionModel:
     Maximizes the ridge-penalized binomial log-likelihood of
     sigma(w . s + b) by Newton iteration until the gradient norm drops
     below 1e-8; the bias is not penalized, so an intercept-only fit recovers
-    the logit of the class prior exactly.
+    the logit of the class prior exactly.  The dev utterances must hold both
+    classes: with one, the likelihood has no maximum.
     """
     if len(score_sets) < 2:
         raise ParameterError("logistic fusion needs at least 2 systems")
@@ -114,6 +116,10 @@ def lr_fuse_train(score_sets, labels: dict) -> FusionModel:
     if missing:
         raise AlignmentError(f"missing dev labels for {missing[:10]}")
     y = np.array([1.0 if labels[u] == "bonafide" else 0.0 for u in utt_ids])
+    n_bona = int(y.sum())
+    if n_bona in (0, y.size):
+        raise DataError(f"logistic fusion needs bonafide and spoof dev utterances, got "
+                        f"{n_bona} bonafide and {y.size - n_bona} spoof")
     n, k = mat.shape
     x = np.concatenate([mat, np.ones((n, 1))], axis=1)
     penalty = np.full(k + 1, LR_RIDGE)

@@ -1,10 +1,16 @@
+import os
 import shutil
 import struct
+import subprocess
 import sys
+import tempfile
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ckpt_with_config
 from replaycm import training
@@ -81,6 +87,42 @@ def test_lr_fusion_cli(pipeline, tmp_path):
                  "--out", str(out)]) == 0
     fused = read_score_file(out)
     assert set(fused) == set(read_score_file(scores))
+
+
+def _fuse(method, scores, out, dev_scores=None, dev_protocol=None) -> list:
+    args = ["fuse", "--method", method, "--scores", *map(str, scores), "--out", str(out)]
+    if dev_scores:
+        args += ["--dev-scores", *map(str, dev_scores), "--dev-protocol", str(dev_protocol)]
+    return args
+
+
+def test_lr_fusion_on_a_one_class_dev_protocol_is_a_data_error(pipeline, tmp_path, capsys):
+    # it once exited 0 and scored every eval utterance 19.202895
+    _, _, _, _, scores, _ = pipeline
+    dev_scores, dev_protocol = tmp_path / "dev.txt", tmp_path / "dev_protocol.txt"
+    dev_scores.write_text("b0 0.5\nb1 1.5\nb2 -0.25\n")
+    dev_protocol.write_text("b0 - bonafide\nb1 - bonafide\nb2 - bonafide\n")
+    out = tmp_path / "fused.txt"
+    code = main(_fuse("lr", [scores, scores], out, [dev_scores, dev_scores], dev_protocol))
+    assert _error_line(code, capsys) == ("error:data: logistic fusion needs bonafide and spoof "
+                                         "dev utterances, got 3 bonafide and 0 spoof")
+    assert not out.exists()
+
+
+def test_fusion_of_empty_score_files(tmp_path, capsys):
+    # both methods once ended in a numpy traceback; mean fusion writes an
+    # empty file, as score of an empty protocol does, and lr has no classes
+    empty, protocol, out = tmp_path / "empty.txt", tmp_path / "protocol.txt", tmp_path / "f.txt"
+    empty.write_text("")
+    protocol.write_text("")
+    assert main(_fuse("mean", [empty, empty], out)) == 0
+    assert out.read_bytes() == b""
+    assert capsys.readouterr().err == ""
+    out.unlink()
+    code = main(_fuse("lr", [empty, empty], out, [empty, empty], protocol))
+    assert _error_line(code, capsys) == ("error:data: logistic fusion needs bonafide and spoof "
+                                         "dev utterances, got 0 bonafide and 0 spoof")
+    assert not out.exists()
 
 
 def test_evaluate_hand_built_pair(tmp_path, capsys):
@@ -944,6 +986,37 @@ def test_cqt_hop_longer_than_the_utterance_is_a_parameter_error(pipeline, tmp_pa
         in err, err
 
 
+@pytest.mark.parametrize("n_octaves, bins", [(200, 12 * 200), (1023, 1023)])
+def test_cqt_octaves_whose_windows_outgrow_an_int_extract_cleanly(pipeline, tmp_path, capsys, n_octaves,
+                                                          bins):
+    # at 200 octaves the lowest windows, ~1e64 samples long, were cast to int
+    # before the clip: numpy warned "invalid value encountered in cast"
+    _, corpus, _, _, _, _ = pipeline
+    utt_id, protocol = _one_utterance(corpus, tmp_path)
+    cfg = tmp_path / "octaves.cfg"
+    cfg.write_text(f"[cqt]\nn_octaves = {n_octaves}\nbins_per_octave = {bins // n_octaves}\n")
+    out = tmp_path / "cqt"
+    assert main(["extract", "--feature", "cqt", "--protocol", str(protocol),
+                 "--wav-dir", str(corpus / "wav"), "--out", str(out), "--config", str(cfg),
+                 "--bin-stride", "8", "--frame-stride", "10"]) == 0
+    assert capsys.readouterr().err == ""
+    assert read_gram(out / f"{utt_id}.fgram").data.shape == (-(-bins // 8), 50)
+
+
+def test_cqt_octaves_past_the_float_range_are_a_parameter_error(pipeline, tmp_path, capsys):
+    # 2.0**1100 once ended in an OverflowError traceback
+    _, corpus, _, _, _, _ = pipeline
+    _, protocol = _one_utterance(corpus, tmp_path)
+    cfg = tmp_path / "octaves.cfg"
+    cfg.write_text("[cqt]\nn_octaves = 1100\n")
+    code = main(["extract", "--feature", "cqt", "--protocol", str(protocol),
+                 "--wav-dir", str(corpus / "wav"), "--out", str(tmp_path / "cqt"),
+                 "--config", str(cfg)])
+    err = _error_line(code, capsys)
+    assert err.startswith("error:parameter: ") and \
+        err.endswith("cqt n_octaves must be at most 1023, got 1100"), err
+
+
 def test_stride_keys_are_not_cqt_config_keys(pipeline, tmp_path, capsys):
     _, corpus, _, _, _, _ = pipeline
     for key in ("bin_stride", "frame_stride"):
@@ -960,6 +1033,20 @@ def test_stride_keys_are_not_cqt_config_keys(pipeline, tmp_path, capsys):
 ADDRESS_SPACE_LIMIT = 1 << 30
 
 
+def _cli_in_a_child(args, address_space=ADDRESS_SPACE_LIMIT) -> subprocess.CompletedProcess:
+    """``replaycm args`` in a child process with one BLAS thread, under an
+    address-space limit."""
+    resource = pytest.importorskip("resource")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    return subprocess.run([sys.executable, "-m", "replaycm.cli", *args], env=env,
+                          preexec_fn=limit, capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.parametrize("command, config, what", [
     ("extract-stft", "[stft]\nn_fft = 100000000000\n", "71.3 TiB"),
     ("extract-mgd", "[stft]\nn_fft = 100000000000\n", "143. TiB"),
@@ -968,11 +1055,6 @@ ADDRESS_SPACE_LIMIT = 1 << 30
     ("train", "[model]\nfc_width = 100000000000\n", "TiB"),
 ], ids=["n_fft-stft", "n_fft-mgd", "bins_per_octave", "channels", "fc_width"])
 def test_out_of_memory_is_one_resource_line(pipeline, tmp_path, command, config, what):
-    resource = pytest.importorskip("resource")
-    import os
-    import subprocess
-    from pathlib import Path
-
     _, corpus, feats, _, _, _ = pipeline
     cfg = tmp_path / "big.cfg"
     cfg.write_text(config)
@@ -983,14 +1065,7 @@ def test_out_of_memory_is_one_resource_line(pipeline, tmp_path, command, config,
         args = ["extract", "--feature", command.split("-")[1],
                 "--protocol", str(corpus / "protocol_dev.txt"), "--wav-dir", str(corpus / "wav"),
                 "--out", str(out), "--config", str(cfg)]
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_LIMIT, ADDRESS_SPACE_LIMIT))
-
-    run = subprocess.run([sys.executable, "-m", "replaycm.cli", *args], env=env,
-                         preexec_fn=limit, capture_output=True, text=True, timeout=120)
+    run = _cli_in_a_child(args)
     assert run.returncode == 1 and run.stdout == "", (run.returncode, run.stdout, run.stderr)
     assert len(run.stderr.splitlines()) == 1, run.stderr
     verb = args[0]
@@ -1002,3 +1077,100 @@ def test_out_of_memory_is_one_resource_line(pipeline, tmp_path, command, config,
         assert list(out.iterdir()) == []
     else:
         assert not out.exists() and not Path(str(out) + ".log").exists()
+
+
+@pytest.mark.parametrize("command, config, what", [
+    ("mgd", f"[stft]\nn_fft = {2**62}\n", "array is too big"),
+    ("stft", f"[stft]\nn_fft = {10**20}\n", "Maximum allowed dimension exceeded"),
+    ("cqt", f"[cqt]\nbins_per_octave = {2**62}\n", "Maximum allowed size exceeded"),
+], ids=["array-bytes", "dimension", "size"])
+def test_a_size_past_any_array_is_one_resource_line(pipeline, tmp_path, capsys, command, config,
+                                                    what):
+    # numpy raises ValueError, not MemoryError, for these sizes, and each
+    # once ended in a traceback; none allocates, so they run in-process
+    _, corpus, _, _, _, _ = pipeline
+    _, protocol = _one_utterance(corpus, tmp_path)
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(config)
+    code = main(["extract", "--feature", command, "--protocol", str(protocol),
+                 "--wav-dir", str(corpus / "wav"), "--out", str(tmp_path / "out"),
+                 "--config", str(cfg)])
+    err = _error_line(code, capsys)
+    assert err.startswith(f"error:resource: extract ran out of memory building feature grams: "
+                          f"{what}"), err
+
+
+def test_any_other_value_error_is_not_a_resource_line(monkeypatch):
+    def broken(args):
+        raise ValueError("a fault in the program")
+
+    monkeypatch.setattr("replaycm.cli.cmd_evaluate", broken)
+    with pytest.raises(ValueError, match="a fault in the program"):
+        main(["evaluate", "--scores", "s.txt", "--protocol", "p.txt"])
+
+
+# sizes past any address space, some past any 64-bit integer
+ABSURD_INT = st.integers(10**10, 10**400).map(str)
+ABSURD_FLOAT = st.floats(1e10, 1e300).map(repr)
+BAD_NUMBER = st.sampled_from(["0", "-1", "nan", "inf", "1e400", "x", ""])
+
+
+def _values(valid, absurd=ABSURD_INT, invalid=BAD_NUMBER):
+    return st.one_of(st.sampled_from(valid), invalid, absurd)
+
+
+# small valid values, invalid ones and absurd sizes of every [stft], [mgd] and
+# [cqt] key; no valid size that runs slowly, such as a one-sample hop
+FRONT_END_VALUES = {
+    "stft": {"frame_ms": _values(["20", "25", "32"], ABSURD_FLOAT),
+             "hop_ms": _values(["5", "10", "16"], ABSURD_FLOAT),
+             "window": st.sampled_from(["hamming", "hann", "rect", "boxcar", "rectangular", ""]),
+             "n_fft": _values(["512", "1024", "2048"], invalid=st.sampled_from(["0", "-1", "1.5"]))},
+    "mgd": {"rho": _values(["0.2", "1", "1e-300"], ABSURD_FLOAT),
+            "lambda": _values(["0.7", "1", "1e-300"], ABSURD_FLOAT),
+            "lifter_len": _values(["1", "30", "600"])},
+    "cqt": {"hop": _values(["64", "128", "160"]),
+            "n_octaves": _values(["1", "9", "12"]),
+            "bins_per_octave": _values(["12", "96"])},
+}
+# the sections each front-end reads
+READS = {"stft": ["stft"], "gd": ["stft"], "mgd": ["stft", "mgd"], "cqt": ["cqt"]}
+
+
+@st.composite
+def front_end_config(draw) -> tuple:
+    """A feature kind, and a config setting one or two keys that it reads."""
+    kind = draw(st.sampled_from(sorted(READS)))
+    keys = st.sampled_from([(section, key) for section in READS[kind]
+                            for key in FRONT_END_VALUES[section]])
+    lines = {}
+    for section, key in draw(st.lists(keys, min_size=1, max_size=2, unique=True)):
+        lines.setdefault(section, []).append(f"{key} = {draw(FRONT_END_VALUES[section][key])}\n")
+    return kind, "".join(f"[{section}]\n" + "".join(keyed) for section, keyed in lines.items())
+
+
+@pytest.fixture(scope="module")
+def one_utterance(pipeline, tmp_path_factory):
+    _, corpus, _, _, _, _ = pipeline
+    return (corpus,) + _one_utterance(corpus, tmp_path_factory.mktemp("one"))
+
+
+# ~0.25 s a child process: 40 examples add ~10 s
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(front_end_config())
+def test_every_front_end_config_extracts_or_ends_in_one_error_line(one_utterance, drawn):
+    corpus, utt_id, protocol = one_utterance
+    kind, text = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "front_end.cfg", Path(tmp) / "out"
+        cfg.write_text(text)
+        run = _cli_in_a_child(["extract", "--feature", kind, "--protocol", str(protocol),
+                               "--wav-dir", str(corpus / "wav"), "--out", str(out),
+                               "--config", str(cfg)], address_space=2 * ADDRESS_SPACE_LIMIT)
+        if run.returncode == 0:
+            assert run.stderr == ""
+            assert read_gram(out / f"{utt_id}.fgram").kind == kind.upper()
+        else:
+            assert run.returncode == 1, run.stderr
+            assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith("error:"), \
+                run.stderr

@@ -13,6 +13,7 @@ from replaycm.audio_io import Waveform, synth_tone_complex
 from replaycm.errors import FormatError, InternalError, ParameterError
 from replaycm.features import (
     LOG_EPS,
+    MAG_FLOOR,
     MAX_WINDOW_S,
     N_FRAMES_FIXED,
     CqtKernel,
@@ -101,6 +102,11 @@ class TestStft:
             FrameSpec(frame_len=100, hop=200, window="hamming", n_fft=1024)
         with pytest.raises(ParameterError):
             FrameSpec(frame_len=2048, hop=100, window="hamming", n_fft=1024)
+
+    @pytest.mark.parametrize("window", ["boxcar", "rectangular", "Hamming", ""])
+    def test_a_window_of_another_name_is_rejected(self, window):
+        with pytest.raises(ParameterError, match="expected hamming, hann or rect"):
+            FrameSpec(frame_len=400, hop=160, window=window, n_fft=1024)
 
 
 class TestStftGram:
@@ -205,13 +211,6 @@ class TestCepstralSmooth:
 
 
 class TestMgd:
-    def test_degenerates_to_vanilla_gd(self, rng):
-        spec = SPEC
-        p = MgdParams(rho=1.0, lam=1.0, smoothing=False)
-        for _ in range(20):
-            w = _noise_wave(rng)
-            assert np.max(np.abs(mgd_gram(w, spec, p).data - gd_gram(w, spec).data)) < 1e-9
-
     def test_gd_is_the_explicit_formula_bit_for_bit(self, rng):
         spec = SPEC
         for _ in range(10):
@@ -290,6 +289,20 @@ class TestCqt:
         assert cqt_fmin(16000, 9) == pytest.approx(8000.0 / 512.0)
         # at 96 kHz nine octaves fit below Nyquist from the 32.7 Hz anchor
         assert cqt_fmin(96000, 9) == pytest.approx(32.7)
+        assert cqt_fmin(16000, 1023) == 8000.0 / 2.0**1023
+
+    @pytest.mark.parametrize("n_octaves", [1024, 1100, 10**10])
+    def test_octaves_past_the_float_range_are_rejected(self, n_octaves):
+        # 2.0**1100 once ended in an OverflowError
+        with pytest.raises(ParameterError, match=f"at most 1023, got {n_octaves}$"):
+            cqt_fmin(16000, n_octaves)
+
+    def test_lengths_too_long_for_an_int_are_the_cap(self):
+        # 200 octaves put the lowest bins ~1e64 samples long: once cast to
+        # int before the clip, with a warning, they became 2-sample windows
+        kernel = CqtKernel(SR, 200, 1, 128)
+        assert kernel.lengths[0] == kernel.lengths[-150] == round(MAX_WINDOW_S * SR)
+        assert list(kernel.lengths[-3:]) == [16, 8, 4]  # Q = 1 period at 1, 2 and 4 kHz
 
     def test_geometric_center_frequencies(self, kernel):
         ratios = kernel.freqs[1:] / kernel.freqs[:-1]
@@ -540,13 +553,14 @@ def full_resolution(kind: str, w: Waveform) -> np.ndarray:
     """Every bin of every frame, before the fixed gram's columns are taken:
     the spectra of ``explicit_spectra``, and the group delays of
     ``_group_delay``, whose formula ``TestMgd`` checks."""
+    x, y = explicit_spectra(w, STRIDE_SPEC)
     if kind == "STFT":
-        return np.log(np.abs(explicit_spectra(w, STRIDE_SPEC)[0]) ** 2 + LOG_EPS)
+        return np.log(np.abs(x) ** 2 + LOG_EPS)
     if kind == "GD":
-        return _group_delay(*explicit_spectra(w, STRIDE_SPEC),
-                            MgdParams(rho=1.0, lam=1.0, smoothing=False), 1, "u")
+        return _group_delay(x, y, np.maximum(np.abs(x), MAG_FLOOR), 1.0, 1.0, "u")
     if kind == "MGD":
-        return _group_delay(*explicit_spectra(w, STRIDE_SPEC), MgdParams(), 1, "u")
+        p = MgdParams()
+        return _group_delay(x, y, cepstral_smooth(np.abs(x), p.lifter_len), p.rho, p.lam, "u")
     kernel = CqtKernel(STRIDE_SR, STRIDE_CQT["n_octaves"], STRIDE_CQT["bins_per_octave"],
                        STRIDE_CQT["hop"])
     return np.log(kernel.transform(w.samples) + LOG_EPS)

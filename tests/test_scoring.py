@@ -3,7 +3,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from replaycm.errors import AlignmentError, NumericError, ParameterError, ParseError
+from replaycm.errors import AlignmentError, DataError, NumericError, ParameterError, ParseError
 from replaycm.metrics import eer, split_scores
 from replaycm.replay_sim import ManifestEntry
 from replaycm.scoring import lr_fuse_train, mean_fuse, read_score_file, write_score_file
@@ -116,6 +116,11 @@ class TestMeanFuse:
         with pytest.raises(AlignmentError, match="u2"):
             mean_fuse([{"u1": 0.0}, {"u1": 0.0, "u2": 1.0}])
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_empty_sets_fuse_to_an_empty_set(self, k):
+        # an empty (0,) matrix once raised numpy's AxisError
+        assert mean_fuse([{}] * k) == {}
+
 
 class TestLrFuse:
     def test_separable_dev_reaches_zero_eer(self, rng):
@@ -149,6 +154,31 @@ class TestLrFuse:
     def test_missing_labels_rejected(self):
         with pytest.raises(AlignmentError):
             lr_fuse_train([{"u": 0.0}, {"u": 1.0}], {})
+
+    @pytest.mark.parametrize("label, counts", [("bonafide", "3 bonafide and 0 spoof"),
+                                               ("spoof", "0 bonafide and 3 spoof")])
+    def test_one_class_dev_is_a_data_error(self, label, counts):
+        # one class has no likelihood maximum: three bonafide lines once fitted
+        # a bias that scored every utterance 19.202895
+        sets = [{f"u{i}": float(i) for i in range(3)}, {f"u{i}": -float(i) for i in range(3)}]
+        with pytest.raises(DataError, match=f"got {counts}$"):
+            lr_fuse_train(sets, {f"u{i}": label for i in range(3)})
+
+    def test_empty_dev_is_a_data_error(self):
+        with pytest.raises(DataError, match="got 0 bonafide and 0 spoof$"):
+            lr_fuse_train([{}, {}], {})
+
+    def test_the_checks_run_in_order(self):
+        # two systems, then the labels, then both classes
+        with pytest.raises(ParameterError, match="at least 2 systems"):
+            lr_fuse_train([{}], {})
+        with pytest.raises(AlignmentError, match="missing dev labels"):
+            lr_fuse_train([{"u": 0.0}, {"u": 1.0}], {"v": "bonafide"})
+
+    def test_a_fitted_model_fuses_empty_sets_to_an_empty_set(self):
+        model = lr_fuse_train([{"b": 1.0, "s": -1.0}, {"b": 0.5, "s": 0.0}],
+                              {"b": "bonafide", "s": "spoof"})
+        assert model.fuse([{}, {}]) == {}
 
 
 class TestCrossModuleProperties:
