@@ -8,9 +8,9 @@
 # evaluation and the per-attack breakdown, the evaluation of scores near the
 # float maximum, mean fusion of empty score files, then inputs that must each
 # end in one error:<category>: line with exit code 1: lr fusion on one-class
-# dev data, a window of another name, a feature directory of mixed kinds, a
-# manifest naming a file outside its directory and an allocation past the
-# address space among them.
+# dev data, a window of another name, an MGD lifter as long as the spectrum, a
+# feature directory of mixed kinds, a manifest naming a file outside its
+# directory and an allocation past the address space among them.
 #
 #   bash .github/console_pipeline.sh    # with replaycm on PATH
 set -euo pipefail
@@ -127,6 +127,10 @@ expect_error parameter replaycm simulate --out toy/rejected --sources 3 --utts 1
 printf '[stft]\nwindow = boxcar\n' > toy/boxcar.cfg
 expect_error parameter replaycm extract --feature stft --protocol toy/protocol_dev.txt \
   --wav-dir toy/wav --out toy/rejected --config toy/boxcar.cfg
+# an MGD lifter as long as the 513-bin spectrum would smooth nothing
+printf '[mgd]\nlifter_len = 513\n' > toy/lifter.cfg
+expect_error parameter replaycm extract --feature mgd --protocol toy/protocol_dev.txt \
+  --wav-dir toy/wav --out toy/rejected --config toy/lifter.cfg
 # the dev protocol's two classes are checked before the first epoch
 : > toy/empty_protocol.txt
 expect_error data replaycm train --feature-dir toy/stft --protocol-train toy/protocol_train.txt \

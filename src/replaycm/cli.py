@@ -9,35 +9,28 @@ from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
-from . import features as feat
-from . import metrics, replay_sim, scoring, training
-from .audio_io import read_wav
 from .config import load_config
 from .errors import DataError, ParameterError, ReplayCmError
-from .features import FrameSpec, MgdParams, read_gram, write_gram
-from .model import ResNet, ResNetConfig, load_checkpoint, save_checkpoint, saliency_map
-from .replay_sim import read_protocol
-from .scoring import read_score_file, write_score_file
-from .training import FeatureStore, TrainConfig, train, write_feature_manifest
+
+# Each command imports the modules it runs, so that none loads the network
+# and its autodiff engine, say, to extract a gram.
 
 
-def _framed(gram_fn, cfg: dict, **kwargs):
+def _framed(feat, gram_fn, cfg, **kwargs):
     """``gram_fn`` of one waveform, framed at the waveform's own sample rate."""
-    return lambda w, **strides: gram_fn(w, FrameSpec.from_ms(w.sample_rate, **cfg["stft"]),
+    return lambda w, **strides: gram_fn(w, feat.FrameSpec.from_ms(w.sample_rate, **cfg["stft"]),
                                         **kwargs, **strides)
 
 
-# feature kind -> the gram function of one waveform and the strides under a
-# resolved config; looked up when a command runs, so wrappers installed after
-# import (such as perfbench's tracer) take effect
+# feature kind -> the gram function of one waveform and the strides, from the
+# features module and a resolved config; looked up when a command runs, so
+# wrappers installed after import (such as perfbench's tracer) take effect
 FRONTENDS = {
-    "stft": lambda cfg: _framed(feat.stft_gram, cfg),
-    "gd": lambda cfg: _framed(feat.gd_gram, cfg),
-    "mgd": lambda cfg: _framed(feat.mgd_gram, cfg, p=MgdParams(
+    "stft": lambda feat, cfg: _framed(feat, feat.stft_gram, cfg),
+    "gd": lambda feat, cfg: _framed(feat, feat.gd_gram, cfg),
+    "mgd": lambda feat, cfg: _framed(feat, feat.mgd_gram, cfg, p=feat.MgdParams(
         rho=cfg["mgd"]["rho"], lam=cfg["mgd"]["lambda"], lifter_len=cfg["mgd"]["lifter_len"])),
-    "cqt": lambda cfg: partial(feat.cqt_gram, **cfg["cqt"]),
+    "cqt": lambda feat, cfg: partial(feat.cqt_gram, **cfg["cqt"]),
 }
 
 
@@ -55,7 +48,9 @@ def _job_map(jobs: int):
 
 
 def cmd_simulate(args) -> int:
-    replay_sim.generate_corpus(
+    from .replay_sim import generate_corpus
+
+    generate_corpus(
         args.out,
         n_sources=args.sources,
         utt_per_source=args.utts,
@@ -68,6 +63,9 @@ def cmd_simulate(args) -> int:
 
 def _extract_one(entry, wav_dir: Path, out_dir: Path, frontend,
                  bin_stride: int, frame_stride: int) -> tuple:
+    from .audio_io import read_wav
+    from .features import write_gram
+
     path = wav_dir / f"{entry.utt_id}.wav"
     w = read_wav(path)
     try:
@@ -80,9 +78,12 @@ def _extract_one(entry, wav_dir: Path, out_dir: Path, frontend,
 
 
 def cmd_extract(args) -> int:
+    from . import features as feat
+    from .replay_sim import read_protocol
+
     if args.bin_stride < 1 or args.frame_stride < 1:
         raise ParameterError("strides must be >= 1")
-    frontend = FRONTENDS[args.feature](load_config(args.config))
+    frontend = FRONTENDS[args.feature](feat, load_config(args.config))
     entries = read_protocol(args.protocol)
     wav_dir = Path(args.wav_dir)
     out_dir = Path(args.out)
@@ -93,12 +94,16 @@ def cmd_extract(args) -> int:
 
     with _job_map(args.jobs) as map_fn:
         results = list(map_fn(work, entries))
-    write_feature_manifest(out_dir, dict(results))
+    feat.write_feature_manifest(out_dir, dict(results))
     print(f"extracted {len(results)} {args.feature} grams to {out_dir}")
     return 0
 
 
 def cmd_train(args) -> int:
+    from .model import ResNet, ResNetConfig, save_checkpoint
+    from .replay_sim import read_protocol
+    from .training import FeatureStore, TrainConfig, train
+
     gamma = TrainConfig.gamma if args.gamma is None else args.gamma
     if args.objective == "bce":
         # balanced cross-entropy is the focal loss at gamma = 0
@@ -132,10 +137,15 @@ def _check_kind(ckpt, extra: dict, gram_path, kind: str) -> None:
 
 
 def cmd_score(args) -> int:
+    from . import training
+    from .model import load_checkpoint
+    from .replay_sim import read_protocol
+    from .scoring import write_score_file
+
     model, extra = load_checkpoint(args.ckpt)
     with _job_map(args.jobs) as map_fn:
         entries = read_protocol(args.protocol)
-        store = FeatureStore(args.feature_dir, [e.utt_id for e in entries])
+        store = training.FeatureStore(args.feature_dir, [e.utt_id for e in entries])
         if entries:
             _check_kind(args.ckpt, extra, store.paths[store.first_id], store.kind)
         scores = training._score_entries(model, entries, store, map_fn=map_fn)
@@ -145,9 +155,12 @@ def cmd_score(args) -> int:
 
 
 def cmd_fuse(args) -> int:
+    from . import scoring
+    from .replay_sim import read_protocol
+
     if args.method == "mean" and (args.dev_scores is not None or args.dev_protocol is not None):
         raise ParameterError("--dev-scores and --dev-protocol serve --method lr only")
-    score_sets = [read_score_file(p) for p in args.scores]
+    score_sets = [scoring.read_score_file(p) for p in args.scores]
     if args.method == "mean":
         fused = scoring.mean_fuse(score_sets)
     else:
@@ -157,16 +170,19 @@ def cmd_fuse(args) -> int:
             raise ParameterError(
                 f"got {len(args.scores)} eval but {len(args.dev_scores)} dev score files"
             )
-        dev_sets = [read_score_file(p) for p in args.dev_scores]
+        dev_sets = [scoring.read_score_file(p) for p in args.dev_scores]
         labels = {e.utt_id: e.label for e in read_protocol(args.dev_protocol)}
         model = scoring.lr_fuse_train(dev_sets, labels)
         fused = model.fuse(score_sets)
-    write_score_file(fused, args.out)
+    scoring.write_score_file(fused, args.out)
     print(f"fused {len(args.scores)} systems ({args.method}) to {args.out}")
     return 0
 
 
 def _labeled_records(score_path, protocol_path):
+    from .replay_sim import read_protocol
+    from .scoring import read_score_file
+
     scores = read_score_file(score_path)
     entries = read_protocol(protocol_path)
     missing = [e.utt_id for e in entries if e.utt_id not in scores]
@@ -175,12 +191,15 @@ def _labeled_records(score_path, protocol_path):
     return entries, scores
 
 
-def _tdcf_params(config_path) -> metrics.TdcfParams:
-    cfg = load_config(config_path)
-    return metrics.TdcfParams(**cfg["tdcf"])
+def _tdcf_params(config_path):
+    from .metrics import TdcfParams
+
+    return TdcfParams(**load_config(config_path)["tdcf"])
 
 
 def cmd_evaluate(args) -> int:
+    from . import metrics
+
     bona, spoof = metrics.split_scores(*_labeled_records(args.scores, args.protocol))
     eer_val = metrics.eer(bona, spoof)
     tdcf_val = metrics.min_tdcf_norm(bona, spoof, _tdcf_params(args.tdcf_config))
@@ -189,6 +208,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_breakdown(args) -> int:
+    from . import metrics
+
     rows = metrics.breakdown(*_labeled_records(args.scores, args.protocol),
                              _tdcf_params(args.tdcf_config))
     sys.stdout.write(metrics.format_breakdown(rows))
@@ -196,12 +217,16 @@ def cmd_breakdown(args) -> int:
 
 
 def cmd_saliency(args) -> int:
+    import numpy as np
+
+    from .features import FeatureGram, read_gram, write_gram
+    from .model import load_checkpoint, saliency_map
+
     model, extra = load_checkpoint(args.ckpt)
     gram = read_gram(args.feature)
     _check_kind(args.ckpt, extra, args.feature, gram.kind)
     smap = saliency_map(model, gram.data)
-    out = feat.FeatureGram(gram.kind, smap.astype(np.float32), gram.utt_id)
-    write_gram(out, args.out)
+    write_gram(FeatureGram(gram.kind, smap.astype(np.float32), gram.utt_id), args.out)
     print(f"saliency matrix {smap.shape[0]}x{smap.shape[1]} written to {args.out}")
     return 0
 
@@ -240,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", required=True, choices=("bce", "bfl"),
                    help="bce is bfl at gamma = 0")
     p.add_argument("--gamma", type=float, default=None,
-                   help=f"focal exponent (default {TrainConfig.gamma:g})")
+                   help="focal exponent (default: TrainConfig.gamma)")
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train, builds="a model")

@@ -7,7 +7,13 @@ bin and every ``frame_stride``-th column of that matrix.  STFT, GD and MGD
 transform only the distinct frames the kept columns read, through one path,
 ``_gram_spectra``; GD and MGD share ``_group_delay``, MGD over the cepstrally
 smoothed magnitude and GD over the magnitude itself.  The CQT computes every
-frame and takes the kept columns afterwards.
+frame and takes the kept columns afterwards.  Every front-end ends in
+``_fixed_gram``: its kept-frame values are cast to float32, the precision of
+a gram in memory and on disk, before the kept columns are taken.
+
+A feature directory holds one gram file per utterance and a manifest,
+``features.manifest``, of ``<utt_id> <file name>`` lines;
+``write_feature_manifest`` writes it and ``training.FeatureStore`` reads it.
 """
 
 from __future__ import annotations
@@ -17,11 +23,12 @@ import os
 import struct
 import threading
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .audio_io import Waveform
-from .errors import FormatError, InternalError, ParameterError, atomic_open
+from .errors import FormatError, InternalError, ParameterError, ascii_lines, atomic_open
 
 N_FRAMES_FIXED = 500
 LOG_EPS = 1e-10
@@ -92,6 +99,13 @@ def _fixed_columns(n_frames: int, frame_stride: int) -> np.ndarray:
     return np.arange(0, N_FRAMES_FIXED, frame_stride) % n_frames
 
 
+def _fixed_gram(kind: str, values: np.ndarray, cols: np.ndarray, utt_id: str) -> FeatureGram:
+    """The gram whose column j is column ``cols[j]`` of the kept-frame
+    ``values``, cast to float32 once before the columns are taken, so the
+    repeated columns are built at the precision the file holds."""
+    return FeatureGram(kind, values.astype(np.float32)[:, cols], utt_id)
+
+
 def _gram_spectra(w: Waveform, spec: FrameSpec, frame_stride: int, ramped: bool = False):
     """One-sided spectra, each (n_fft/2 + 1, n_kept), of the distinct windowed
     frames that the fixed gram's kept columns read, and each kept column's
@@ -119,7 +133,7 @@ def stft_gram(w: Waveform, spec: FrameSpec, bin_stride: int = 1,
     """Log-power spectrogram: log(|X|^2 + eps), fixed to 500 frames."""
     (x_spec,), cols = _gram_spectra(w, spec, frame_stride)
     mag2 = np.abs(x_spec[::bin_stride]) ** 2
-    return FeatureGram("STFT", np.log(mag2 + LOG_EPS)[:, cols], w.utt_id)
+    return _fixed_gram("STFT", np.log(mag2 + LOG_EPS), cols, w.utt_id)
 
 
 @functools.lru_cache(maxsize=8)
@@ -127,7 +141,7 @@ def _dct_basis(n_bins: int, lifter_len: int) -> np.ndarray:
     """The first lifter_len rows of the orthonormal DCT-II matrix of size n_bins
     (Ahmed, Natarajan & Rao, IEEE Trans. Computers 1974), read-only, since
     every caller shares it."""
-    k = np.arange(min(lifter_len, n_bins))[:, None]
+    k = np.arange(lifter_len)[:, None]
     basis = np.sqrt(2.0 / n_bins) * np.cos(np.pi * k * (2 * np.arange(n_bins) + 1) / (2 * n_bins))
     basis[0] /= np.sqrt(2.0)
     basis.flags.writeable = False
@@ -140,7 +154,9 @@ def cepstral_smooth(mag: np.ndarray, lifter_len: int) -> np.ndarray:
     orthonormal DCT-II matrix.
 
     Works on one spectrum (n_bins,) or a stack (n_bins, n_frames); output is
-    strictly positive.  ``MgdParams`` checks that lifter_len >= 1.
+    strictly positive.  lifter_len must lie in [1, n_bins]: ``MgdParams``
+    checks that it is at least 1, and ``mgd_gram`` that it is below the bin
+    count.
     """
     mag = np.maximum(np.asarray(mag, dtype=np.float64), MAG_FLOOR)
     basis = _dct_basis(mag.shape[0], lifter_len)
@@ -167,11 +183,18 @@ def _group_delay(x_spec: np.ndarray, y_spec: np.ndarray, smooth: np.ndarray, rho
 
 def mgd_gram(w: Waveform, spec: FrameSpec, p: MgdParams, bin_stride: int = 1,
              frame_stride: int = 1) -> FeatureGram:
+    """Modified group-delay gram over the cepstrally smoothed magnitude.  A
+    lifter as long as the spectrum keeps every cepstral coefficient and
+    smooths nothing, so lifter_len must be below the bin count."""
+    n_bins = spec.n_fft // 2 + 1
+    if p.lifter_len >= n_bins:
+        raise ParameterError(f"mgd lifter_len must be below the {n_bins} bins of n_fft "
+                             f"{spec.n_fft}, got {p.lifter_len}")
     (x_spec, y_spec), cols = _gram_spectra(w, spec, frame_stride, ramped=True)
     smooth = cepstral_smooth(np.abs(x_spec), p.lifter_len)  # reads every bin
     tau = _group_delay(x_spec[::bin_stride], y_spec[::bin_stride], smooth[::bin_stride],
                        p.rho, p.lam, w.utt_id)
-    return FeatureGram("MGD", tau[:, cols], w.utt_id)
+    return _fixed_gram("MGD", tau, cols, w.utt_id)
 
 
 def gd_gram(w: Waveform, spec: FrameSpec, bin_stride: int = 1,
@@ -182,7 +205,7 @@ def gd_gram(w: Waveform, spec: FrameSpec, bin_stride: int = 1,
     x_spec, y_spec = x_spec[::bin_stride], y_spec[::bin_stride]
     tau = _group_delay(x_spec, y_spec, np.maximum(np.abs(x_spec), MAG_FLOOR), 1.0, 1.0,
                        w.utt_id)
-    return FeatureGram("GD", tau[:, cols], w.utt_id)
+    return _fixed_gram("GD", tau, cols, w.utt_id)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +342,7 @@ def cqt_gram(w: Waveform, hop: int = 128, n_octaves: int = 9, bins_per_octave: i
                              f"{hop}-sample cqt hop")
     mags = _cached_kernel(w.sample_rate, n_octaves, bins_per_octave, hop).transform(w.samples)
     cols = _fixed_columns(mags.shape[1], frame_stride)
-    return FeatureGram("CQT", np.log(mags[::bin_stride] + LOG_EPS)[:, cols], w.utt_id)
+    return _fixed_gram("CQT", np.log(mags[::bin_stride] + LOG_EPS), cols, w.utt_id)
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +354,11 @@ _HEADER = struct.Struct("<4sHBII")
 
 
 def write_gram(gram: FeatureGram, path) -> None:
-    data = np.ascontiguousarray(gram.data, dtype="<f4")
+    data = np.ascontiguousarray(gram.data, dtype="<f4")  # no copy of a front-end's gram
     with atomic_open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _VERSION, KIND_CODES[gram.kind],
                               data.shape[0], data.shape[1]))
-        fh.write(data.tobytes())
+        fh.write(data)
 
 
 def read_gram(path, utt_id: str = "") -> FeatureGram:
@@ -361,3 +384,33 @@ def read_gram(path, utt_id: str = "") -> FeatureGram:
         raise FormatError(f"{path}: non-finite cells in {KIND_NAMES[kind_code]} gram")
     return FeatureGram(KIND_NAMES[kind_code], np.array(data), utt_id)
 
+
+# ---------------------------------------------------------------------------
+# feature directory: gram files and the manifest that names them
+
+FEATURE_MANIFEST = "features.manifest"
+
+
+def _read_manifest(path) -> dict:
+    """utt_id -> gram file name, from ``<utt_id> <file name>`` lines."""
+    entries = {}
+    for lineno, line in ascii_lines(path):
+        fields = line.split(maxsplit=1)
+        if len(fields) != 2:
+            raise FormatError(f"{path}:{lineno}: expected '<utt_id> <gram file>'")
+        if fields[0] in entries:
+            raise FormatError(f"{path}:{lineno}: duplicate utt_id {fields[0]!r}")
+        if "/" in fields[1] or "\\" in fields[1]:  # a file in the manifest's directory
+            raise FormatError(f"{path}:{lineno}: file name {fields[1]!r} contains a path separator")
+        entries[fields[0]] = fields[1]
+    return entries
+
+
+def write_feature_manifest(feature_dir, mapping: dict) -> None:
+    """Merge new utt_id -> filename entries into the directory manifest."""
+    path = Path(feature_dir) / FEATURE_MANIFEST
+    merged = _read_manifest(path) if path.exists() else {}
+    merged.update(mapping)
+    lines = [f"{utt_id} {rel}" for utt_id, rel in sorted(merged.items())]
+    with atomic_open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")

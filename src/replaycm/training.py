@@ -1,4 +1,6 @@
-"""AdamW and the training loop, with its plateau learning-rate schedule."""
+"""AdamW and the training loop, with its plateau learning-rate schedule, and
+the feature store that reads the grams of a feature directory through the
+manifest that ``features.write_feature_manifest`` writes."""
 
 from __future__ import annotations
 
@@ -10,13 +12,11 @@ import numpy as np
 from . import autodiff as ad
 from . import objectives
 from .autodiff import Tensor
-from .errors import (DataError, FormatError, ParameterError, ShapeError, TrainingError,
-                     ascii_lines, atomic_open)
-from .features import read_gram
+from .errors import DataError, ParameterError, ShapeError, TrainingError, atomic_open
+from .features import FEATURE_MANIFEST, _read_manifest, read_gram
 from .metrics import eer, split_scores
 from .model import ResNet, score_batch
 
-FEATURE_MANIFEST = "features.manifest"
 ADAM_EPS = 1e-8
 # utterances per forward pass when scoring
 SCORE_BATCH = 32
@@ -133,31 +133,6 @@ class FeatureStore:
     def load_batch(self, utt_ids) -> np.ndarray:
         """(N, bins, frames) stack of the grams of ``utt_ids``, read one after another."""
         return np.stack([self.load(utt_id) for utt_id in utt_ids])
-
-
-def _read_manifest(path) -> dict:
-    """utt_id -> gram file name, from ``<utt_id> <file name>`` lines."""
-    entries = {}
-    for lineno, line in ascii_lines(path):
-        fields = line.split(maxsplit=1)
-        if len(fields) != 2:
-            raise FormatError(f"{path}:{lineno}: expected '<utt_id> <gram file>'")
-        if fields[0] in entries:
-            raise FormatError(f"{path}:{lineno}: duplicate utt_id {fields[0]!r}")
-        if "/" in fields[1] or "\\" in fields[1]:  # a file in the manifest's directory
-            raise FormatError(f"{path}:{lineno}: file name {fields[1]!r} contains a path separator")
-        entries[fields[0]] = fields[1]
-    return entries
-
-
-def write_feature_manifest(feature_dir, mapping: dict) -> None:
-    """Merge new utt_id -> filename entries into the directory manifest."""
-    path = Path(feature_dir) / FEATURE_MANIFEST
-    merged = _read_manifest(path) if path.exists() else {}
-    merged.update(mapping)
-    lines = [f"{utt_id} {rel}" for utt_id, rel in sorted(merged.items())]
-    with atomic_open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 @dataclass

@@ -827,6 +827,37 @@ def test_config_value_that_cannot_work_is_a_parameter_error(pipeline, tmp_path, 
     assert not any(p.is_file() for p in out.rglob("*"))
 
 
+def test_a_section_the_command_does_not_read_is_still_checked(pipeline, tmp_path, capsys):
+    # extract reads no [train] and evaluate no [model] values, and each file
+    # is checked as a whole when it loads
+    _, corpus, _, _, scores, _ = pipeline
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("[train]\nlr = abc\n")
+    code = main(["extract", "--feature", "stft", "--protocol", str(corpus / "protocol_dev.txt"),
+                 "--wav-dir", str(corpus / "wav"), "--out", str(tmp_path / "out"),
+                 "--config", str(cfg)])
+    assert _error_line(code, capsys) == "error:parameter: bad value for train.lr: 'abc'"
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text("[model]\nnope = 1\n")
+    code = main(["evaluate", "--scores", str(scores),
+                 "--protocol", str(corpus / "protocol_eval.txt"), "--tdcf-config", str(cfg)])
+    assert _error_line(code, capsys) == "error:parameter: unknown config key 'nope' in [model]"
+
+
+def test_a_lifter_as_long_as_the_spectrum_is_a_parameter_error(pipeline, tmp_path, capsys):
+    # 513 coefficients of a 513-bin spectrum once turned MGD's smoothing off
+    _, corpus, _, _, _, _ = pipeline
+    _, protocol = _one_utterance(corpus, tmp_path)
+    cfg = tmp_path / "lifter.cfg"
+    cfg.write_text("[mgd]\nlifter_len = 513\n")
+    code = main(["extract", "--feature", "mgd", "--protocol", str(protocol),
+                 "--wav-dir", str(corpus / "wav"), "--out", str(tmp_path / "mgd"),
+                 "--config", str(cfg)])
+    err = _error_line(code, capsys)
+    assert err.startswith("error:parameter: ") and \
+        err.endswith("mgd lifter_len must be below the 513 bins of n_fft 1024, got 513"), err
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_simulate_below_the_harmonic_floor_is_a_parameter_error(tmp_path, capsys, seed):
     # at 1000 Hz the harmonic-count draw once ended in a numpy ValueError

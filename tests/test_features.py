@@ -20,6 +20,7 @@ from replaycm.features import (
     FeatureGram,
     FrameSpec,
     MgdParams,
+    _gram_spectra,
     _group_delay,
     cepstral_smooth,
     cqt_center_frequencies,
@@ -76,20 +77,30 @@ class TestStft:
         assert np.sum(np.abs(full) ** 2) == pytest.approx(
             spec.n_fft * np.sum(frame**2), rel=1e-10
         )
-        # the gram's first column matches the full-spectrum oracle bin by bin
+        # the first frame's log power matches the full-spectrum oracle bin by
+        # bin, and the gram is the float32 cast of the log power of every frame
         oracle = np.log(np.abs(full[:513]) ** 2 + LOG_EPS)
-        assert np.allclose(stft_gram(w, spec).data[:, 0], oracle, rtol=0, atol=1e-9)
+        (x,), cols = _gram_spectra(w, spec, 1)
+        log_power = np.log(np.abs(x) ** 2 + LOG_EPS)
+        assert np.allclose(log_power[:, 0], oracle, rtol=0, atol=1e-9)
+        assert np.array_equal(stft_gram(w, spec).data, log_power.astype(np.float32)[:, cols])
 
     def test_frame_layout_and_time_shift(self, rng):
         # 23 frames; frame t covers samples [t*hop, t*hop + frame_len)
         spec = FrameSpec(frame_len=400, hop=160, window="rect", n_fft=1024)
         base = Waveform(rng.uniform(-0.5, 0.5, 4000), SR, "a")
         shifted = Waveform(np.concatenate([np.zeros(spec.hop), base.samples])[:4000], SR, "b")
-        a, b = power(base, spec), power(shifted, spec)
+        (xa,), cols = _gram_spectra(base, spec, 1)
+        (xb,), _ = _gram_spectra(shifted, spec, 1)
+        a, b = np.abs(xa) ** 2, np.abs(xb) ** 2
         assert np.allclose(b[:, 1:23], a[:, :22], rtol=1e-9, atol=1e-11)
         oracle = np.abs(explicit_spectra(base, spec)[0]) ** 2
-        assert oracle.shape[1] == 23
-        assert np.allclose(a[:, :23], oracle, rtol=1e-9, atol=1e-11)
+        assert oracle.shape[1] == 23 and a.shape[1] == 23
+        assert np.allclose(a, oracle, rtol=1e-9, atol=1e-11)
+        # the gram's first columns are the frames in order, cast to float32
+        assert np.array_equal(cols[:23], np.arange(23))
+        assert np.array_equal(stft_gram(base, spec).data,
+                              np.log(a + LOG_EPS).astype(np.float32)[:, cols])
 
     def test_too_short_input_rejected(self):
         for gram in (lambda w: stft_gram(w, SPEC), lambda w: gd_gram(w, SPEC),
@@ -218,11 +229,12 @@ class TestMgd:
             x, y = explicit_spectra(w, spec)
             mag = np.maximum(np.abs(x), 1e-10)
             gd = (x.real * y.real + x.imag * y.imag) / mag**2
-            assert np.array_equal(gd_gram(w, spec).data, shape_fixed(gd))
+            assert np.array_equal(gd_gram(w, spec).data, shape_fixed(gd).astype(np.float32))
 
     def test_mgd_is_the_explicit_formula_bit_for_bit(self, rng):
-        # scipy's FFT-based DCT is the oracle of the DCT-II basis product: float64
-        # cells agree to 1e-13 relative, and every float32 cell, as written, is equal
+        # scipy's FFT-based DCT is the oracle of the DCT-II basis product: the
+        # float64 group delays of the gram's spectra agree to 1e-13 relative,
+        # and every float32 cell of the gram is equal
         import scipy.fft
 
         spec, p = SPEC, MgdParams()
@@ -235,9 +247,11 @@ class TestMgd:
             smooth = np.exp(scipy.fft.idct(ceps, axis=0, norm="ortho"))
             tau = (x.real * y.real + x.imag * y.imag) / np.power(smooth, 2.0 * p.lam)
             mgd = shape_fixed(np.sign(tau) * np.power(np.abs(tau), p.rho))
-            got = mgd_gram(w, spec, p).data
-            np.testing.assert_allclose(got, mgd, rtol=1e-13, atol=0)
-            assert np.array_equal(got.astype("<f4"), mgd.astype("<f4"))
+            (gx, gy), cols = _gram_spectra(w, spec, 1, ramped=True)
+            got64 = _group_delay(gx, gy, cepstral_smooth(np.abs(gx), p.lifter_len),
+                                 p.rho, p.lam, "u")[:, cols]
+            np.testing.assert_allclose(got64, mgd, rtol=1e-13, atol=0)
+            assert np.array_equal(mgd_gram(w, spec, p).data, mgd.astype(np.float32))
 
     def test_sign_preserved(self, rng):
         spec = SPEC
@@ -259,6 +273,20 @@ class TestMgd:
         analytic = (a * np.cos(omega) - a**2) / (1 - 2 * a * np.cos(omega) + a**2)
         for k in (0, 1, 2, 4, 8):
             assert gd[k] == pytest.approx(analytic[k], rel=0.05)
+
+    @pytest.mark.parametrize("lifter_len", [513, 10**30])
+    def test_a_lifter_as_long_as_the_spectrum_is_rejected(self, rng, lifter_len):
+        # such a lifter keeps every cepstral coefficient, so it smooths nothing
+        with pytest.raises(ParameterError, match=f"mgd lifter_len must be below the 513 bins "
+                                                 f"of n_fft 1024, got {lifter_len}$"):
+            mgd_gram(_noise_wave(rng), SPEC, MgdParams(lifter_len=lifter_len))
+
+    def test_a_lifter_one_below_the_bin_count_smooths(self, rng):
+        w = _noise_wave(rng)
+        assert mgd_gram(w, SPEC, MgdParams(lifter_len=512)).data.shape == (513, 500)
+        (x,), _ = _gram_spectra(w, SPEC, 1)
+        assert not np.array_equal(cepstral_smooth(np.abs(x), 512),
+                                  np.maximum(np.abs(x), MAG_FLOOR))
 
     def test_param_validation(self):
         with pytest.raises(ParameterError):
@@ -597,20 +625,17 @@ class TestStridedGrams:
         oracle = reduce_gram(FeatureGram(kind, shape_fixed(full_resolution(kind, w)), "u"),
                              bin_stride, frame_stride)
         assert got.kind == kind and got.data.shape == oracle.data.shape
-        if kind == "MGD":
-            # the lifter's DCT product runs over the kept frames only, and a
-            # BLAS product of fewer columns may round the last bits of a
-            # float64 cell differently; the written float32 cells are equal
-            np.testing.assert_allclose(got.data, oracle.data, rtol=1e-12, atol=0)
-        else:
-            assert np.array_equal(got.data, oracle.data)
-        assert got.data.astype("<f4").tobytes() == oracle.data.astype("<f4").tobytes()
+        # the lifter's DCT product runs over the kept frames only, and a BLAS
+        # product of fewer columns may round the last bits of a float64 MGD
+        # cell differently; the float32 cells, which the gram holds, are equal
+        assert got.data.dtype == np.float32
+        assert got.data.tobytes() == oracle.data.astype("<f4").tobytes()
 
     @pytest.mark.parametrize("kind", ["STFT", "GD", "MGD", "CQT"])
     def test_stride_1_is_the_fixed_gram(self, kind, rng):
         w = Waveform(rng.uniform(-0.5, 0.5, STRIDE_SR), STRIDE_SR, "u")  # 1 s
         assert np.array_equal(strided_gram(kind, w, 1, 1).data,
-                              shape_fixed(full_resolution(kind, w)))
+                              shape_fixed(full_resolution(kind, w)).astype(np.float32))
 
     def test_cqt_hop_longer_than_the_utterance_is_rejected(self):
         w = Waveform(np.ones(127), SR, "short")

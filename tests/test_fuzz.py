@@ -14,11 +14,10 @@ from conftest import ckpt_with_config
 from replaycm.audio_io import Waveform, read_wav, write_wav
 from replaycm.config import DEFAULTS, load_config
 from replaycm.errors import ReplayCmError
-from replaycm.features import FeatureGram, read_gram, write_gram
+from replaycm.features import FeatureGram, _read_manifest, read_gram, write_gram
 from replaycm.model import ResNet, ResNetConfig, load_checkpoint, save_checkpoint
 from replaycm.replay_sim import ATTACK_CODES, read_protocol
 from replaycm.scoring import read_score_file
-from replaycm.training import _read_manifest
 
 # few examples, so tier-1 stays fast; derandomized, so every run tries the same inputs
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -2,8 +2,10 @@
 serves only the tests' oracles.  Nor does a command load a ``numpy.ma``
 module that ``import numpy`` alone does not (none in numpy 2, where
 ``np.unique`` imports it on its first call; all of them in numpy 1.24, whose
-``import numpy`` loads it).  Every command runs in a fresh interpreter,
-since the test process has loaded scipy already."""
+``import numpy`` loads it).  And a command loads only the replaycm modules it
+runs: no network to extract a gram, no front-end to evaluate scores.  Every
+command runs in a fresh interpreter, since the test process has loaded scipy
+already."""
 
 import functools
 import os
@@ -18,13 +20,14 @@ ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
     p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
 
 # runs the CLI on its arguments (none: the import alone), then prints the
-# names of the scipy and numpy.ma modules loaded as its last line
+# names of the scipy, numpy.ma and replaycm modules loaded as its last line
 CLI = ("import sys\n"
        "from replaycm.cli import main\n"
        "code = main(sys.argv[1:]) if sys.argv[1:] else 0\n")
 NUMPY = "import sys, numpy\ncode = 0\n"
 LOADED = ("print(' '.join(m for m in sys.modules\n"
-          "               if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma']))\n"
+          "               if m.split('.')[0] in ('scipy', 'replaycm')\n"
+          "               or m.split('.')[:2] == ['numpy', 'ma']))\n"
           "sys.exit(code)\n")
 
 
@@ -43,7 +46,13 @@ def _numpy_alone() -> frozenset:
 def _scipy_loaded(*argv) -> set:
     """The scipy modules, and the numpy.ma modules beyond numpy's own, that
     the command ``argv`` loads."""
-    return _loaded(CLI, *argv) - _numpy_alone()
+    return {m for m in _loaded(CLI, *argv) if m.split(".")[0] != "replaycm"} - _numpy_alone()
+
+
+def _replaycm_loaded(*argv) -> set:
+    """The replaycm modules, by their names in the package, that the command
+    ``argv`` loads."""
+    return {m.split(".")[1] for m in _loaded(CLI, *argv) if m.startswith("replaycm.")}
 
 
 def _argv(command, pipeline, tmp_path) -> list:
@@ -95,3 +104,22 @@ def test_extract_loads_no_scipy_and_jobs_match_serial(pipeline, tmp_path, featur
     assert sum(name.endswith(".fgram") for name in names) == 3
     for name in names:
         assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
+
+
+# the network, its engine and training serve train, score and saliency alone
+NETWORK = {"model", "autodiff", "training", "objectives"}
+# the modules each command must not load
+NOT_RUN = {
+    "import": NETWORK | {"features", "metrics", "scoring"},
+    "simulate": NETWORK | {"features", "metrics", "scoring"},
+    "extract-stft": NETWORK | {"metrics", "scoring"},
+    "extract-gd": NETWORK | {"metrics", "scoring"},
+    "fuse": NETWORK | {"features"},
+    "evaluate": NETWORK | {"features"},
+    "breakdown": NETWORK | {"features"},
+}
+
+
+@pytest.mark.parametrize("command", list(NOT_RUN))
+def test_command_loads_only_the_modules_it_runs(pipeline, tmp_path, command):
+    assert _replaycm_loaded(*_argv(command, pipeline, tmp_path)) & NOT_RUN[command] == set()

@@ -3,10 +3,10 @@ import pytest
 
 from replaycm import training
 from replaycm.errors import DataError, FormatError, ParameterError, ParseError, ShapeError
-from replaycm.features import FeatureGram, write_gram
+from replaycm.features import FeatureGram, write_feature_manifest, write_gram
 from replaycm.model import ResNet, ResNetConfig, load_checkpoint, save_checkpoint, score_batch
 from replaycm.replay_sim import ManifestEntry
-from replaycm.training import FeatureStore, TrainConfig, train, write_feature_manifest
+from replaycm.training import FeatureStore, TrainConfig, train
 
 TOY_CFG = ResNetConfig(channels=2, fc_width=8, input_bins=8, input_frames=10)
 
