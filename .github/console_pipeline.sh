@@ -10,7 +10,8 @@
 # end in one error:<category>: line with exit code 1: lr fusion on one-class
 # dev data, a window of another name, an MGD lifter as long as the spectrum, a
 # feature directory of mixed kinds, a manifest naming a file outside its
-# directory and an allocation past the address space among them.
+# directory, a feature directory that lacks a protocol's utterances or its
+# manifest, and an allocation past the address space among them.
 #
 #   bash .github/console_pipeline.sh    # with replaycm on PATH
 set -euo pipefail
@@ -167,6 +168,13 @@ printf '%s ../%s.fgram\n' "$dev_utt" "$dev_utt" > toy/escape/features.manifest
 head -n 1 toy/protocol_dev.txt > toy/one_dev.txt
 expect_error format replaycm score --ckpt toy/model.ckpt --feature-dir toy/escape \
   --protocol toy/one_dev.txt --out toy/rejected.txt
+# a feature directory must list every utterance of the protocol, and hold a manifest
+expect_error data replaycm score --ckpt toy/model.ckpt --feature-dir toy/stft-full \
+  --protocol toy/protocol_eval.txt --out toy/rejected.txt
+grep -q "no feature file for utterance '" toy/stderr.txt
+expect_error data replaycm score --ckpt toy/model.ckpt --feature-dir toy/wav \
+  --protocol toy/protocol_eval.txt --out toy/rejected.txt
+grep -q "feature manifest toy/wav/features.manifest not found" toy/stderr.txt
 # a 71 TiB STFT buffer under a 2 GB address space: one error:resource: line
 printf '[stft]\nn_fft = 100000000000\n' > toy/huge_fft.cfg
 (

@@ -100,9 +100,10 @@ def cmd_extract(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from .features import FeatureStore
     from .model import ResNet, ResNetConfig, save_checkpoint
     from .replay_sim import read_protocol
-    from .training import FeatureStore, TrainConfig, train
+    from .training import TrainConfig, train
 
     gamma = TrainConfig.gamma if args.gamma is None else args.gamma
     if args.objective == "bce":
@@ -137,7 +138,7 @@ def _check_kind(ckpt, extra: dict, gram_path, kind: str) -> None:
 
 
 def cmd_score(args) -> int:
-    from . import training
+    from . import features, training
     from .model import load_checkpoint
     from .replay_sim import read_protocol
     from .scoring import write_score_file
@@ -145,7 +146,7 @@ def cmd_score(args) -> int:
     model, extra = load_checkpoint(args.ckpt)
     with _job_map(args.jobs) as map_fn:
         entries = read_protocol(args.protocol)
-        store = training.FeatureStore(args.feature_dir, [e.utt_id for e in entries])
+        store = features.FeatureStore(args.feature_dir, [e.utt_id for e in entries])
         if entries:
             _check_kind(args.ckpt, extra, store.paths[store.first_id], store.kind)
         scores = training._score_entries(model, entries, store, map_fn=map_fn)
@@ -217,8 +218,6 @@ def cmd_breakdown(args) -> int:
 
 
 def cmd_saliency(args) -> int:
-    import numpy as np
-
     from .features import FeatureGram, read_gram, write_gram
     from .model import load_checkpoint, saliency_map
 
@@ -226,7 +225,7 @@ def cmd_saliency(args) -> int:
     gram = read_gram(args.feature)
     _check_kind(args.ckpt, extra, args.feature, gram.kind)
     smap = saliency_map(model, gram.data)
-    write_gram(FeatureGram(gram.kind, smap.astype(np.float32), gram.utt_id), args.out)
+    write_gram(FeatureGram(gram.kind, smap, gram.utt_id), args.out)
     print(f"saliency matrix {smap.shape[0]}x{smap.shape[1]} written to {args.out}")
     return 0
 

@@ -9,11 +9,12 @@ transform only the distinct frames the kept columns read, through one path,
 smoothed magnitude and GD over the magnitude itself.  The CQT computes every
 frame and takes the kept columns afterwards.  Every front-end ends in
 ``_fixed_gram``: its kept-frame values are cast to float32, the precision of
-a gram in memory and on disk, before the kept columns are taken.
+a gram in memory and on disk, before the kept columns are taken, and the
+``FeatureGram`` it builds checks that every cell is finite.
 
 A feature directory holds one gram file per utterance and a manifest,
 ``features.manifest``, of ``<utt_id> <file name>`` lines;
-``write_feature_manifest`` writes it and ``training.FeatureStore`` reads it.
+``write_feature_manifest`` writes it and ``FeatureStore`` reads it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from .audio_io import Waveform
-from .errors import FormatError, InternalError, ParameterError, ascii_lines, atomic_open
+from .errors import (DataError, FormatError, InternalError, ParameterError, ShapeError,
+                     ascii_lines, atomic_open)
 
 N_FRAMES_FIXED = 500
 LOG_EPS = 1e-10
@@ -155,30 +157,29 @@ def cepstral_smooth(mag: np.ndarray, lifter_len: int) -> np.ndarray:
 
     Works on one spectrum (n_bins,) or a stack (n_bins, n_frames); output is
     strictly positive.  lifter_len must lie in [1, n_bins]: ``MgdParams``
-    checks that it is at least 1, and ``mgd_gram`` that it is below the bin
-    count.
+    checks that it is at least 1, ``mgd_gram`` that it is below the bin
+    count, and this function that it is at most the bin count.
     """
     mag = np.maximum(np.asarray(mag, dtype=np.float64), MAG_FLOOR)
+    if lifter_len > mag.shape[0]:  # a DCT row past the bins is no cepstral coefficient
+        raise ParameterError(f"lifter_len {lifter_len} exceeds the {mag.shape[0]} bins")
     basis = _dct_basis(mag.shape[0], lifter_len)
     smooth = basis.T @ (basis @ np.log(mag, out=mag))
     return np.exp(smooth, out=smooth)
 
 
 def _group_delay(x_spec: np.ndarray, y_spec: np.ndarray, smooth: np.ndarray, rho: float,
-                 lam: float, utt_id: str) -> np.ndarray:
+                 lam: float) -> np.ndarray:
     """Group delay of the spectra X and Y over the magnitude S, all three on
     the same bins: tau' = (X_R Y_R + X_I Y_I) / S^(2 lambda), output
     sign(tau') |tau'|^rho.  X is the windowed-frame spectrum and Y the
     spectrum of the index-ramped frame.  MGD passes the cepstrally smoothed
-    magnitude of X as S; GD passes |X| itself with rho = lambda = 1.
-    """
+    magnitude of X as S; GD passes |X| itself with rho = lambda = 1.  The
+    ``FeatureGram`` the caller builds checks that every value is finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         cross = x_spec.real * y_spec.real + x_spec.imag * y_spec.imag
         tau_raw = cross / np.power(smooth, 2.0 * lam)
-        tau = np.sign(tau_raw) * np.power(np.abs(tau_raw), rho)
-    if not np.all(np.isfinite(tau)):
-        raise InternalError(f"non-finite group delay for {utt_id!r}")
-    return tau
+        return np.sign(tau_raw) * np.power(np.abs(tau_raw), rho)
 
 
 def mgd_gram(w: Waveform, spec: FrameSpec, p: MgdParams, bin_stride: int = 1,
@@ -193,7 +194,7 @@ def mgd_gram(w: Waveform, spec: FrameSpec, p: MgdParams, bin_stride: int = 1,
     (x_spec, y_spec), cols = _gram_spectra(w, spec, frame_stride, ramped=True)
     smooth = cepstral_smooth(np.abs(x_spec), p.lifter_len)  # reads every bin
     tau = _group_delay(x_spec[::bin_stride], y_spec[::bin_stride], smooth[::bin_stride],
-                       p.rho, p.lam, w.utt_id)
+                       p.rho, p.lam)
     return _fixed_gram("MGD", tau, cols, w.utt_id)
 
 
@@ -203,8 +204,7 @@ def gd_gram(w: Waveform, spec: FrameSpec, bin_stride: int = 1,
     ratio, with |X| floored at MAG_FLOOR."""
     (x_spec, y_spec), cols = _gram_spectra(w, spec, frame_stride, ramped=True)
     x_spec, y_spec = x_spec[::bin_stride], y_spec[::bin_stride]
-    tau = _group_delay(x_spec, y_spec, np.maximum(np.abs(x_spec), MAG_FLOOR), 1.0, 1.0,
-                       w.utt_id)
+    tau = _group_delay(x_spec, y_spec, np.maximum(np.abs(x_spec), MAG_FLOOR), 1.0, 1.0)
     return _fixed_gram("GD", tau, cols, w.utt_id)
 
 
@@ -414,3 +414,42 @@ def write_feature_manifest(feature_dir, mapping: dict) -> None:
     lines = [f"{utt_id} {rel}" for utt_id, rel in sorted(merged.items())]
     with atomic_open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+class FeatureStore:
+    """Loads feature grams by utt_id via the extraction manifest.  It checks
+    that the manifest lists each of ``utt_ids``, and the gram of the first,
+    ``first_id``, fixes the kind and shape of all (none if ``utt_ids`` is
+    empty); it changes nothing after that, so pool threads may share it."""
+
+    def __init__(self, feature_dir, utt_ids):
+        self.feature_dir = Path(feature_dir)
+        manifest = self.feature_dir / FEATURE_MANIFEST
+        if not manifest.exists():
+            raise DataError(f"feature manifest {manifest} not found")
+        self.paths = {utt_id: self.feature_dir / rel
+                      for utt_id, rel in _read_manifest(manifest).items()}
+        for utt_id in utt_ids:
+            if utt_id not in self.paths:
+                raise DataError(f"no feature file for utterance {utt_id!r}")
+        self.first_id = self.kind = self.shape = None
+        if utt_ids:
+            self.first_id = utt_ids[0]
+            gram = read_gram(self.paths[self.first_id], self.first_id)
+            self.kind, self.shape = gram.kind, gram.data.shape
+
+    def load(self, utt_id: str) -> np.ndarray:
+        if utt_id not in self.paths:
+            raise DataError(f"no feature file for utterance {utt_id!r}")
+        gram = read_gram(self.paths[utt_id], utt_id)
+        if gram.kind != self.kind:
+            raise DataError(f"gram of {utt_id!r} is {gram.kind}, but gram of "
+                            f"{self.first_id!r} is {self.kind}")
+        if gram.data.shape != self.shape:
+            raise ShapeError(f"gram of {utt_id!r} is {gram.data.shape}, but gram of "
+                             f"{self.first_id!r} is {self.shape}")
+        return gram.data
+
+    def load_batch(self, utt_ids) -> np.ndarray:
+        """(N, bins, frames) stack of the grams of ``utt_ids``, read one after another."""
+        return np.stack([self.load(utt_id) for utt_id in utt_ids])

@@ -1,19 +1,18 @@
 """AdamW and the training loop, with its plateau learning-rate schedule, and
-the feature store that reads the grams of a feature directory through the
-manifest that ``features.write_feature_manifest`` writes."""
+the batch scoring loop of training's dev scoring and of ``score``.  Both
+read their grams through a ``features.FeatureStore``."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from . import objectives
 from .autodiff import Tensor
-from .errors import DataError, ParameterError, ShapeError, TrainingError, atomic_open
-from .features import FEATURE_MANIFEST, _read_manifest, read_gram
+from .errors import DataError, ParameterError, TrainingError, atomic_open
+from .features import FeatureStore
 from .metrics import eer, split_scores
 from .model import ResNet, score_batch
 
@@ -96,45 +95,6 @@ class AdamW:
             p.data = (p.data - self.lr * update).astype(p.data.dtype)
 
 
-class FeatureStore:
-    """Loads feature grams by utt_id via the extraction manifest.  It checks
-    that the manifest lists each of ``utt_ids``, and the gram of the first,
-    ``first_id``, fixes the kind and shape of all (none if ``utt_ids`` is
-    empty); it changes nothing after that, so pool threads may share it."""
-
-    def __init__(self, feature_dir, utt_ids):
-        self.feature_dir = Path(feature_dir)
-        manifest = self.feature_dir / FEATURE_MANIFEST
-        if not manifest.exists():
-            raise DataError(f"feature manifest {manifest} not found")
-        self.paths = {utt_id: self.feature_dir / rel
-                      for utt_id, rel in _read_manifest(manifest).items()}
-        for utt_id in utt_ids:
-            if utt_id not in self.paths:
-                raise DataError(f"no feature file for utterance {utt_id!r}")
-        self.first_id = self.kind = self.shape = None
-        if utt_ids:
-            self.first_id = utt_ids[0]
-            gram = read_gram(self.paths[self.first_id], self.first_id)
-            self.kind, self.shape = gram.kind, gram.data.shape
-
-    def load(self, utt_id: str) -> np.ndarray:
-        if utt_id not in self.paths:
-            raise DataError(f"no feature file for utterance {utt_id!r}")
-        gram = read_gram(self.paths[utt_id], utt_id)
-        if gram.kind != self.kind:
-            raise DataError(f"gram of {utt_id!r} is {gram.kind}, but gram of "
-                            f"{self.first_id!r} is {self.kind}")
-        if gram.data.shape != self.shape:
-            raise ShapeError(f"gram of {utt_id!r} is {gram.data.shape}, but gram of "
-                             f"{self.first_id!r} is {self.shape}")
-        return gram.data
-
-    def load_batch(self, utt_ids) -> np.ndarray:
-        """(N, bins, frames) stack of the grams of ``utt_ids``, read one after another."""
-        return np.stack([self.load(utt_id) for utt_id in utt_ids])
-
-
 @dataclass
 class TrainResult:
     history: list
@@ -192,7 +152,7 @@ def train(model: ResNet, train_entries, dev_entries, store: FeatureStore,
             batch = [train_entries[i] for i in order[start : start + cfg.batch_size]]
             grams = store.load_batch([e.utt_id for e in batch])
             targets = np.array([1 if e.label == "bonafide" else 0 for e in batch])
-            x = Tensor(grams.astype(np.float32)[:, None, :, :])
+            x = Tensor(grams[:, None, :, :])
             log_probs = model.forward(x, train=True)
             loss, grad = objectives.bfl(log_probs.data, targets, alpha, cfg.gamma)
             ad.backward(log_probs, grad)

@@ -249,7 +249,7 @@ class TestMgd:
             mgd = shape_fixed(np.sign(tau) * np.power(np.abs(tau), p.rho))
             (gx, gy), cols = _gram_spectra(w, spec, 1, ramped=True)
             got64 = _group_delay(gx, gy, cepstral_smooth(np.abs(gx), p.lifter_len),
-                                 p.rho, p.lam, "u")[:, cols]
+                                 p.rho, p.lam)[:, cols]
             np.testing.assert_allclose(got64, mgd, rtol=1e-13, atol=0)
             assert np.array_equal(mgd_gram(w, spec, p).data, mgd.astype(np.float32))
 
@@ -280,6 +280,13 @@ class TestMgd:
         with pytest.raises(ParameterError, match=f"mgd lifter_len must be below the 513 bins "
                                                  f"of n_fft 1024, got {lifter_len}$"):
             mgd_gram(_noise_wave(rng), SPEC, MgdParams(lifter_len=lifter_len))
+
+    @pytest.mark.parametrize("lifter_len", [514, 600, 10**30])
+    def test_cepstral_smooth_rejects_a_lifter_past_the_bins(self, rng, lifter_len):
+        # a DCT row past the 513 bins is no cepstral coefficient of the spectrum
+        with pytest.raises(ParameterError,
+                           match=f"^lifter_len {lifter_len} exceeds the 513 bins$"):
+            cepstral_smooth(np.exp(rng.standard_normal(513)), lifter_len)
 
     def test_a_lifter_one_below_the_bin_count_smooths(self, rng):
         w = _noise_wave(rng)
@@ -585,10 +592,10 @@ def full_resolution(kind: str, w: Waveform) -> np.ndarray:
     if kind == "STFT":
         return np.log(np.abs(x) ** 2 + LOG_EPS)
     if kind == "GD":
-        return _group_delay(x, y, np.maximum(np.abs(x), MAG_FLOOR), 1.0, 1.0, "u")
+        return _group_delay(x, y, np.maximum(np.abs(x), MAG_FLOOR), 1.0, 1.0)
     if kind == "MGD":
         p = MgdParams()
-        return _group_delay(x, y, cepstral_smooth(np.abs(x), p.lifter_len), p.rho, p.lam, "u")
+        return _group_delay(x, y, cepstral_smooth(np.abs(x), p.lifter_len), p.rho, p.lam)
     kernel = CqtKernel(STRIDE_SR, STRIDE_CQT["n_octaves"], STRIDE_CQT["bins_per_octave"],
                        STRIDE_CQT["hop"])
     return np.log(kernel.transform(w.samples) + LOG_EPS)

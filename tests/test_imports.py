@@ -5,8 +5,9 @@ module that ``import numpy`` alone does not (none in numpy 2, where
 ``import numpy`` loads it).  And a command loads only the replaycm modules it
 runs: no network to extract a gram, no front-end to evaluate scores.  Every
 command runs in a fresh interpreter, since the test process has loaded scipy
-already."""
+already.  And no replaycm module imports another's private name."""
 
+import ast
 import functools
 import os
 import subprocess
@@ -123,3 +124,19 @@ NOT_RUN = {
 @pytest.mark.parametrize("command", list(NOT_RUN))
 def test_command_loads_only_the_modules_it_runs(pipeline, tmp_path, command):
     assert _replaycm_loaded(*_argv(command, pipeline, tmp_path)) & NOT_RUN[command] == set()
+
+
+def test_training_names_the_feature_store_of_features():
+    # perfbench's tracer times the store through training.FeatureStore
+    from replaycm import features, training
+
+    assert training.FeatureStore is features.FeatureStore
+
+
+def test_no_module_imports_a_private_name_of_another():
+    private = [f"{path.name}: {ast.unparse(node)}"
+               for path in sorted((SRC / "replaycm").glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.ImportFrom) and node.level
+               and any(alias.name.startswith("_") for alias in node.names)]
+    assert private == []
