@@ -11,7 +11,8 @@
 # dev data, a window of another name, an MGD lifter as long as the spectrum, a
 # feature directory of mixed kinds, a manifest naming a file outside its
 # directory, a feature directory that lacks a protocol's utterances or its
-# manifest, and an allocation past the address space among them.
+# manifest, a learning rate that makes training diverge, and an allocation past
+# the address space among them.
 #
 #   bash .github/console_pipeline.sh    # with replaycm on PATH
 set -euo pipefail
@@ -145,6 +146,11 @@ replaycm extract --feature mgd --protocol toy/protocol_dev.txt --wav-dir toy/wav
   --out toy/mixed --bin-stride 8 --frame-stride 10
 expect_error data replaycm train --feature-dir toy/mixed --protocol-train toy/protocol_train.txt \
   --protocol-dev toy/protocol_dev.txt --objective bfl --config toy/one_epoch.cfg \
+  --out toy/rejected.ckpt
+# a model that diverges ends the run in one line, with no numpy warning before it
+printf '[train]\nlr = 1e300\nmax_epochs = 1\n' > toy/diverge.cfg
+expect_error training replaycm train --feature-dir toy/stft --protocol-train toy/protocol_train.txt \
+  --protocol-dev toy/protocol_dev.txt --objective bfl --config toy/diverge.cfg \
   --out toy/rejected.ckpt
 if [ -e toy/rejected.ckpt ] || [ -e toy/rejected.ckpt.log ]; then
   echo "a rejected train left toy/rejected.ckpt or its .log behind" >&2

@@ -6,7 +6,6 @@ import argparse
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from functools import partial
 from pathlib import Path
 
 from .config import load_config
@@ -14,24 +13,6 @@ from .errors import DataError, ParameterError, ReplayCmError
 
 # Each command imports the modules it runs, so that none loads the network
 # and its autodiff engine, say, to extract a gram.
-
-
-def _framed(feat, gram_fn, cfg, **kwargs):
-    """``gram_fn`` of one waveform, framed at the waveform's own sample rate."""
-    return lambda w, **strides: gram_fn(w, feat.FrameSpec.from_ms(w.sample_rate, **cfg["stft"]),
-                                        **kwargs, **strides)
-
-
-# feature kind -> the gram function of one waveform and the strides, from the
-# features module and a resolved config; looked up when a command runs, so
-# wrappers installed after import (such as perfbench's tracer) take effect
-FRONTENDS = {
-    "stft": lambda feat, cfg: _framed(feat, feat.stft_gram, cfg),
-    "gd": lambda feat, cfg: _framed(feat, feat.gd_gram, cfg),
-    "mgd": lambda feat, cfg: _framed(feat, feat.mgd_gram, cfg, p=feat.MgdParams(
-        rho=cfg["mgd"]["rho"], lam=cfg["mgd"]["lambda"], lifter_len=cfg["mgd"]["lifter_len"])),
-    "cqt": lambda feat, cfg: partial(feat.cqt_gram, **cfg["cqt"]),
-}
 
 
 @contextmanager
@@ -61,15 +42,14 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _extract_one(entry, wav_dir: Path, out_dir: Path, frontend,
-                 bin_stride: int, frame_stride: int) -> tuple:
+def _extract_one(entry, wav_dir: Path, out_dir: Path, frontend) -> tuple:
     from .audio_io import read_wav
     from .features import write_gram
 
     path = wav_dir / f"{entry.utt_id}.wav"
     w = read_wav(path)
     try:
-        gram = frontend(w, bin_stride=bin_stride, frame_stride=frame_stride)
+        gram = frontend(w)
     except ParameterError as exc:  # frames and kernels follow the WAV's rate
         raise ParameterError(f"{path} at {w.sample_rate} Hz: {exc}") from exc
     filename = f"{entry.utt_id}.fgram"
@@ -81,16 +61,15 @@ def cmd_extract(args) -> int:
     from . import features as feat
     from .replay_sim import read_protocol
 
-    if args.bin_stride < 1 or args.frame_stride < 1:
-        raise ParameterError("strides must be >= 1")
-    frontend = FRONTENDS[args.feature](feat, load_config(args.config))
+    frontend = feat.frontend(args.feature, load_config(args.config),
+                             args.bin_stride, args.frame_stride)
     entries = read_protocol(args.protocol)
     wav_dir = Path(args.wav_dir)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def work(entry):
-        return _extract_one(entry, wav_dir, out_dir, frontend, args.bin_stride, args.frame_stride)
+        return _extract_one(entry, wav_dir, out_dir, frontend)
 
     with _job_map(args.jobs) as map_fn:
         results = list(map_fn(work, entries))
@@ -247,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate, builds="the corpus")
 
     p = sub.add_parser("extract", help="extract feature grams for a protocol")
-    p.add_argument("--feature", required=True, choices=tuple(FRONTENDS))
+    p.add_argument("--feature", required=True, choices=("stft", "gd", "mgd", "cqt"))
     p.add_argument("--protocol", required=True)
     p.add_argument("--wav-dir", required=True)
     p.add_argument("--out", required=True)

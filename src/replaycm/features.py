@@ -10,7 +10,8 @@ smoothed magnitude and GD over the magnitude itself.  The CQT computes every
 frame and takes the kept columns afterwards.  Every front-end ends in
 ``_fixed_gram``: its kept-frame values are cast to float32, the precision of
 a gram in memory and on disk, before the kept columns are taken, and the
-``FeatureGram`` it builds checks that every cell is finite.
+``FeatureGram`` it builds checks that every cell is finite.  ``frontend``
+binds a front-end to its config sections and strides, for ``extract``.
 
 A feature directory holds one gram file per utterance and a manifest,
 ``features.manifest``, of ``<utt_id> <file name>`` lines;
@@ -343,6 +344,24 @@ def cqt_gram(w: Waveform, hop: int = 128, n_octaves: int = 9, bins_per_octave: i
     mags = _cached_kernel(w.sample_rate, n_octaves, bins_per_octave, hop).transform(w.samples)
     cols = _fixed_columns(mags.shape[1], frame_stride)
     return _fixed_gram("CQT", np.log(mags[::bin_stride] + LOG_EPS), cols, w.utt_id)
+
+
+def frontend(kind: str, cfg: dict, bin_stride: int, frame_stride: int):
+    """The gram function ``gram(w) -> FeatureGram`` of front-end ``kind``
+    under the resolved config ``cfg``, the strides and ``[mgd]`` checked
+    before any waveform is read.  The gram functions are looked up when this
+    runs, not at import, so wrappers installed after import take effect."""
+    if bin_stride < 1 or frame_stride < 1:
+        raise ParameterError("strides must be >= 1")
+    gram_fn = {"stft": stft_gram, "gd": gd_gram, "mgd": mgd_gram, "cqt": cqt_gram}[kind]
+    kwargs = {"bin_stride": bin_stride, "frame_stride": frame_stride}
+    if kind == "cqt":
+        return functools.partial(gram_fn, **cfg["cqt"], **kwargs)
+    if kind == "mgd":
+        mgd = cfg["mgd"]
+        kwargs["p"] = MgdParams(rho=mgd["rho"], lam=mgd["lambda"], lifter_len=mgd["lifter_len"])
+    stft = cfg["stft"]  # read once here, not by each --jobs thread
+    return lambda w: gram_fn(w, FrameSpec.from_ms(w.sample_rate, **stft), **kwargs)
 
 
 # ---------------------------------------------------------------------------

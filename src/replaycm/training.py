@@ -123,7 +123,9 @@ def train(model: ResNet, train_entries, dev_entries, store: FeatureStore,
 
     After ``plateau_patience`` epochs in a row without a lower dev EER the
     optimizer's lr is multiplied by ``plateau_factor``.  ``log_path`` gets
-    one ``<epoch> <train loss> <dev EER> <lr>`` line per epoch."""
+    one ``<epoch> <train loss> <dev EER> <lr>`` line per epoch.  A run that
+    diverges raises ``TrainingError`` at its first non-finite log-probability,
+    gradient or dev score; numpy's overflow warnings on the way are silenced."""
     # the training set last, so that its counts are left for the class weights
     for what, entries in (("the dev protocol", dev_entries), ("training", train_entries)):
         n_spoof = sum(1 for e in entries if e.label == "spoof")
@@ -148,21 +150,29 @@ def train(model: ResNet, train_entries, dev_entries, store: FeatureStore,
         rng.shuffle(order)
         epoch_loss = 0.0
         n_batches = 0
-        for start in range(0, len(order), cfg.batch_size):
-            batch = [train_entries[i] for i in order[start : start + cfg.batch_size]]
-            grams = store.load_batch([e.utt_id for e in batch])
-            targets = np.array([1 if e.label == "bonafide" else 0 for e in batch])
-            x = Tensor(grams[:, None, :, :])
-            log_probs = model.forward(x, train=True)
-            loss, grad = objectives.bfl(log_probs.data, targets, alpha, cfg.gamma)
-            ad.backward(log_probs, grad)
-            optimizer.step()
-            del x, log_probs  # not held through the next forward
-            epoch_loss += loss
-            n_batches += 1
+        # a diverging run overflows: its first non-finite output ends it below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, len(order), cfg.batch_size):
+                batch = [train_entries[i] for i in order[start : start + cfg.batch_size]]
+                grams = store.load_batch([e.utt_id for e in batch])
+                targets = np.array([1 if e.label == "bonafide" else 0 for e in batch])
+                x = Tensor(grams[:, None, :, :])
+                log_probs = model.forward(x, train=True)
+                if not np.all(np.isfinite(log_probs.data)):
+                    raise TrainingError(f"the model diverged in epoch {epoch}: "
+                                        f"non-finite log-probabilities")
+                loss, grad = objectives.bfl(log_probs.data, targets, alpha, cfg.gamma)
+                ad.backward(log_probs, grad)
+                optimizer.step()
+                del x, log_probs  # not held through the next forward
+                epoch_loss += loss
+                n_batches += 1
+            dev_scores = _score_entries(model, dev_entries, store)
+        if not np.all(np.isfinite(list(dev_scores.values()))):
+            raise TrainingError(f"the model diverged in epoch {epoch}: non-finite dev scores")
 
         train_loss = epoch_loss / n_batches
-        dev_eer = eer(*split_scores(dev_entries, _score_entries(model, dev_entries, store)))
+        dev_eer = eer(*split_scores(dev_entries, dev_scores))
         history.append({"epoch": epoch, "train_loss": train_loss,
                         "dev_eer": dev_eer, "lr": optimizer.lr})
         if dev_eer < best.best_dev_eer:

@@ -330,6 +330,23 @@ def test_empty_training_protocol_is_a_data_error(pipeline, tmp_path, capsys):
     assert err.startswith("error:data:")
 
 
+@pytest.mark.parametrize("values", [
+    "lr = 1e300\nmax_epochs = 1\n",
+    "weight_decay = 1e30\nmax_epochs = 2\n",
+    "lr = 1e10\nmax_epochs = 3\n",
+    "alpha = 1e38, 1e38\n",
+], ids=["lr-1e300", "weight_decay-1e30", "lr-1e10", "alpha-1e38"])
+def test_a_diverging_train_is_one_training_line(pipeline, tmp_path, capsys, values):
+    # numpy's overflow warnings on the way stay off stderr, and non-finite dev
+    # scores are a training error, not a metric one
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text("[train]\n" + values)
+    out = tmp_path / "m.ckpt"
+    err = _error_line(main(_train_args(pipeline, out, cfg)), capsys)
+    assert err.startswith("error:training: "), err
+    assert not out.exists() and not Path(str(out) + ".log").exists()
+
+
 def test_truncated_or_garbage_checkpoint_is_a_format_error(pipeline, tmp_path, capsys):
     _, corpus, feats, ckpt, _, _ = pipeline
     blob = ckpt.read_bytes()
@@ -1205,3 +1222,60 @@ def test_every_front_end_config_extracts_or_ends_in_one_error_line(one_utterance
             assert run.returncode == 1, run.stderr
             assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith("error:"), \
                 run.stderr
+
+
+# small valid values, invalid ones and absurd sizes of every [model] and
+# [train] key; no valid value that runs slowly, such as a huge max_epochs or
+# block count (block_counts = 3,4,6,10000000000 takes 8-14 s to run out of a
+# 2 GiB address space)
+TRAIN_VALUES = {
+    "model": {"block_counts": st.sampled_from(["1,1,1,1", "3,4,6,3", "2,1,1,2", "0,1,1,1",
+                                               "1,1,1", "1.5,1,1,1", "x", ""]),
+              "channels": _values(["1", "2", "4"]),
+              "fc_width": _values(["1", "8", "32"])},
+    "train": {"lr": _values(["1e-3", "3e-4", "1"], ABSURD_FLOAT),
+              "beta1": _values(["0", "0.5", "0.9"], ABSURD_FLOAT),
+              "beta2": _values(["0", "0.5", "0.999"], ABSURD_FLOAT),
+              "weight_decay": _values(["0", "5e-5", "0.1"], ABSURD_FLOAT),
+              "plateau_patience": _values(["1", "3"]),
+              "plateau_factor": _values(["0.1", "0.5"], ABSURD_FLOAT),
+              "batch_size": _values(["1", "6", "16"]),
+              "max_epochs": st.sampled_from(["1", "2", "0", "-1", "1.5", "x", ""]),
+              "seed": _values(["0", "1", "7"]),
+              "alpha": st.sampled_from(["auto", "0.5,1.5", "1, 1", "0.5", "0,1", "nan,1", "x",
+                                        "1e38, 1e38", "1e300,1e300"])},
+}
+# the toy model for one epoch, unless a drawn value says otherwise
+TRAIN_BASE = {"model": {"channels": "2", "fc_width": "8"},
+              "train": {"batch_size": "6", "max_epochs": "1"}}
+
+
+@st.composite
+def train_config(draw) -> str:
+    """A config of the toy model setting one or two [model] or [train] keys."""
+    keys = st.sampled_from([(section, key) for section in TRAIN_VALUES
+                            for key in TRAIN_VALUES[section]])
+    sections = {section: dict(values) for section, values in TRAIN_BASE.items()}
+    for section, key in draw(st.lists(keys, min_size=1, max_size=2, unique=True)):
+        sections[section][key] = draw(TRAIN_VALUES[section][key])
+    return "".join(f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in keyed.items())
+                   for section, keyed in sections.items())
+
+
+# up to ~0.6 s a child process: 16 examples add ~5 s
+@settings(max_examples=16, deadline=None, derandomize=True, database=None)
+@given(train_config())
+def test_every_model_and_train_config_trains_or_ends_in_one_error_line(pipeline, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "train.cfg", Path(tmp) / "m.ckpt"
+        cfg.write_text(text)
+        run = _cli_in_a_child(_train_args(pipeline, out, cfg),
+                              address_space=2 * ADDRESS_SPACE_LIMIT)
+        if run.returncode == 0:
+            assert run.stderr == ""
+            assert out.exists() and Path(str(out) + ".log").exists()
+        else:
+            assert run.returncode == 1, run.stderr
+            assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith("error:"), \
+                run.stderr
+            assert not out.exists() and not Path(str(out) + ".log").exists()

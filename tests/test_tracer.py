@@ -38,7 +38,14 @@ def spans(pipeline, tmp_path_factory):
     score = traced(out / "score.json", "score", "--ckpt", str(out / "m.ckpt"),
                    "--feature-dir", str(feats), "--protocol", str(corpus / "protocol_eval.txt"),
                    "--out", str(out / "scores.txt"), "--jobs", "2")
-    return {"train": train, "score": score}
+
+    def extract(kind, *jobs):
+        return traced(out / f"{kind}.json", "extract", "--feature", kind,
+                      "--protocol", str(corpus / "protocol_dev.txt"), "--wav-dir",
+                      str(corpus / "wav"), "--out", str(out / kind), *jobs)
+
+    return {"train": train, "score": score,
+            "extract-mgd": extract("mgd", "--jobs", "2"), "extract-cqt": extract("cqt")}
 
 
 @pytest.mark.parametrize("command, name", [
@@ -57,10 +64,15 @@ def test_hooked_span_is_recorded(spans, command, name):
     pytest.param("train", "training.load", id="train"),
     pytest.param("score", "training.load", id="score"),
     pytest.param("score", "model.score_batch", id="score-model.score_batch"),
+    pytest.param("extract-mgd", "features.mgd_gram", id="extract-mgd"),
+    pytest.param("extract-cqt", "features.cqt_gram", id="extract-cqt"),
 ])
 def test_every_gram_load_has_a_parent(spans, command, name):
     # score --jobs 2 reads grams and runs forwards in pool threads, a batch a
-    # job; their spans must still nest under the span that submitted them
+    # job, and extract --jobs 2 computes grams there; their spans must still
+    # nest under the span that submitted them.  extract reaches its gram
+    # function through features.frontend, which must look it up after the
+    # tracer has wrapped it
     ids = {s[0] for s in spans[command]}
     found = [s for s in spans[command] if s[1] == name]
     assert found
