@@ -11,8 +11,8 @@
 # dev data, a window of another name, an MGD lifter as long as the spectrum, a
 # feature directory of mixed kinds, a manifest naming a file outside its
 # directory, a feature directory that lacks a protocol's utterances or its
-# manifest, a learning rate that makes training diverge, and an allocation past
-# the address space among them.
+# manifest, a learning rate that makes training diverge, a model past memory,
+# and an allocation past the address space among them.
 #
 #   bash .github/console_pipeline.sh    # with replaycm on PATH
 set -euo pipefail
@@ -154,6 +154,15 @@ expect_error training replaycm train --feature-dir toy/stft --protocol-train toy
   --out toy/rejected.ckpt
 if [ -e toy/rejected.ckpt ] || [ -e toy/rejected.ckpt.log ]; then
   echo "a rejected train left toy/rejected.ckpt or its .log behind" >&2
+  exit 1
+fi
+# ten billion blocks: the model's arrays are claimed at once, before any block is built
+printf '[model]\nblock_counts = 3,4,6,10000000000\n' > toy/blocks.cfg
+expect_error resource replaycm train --feature-dir toy/stft --protocol-train toy/protocol_train.txt \
+  --protocol-dev toy/protocol_dev.txt --objective bfl --config toy/blocks.cfg \
+  --out toy/rejected.ckpt
+if [ -e toy/rejected.ckpt ] || [ -e toy/rejected.ckpt.log ]; then
+  echo "a train past memory left toy/rejected.ckpt or its .log behind" >&2
   exit 1
 fi
 # a checkpoint records the kind it was trained on: the STFT model neither

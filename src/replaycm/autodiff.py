@@ -22,10 +22,13 @@ input, not a padded copy or its im2col buffer, and pads, casts and builds the
 columns again for the weight gradient; ``BatchNorm2d`` keeps the per-channel
 ``mu`` and ``inv_std`` and rebuilds the normalized input only where a gradient
 reads it; ``maxpool2d`` keeps the slot of each window's maximum, and its
-backward adds the gradient tap by tap.  Each rebuilt value is the same bytes
-as the one the forward used.  ``BatchNorm2d`` ends in a block's residual add
-and ReLU, so a basic block keeps four arrays of its output's size, the
-outputs of its convs and batch norms, and a 16-gram 65x50 step traces ~30 MB.
+backward adds the gradient tap by tap.  A batch norm that normalizes a conv
+output keeps not that output but the conv's parents and a rebuild of it, the
+same GEMM on the same columns, whose columns the conv's weight gradient then
+reads.  Each rebuilt value is the same bytes as the one the forward used.
+``BatchNorm2d`` ends in a block's residual add and ReLU, so a basic block
+keeps two arrays of its output's size, the outputs of its batch norms, and a
+16-gram 65x50 step traces ~20 MB.
 
 The engine holds the ops the ResNet runs, and no other: ``log_softmax``,
 ``linear``, ``conv2d``, ``maxpool2d``, ``global_avg_pool`` and
@@ -43,7 +46,9 @@ reads.
 
 Convolution reads its windows through one strided view (``_windows``); its
 adjoint ``_fold`` adds window gradients back tap by tap for the conv and the
-max pool alike.  The max-pool forward walks the taps itself, copying no window.
+max pool alike, straight into the unpadded input gradient.  The conv lays its
+column gradient out tap by tap, so each tap's is one block.  The max-pool
+forward walks the taps itself, copying no window.
 """
 
 from __future__ import annotations
@@ -54,7 +59,8 @@ from .errors import ContractError, ShapeError
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_rebuild",
+                 "__weakref__")
 
     def __init__(self, data):
         if isinstance(data, np.ndarray) and data.dtype in (np.float32, np.float64):
@@ -65,6 +71,7 @@ class Tensor:
         self.requires_grad = False
         self._parents = ()
         self._backward = None
+        self._rebuild = None  # a conv output's way to compute its data again
 
     @property
     def shape(self):
@@ -74,12 +81,13 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def _result(data, parents, backward_fn) -> Tensor:
+def _result(data, parents, backward_fn, rebuild=None) -> Tensor:
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
+        out._rebuild = rebuild
     return out
 
 
@@ -87,10 +95,12 @@ def _promote(*tensors):
     return np.float64 if any(t.data.dtype == np.float64 for t in tensors) else np.float32
 
 
-def _accum(tensor: Tensor, grad: np.ndarray):
+def _accum(tensor: Tensor, grad: np.ndarray, owned: bool = False):
+    """Add ``grad`` to ``tensor.grad``.  An ``owned`` gradient is a new array
+    that nothing else holds, so the first one becomes ``.grad`` uncopied."""
     grad = grad.astype(tensor.data.dtype, copy=False)
     if tensor.grad is None:
-        tensor.grad = grad.copy()
+        tensor.grad = grad if owned else grad.copy()
     else:
         tensor.grad = tensor.grad + grad
 
@@ -99,6 +109,14 @@ def _released(g):
     """Stands in for the closure of an interior tensor once a backward pass
     has run it and freed the graph behind it."""
     raise ContractError("backward: the graph was freed by an earlier backward pass")
+
+
+def _absorbed(g):
+    """Stands in for the closure of a conv output that a batch norm absorbed:
+    the batch norm backpropagates into the conv itself, so no other consumer
+    may."""
+    raise ContractError("backward: a batch norm absorbed this conv output, "
+                        "so no other op may backpropagate into it")
 
 
 def backward(out: Tensor, grad: np.ndarray) -> None:
@@ -137,7 +155,7 @@ def backward(out: Tensor, grad: np.ndarray) -> None:
             continue  # a leaf keeps its gradient
         if node.grad is not None:
             node._backward(node.grad)
-        node.grad, node._backward, node._parents = None, _released, ()
+        node.grad, node._backward, node._parents, node._rebuild = None, _released, (), None
 
 
 # ---------------------------------------------------------------------------
@@ -198,22 +216,47 @@ def _windows(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
 
 
+def _inside(offset: int, stride: int, n_out: int, size: int):
+    """(first, stop, cell): the outputs o in [first, stop) whose input cell
+    ``offset + stride * o`` lies in [0, size), and the first one's cell."""
+    first = max(0, -(offset // stride))
+    stop = min(n_out, (size - 1 - offset) // stride + 1)
+    return first, stop, offset + stride * first
+
+
 def _fold(tap, x_shape, kh: int, kw: int, stride: int, pad: int, dtype) -> np.ndarray:
     """Adjoint of ``_windows`` on an input of ``x_shape`` padded by ``pad``: add
     ``tap(i, j)``, the (n, c, ho, wo) gradient of every window's tap (i, j), to
-    a zero padded array in row-major tap order; return its unpadded part."""
+    a zero array of ``x_shape`` in row-major tap order.  Cells of a window that
+    land in the padding are left out, so no padded array is built."""
     n, c, h, w = x_shape
     ho = _conv_out_size(h, kh, stride, pad)
     wo = _conv_out_size(w, kw, stride, pad)
-    dxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=dtype)
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += tap(i, j)
-    return dxp[:, :, pad : pad + h, pad : pad + w] if pad else dxp
+    dx = np.zeros(x_shape, dtype=dtype)
+    rows = [_inside(i - pad, stride, ho, h) for i in range(kh)]
+    cols = [_inside(j - pad, stride, wo, w) for j in range(kw)]
+    for i, (o0, o1, r) in enumerate(rows):
+        for j, (p0, p1, q) in enumerate(cols):
+            if o1 > o0 and p1 > p0:
+                dx[:, :, r : r + stride * (o1 - o0) : stride, q : q + stride * (p1 - p0) : stride] \
+                    += tap(i, j)[:, :, o0:o1, p0:p1]
+    return dx
+
+
+def _padded(x: np.ndarray, pad: int, fill, dtype) -> np.ndarray:
+    """``x`` cast to ``dtype`` inside a border of ``pad`` cells of ``fill``."""
+    if not pad:
+        return x.astype(dtype, copy=False)
+    n, c, h, w = x.shape
+    xp = np.full((n, c, h + 2 * pad, w + 2 * pad), fill, dtype=dtype)
+    xp[:, :, pad : pad + h, pad : pad + w] = x
+    return xp
 
 
 def conv2d(x: Tensor, weight: Tensor, stride: int, pad: int) -> Tensor:
-    """Cross-correlation of NCHW input with OIHW kernels (no bias)."""
+    """Cross-correlation of NCHW input with OIHW kernels (no bias).  On the
+    tape, its output can be rebuilt: a batch norm that takes it keeps the
+    rebuild instead of the array (see ``BatchNorm2d``)."""
     if x.data.ndim != 4 or weight.data.ndim != 4 or x.data.shape[1] != weight.data.shape[1]:
         raise ShapeError(f"conv2d mismatch: input {x.data.shape}, kernel {weight.data.shape}")
     n, c, h, w = x.data.shape
@@ -226,30 +269,42 @@ def conv2d(x: Tensor, weight: Tensor, stride: int, pad: int) -> Tensor:
     # training batches stay in sgemm, float64 tensors (gradient checks) get
     # 64-bit end to end
     out_dtype = _promote(x, weight)
-    padding = ((0, 0), (0, 0), (pad, pad), (pad, pad))
 
     def im2col():
         # the tape keeps x, the parent, and neither its padded copy nor cols
-        # (kh * kw times its size): the weight gradient pads, casts and
-        # builds cols again, the same bytes
-        xp = np.pad(x.data, padding) if pad else x.data
-        win = _windows(xp.astype(out_dtype, copy=False), kh, kw, stride)
+        # (kh * kw times its size): the weight gradient reads the cols that
+        # rebuild built, or pads, casts and builds them again, the same bytes
+        win = _windows(_padded(x.data, pad, 0, out_dtype), kh, kw, stride)
         return win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, ho * wo)
 
     w2 = weight.data.reshape(co, c * kh * kw).astype(out_dtype, copy=False)
     data = np.matmul(w2, im2col()).reshape(n, co, ho, wo)
+    cols = None  # set by rebuild, for the weight gradient that follows it
+
+    def rebuild():
+        # the same GEMM on the same columns, so the same bytes as data
+        nonlocal cols
+        cols = im2col()
+        return np.matmul(w2, cols).reshape(n, co, ho, wo)
 
     def bwd(g):
+        nonlocal cols
         g2 = g.reshape(n, co, ho * wo).astype(out_dtype, copy=False)
         if weight.requires_grad:
-            dw = np.matmul(g2, im2col().transpose(0, 2, 1)).sum(axis=0, dtype=np.float64)
+            if cols is None:
+                cols = im2col()
+            dw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0, dtype=np.float64)
             _accum(weight, dw.reshape(weight.data.shape))
+        cols = None
         if x.requires_grad:
-            dcols = np.matmul(w2.T, g2).reshape(n, c, kh, kw, ho, wo)
-            _accum(x, _fold(lambda i, j: dcols[:, :, i, j], x.data.shape, kh, kw, stride, pad,
-                            dcols.dtype))
+            # w2.T's rows permuted from (c, kh, kw) to (kh, kw, c), so that
+            # each tap's gradient is one (n, c, ho, wo) block of dcols
+            taps = w2.T.reshape(c, kh, kw, co).transpose(1, 2, 0, 3).reshape(kh * kw * c, co)
+            dcols = np.matmul(taps, g2).reshape(n, kh, kw, c, ho, wo)
+            _accum(x, _fold(lambda i, j: dcols[:, i, j], x.data.shape, kh, kw, stride, pad,
+                            dcols.dtype), owned=True)
 
-    return _result(data, (x, weight), bwd)
+    return _result(data, (x, weight), bwd, rebuild)
 
 
 def maxpool2d(x: Tensor, kernel: int, stride: int, pad: int) -> Tensor:
@@ -260,7 +315,7 @@ def maxpool2d(x: Tensor, kernel: int, stride: int, pad: int) -> Tensor:
     wo = _conv_out_size(w, kernel, stride, pad)
     if ho <= 0 or wo <= 0:
         raise ShapeError(f"maxpool2d: window {kernel} too large for input {x.data.shape}")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)), constant_values=-np.inf) if pad else x.data
+    xp = _padded(x.data, pad, -np.inf, x.data.dtype)
     # a running maximum by argmax's rule: a later tap takes a window only if
     # greater, or a NaN over a number, and takes it bit for bit, so -0.0 and
     # NaN keep their bytes.  The tape keeps the slot, in the smallest int type
@@ -278,7 +333,7 @@ def maxpool2d(x: Tensor, kernel: int, stride: int, pad: int) -> Tensor:
         # a window's tap gets g where its maximum sits and 0 elsewhere, one
         # tap at a time rather than one (n, c, ho, wo, k*k) buffer
         _accum(x, _fold(lambda i, j: np.where(slot == i * kernel + j, g, 0), x.data.shape,
-                        kernel, kernel, stride, pad, np.float64))
+                        kernel, kernel, stride, pad, np.float64), owned=True)
 
     return _result(best, (x,), bwd)
 
@@ -309,6 +364,12 @@ class BatchNorm2d:
     A call can end in a block's epilogue, in place on the output: add
     ``residual``, then clip at 0 if ``relu``.  The backward masks with
     ``out > 0``, so no pre-activation array reaches the tape.
+
+    A conv output on the tape is absorbed: the tape keeps the conv's parents,
+    its rebuild and its closure, not the array.  The backward rebuilds the
+    output only where a gradient reads ``xhat``, and hands its input gradient
+    straight to the conv's closure, which reads the columns the rebuild built.
+    No other op may then backpropagate into that output.
     """
 
     def __init__(self, channels: int):
@@ -329,9 +390,9 @@ class BatchNorm2d:
         if residual is not None and (residual.shape, residual.data.dtype) != (x.shape, dt):
             raise ShapeError(f"batchnorm2d: residual {residual.shape} {residual.data.dtype} "
                              f"does not match input {x.shape} {dt}")
+        m = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
         if train:
             # statistics accumulate in float64; elementwise math stays in dt
-            m = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
             mu = x.data.mean(axis=(0, 2, 3), dtype=np.float64)
             var = (x.data.astype(np.float64) ** 2).mean(axis=(0, 2, 3)) - mu**2
             var = np.maximum(var, 0.0)
@@ -341,43 +402,55 @@ class BatchNorm2d:
         else:
             mu = self.running_mean
             var = self.running_var
-        inv_std = (1.0 / np.sqrt(var + BN_EPS)).astype(dt)
+        mu = mu.astype(dt)[:, None, None]
+        inv_std = (1.0 / np.sqrt(var + BN_EPS)).astype(dt)[:, None, None]
 
-        def normalized():
-            return (x.data - mu.astype(dt)[:, None, None]) * inv_std[:, None, None]
+        def normalized(xd):
+            xhat = xd - mu
+            xhat *= inv_std
+            return xhat
 
         scale = gamma.data.astype(dt)[:, None, None]
-        data = scale * normalized() + beta.data.astype(dt)[:, None, None]
+        data = normalized(x.data)
+        data *= scale
+        data += beta.data.astype(dt)[:, None, None]
         if residual is not None:
             data += residual.data
         if relu:
             np.maximum(data, 0, out=data)
 
+        if x._rebuild is not None:
+            source, into, parents = x._rebuild, x._backward, x._parents
+            x._rebuild, x._backward, x._parents = None, _absorbed, ()
+        else:
+            source, into, parents = (lambda: x.data), (lambda dx: _accum(x, dx, owned=True)), (x,)
+        x_grad = x.requires_grad
+
         def bwd(g):
             if relu:
-                g = g * (data > 0)
+                g *= data > 0  # g is this output's own gradient
             if residual is not None and residual.requires_grad:
                 _accum(residual, g)
-            # the tape keeps mu and inv_std, not xhat: it is rebuilt from x,
-            # the parent, only where a gradient reads it, the same bytes
-            xhat = normalized() if gamma.requires_grad or (train and x.requires_grad) else None
+            # the tape keeps mu and inv_std, not xhat: it is rebuilt from x or
+            # the conv's rebuild only where a gradient reads it, the same bytes
+            xhat = normalized(source()) if gamma.requires_grad or (train and x_grad) else None
             if gamma.requires_grad:
                 _accum(gamma, (g * xhat).sum(axis=(0, 2, 3), dtype=np.float64))
             if beta.requires_grad:
                 _accum(beta, g.sum(axis=(0, 2, 3), dtype=np.float64))
-            if x.requires_grad:
-                gx = g * scale
+            if x_grad:
+                dx = g * scale
                 if train:
-                    m = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
-                    sum_gx = gx.sum(axis=(0, 2, 3), dtype=np.float64).astype(dt)
-                    sum_gx_xhat = (gx * xhat).sum(axis=(0, 2, 3), dtype=np.float64).astype(dt)
-                    dx = (
-                        inv_std[:, None, None]
-                        * (gx - (sum_gx[:, None, None] + xhat * sum_gx_xhat[:, None, None]) / m)
-                    )
-                else:
-                    dx = gx * inv_std[:, None, None]
-                _accum(x, dx)
+                    # inv_std * (gx - (sum_gx + xhat * sum_gx_xhat) / m), in place
+                    sum_gx = dx.sum(axis=(0, 2, 3), dtype=np.float64).astype(dt)
+                    sum_gx_xhat = (dx * xhat).sum(axis=(0, 2, 3), dtype=np.float64).astype(dt)
+                    xhat *= sum_gx_xhat[:, None, None]
+                    xhat += sum_gx[:, None, None]
+                    xhat /= m
+                    dx -= xhat
+                dx *= inv_std
+                del xhat  # before the conv's backward builds its columns
+                into(dx)
 
-        parents = (x, gamma, beta) if residual is None else (x, gamma, beta, residual)
+        parents += (gamma, beta) if residual is None else (gamma, beta, residual)
         return _result(data, parents, bwd)

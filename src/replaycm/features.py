@@ -224,13 +224,20 @@ GUARD_BINS = 64
 
 def cqt_fmin(sample_rate: int, n_octaves: int) -> float:
     """Lowest center frequency: 32.7 Hz when n_octaves fit under Nyquist,
-    otherwise Nyquist / 2**n_octaves so the top octave ends at Nyquist."""
+    otherwise Nyquist / 2**n_octaves so the top octave ends at Nyquist.  It
+    may not fall below 1 / MAX_WINDOW_S, the lowest frequency whose period a
+    window holds."""
     if n_octaves > 1023:  # 2.0**1024 overflows a float
         raise ParameterError(f"cqt n_octaves must be at most 1023, got {n_octaves}")
     nyquist = sample_rate / 2.0
     if ANCHOR_FMIN_HZ * 2.0**n_octaves <= nyquist:
         return ANCHOR_FMIN_HZ
-    return nyquist / 2.0**n_octaves
+    fmin = nyquist / 2.0**n_octaves
+    if fmin < 1.0 / MAX_WINDOW_S:
+        raise ParameterError(f"cqt n_octaves = {n_octaves} puts the lowest center frequency at "
+                             f"{fmin:.3g} Hz, below the {1.0 / MAX_WINDOW_S:g} Hz that a "
+                             f"{MAX_WINDOW_S:g} s window resolves")
+    return fmin
 
 
 def cqt_center_frequencies(fmin: float, n_octaves: int, bins_per_octave: int) -> np.ndarray:

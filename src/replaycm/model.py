@@ -7,7 +7,8 @@ pooling, a hidden fully-connected layer and a 2-class output read out as
 log-probabilities.  ``channels`` is stage 0's width, doubled at each later
 stage: 16 in the paper, 4 by default for desk-scale runs.  Each batch norm
 but a projection's ends in its ReLU, a block's second after the shortcut add,
-so the tape keeps four arrays of a block's output size.
+and absorbs the output of the conv before it, so the tape keeps two arrays of
+a block's output size.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import operator
 import os
 import struct
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -79,15 +81,19 @@ def _kaiming(rng: np.random.Generator, *shape: int) -> np.ndarray:
     return (rng.standard_normal(shape) * std).astype(np.float32)
 
 
+def _zeros(*shape: int) -> np.ndarray:
+    return np.zeros(shape, dtype=np.float32)
+
+
 class BasicBlock:
-    def __init__(self, rng, in_ch: int, out_ch: int, stride: int):
+    def __init__(self, init, in_ch: int, out_ch: int, stride: int):
         self.stride = stride
-        self.conv1 = Tensor(_kaiming(rng, out_ch, in_ch, 3, 3))
+        self.conv1 = Tensor(init(out_ch, in_ch, 3, 3))
         self.bn1 = BatchNorm2d(out_ch)
-        self.conv2 = Tensor(_kaiming(rng, out_ch, out_ch, 3, 3))
+        self.conv2 = Tensor(init(out_ch, out_ch, 3, 3))
         self.bn2 = BatchNorm2d(out_ch)
         if stride != 1 or in_ch != out_ch:
-            self.proj = Tensor(_kaiming(rng, out_ch, in_ch, 1, 1))
+            self.proj = Tensor(init(out_ch, in_ch, 1, 1))
             self.proj_bn = BatchNorm2d(out_ch)
         else:
             self.proj = None
@@ -111,11 +117,20 @@ def _named_arrays(prefix: str, owner):
 
 
 class ResNet:
-    def __init__(self, cfg: ResNetConfig, seed: int):
+    def __init__(self, cfg: ResNetConfig, seed: int | None):
+        """He-normal weights drawn from ``seed``; with ``seed=None``, zero
+        weights for ``load_state`` to set, so nothing is drawn."""
+        # the arrays' bytes, claimed at once: a config past memory fails here,
+        # not after building blocks for seconds
+        np.empty(cfg.state_bytes, dtype=np.uint8)
         self.cfg = cfg
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5245534E]))
+        if seed is None:
+            init = _zeros
+        else:
+            rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5245534E]))
+            init = partial(_kaiming, rng)
         chans = cfg.stage_channels
-        self.stem_conv = Tensor(_kaiming(rng, chans[0], 1, 3, 3))
+        self.stem_conv = Tensor(init(chans[0], 1, 3, 3))
         self.stem_bn = BatchNorm2d(chans[0])
         self.stages = []
         in_ch = chans[0]
@@ -123,12 +138,12 @@ class ResNet:
             blocks = []
             for b in range(n_blocks):
                 stride = 2 if (stage_idx > 0 and b == 0) else 1
-                blocks.append(BasicBlock(rng, in_ch, out_ch, stride))
+                blocks.append(BasicBlock(init, in_ch, out_ch, stride))
                 in_ch = out_ch
             self.stages.append(blocks)
-        self.fc_w = Tensor(_kaiming(rng, cfg.fc_width, chans[3]))
+        self.fc_w = Tensor(init(cfg.fc_width, chans[3]))
         self.fc_b = Tensor(np.zeros(cfg.fc_width, dtype=np.float32))
-        self.out_w = Tensor(_kaiming(rng, N_CLASSES, cfg.fc_width))
+        self.out_w = Tensor(init(N_CLASSES, cfg.fc_width))
         self.out_b = Tensor(np.zeros(N_CLASSES, dtype=np.float32))
 
     def forward(self, x: Tensor, train: bool) -> Tensor:
@@ -265,7 +280,7 @@ def load_checkpoint(path):
         if cfg.state_bytes != left:
             raise FormatError(f"{path}: config needs {cfg.state_bytes} array bytes, "
                               f"file holds {left}")
-        model = ResNet(cfg, seed=0)
+        model = ResNet(cfg, seed=None)  # the layout alone: load_state sets every array
         arrays = {}
         for name, array in sorted(model.state().items()):
             raw = fh.read(array.nbytes)

@@ -17,7 +17,7 @@ from replaycm import training
 from replaycm.audio_io import read_wav
 from replaycm.cli import main
 from replaycm.features import read_gram
-from replaycm.model import load_checkpoint, score_batch
+from replaycm.model import ResNetConfig, load_checkpoint, score_batch
 from replaycm.replay_sim import read_protocol
 from replaycm.scoring import read_score_file, write_score_file
 
@@ -1034,21 +1034,36 @@ def test_cqt_hop_longer_than_the_utterance_is_a_parameter_error(pipeline, tmp_pa
         in err, err
 
 
-@pytest.mark.parametrize("n_octaves, bins", [(200, 12 * 200), (1023, 1023)])
-def test_cqt_octaves_whose_windows_outgrow_an_int_extract_cleanly(pipeline, tmp_path, capsys, n_octaves,
-                                                          bins):
-    # at 200 octaves the lowest windows, ~1e64 samples long, were cast to int
-    # before the clip: numpy warned "invalid value encountered in cast"
+def test_cqt_octaves_down_to_what_a_window_resolves_extract_cleanly(pipeline, tmp_path, capsys):
+    # at 16 kHz, 11 octaves start at 3.9 Hz, the lowest at or above 2 Hz
     _, corpus, _, _, _, _ = pipeline
     utt_id, protocol = _one_utterance(corpus, tmp_path)
     cfg = tmp_path / "octaves.cfg"
-    cfg.write_text(f"[cqt]\nn_octaves = {n_octaves}\nbins_per_octave = {bins // n_octaves}\n")
+    cfg.write_text("[cqt]\nn_octaves = 11\nbins_per_octave = 12\n")
     out = tmp_path / "cqt"
     assert main(["extract", "--feature", "cqt", "--protocol", str(protocol),
                  "--wav-dir", str(corpus / "wav"), "--out", str(out), "--config", str(cfg),
                  "--bin-stride", "8", "--frame-stride", "10"]) == 0
     assert capsys.readouterr().err == ""
-    assert read_gram(out / f"{utt_id}.fgram").data.shape == (-(-bins // 8), 50)
+    assert read_gram(out / f"{utt_id}.fgram").data.shape == (-(-11 * 12 // 8), 50)
+
+
+@pytest.mark.parametrize("n_octaves, bins", [(12, 12 * 12), (200, 12 * 200), (1023, 1023)])
+def test_cqt_octaves_below_what_a_window_resolves_are_a_parameter_error(pipeline, tmp_path,
+                                                                        capsys, n_octaves, bins):
+    # 200 octaves once extracted 2400 bins, 2257 of them below 2 Hz, where a
+    # 0.5 s window holds less than one period: near-identical sub-Hz low-passes
+    _, corpus, _, _, _, _ = pipeline
+    _, protocol = _one_utterance(corpus, tmp_path)
+    cfg = tmp_path / "octaves.cfg"
+    cfg.write_text(f"[cqt]\nn_octaves = {n_octaves}\nbins_per_octave = {bins // n_octaves}\n")
+    code = main(["extract", "--feature", "cqt", "--protocol", str(protocol),
+                 "--wav-dir", str(corpus / "wav"), "--out", str(tmp_path / "cqt"),
+                 "--config", str(cfg), "--bin-stride", "8", "--frame-stride", "10"])
+    err = _error_line(code, capsys)
+    assert err.startswith("error:parameter: ") and \
+        f"at 16000 Hz: cqt n_octaves = {n_octaves} puts the lowest center frequency at " in err \
+        and err.endswith(" below the 2 Hz that a 0.5 s window resolves"), err
 
 
 def test_cqt_octaves_past_the_float_range_are_a_parameter_error(pipeline, tmp_path, capsys):
@@ -1099,7 +1114,7 @@ def _cli_in_a_child(args, address_space=ADDRESS_SPACE_LIMIT) -> subprocess.Compl
     ("extract-stft", "[stft]\nn_fft = 100000000000\n", "71.3 TiB"),
     ("extract-mgd", "[stft]\nn_fft = 100000000000\n", "143. TiB"),
     ("extract-cqt", "[cqt]\nbins_per_octave = 100000000\n", "6.71 GiB"),
-    ("train", "[model]\nchannels = 1048576\n", "TiB"),
+    ("train", "[model]\nchannels = 1048576\n", "PiB"),  # the whole model's state, claimed first
     ("train", "[model]\nfc_width = 100000000000\n", "TiB"),
 ], ids=["n_fft-stft", "n_fft-mgd", "bins_per_octave", "channels", "fc_width"])
 def test_out_of_memory_is_one_resource_line(pipeline, tmp_path, command, config, what):
@@ -1225,12 +1240,12 @@ def test_every_front_end_config_extracts_or_ends_in_one_error_line(one_utterance
 
 
 # small valid values, invalid ones and absurd sizes of every [model] and
-# [train] key; no valid value that runs slowly, such as a huge max_epochs or
-# block count (block_counts = 3,4,6,10000000000 takes 8-14 s to run out of a
-# 2 GiB address space)
+# [train] key; no valid value that runs slowly, such as a huge max_epochs
 TRAIN_VALUES = {
-    "model": {"block_counts": st.sampled_from(["1,1,1,1", "3,4,6,3", "2,1,1,2", "0,1,1,1",
-                                               "1,1,1", "1.5,1,1,1", "x", ""]),
+    "model": {"block_counts": st.one_of(st.sampled_from(["1,1,1,1", "3,4,6,3", "2,1,1,2",
+                                                         "0,1,1,1", "1,1,1", "1.5,1,1,1", "x",
+                                                         ""]),
+                                        ABSURD_INT.map(lambda n: f"3,4,6,{n}")),
               "channels": _values(["1", "2", "4"]),
               "fc_width": _values(["1", "8", "32"])},
     "train": {"lr": _values(["1e-3", "3e-4", "1"], ABSURD_FLOAT),
@@ -1260,6 +1275,21 @@ def train_config(draw) -> str:
         sections[section][key] = draw(TRAIN_VALUES[section][key])
     return "".join(f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in keyed.items())
                    for section, keyed in sections.items())
+
+
+def test_a_model_past_memory_fails_before_a_block_is_built(pipeline, tmp_path):
+    # ten billion stage-3 blocks once spent 8-14 s building blocks under a
+    # 2 GiB address space before they ran out of it
+    cfg, out = tmp_path / "blocks.cfg", tmp_path / "m.ckpt"
+    cfg.write_text("[model]\nblock_counts = 3,4,6,10000000000\n")
+    run = _cli_in_a_child(_train_args(pipeline, out, cfg), address_space=2 * ADDRESS_SPACE_LIMIT)
+    assert run.returncode == 1 and len(run.stderr.splitlines()) == 1, run.stderr
+    assert run.stderr.startswith("error:resource: train ran out of memory building a model: "
+                                 "Unable to allocate "), run.stderr
+    # the one allocation of the model's state bytes failed, not a block's
+    state_bytes = ResNetConfig(block_counts=(3, 4, 6, 10**10)).state_bytes
+    assert f"with shape ({state_bytes},)" in run.stderr, run.stderr
+    assert not out.exists() and not Path(str(out) + ".log").exists()
 
 
 # up to ~0.6 s a child process: 16 examples add ~5 s

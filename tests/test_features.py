@@ -324,7 +324,8 @@ class TestCqt:
         assert cqt_fmin(16000, 9) == pytest.approx(8000.0 / 512.0)
         # at 96 kHz nine octaves fit below Nyquist from the 32.7 Hz anchor
         assert cqt_fmin(96000, 9) == pytest.approx(32.7)
-        assert cqt_fmin(16000, 1023) == 8000.0 / 2.0**1023
+        # the most octaves at 16 kHz: 3.9 Hz, at or above 1 / MAX_WINDOW_S
+        assert cqt_fmin(16000, 11) == 8000.0 / 2.0**11
 
     @pytest.mark.parametrize("n_octaves", [1024, 1100, 10**10])
     def test_octaves_past_the_float_range_are_rejected(self, n_octaves):
@@ -332,12 +333,20 @@ class TestCqt:
         with pytest.raises(ParameterError, match=f"at most 1023, got {n_octaves}$"):
             cqt_fmin(16000, n_octaves)
 
-    def test_lengths_too_long_for_an_int_are_the_cap(self):
-        # 200 octaves put the lowest bins ~1e64 samples long: once cast to
-        # int before the clip, with a warning, they became 2-sample windows
-        kernel = CqtKernel(SR, 200, 1, 128)
-        assert kernel.lengths[0] == kernel.lengths[-150] == round(MAX_WINDOW_S * SR)
-        assert list(kernel.lengths[-3:]) == [16, 8, 4]  # Q = 1 period at 1, 2 and 4 kHz
+    @pytest.mark.parametrize("sample_rate, n_octaves", [(16000, 12), (16000, 200),
+                                                         (16000, 1023), (8000, 11)])
+    def test_a_lowest_center_below_what_a_window_resolves_is_rejected(self, sample_rate,
+                                                                      n_octaves):
+        # 200 octaves at 16 kHz once put 188 of them below 2 Hz
+        with pytest.raises(ParameterError, match=f"n_octaves = {n_octaves} puts the lowest "
+                                                 "center frequency at .* below the 2 Hz"):
+            cqt_fmin(sample_rate, n_octaves)
+
+    def test_lengths_past_the_window_cap_are_the_cap(self):
+        # Q = 16.8 periods at 3.9 Hz would be ~69000 samples
+        assert CqtKernel(SR, 11, 12, 128).lengths[0] == round(MAX_WINDOW_S * SR)
+        # Q = 1 period at 1, 2 and 4 kHz
+        assert list(CqtKernel(SR, 11, 1, 128).lengths[-3:]) == [16, 8, 4]
 
     def test_geometric_center_frequencies(self, kernel):
         ratios = kernel.freqs[1:] / kernel.freqs[:-1]

@@ -126,6 +126,22 @@ def test_command_loads_only_the_modules_it_runs(pipeline, tmp_path, command):
     assert _replaycm_loaded(*_argv(command, pipeline, tmp_path)) & NOT_RUN[command] == set()
 
 
+def _draws(program, *argv) -> bool:
+    """Whether ``program`` run on ``argv`` loads ``numpy.random``."""
+    proc = subprocess.run([sys.executable, "-c", program + "print('numpy.random' in sys.modules)\n"
+                           "sys.exit(code)\n", *map(str, argv)],
+                          env=ENV, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1] == "True"
+
+
+@pytest.mark.parametrize("command", ["score", "saliency"])
+def test_a_loaded_checkpoint_draws_no_weights(pipeline, tmp_path, command):
+    # its weights come from the file: building the model with drawn weights
+    # loaded numpy.random, which numpy 2's import leaves out (~24 ms, 6 MB)
+    assert _draws(CLI, *_argv(command, pipeline, tmp_path)) == _draws(NUMPY)
+
+
 def test_training_names_the_feature_store_of_features():
     # perfbench's tracer times the store through training.FeatureStore
     from replaycm import features, training

@@ -381,7 +381,7 @@ class TestTapeRelease:
                            train=True)
         logits = lp._parents[0]
         graph = [weakref.ref(t) for t in interior_tensors(lp) if t is not lp and t is not logits]
-        assert len(graph) > 50
+        assert len(graph) > 30  # 39: each batch norm absorbs its conv's output
         ad.backward(lp, rng.standard_normal(lp.shape))
         assert logits.grad is None and logits._parents == ()
         assert all(ref() is None for ref in graph)  # while lp is still held

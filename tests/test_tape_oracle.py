@@ -1,28 +1,31 @@
 """The tape keeps each array once, and every gradient keeps its bytes.
 
 ``conv2d`` keeps its input rather than a padded copy, ``BatchNorm2d`` keeps
-``mu`` and ``inv_std`` rather than ``xhat`` and ends in a block's residual
-add and ReLU, the max pool takes a running maximum tap by tap and its
-backward hands ``_fold`` one tap at a time rather than a float64 window
-buffer, and ``backward`` pops each node off its list, and the hidden linear
-layer ends in its ReLU.  Test-only copies of the earlier ops, ``_fold`` and
-backward loop are the oracle: every output and ``.grad`` must be equal in
-bytes.
+``mu`` and ``inv_std`` rather than ``xhat``, absorbs the conv output it
+normalizes and ends in a block's residual add and ReLU, the max pool takes a
+running maximum tap by tap and its backward hands ``_fold`` one tap at a
+time rather than a float64 window buffer, and ``backward`` pops each node off
+its list, and the hidden linear layer ends in its ReLU.  Test-only copies of
+the earlier ops, ``_fold`` and backward loop are the oracle, and so is the
+network with every conv output kept: every output and ``.grad`` must be
+equal in bytes.
 """
 
 import tracemalloc
 import weakref
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import leaf
 from replaycm import autodiff as ad
+from replaycm import objectives
 from replaycm.autodiff import BN_EPS, BN_MOMENTUM, BatchNorm2d, Tensor
-from replaycm.errors import ShapeError
-from replaycm.model import ResNet, ResNetConfig
+from replaycm.errors import ContractError, ShapeError
+from replaycm.model import ResNet, ResNetConfig, saliency_map, score_batch
 from replaycm.training import AdamW
 
 
@@ -383,7 +386,8 @@ def test_a_detect_shaped_train_step_peaks_under_36_mb():
     # max-pool window buffer and every activation held until backward
     # returned, the traced peak was 77 MB; with each batch norm's output,
     # each residual sum and the stem's pre-activation kept for their ReLUs,
-    # it was 48 MB; it is 30 MB now
+    # it was 48 MB; with each conv output kept for its batch norm, 30 MB; it
+    # is 20 MB now
     model = ResNet(ResNetConfig(input_bins=65, input_frames=50), seed=0)
     AdamW(model.parameters(), lr=1e-3, betas=(0.9, 0.999), weight_decay=0.0)
     x = Tensor(np.random.default_rng(0).standard_normal((16, 1, 65, 50)).astype(np.float32))
@@ -410,23 +414,24 @@ def _tape(out):
     return seen.values()
 
 
-def test_an_identity_block_keeps_four_arrays_of_its_output_size():
+def test_an_identity_block_keeps_two_arrays_of_its_output_size():
     cfg = ResNetConfig(input_bins=65, input_frames=50)
     n, chans = 16, cfg.stage_channels
     model = ResNet(cfg, seed=0)
     x = Tensor(np.random.default_rng(0).standard_normal((n, 1, 65, 50)).astype(np.float32))
     lp = model.forward(x, train=True)
     kept = sum(t.data.nbytes for t in _tape(lp) if t._backward is not None)
-    # float32 interior arrays: the stem's conv, batch norm (ReLU fused) and
-    # max pool; per block conv1, bn1 (ReLU fused), conv2 and bn2 (shortcut
-    # and ReLU fused), and at a stage's first block a projection's conv and
-    # batch norm.  A separate ReLU and add would keep three more per block
+    # float32 interior arrays: the stem's batch norm (ReLU fused) and max
+    # pool; per block bn1 (ReLU fused) and bn2 (shortcut and ReLU fused), and
+    # at a stage's first block a projection's batch norm.  Each batch norm
+    # absorbs the conv before it, so no conv output is kept: with them, a
+    # block kept four.  A separate ReLU and add would keep three more per block
     h, w = 65, 50
-    expected = 3 * n * chans[0] * h * w * 4
+    expected = 2 * n * chans[0] * h * w * 4
     for stage, (ch, count) in enumerate(zip(chans, cfg.block_counts)):
         if stage:
             h, w = (h + 1) // 2, (w + 1) // 2
-        expected += (4 * count + (2 if stage else 0)) * n * ch * h * w * 4
+        expected += (2 * count + (1 if stage else 0)) * n * ch * h * w * 4
     # the head: average pool, hidden layer (ReLU fused), logits, log-probabilities
     expected += n * (chans[3] + cfg.fc_width + 2 * 2) * 4
     assert kept == expected
@@ -450,3 +455,73 @@ def test_an_interior_tensor_goes_once_its_consumers_have_run(rng):
     ad.backward(out, np.ones(out.shape))
     assert gone == [True]
     assert np.array_equal(x.grad, (x.data > 0).astype(x.data.dtype))
+
+
+def kept(conv2d):
+    """``conv2d`` whose output offers no rebuild, so the batch norm after it
+    keeps the array and backpropagates into it as into any input."""
+    def kept_conv2d(x, weight, stride, pad):
+        out = conv2d(x, weight, stride, pad)
+        out._rebuild = None
+        return out
+    return kept_conv2d
+
+
+def three_steps_then_eval(dtype) -> list:
+    """Log-probabilities, gradients, parameters and running statistics of
+    three training steps, then an eval score batch and a saliency map."""
+    # odd sizes, so that a stride-2 conv's last window reaches into the padding
+    cfg = ResNetConfig(channels=2, fc_width=8, input_bins=11, input_frames=9)
+    model = ResNet(cfg, seed=3)
+    params = model.parameters()
+    for p in params.values():
+        p.data = p.data.astype(dtype)
+    opt = AdamW(params, lr=1e-2, betas=(0.9, 0.999), weight_decay=1e-4)
+    rng = np.random.default_rng(4)
+    arrays = []
+    for _ in range(3):
+        x = Tensor(rng.standard_normal((5, 1, 11, 9)).astype(np.float32))
+        lp = model.forward(x, train=True)
+        _, grad = objectives.bfl(lp.data, rng.integers(0, 2, 5), (0.5, 1.5), 2.0)
+        ad.backward(lp, grad)
+        arrays += [lp.data] + [p.grad.copy() for p in params.values()]
+        opt.step()
+    arrays += list(model.state().values())
+    grams = rng.standard_normal((4, 11, 9)).astype(np.float32)
+    return arrays + [score_batch(model, grams), saliency_map(model, grams[0])]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_absorbing_every_conv_output_keeps_every_byte(dtype, monkeypatch):
+    absorbed = three_steps_then_eval(dtype)
+    with monkeypatch.context() as m:
+        m.setattr(ad, "conv2d", kept(ad.conv2d))
+        every_output_kept = three_steps_then_eval(dtype)
+    assert len(absorbed) == len(every_output_kept)
+    for a, b in zip(absorbed, every_output_kept):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def relu_then_batch_norm(y, bn):
+    z = oracle_relu(y)
+    return oracle_add(bn(y, train=True), z)
+
+
+def batch_norm_then_relu(y, bn):
+    out = bn(y, train=True)
+    return oracle_add(out, oracle_relu(y))
+
+
+def two_batch_norms(y, bn):
+    out = bn(y, train=True)
+    return oracle_add(out, BatchNorm2d(y.shape[1])(y, train=True))
+
+
+@pytest.mark.parametrize("graph", [relu_then_batch_norm, batch_norm_then_relu, two_batch_norms])
+def test_an_absorbed_conv_output_takes_no_gradient_from_another_op(rng, graph):
+    x = leaf(rng.standard_normal((2, 1, 5, 5)))
+    weight = leaf(rng.standard_normal((3, 1, 3, 3)))
+    out = graph(ad.conv2d(x, weight, stride=1, pad=1), BatchNorm2d(3))
+    with pytest.raises(ContractError, match="a batch norm absorbed this conv output"):
+        ad.backward(out, np.ones(out.shape))
