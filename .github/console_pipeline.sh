@@ -12,7 +12,8 @@
 # feature directory of mixed kinds, a manifest naming a file outside its
 # directory, a feature directory that lacks a protocol's utterances or its
 # manifest, a learning rate that makes training diverge, a model past memory,
-# and an allocation past the address space among them.
+# train and score into a missing directory, and an allocation past the address
+# space among them.
 #
 #   bash .github/console_pipeline.sh    # with replaycm on PATH
 set -euo pipefail
@@ -94,14 +95,15 @@ if [ "$(cat toy/stdout.txt)" != "eer=0.000000 min_tdcf=0.000000" ] || [ -s toy/s
   exit 1
 fi
 
-# expect_error CATEGORY COMMAND...
+# expect_error CATEGORY COMMAND...: the line names no temporary .tmp file
 expect_error() {
   local category=$1 code=0
   shift
   "$@" 2> toy/stderr.txt || code=$?
   if [ "$code" -ne 1 ] || [ "$(wc -l < toy/stderr.txt)" -ne 1 ] \
-      || ! grep -q "^error:$category: " toy/stderr.txt; then
-    echo "expected exit 1 and one error:$category: line (got exit $code) from: $*" >&2
+      || ! grep -q "^error:$category: " toy/stderr.txt || grep -q '\.tmp' toy/stderr.txt; then
+    echo "expected exit 1 and one error:$category: line, no .tmp in it (got exit $code)" \
+      "from: $*" >&2
     cat toy/stderr.txt >&2
     exit 1
   fi
@@ -165,6 +167,15 @@ if [ -e toy/rejected.ckpt ] || [ -e toy/rejected.ckpt.log ]; then
   echo "a train past memory left toy/rejected.ckpt or its .log behind" >&2
   exit 1
 fi
+# an output in a missing directory is an io error naming that output; train
+# finds it before the first epoch
+expect_error io replaycm train --feature-dir toy/stft --protocol-train toy/protocol_train.txt \
+  --protocol-dev toy/protocol_dev.txt --objective bfl --config toy/one_epoch.cfg \
+  --out toy/nodir/rejected.ckpt
+grep -q "No such file or directory: 'toy/nodir/rejected.ckpt'$" toy/stderr.txt
+expect_error io replaycm score --ckpt toy/model.ckpt --feature-dir toy/stft \
+  --protocol toy/protocol_eval.txt --out toy/nodir/rejected.txt
+grep -q "No such file or directory: 'toy/nodir/rejected.txt'$" toy/stderr.txt
 # a checkpoint records the kind it was trained on: the STFT model neither
 # scores nor maps the MGD dev grams of the same shape
 expect_error data replaycm score --ckpt toy/model.ckpt --feature-dir toy/mixed \

@@ -22,17 +22,18 @@ input, not a padded copy or its im2col buffer, and pads, casts and builds the
 columns again for the weight gradient; ``BatchNorm2d`` keeps the per-channel
 ``mu`` and ``inv_std`` and rebuilds the normalized input only where a gradient
 reads it; ``maxpool2d`` keeps the slot of each window's maximum, and its
-backward adds the gradient tap by tap.  A batch norm that normalizes a conv
-output keeps not that output but the conv's parents and a rebuild of it, the
-same GEMM on the same columns, whose columns the conv's weight gradient then
-reads.  Each rebuilt value is the same bytes as the one the forward used.
-``BatchNorm2d`` ends in a block's residual add and ReLU, so a basic block
-keeps two arrays of its output's size, the outputs of its batch norms, and a
-16-gram 65x50 step traces ~20 MB.
+backward adds the gradient tap by tap.  A batch norm convolves its own
+input, so no caller sees the conv output and the tape never keeps it: the
+batch norm's node takes the conv's parents, its rebuild (the same GEMM on the
+same columns) and its closure, whose weight gradient then reads the columns
+the rebuild built.  Each rebuilt value is the same bytes as the one the
+forward used.  ``BatchNorm2d`` ends in a block's residual add and ReLU, so a
+basic block keeps two arrays of its output's size, the outputs of its batch
+norms, and a 16-gram 65x50 step traces 19.0 MB.
 
 The engine holds the ops the ResNet runs, and no other: ``log_softmax``,
-``linear``, ``conv2d``, ``maxpool2d``, ``global_avg_pool`` and
-``BatchNorm2d``; each ReLU ends a batch norm or the hidden ``linear``.  The
+``linear``, ``maxpool2d``, ``global_avg_pool`` and ``BatchNorm2d``, which
+runs ``conv2d``; each ReLU ends a batch norm or the hidden ``linear``.  The
 training loss is not on the tape: ``objectives.bfl`` returns its gradient
 with respect to the log-probabilities, and a saliency map seeds a one-hot one.
 
@@ -83,11 +84,11 @@ class Tensor:
 
 def _result(data, parents, backward_fn, rebuild=None) -> Tensor:
     out = Tensor(data)
+    out._rebuild = rebuild
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
-        out._rebuild = rebuild
     return out
 
 
@@ -109,14 +110,6 @@ def _released(g):
     """Stands in for the closure of an interior tensor once a backward pass
     has run it and freed the graph behind it."""
     raise ContractError("backward: the graph was freed by an earlier backward pass")
-
-
-def _absorbed(g):
-    """Stands in for the closure of a conv output that a batch norm absorbed:
-    the batch norm backpropagates into the conv itself, so no other consumer
-    may."""
-    raise ContractError("backward: a batch norm absorbed this conv output, "
-                        "so no other op may backpropagate into it")
 
 
 def backward(out: Tensor, grad: np.ndarray) -> None:
@@ -254,9 +247,9 @@ def _padded(x: np.ndarray, pad: int, fill, dtype) -> np.ndarray:
 
 
 def conv2d(x: Tensor, weight: Tensor, stride: int, pad: int) -> Tensor:
-    """Cross-correlation of NCHW input with OIHW kernels (no bias).  On the
-    tape, its output can be rebuilt: a batch norm that takes it keeps the
-    rebuild instead of the array (see ``BatchNorm2d``)."""
+    """Cross-correlation of NCHW input with OIHW kernels (no bias).  Its
+    output carries a rebuild, which the batch norm that runs it keeps in
+    place of the array (see ``BatchNorm2d``)."""
     if x.data.ndim != 4 or weight.data.ndim != 4 or x.data.shape[1] != weight.data.shape[1]:
         raise ShapeError(f"conv2d mismatch: input {x.data.shape}, kernel {weight.data.shape}")
     n, c, h, w = x.data.shape
@@ -365,11 +358,12 @@ class BatchNorm2d:
     ``residual``, then clip at 0 if ``relu``.  The backward masks with
     ``out > 0``, so no pre-activation array reaches the tape.
 
-    A conv output on the tape is absorbed: the tape keeps the conv's parents,
-    its rebuild and its closure, not the array.  The backward rebuilds the
-    output only where a gradient reads ``xhat``, and hands its input gradient
-    straight to the conv's closure, which reads the columns the rebuild built.
-    No other op may then backpropagate into that output.
+    A call convolves ``x`` with ``weight`` first, by ``conv2d``, and
+    normalizes that output, which no caller sees.  The tape keeps the conv's
+    parents, its rebuild and its closure, not the array.  The backward
+    rebuilds the output only where a gradient reads ``xhat``, and hands its
+    input gradient straight to the conv's closure, which reads the columns
+    the rebuild built.
     """
 
     def __init__(self, channels: int):
@@ -378,23 +372,23 @@ class BatchNorm2d:
         self.running_mean = np.zeros(channels, dtype=np.float64)
         self.running_var = np.ones(channels, dtype=np.float64)
 
-    def __call__(self, x: Tensor, train: bool, residual: Tensor | None = None,
-                 relu: bool = False) -> Tensor:
-        if x.data.ndim != 4 or x.data.shape[1] != self.gamma.data.shape[0]:
-            raise ShapeError(
-                f"batchnorm2d: input {x.data.shape} does not carry "
-                f"{self.gamma.data.shape[0]} channels"
-            )
+    def __call__(self, x: Tensor, weight: Tensor, stride: int, pad: int, train: bool,
+                 residual: Tensor | None = None, relu: bool = False) -> Tensor:
+        conv = conv2d(x, weight, stride, pad)
+        y = conv.data
+        if y.shape[1] != self.gamma.data.shape[0]:
+            raise ShapeError(f"batchnorm2d: conv output {y.shape} does not carry "
+                             f"{self.gamma.data.shape[0]} channels")
         gamma, beta = self.gamma, self.beta
-        dt = x.data.dtype
-        if residual is not None and (residual.shape, residual.data.dtype) != (x.shape, dt):
+        dt = y.dtype
+        if residual is not None and (residual.shape, residual.data.dtype) != (y.shape, dt):
             raise ShapeError(f"batchnorm2d: residual {residual.shape} {residual.data.dtype} "
-                             f"does not match input {x.shape} {dt}")
-        m = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
+                             f"does not match conv output {y.shape} {dt}")
+        m = y.shape[0] * y.shape[2] * y.shape[3]
         if train:
             # statistics accumulate in float64; elementwise math stays in dt
-            mu = x.data.mean(axis=(0, 2, 3), dtype=np.float64)
-            var = (x.data.astype(np.float64) ** 2).mean(axis=(0, 2, 3)) - mu**2
+            mu = y.mean(axis=(0, 2, 3), dtype=np.float64)
+            var = (y.astype(np.float64) ** 2).mean(axis=(0, 2, 3)) - mu**2
             var = np.maximum(var, 0.0)
             unbiased = var * m / max(m - 1, 1)
             self.running_mean = (1 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mu
@@ -411,29 +405,25 @@ class BatchNorm2d:
             return xhat
 
         scale = gamma.data.astype(dt)[:, None, None]
-        data = normalized(x.data)
+        data = normalized(y)
         data *= scale
         data += beta.data.astype(dt)[:, None, None]
         if residual is not None:
             data += residual.data
         if relu:
             np.maximum(data, 0, out=data)
-
-        if x._rebuild is not None:
-            source, into, parents = x._rebuild, x._backward, x._parents
-            x._rebuild, x._backward, x._parents = None, _absorbed, ()
-        else:
-            source, into, parents = (lambda: x.data), (lambda dx: _accum(x, dx, owned=True)), (x,)
-        x_grad = x.requires_grad
+        # the tape keeps the conv's rebuild, closure and parents, not its output
+        rebuild, conv_bwd, x_grad = conv._rebuild, conv._backward, conv.requires_grad
+        parents = conv._parents + ((gamma, beta) if residual is None else (gamma, beta, residual))
 
         def bwd(g):
             if relu:
                 g *= data > 0  # g is this output's own gradient
             if residual is not None and residual.requires_grad:
                 _accum(residual, g)
-            # the tape keeps mu and inv_std, not xhat: it is rebuilt from x or
-            # the conv's rebuild only where a gradient reads it, the same bytes
-            xhat = normalized(source()) if gamma.requires_grad or (train and x_grad) else None
+            # the tape keeps mu and inv_std, not xhat: it is rebuilt from the
+            # conv's rebuild only where a gradient reads it, the same bytes
+            xhat = normalized(rebuild()) if gamma.requires_grad or (train and x_grad) else None
             if gamma.requires_grad:
                 _accum(gamma, (g * xhat).sum(axis=(0, 2, 3), dtype=np.float64))
             if beta.requires_grad:
@@ -450,7 +440,6 @@ class BatchNorm2d:
                     dx -= xhat
                 dx *= inv_std
                 del xhat  # before the conv's backward builds its columns
-                into(dx)
+                conv_bwd(dx)
 
-        parents += (gamma, beta) if residual is None else (gamma, beta, residual)
         return _result(data, parents, bwd)

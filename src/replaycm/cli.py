@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -91,6 +93,9 @@ def cmd_train(args) -> int:
             raise ParameterError(f"--objective bce is gamma = 0, got --gamma {gamma:g}")
         gamma = 0.0
     cfg = load_config(args.config)
+    tcfg = TrainConfig(**cfg["train"], gamma=gamma)
+    if not Path(args.out).parent.is_dir():  # found now, not after the last epoch
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
     entries_train = read_protocol(args.protocol_train)
     if not entries_train:
         raise DataError(f"training protocol {args.protocol_train} lists no utterances")
@@ -98,7 +103,6 @@ def cmd_train(args) -> int:
     store = FeatureStore(args.feature_dir, [e.utt_id for e in entries_train + entries_dev])
     bins, frames = store.shape
     model_cfg = ResNetConfig(**cfg["model"], input_bins=bins, input_frames=frames)
-    tcfg = TrainConfig(**cfg["train"], gamma=gamma)
     model = ResNet(model_cfg, seed=tcfg.seed)
     result = train(model, entries_train, entries_dev, store, tcfg,
                    log_path=str(args.out) + ".log")

@@ -110,13 +110,16 @@ def atomic_open(path, mode, **kwargs):
     without an exception it is renamed onto ``path`` in one step, and when it
     raises it is removed and ``path`` keeps what it held.  A process killed
     mid-write leaves at most the temporary file, never a partial ``path``.
-    The rename is atomic, not durable: nothing is flushed to disk."""
+    The rename is atomic, not durable: nothing is flushed to disk.  A failed
+    open or rename names ``path``, the file asked for, not the temporary."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, mode, **kwargs) as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(tmp):
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise

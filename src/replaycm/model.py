@@ -6,9 +6,9 @@ projection shortcuts at each stride-2 stage transition, then global average
 pooling, a hidden fully-connected layer and a 2-class output read out as
 log-probabilities.  ``channels`` is stage 0's width, doubled at each later
 stage: 16 in the paper, 4 by default for desk-scale runs.  Each batch norm
-but a projection's ends in its ReLU, a block's second after the shortcut add,
-and absorbs the output of the conv before it, so the tape keeps two arrays of
-a block's output size.
+runs the conv before it on its own input, and each but a projection's ends
+in its ReLU, a block's second after the shortcut add, so no conv output
+reaches the tape and it keeps two arrays of a block's output size.
 """
 
 from __future__ import annotations
@@ -101,11 +101,11 @@ class BasicBlock:
 
     def __call__(self, x: Tensor, train: bool) -> Tensor:
         if self.proj is not None:
-            shortcut = self.proj_bn(ad.conv2d(x, self.proj, stride=self.stride, pad=0), train)
+            shortcut = self.proj_bn(x, self.proj, self.stride, 0, train)
         else:
             shortcut = x
-        out = self.bn1(ad.conv2d(x, self.conv1, stride=self.stride, pad=1), train, relu=True)
-        return self.bn2(ad.conv2d(out, self.conv2, stride=1, pad=1), train, shortcut, relu=True)
+        out = self.bn1(x, self.conv1, self.stride, 1, train, relu=True)
+        return self.bn2(out, self.conv2, 1, 1, train, shortcut, relu=True)
 
 
 def _named_arrays(prefix: str, owner):
@@ -159,7 +159,7 @@ class ResNet:
             )
         for p in self.parameters().values():
             p.requires_grad = train
-        h = self.stem_bn(ad.conv2d(x, self.stem_conv, stride=1, pad=1), train, relu=True)
+        h = self.stem_bn(x, self.stem_conv, 1, 1, train, relu=True)
         h = ad.maxpool2d(h, kernel=3, stride=1, pad=1)
         for blocks in self.stages:
             for block in blocks:

@@ -32,6 +32,12 @@ def leaf(data) -> Tensor:
     return t
 
 
+def identity_kernel(channels: int) -> Tensor:
+    """A 1x1 conv kernel that maps each channel onto itself, exactly: the
+    conv that a batch norm runs hands it its input unchanged."""
+    return Tensor(np.eye(channels, dtype=np.float32)[:, :, None, None])
+
+
 def gradcheck(build, x0: np.ndarray, seed: int = 0, step: float = 1e-3,
               rtol: float = 1e-3) -> float:
     """Compare analytic input gradient of sum(build(x) * W) against central

@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from conftest import finite_difference_gradient, gradcheck, leaf
+from conftest import finite_difference_gradient, gradcheck, identity_kernel, leaf
 from replaycm import autodiff as ad
 from replaycm.autodiff import BatchNorm2d, Tensor
 from replaycm.errors import ContractError, ShapeError
@@ -158,15 +158,16 @@ def test_batchnorm_gradients(train, rng):
     bn.running_var = np.abs(rng.standard_normal(3)) + 0.5
     x0 = rng.standard_normal((2, 3, 4, 5))
     wts = rng.standard_normal((2, 3, 4, 5))
+    eye = identity_kernel(3)
 
     def loss_of(xv):
         b = copy.deepcopy(bn)
-        out = b(Tensor(xv), train)
+        out = b(Tensor(xv), eye, 1, 0, train)
         return float(np.sum(out.data * wts))
 
     b = copy.deepcopy(bn)
     x = leaf(x0)
-    ad.backward(b(x, train), wts)
+    ad.backward(b(x, eye, 1, 0, train), wts)
     numeric = finite_difference_gradient(loss_of, x0)
     rel = np.max(np.abs(x.grad - numeric) / np.maximum(np.abs(numeric), 1e-6))
     assert rel < 1e-3
@@ -175,7 +176,7 @@ def test_batchnorm_gradients(train, rng):
         def loss_p(v, pname=pname):
             bb = copy.deepcopy(bn)
             getattr(bb, pname).data = v
-            out = bb(Tensor(x0), train)
+            out = bb(Tensor(x0), eye, 1, 0, train)
             return float(np.sum(out.data * wts))
 
         numeric = finite_difference_gradient(loss_p, getattr(bn, pname).data.copy())
@@ -190,15 +191,16 @@ def test_batchnorm_eval_is_affine(rng):
     bn.running_var = np.abs(rng.standard_normal(3)) + 0.25
     a = rng.standard_normal((4, 3, 2, 2)).astype(np.float32)
     b = rng.standard_normal((5, 3, 2, 2)).astype(np.float32)
-    out_alone = bn(Tensor(a), train=False).data
-    out_mixed = bn(Tensor(np.concatenate([a, b])), train=False).data[:4]
+    eye = identity_kernel(3)
+    out_alone = bn(Tensor(a), eye, 1, 0, train=False).data
+    out_mixed = bn(Tensor(np.concatenate([a, b])), eye, 1, 0, train=False).data[:4]
     assert np.array_equal(out_alone, out_mixed)
 
 
 def test_batchnorm_updates_running_stats(rng):
     bn = BatchNorm2d(2)
     x = Tensor(rng.standard_normal((8, 2, 3, 3)).astype(np.float32) * 2 + 1)
-    bn(x, train=True)
+    bn(x, identity_kernel(2), 1, 0, train=True)
     assert not np.allclose(bn.running_mean, 0.0)
     assert not np.allclose(bn.running_var, 1.0)
 
@@ -209,7 +211,7 @@ def test_batchnorm_residual_needs_the_inputs_shape_and_dtype(shape, dtype):
     bn = BatchNorm2d(2)
     x = Tensor(np.zeros((2, 2, 3, 3), dtype=np.float32))
     with pytest.raises(ShapeError, match="residual"):
-        bn(x, train=False, residual=Tensor(np.zeros(shape, dtype=dtype)))
+        bn(x, identity_kernel(2), 1, 0, train=False, residual=Tensor(np.zeros(shape, dtype=dtype)))
 
 
 def test_forward_determinism(rng):

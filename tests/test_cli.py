@@ -320,6 +320,32 @@ def test_config_gamma_is_an_unknown_key(pipeline, tmp_path, capsys, objective):
     assert not (tmp_path / "m.ckpt").exists()
 
 
+def test_train_into_a_missing_directory_fails_before_an_epoch(pipeline, tmp_path, capsys,
+                                                              monkeypatch):
+    # it failed on writing the log after the last epoch, naming the log's
+    # temporary file: 'nodir/m.ckpt.log.<pid>.tmp'
+    _, _, _, _, _, cfg = pipeline
+    out = tmp_path / "nodir" / "m.ckpt"
+    epochs = []
+    monkeypatch.setattr(training, "train", lambda *args, **kwargs: epochs.append(args))
+    err = _error_line(main(_train_args(pipeline, out, cfg)), capsys)
+    assert err == f"error:io: [Errno 2] No such file or directory: '{out}'", err
+    assert epochs == [] and not (tmp_path / "nodir").exists()
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "a-directory"])
+def test_score_into_a_path_it_cannot_write_names_that_path(pipeline, tmp_path, capsys, target):
+    # the open of the temporary file fails in a missing directory, and its
+    # rename onto a directory fails; either error names the file asked for
+    _, corpus, feats, ckpt, _, _ = pipeline
+    out = tmp_path / "nodir" / "scores.txt" if target == "missing-directory" else tmp_path
+    err = _error_line(main(["score", "--ckpt", str(ckpt), "--feature-dir", str(feats),
+                            "--protocol", str(corpus / "protocol_eval.txt"),
+                            "--out", str(out)]), capsys)
+    assert err.startswith("error:io: [Errno ") and err.endswith(f": '{out}'"), err
+    assert ".tmp" not in err and list(out.parent.glob("*.tmp")) == []
+
+
 def test_empty_training_protocol_is_a_data_error(pipeline, tmp_path, capsys):
     _, _, _, _, _, cfg = pipeline
     empty = tmp_path / "empty.txt"

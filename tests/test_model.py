@@ -82,7 +82,7 @@ class TestArchitecture:
         model = ResNet(cfg, seed=1)
         seen = []
         x = Tensor(np.zeros((1, 1, 37, 50), dtype=np.float32))
-        h = model.stem_bn(ad.conv2d(x, model.stem_conv, 1, 1), False, relu=True)
+        h = model.stem_bn(x, model.stem_conv, 1, 1, False, relu=True)
         h = ad.maxpool2d(h, kernel=3, stride=1, pad=1)
         seen.append(h.data.shape[1:])
         for blocks in model.stages:
@@ -381,7 +381,7 @@ class TestTapeRelease:
                            train=True)
         logits = lp._parents[0]
         graph = [weakref.ref(t) for t in interior_tensors(lp) if t is not lp and t is not logits]
-        assert len(graph) > 30  # 39: each batch norm absorbs its conv's output
+        assert len(graph) > 30  # 39: each batch norm runs its conv, whose output is not kept
         ad.backward(lp, rng.standard_normal(lp.shape))
         assert logits.grad is None and logits._parents == ()
         assert all(ref() is None for ref in graph)  # while lp is still held

@@ -12,7 +12,7 @@ operands, which bounds every term's contribution to a float sum.
 import numpy as np
 import pytest
 
-from conftest import leaf
+from conftest import identity_kernel, leaf
 from replaycm import autodiff as ad
 from replaycm.autodiff import BN_EPS, BN_MOMENTUM, BatchNorm2d
 
@@ -182,10 +182,11 @@ def test_batchnorm2d_within_float32_rounding_of_the_reference(channels, bins, fr
     bn.running_var = rng.uniform(0.5, 2.0, channels)
     gamma0, beta0 = bn.gamma.data.copy(), bn.beta.data.copy()
     mean0, var0 = bn.running_mean.copy(), bn.running_var.copy()
-    # a conv's output: no longer centred or of unit variance
+    # a conv's output: no longer centred or of unit variance.  The batch norm
+    # convolves it with the identity kernel first, which hands it on exactly
     x0 = (rng.standard_normal((BATCH, channels, bins, frames)) * 1.5 + 0.3).astype(np.float32)
     x = leaf(x0)
-    y = bn(x, train)
+    y = bn(x, identity_kernel(channels), 1, 0, train)
     g = rng.standard_normal(y.shape).astype(np.float32)
     ad.backward(y, g)
 

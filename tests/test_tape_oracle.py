@@ -1,14 +1,15 @@
 """The tape keeps each array once, and every gradient keeps its bytes.
 
 ``conv2d`` keeps its input rather than a padded copy, ``BatchNorm2d`` keeps
-``mu`` and ``inv_std`` rather than ``xhat``, absorbs the conv output it
-normalizes and ends in a block's residual add and ReLU, the max pool takes a
-running maximum tap by tap and its backward hands ``_fold`` one tap at a
-time rather than a float64 window buffer, and ``backward`` pops each node off
-its list, and the hidden linear layer ends in its ReLU.  Test-only copies of
+``mu`` and ``inv_std`` rather than ``xhat``, runs the conv before it, whose
+output it keeps off the tape, and ends in a block's residual add and ReLU,
+the max pool takes a running maximum tap by tap and its backward hands
+``_fold`` one tap at a time rather than a float64 window buffer, and
+``backward`` pops each node off its list, and the hidden linear layer ends
+in its ReLU.  Test-only copies of
 the earlier ops, ``_fold`` and backward loop are the oracle, and so is the
-network with every conv output kept: every output and ``.grad`` must be
-equal in bytes.
+network run on them, every conv output kept: every output and ``.grad`` must
+be equal in bytes.
 """
 
 import tracemalloc
@@ -20,11 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import leaf
+from conftest import identity_kernel, leaf
 from replaycm import autodiff as ad
 from replaycm import objectives
 from replaycm.autodiff import BN_EPS, BN_MOMENTUM, BatchNorm2d, Tensor
-from replaycm.errors import ContractError, ShapeError
+from replaycm.errors import ShapeError
 from replaycm.model import ResNet, ResNetConfig, saliency_map, score_batch
 from replaycm.training import AdamW
 
@@ -149,9 +150,14 @@ def oracle_maxpool2d(x, kernel, stride, pad):
 
 
 class OracleBatchNorm2d(BatchNorm2d):
-    """The earlier batch norm: its closure keeps xhat."""
+    """The earlier batch norm: it takes its conv's output as a tensor on the
+    tape, its closure keeps xhat, and the residual add and the ReLU after it
+    are ops of their own.  Its conv is the earlier one."""
 
-    def __call__(self, x, train):
+    conv2d = staticmethod(oracle_conv2d)
+
+    def __call__(self, x, weight, stride, pad, train, residual=None, relu=False):
+        x = self.conv2d(x, weight, stride, pad)
         gamma, beta = self.gamma, self.beta
         dt = x.data.dtype
         if train:
@@ -186,12 +192,15 @@ class OracleBatchNorm2d(BatchNorm2d):
                     dx = gx * inv_std[:, None, None]
                 ad._accum(x, dx)
 
-        return ad._result(data, (x, gamma, beta), bwd)
+        out = ad._result(data, (x, gamma, beta), bwd)
+        if residual is not None:
+            out = oracle_add(out, residual)
+        return oracle_relu(out) if relu else out
 
 
 ENGINES = {
-    "change": (ad.conv2d, BatchNorm2d, ad.maxpool2d, ad.backward),
-    "oracle": (oracle_conv2d, OracleBatchNorm2d, oracle_maxpool2d, oracle_backward),
+    "change": (BatchNorm2d, ad.maxpool2d, ad.backward),
+    "oracle": (OracleBatchNorm2d, oracle_maxpool2d, oracle_backward),
 }
 
 
@@ -215,7 +224,7 @@ def graphs(draw):
 
 
 def run(engine: str, g: dict) -> list:
-    conv2d, batch_norm, maxpool2d, backward = ENGINES[engine]
+    batch_norm, maxpool2d, backward = ENGINES[engine]
     rng = np.random.default_rng(g["seed"])
     x = leaf(rng.standard_normal((g["n"], g["c"], g["h"], g["w"])).astype(g["dtype"]))
     weight = Tensor(rng.standard_normal((g["co"], g["c"], g["k"], g["k"])).astype(np.float32))
@@ -226,7 +235,7 @@ def run(engine: str, g: dict) -> list:
     bn.running_var = rng.uniform(0.5, 2.0, g["co"])
     for p in (weight, bn.gamma, bn.beta):
         p.requires_grad = g["params"]
-    y = bn(conv2d(x, weight, g["stride"], g["pad"]), train=g["train"])
+    y = bn(x, weight, g["stride"], g["pad"], train=g["train"])
     z = oracle_add(oracle_relu(y), y)  # y has two consumers
     out = maxpool2d(z, g["pool"], g["pool_stride"], g["pool_pad"])
     backward(out, rng.standard_normal(out.shape).astype(out.data.dtype))
@@ -247,7 +256,8 @@ def test_every_gradient_keeps_its_bytes(g):
 @st.composite
 def epilogues(draw):
     """A batch norm with or without a residual and a ReLU after it, with its
-    sizes, dtype, mode and which tensors take gradients."""
+    sizes, dtype, mode and which tensors take gradients.  Its conv is the
+    identity kernel, so the batch norm normalizes the drawn input itself."""
     return dict(
         shape=draw(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 5),
                              st.integers(1, 5))),
@@ -271,10 +281,11 @@ def epilogue(fused: bool, e: dict) -> list:
     bn.running_mean = rng.standard_normal(c)
     bn.running_var = rng.uniform(0.5, 2.0, c)
     bn.gamma.requires_grad = bn.beta.requires_grad = e["params"]
+    eye = identity_kernel(c)
     if fused:
-        out = bn(x, e["train"], residual, relu=e["relu"])
+        out = bn(x, eye, 1, 0, e["train"], residual, relu=e["relu"])
     else:
-        out = bn(x, e["train"])
+        out = bn(x, eye, 1, 0, e["train"])
         if residual is not None:
             out = oracle_add(out, residual)
         if e["relu"]:
@@ -424,8 +435,8 @@ def test_an_identity_block_keeps_two_arrays_of_its_output_size():
     # float32 interior arrays: the stem's batch norm (ReLU fused) and max
     # pool; per block bn1 (ReLU fused) and bn2 (shortcut and ReLU fused), and
     # at a stage's first block a projection's batch norm.  Each batch norm
-    # absorbs the conv before it, so no conv output is kept: with them, a
-    # block kept four.  A separate ReLU and add would keep three more per block
+    # runs the conv before it, so no conv output is kept: with them, a block
+    # kept four.  A separate ReLU and add would keep three more per block
     h, w = 65, 50
     expected = 2 * n * chans[0] * h * w * 4
     for stage, (ch, count) in enumerate(zip(chans, cfg.block_counts)):
@@ -457,16 +468,6 @@ def test_an_interior_tensor_goes_once_its_consumers_have_run(rng):
     assert np.array_equal(x.grad, (x.data > 0).astype(x.data.dtype))
 
 
-def kept(conv2d):
-    """``conv2d`` whose output offers no rebuild, so the batch norm after it
-    keeps the array and backpropagates into it as into any input."""
-    def kept_conv2d(x, weight, stride, pad):
-        out = conv2d(x, weight, stride, pad)
-        out._rebuild = None
-        return out
-    return kept_conv2d
-
-
 def three_steps_then_eval(dtype) -> list:
     """Log-probabilities, gradients, parameters and running statistics of
     three training steps, then an eval score batch and a saliency map."""
@@ -493,35 +494,17 @@ def three_steps_then_eval(dtype) -> list:
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_absorbing_every_conv_output_keeps_every_byte(dtype, monkeypatch):
-    absorbed = three_steps_then_eval(dtype)
+    # the oracle: every batch norm of the network is the earlier one after
+    # the engine's own conv, so it keeps that conv's output on the tape and
+    # backpropagates into it.  The earlier conv is not the oracle here: its
+    # input gradient rounds differently from the tap-major one on some of
+    # the toy's float64 convs
+    as_is = three_steps_then_eval(dtype)
     with monkeypatch.context() as m:
-        m.setattr(ad, "conv2d", kept(ad.conv2d))
+        m.setattr(BatchNorm2d, "__call__", OracleBatchNorm2d.__call__)
+        m.setattr(BatchNorm2d, "conv2d", staticmethod(ad.conv2d), raising=False)
         every_output_kept = three_steps_then_eval(dtype)
-    assert len(absorbed) == len(every_output_kept)
-    for a, b in zip(absorbed, every_output_kept):
+    assert len(as_is) == len(every_output_kept)
+    for a, b in zip(as_is, every_output_kept):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
-
-
-def relu_then_batch_norm(y, bn):
-    z = oracle_relu(y)
-    return oracle_add(bn(y, train=True), z)
-
-
-def batch_norm_then_relu(y, bn):
-    out = bn(y, train=True)
-    return oracle_add(out, oracle_relu(y))
-
-
-def two_batch_norms(y, bn):
-    out = bn(y, train=True)
-    return oracle_add(out, BatchNorm2d(y.shape[1])(y, train=True))
-
-
-@pytest.mark.parametrize("graph", [relu_then_batch_norm, batch_norm_then_relu, two_batch_norms])
-def test_an_absorbed_conv_output_takes_no_gradient_from_another_op(rng, graph):
-    x = leaf(rng.standard_normal((2, 1, 5, 5)))
-    weight = leaf(rng.standard_normal((3, 1, 3, 3)))
-    out = graph(ad.conv2d(x, weight, stride=1, pad=1), BatchNorm2d(3))
-    with pytest.raises(ContractError, match="a batch norm absorbed this conv output"):
-        ad.backward(out, np.ones(out.shape))

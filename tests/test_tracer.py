@@ -52,12 +52,28 @@ def spans(pipeline, tmp_path_factory):
     ("train", "training.adamw_step"),
     ("train", "training.load_batch"),
     ("train", "model.forward"),
+    ("train", "autodiff.conv2d"),
     ("train", "autodiff.conv2d_bwd"),
+    ("train", "autodiff.batchnorm2d"),
+    ("train", "autodiff.batchnorm2d_bwd"),
+    ("train", "autodiff.maxpool2d"),
+    ("train", "autodiff.maxpool2d_bwd"),
+    ("train", "autodiff.backward"),
     ("train", "objectives.bfl"),
     ("score", "training._score_entries"),
+    ("score", "autodiff.conv2d"),
 ])
 def test_hooked_span_is_recorded(spans, command, name):
+    # the autodiff spans are the ones the per-layer op metrics read
     assert name in {s[1] for s in spans[command]}
+
+
+def test_every_conv_runs_inside_its_batch_norm(spans):
+    # a batch norm calls the module's conv2d, so the tracer's wrapped one
+    by_id = {s[0]: s for s in spans["train"]}
+    convs = [s for s in spans["train"] if s[1] == "autodiff.conv2d"]
+    assert convs
+    assert all(s[4] in by_id and by_id[s[4]][1] == "autodiff.batchnorm2d" for s in convs)
 
 
 @pytest.mark.parametrize("command, name", [
