@@ -24,12 +24,18 @@ columns again for the weight gradient; ``BatchNorm2d`` keeps the per-channel
 reads it; ``maxpool2d`` keeps the slot of each window's maximum, and its
 backward adds the gradient tap by tap.  A batch norm convolves its own
 input, so no caller sees the conv output and the tape never keeps it: the
-batch norm's node takes the conv's parents, its rebuild (the same GEMM on the
-same columns) and its closure, whose weight gradient then reads the columns
-the rebuild built.  Each rebuilt value is the same bytes as the one the
-forward used.  ``BatchNorm2d`` ends in a block's residual add and ReLU, so a
-basic block keeps two arrays of its output's size, the outputs of its batch
-norms, and a 16-gram 65x50 step traces 19.0 MB.
+batch norm's node takes the conv's parents, its rebuild (the conv's own
+forward) and its closure.  Each rebuilt value is the same bytes as the one
+the forward used.  ``BatchNorm2d`` ends in a block's residual add and ReLU, so
+a basic block keeps two arrays of its output's size, the outputs of its batch
+norms.
+
+No array of a whole batch's im2col columns is ever built: the conv's forward,
+its rebuild and its backward each lower a chunk of samples at a time, as many
+as fit ``COLS_BUDGET`` bytes of columns.  numpy's batched ``matmul`` makes one
+GEMM per sample, and the weight gradient adds each sample's term in sample
+order, so every byte is the one a whole-batch conv gives.  A 16-gram 65x50
+step traces 17.0 MB, and a 32-gram 65x50 scoring batch 7.6 MB.
 
 The engine holds the ops the ResNet runs, and no other: ``log_softmax``,
 ``linear``, ``maxpool2d``, ``global_avg_pool`` and ``BatchNorm2d``, which
@@ -217,15 +223,14 @@ def _inside(offset: int, stride: int, n_out: int, size: int):
     return first, stop, offset + stride * first
 
 
-def _fold(tap, x_shape, kh: int, kw: int, stride: int, pad: int, dtype) -> np.ndarray:
-    """Adjoint of ``_windows`` on an input of ``x_shape`` padded by ``pad``: add
-    ``tap(i, j)``, the (n, c, ho, wo) gradient of every window's tap (i, j), to
-    a zero array of ``x_shape`` in row-major tap order.  Cells of a window that
-    land in the padding are left out, so no padded array is built."""
-    n, c, h, w = x_shape
+def _fold(tap, dx: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
+    """Adjoint of ``_windows`` on an input of ``dx``'s shape padded by ``pad``:
+    add ``tap(i, j)``, the (n, c, ho, wo) gradient of every window's tap (i,
+    j), into ``dx`` in row-major tap order, and return it.  Cells of a window
+    that land in the padding are left out, so no padded array is built."""
+    n, c, h, w = dx.shape
     ho = _conv_out_size(h, kh, stride, pad)
     wo = _conv_out_size(w, kw, stride, pad)
-    dx = np.zeros(x_shape, dtype=dtype)
     rows = [_inside(i - pad, stride, ho, h) for i in range(kh)]
     cols = [_inside(j - pad, stride, wo, w) for j in range(kw)]
     for i, (o0, o1, r) in enumerate(rows):
@@ -246,6 +251,11 @@ def _padded(x: np.ndarray, pad: int, fill, dtype) -> np.ndarray:
     return xp
 
 
+# bytes of im2col columns a conv builds at once: it lowers as many samples
+# as fit, at least one, so no column buffer grows with the batch
+COLS_BUDGET = 1 << 20
+
+
 def conv2d(x: Tensor, weight: Tensor, stride: int, pad: int) -> Tensor:
     """Cross-correlation of NCHW input with OIHW kernels (no bias).  Its
     output carries a rebuild, which the batch norm that runs it keeps in
@@ -262,42 +272,64 @@ def conv2d(x: Tensor, weight: Tensor, stride: int, pad: int) -> Tensor:
     # training batches stay in sgemm, float64 tensors (gradient checks) get
     # 64-bit end to end
     out_dtype = _promote(x, weight)
+    k = c * kh * kw
+    step = max(1, min(n, COLS_BUDGET // (k * ho * wo * np.dtype(out_dtype).itemsize)))
+    chunks = [slice(s, s + step) for s in range(0, n, step)]
+    w2 = weight.data.reshape(co, k).astype(out_dtype, copy=False)
 
-    def im2col():
-        # the tape keeps x, the parent, and neither its padded copy nor cols
-        # (kh * kw times its size): the weight gradient reads the cols that
-        # rebuild built, or pads, casts and builds them again, the same bytes
-        win = _windows(_padded(x.data, pad, 0, out_dtype), kh, kw, stride)
-        return win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, ho * wo)
+    def lowered():
+        # each chunk's im2col columns, in one buffer the pass refills: the
+        # tape keeps x, the parent, and neither its padded copy nor its
+        # columns (kh * kw times its size), so each pass pads, casts and
+        # builds them again, the same bytes
+        xp = np.zeros((step, c, h + 2 * pad, w + 2 * pad), dtype=out_dtype) if pad else None
+        cols = np.empty((step, c, kh, kw, ho, wo), dtype=out_dtype)
+        for chunk in chunks:
+            xs = x.data[chunk]
+            m = len(xs)
+            if pad:
+                xp[:m, :, pad : pad + h, pad : pad + w] = xs
+                xs = xp[:m]
+            np.copyto(cols[:m], _windows(xs, kh, kw, stride).transpose(0, 1, 4, 5, 2, 3))
+            yield chunk, cols[:m].reshape(m, k, ho * wo)
 
-    w2 = weight.data.reshape(co, c * kh * kw).astype(out_dtype, copy=False)
-    data = np.matmul(w2, im2col()).reshape(n, co, ho, wo)
-    cols = None  # set by rebuild, for the weight gradient that follows it
+    def forward():
+        # matmul makes one GEMM per sample, so a chunk's outputs are the
+        # bytes a whole batch's would be; the batch norm rebuilds by this too
+        y = np.empty((n, co, ho * wo), dtype=out_dtype)
+        for chunk, cols in lowered():
+            np.matmul(w2, cols, out=y[chunk])
+        return y.reshape(n, co, ho, wo)
 
-    def rebuild():
-        # the same GEMM on the same columns, so the same bytes as data
-        nonlocal cols
-        cols = im2col()
-        return np.matmul(w2, cols).reshape(n, co, ho, wo)
+    def weight_grad(g2):
+        # each sample's term added in sample order from +0.0, as the sum
+        # over a whole batch's terms adds them
+        dw = np.zeros((co, k), dtype=np.float64)
+        for chunk, cols in lowered():
+            for term in np.matmul(g2[chunk], cols.transpose(0, 2, 1)):
+                dw += term
+        return dw.reshape(weight.data.shape)
+
+    def input_grad(g2):
+        # w2.T's rows permuted from (c, kh, kw) to (kh, kw, c), so that each
+        # tap's gradient is one (m, c, ho, wo) block of a chunk's dcols
+        taps = w2.T.reshape(c, kh, kw, co).transpose(1, 2, 0, 3).reshape(kh * kw * c, co)
+        dx = np.zeros(x.data.shape, dtype=out_dtype)
+        dcols = np.empty((step, kh * kw * c, ho * wo), dtype=out_dtype)
+        for chunk in chunks:
+            gs = g2[chunk]
+            d = np.matmul(taps, gs, out=dcols[: len(gs)]).reshape(-1, kh, kw, c, ho, wo)
+            _fold(lambda i, j: d[:, i, j], dx[chunk], kh, kw, stride, pad)
+        return dx
 
     def bwd(g):
-        nonlocal cols
         g2 = g.reshape(n, co, ho * wo).astype(out_dtype, copy=False)
         if weight.requires_grad:
-            if cols is None:
-                cols = im2col()
-            dw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0, dtype=np.float64)
-            _accum(weight, dw.reshape(weight.data.shape))
-        cols = None
+            _accum(weight, weight_grad(g2), owned=True)
         if x.requires_grad:
-            # w2.T's rows permuted from (c, kh, kw) to (kh, kw, c), so that
-            # each tap's gradient is one (n, c, ho, wo) block of dcols
-            taps = w2.T.reshape(c, kh, kw, co).transpose(1, 2, 0, 3).reshape(kh * kw * c, co)
-            dcols = np.matmul(taps, g2).reshape(n, kh, kw, c, ho, wo)
-            _accum(x, _fold(lambda i, j: dcols[:, i, j], x.data.shape, kh, kw, stride, pad,
-                            dcols.dtype), owned=True)
+            _accum(x, input_grad(g2), owned=True)
 
-    return _result(data, (x, weight), bwd, rebuild)
+    return _result(forward(), (x, weight), bwd, forward)
 
 
 def maxpool2d(x: Tensor, kernel: int, stride: int, pad: int) -> Tensor:
@@ -325,8 +357,9 @@ def maxpool2d(x: Tensor, kernel: int, stride: int, pad: int) -> Tensor:
     def bwd(g):
         # a window's tap gets g where its maximum sits and 0 elsewhere, one
         # tap at a time rather than one (n, c, ho, wo, k*k) buffer
-        _accum(x, _fold(lambda i, j: np.where(slot == i * kernel + j, g, 0), x.data.shape,
-                        kernel, kernel, stride, pad, np.float64), owned=True)
+        _accum(x, _fold(lambda i, j: np.where(slot == i * kernel + j, g, 0),
+                        np.zeros(x.data.shape, dtype=np.float64), kernel, kernel, stride, pad),
+               owned=True)
 
     return _result(best, (x,), bwd)
 
@@ -362,8 +395,8 @@ class BatchNorm2d:
     normalizes that output, which no caller sees.  The tape keeps the conv's
     parents, its rebuild and its closure, not the array.  The backward
     rebuilds the output only where a gradient reads ``xhat``, and hands its
-    input gradient straight to the conv's closure, which reads the columns
-    the rebuild built.
+    input gradient straight to the conv's closure, which builds its columns
+    again, a chunk of samples at a time.
     """
 
     def __init__(self, channels: int):
@@ -439,7 +472,7 @@ class BatchNorm2d:
                     xhat /= m
                     dx -= xhat
                 dx *= inv_std
-                del xhat  # before the conv's backward builds its columns
+                del xhat  # before the conv's backward builds its columns again
                 conv_bwd(dx)
 
         return _result(data, parents, bwd)

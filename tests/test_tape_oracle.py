@@ -1,6 +1,7 @@
 """The tape keeps each array once, and every gradient keeps its bytes.
 
-``conv2d`` keeps its input rather than a padded copy, ``BatchNorm2d`` keeps
+``conv2d`` keeps its input rather than a padded copy and lowers a chunk of
+samples at a time rather than the whole batch, ``BatchNorm2d`` keeps
 ``mu`` and ``inv_std`` rather than ``xhat``, runs the conv before it, whose
 output it keeps off the tape, and ends in a block's residual add and ReLU,
 the max pool takes a running maximum tap by tap and its backward hands
@@ -14,10 +15,11 @@ be equal in bytes.
 
 import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -28,6 +30,14 @@ from replaycm.autodiff import BN_EPS, BN_MOMENTUM, BatchNorm2d, Tensor
 from replaycm.errors import ShapeError
 from replaycm.model import ResNet, ResNetConfig, saliency_map, score_batch
 from replaycm.training import AdamW
+from test_network_reference import CONV_CASES
+
+
+def assert_same_bytes(got: list, want: list):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
 
 
 def oracle_backward(out, grad):
@@ -96,7 +106,9 @@ def oracle_fold(dwin, xp_shape, stride, dtype):
 
 
 def oracle_conv2d(x, weight, stride, pad):
-    """The earlier conv: its closure keeps the padded, cast input."""
+    """The earlier conv: it lowers the whole batch to one im2col buffer, and
+    its closure keeps the padded, cast input.  Its column gradient is laid
+    out tap by tap, (kh, kw, c), as the engine's is."""
     n, c, h, w = x.data.shape
     co, _, kh, kw = weight.data.shape
     ho = ad._conv_out_size(h, kh, stride, pad)
@@ -118,8 +130,9 @@ def oracle_conv2d(x, weight, stride, pad):
             dw = np.matmul(g2, im2col().transpose(0, 2, 1)).sum(axis=0, dtype=np.float64)
             ad._accum(weight, dw.reshape(weight.data.shape))
         if x.requires_grad:
-            dcols = np.matmul(w2.T, g2).reshape(n, c, kh, kw, ho, wo)
-            dxp = oracle_fold(dcols.transpose(0, 1, 4, 5, 2, 3), xp.shape, stride, dcols.dtype)
+            taps = w2.T.reshape(c, kh, kw, co).transpose(1, 2, 0, 3).reshape(kh * kw * c, co)
+            dcols = np.matmul(taps, g2).reshape(n, kh, kw, c, ho, wo)
+            dxp = oracle_fold(dcols.transpose(0, 3, 4, 5, 1, 2), xp.shape, stride, dcols.dtype)
             dx = dxp[:, :, pad : pad + h, pad : pad + w] if pad else dxp
             ad._accum(x, dx)
 
@@ -243,14 +256,45 @@ def run(engine: str, g: dict) -> list:
     return [out.data] + grads + [bn.running_mean, bn.running_var]
 
 
+# a wide conv, where the column gradient's row order shows in the bytes of
+# the input gradient, over several samples
+WIDE = dict(n=5, c=16, co=32, h=11, w=9, k=3, stride=1, pad=1, pool=2, pool_stride=1,
+            pool_pad=0, dtype=np.float32, train=True, params=True, seed=0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(graphs())
+@example(WIDE)
 def test_every_gradient_keeps_its_bytes(g):
-    change, oracle = run("change", g), run("oracle", g)
-    assert len(change) == len(oracle)
-    for a, b in zip(change, oracle):
-        assert a.dtype == b.dtype and a.shape == b.shape
-        assert a.tobytes() == b.tobytes()
+    assert_same_bytes(run("change", g), run("oracle", g))
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs())
+@example(WIDE)
+def test_one_sample_per_chunk_keeps_every_byte(g):
+    with mock.patch.object(ad, "COLS_BUDGET", 1):
+        change = run("change", g)
+    assert_same_bytes(change, run("oracle", g))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 5, 16, 17, 33])
+@pytest.mark.parametrize("c_in, c_out, kernel, stride, pad, bins, frames", CONV_CASES)
+def test_a_conv_keeps_every_byte_across_its_chunks(c_in, c_out, kernel, stride, pad, bins,
+                                                   frames, n, dtype):
+    # at the module's budget, most of these batches span several chunks,
+    # the last of them short
+    rng = np.random.default_rng(c_in * 1000 + c_out * 10 + kernel + stride + n)
+    x0 = np.maximum(rng.standard_normal((n, c_in, bins, frames)), 0.0).astype(dtype)
+    w0 = rng.standard_normal((c_out, c_in, kernel, kernel)).astype(dtype)
+    results = []
+    for conv2d in (ad.conv2d, oracle_conv2d):
+        x, w = leaf(x0.copy()), leaf(w0.copy())
+        y = conv2d(x, w, stride, pad)
+        ad.backward(y, np.random.default_rng(n).standard_normal(y.shape).astype(dtype))
+        results.append([y.data, x.grad, w.grad])
+    assert_same_bytes(*results)
 
 
 @st.composite
@@ -299,11 +343,7 @@ def epilogue(fused: bool, e: dict) -> list:
 @settings(max_examples=200, deadline=None)
 @given(epilogues())
 def test_the_fused_epilogue_keeps_every_byte(e):
-    fused, chain = epilogue(True, e), epilogue(False, e)
-    assert len(fused) == len(chain)
-    for a, b in zip(fused, chain):
-        assert a.dtype == b.dtype and a.shape == b.shape
-        assert a.tobytes() == b.tobytes()
+    assert_same_bytes(epilogue(True, e), epilogue(False, e))
 
 
 # the values a linear layer's input and bias may hold beyond finite numbers
@@ -353,11 +393,7 @@ def linear_relu(fused: bool, e: dict) -> list:
 @settings(max_examples=200, deadline=None)
 @given(linears())
 def test_the_linear_relu_keeps_every_byte(e):
-    fused, chain = linear_relu(True, e), linear_relu(False, e)
-    assert len(fused) == len(chain)
-    for a, b in zip(fused, chain):
-        assert a.dtype == b.dtype and a.shape == b.shape
-        assert a.tobytes() == b.tobytes()
+    assert_same_bytes(linear_relu(True, e), linear_relu(False, e))
 
 
 # ties (1.0 twice, and 0.0 with -0.0), the max pool's -inf padding, and NaNs
@@ -398,7 +434,7 @@ def test_a_detect_shaped_train_step_peaks_under_36_mb():
     # returned, the traced peak was 77 MB; with each batch norm's output,
     # each residual sum and the stem's pre-activation kept for their ReLUs,
     # it was 48 MB; with each conv output kept for its batch norm, 30 MB; it
-    # is 20 MB now
+    # is 17 MB now
     model = ResNet(ResNetConfig(input_bins=65, input_frames=50), seed=0)
     AdamW(model.parameters(), lr=1e-3, betas=(0.9, 0.999), weight_decay=0.0)
     x = Tensor(np.random.default_rng(0).standard_normal((16, 1, 65, 50)).astype(np.float32))
@@ -412,6 +448,22 @@ def test_a_detect_shaped_train_step_peaks_under_36_mb():
     finally:
         tracemalloc.stop()
     assert peak < 36e6
+
+
+def test_a_32_gram_score_batch_peaks_under_12_mb():
+    # each conv lowers a chunk of samples at a time: with one im2col buffer
+    # for the whole batch, the traced peak was 20.1 MB
+    model = ResNet(ResNetConfig(input_bins=65, input_frames=50), seed=0)
+    grams = np.random.default_rng(0).standard_normal((32, 65, 50)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        score_batch(model, grams)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
 
 
 def _tape(out):
@@ -495,16 +547,13 @@ def three_steps_then_eval(dtype) -> list:
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_absorbing_every_conv_output_keeps_every_byte(dtype, monkeypatch):
     # the oracle: every batch norm of the network is the earlier one after
-    # the engine's own conv, so it keeps that conv's output on the tape and
-    # backpropagates into it.  The earlier conv is not the oracle here: its
-    # input gradient rounds differently from the tap-major one on some of
-    # the toy's float64 convs
-    as_is = three_steps_then_eval(dtype)
+    # the earlier conv, which lowers the whole batch at once, so it keeps
+    # that conv's output on the tape and backpropagates into it.  The engine
+    # runs at its own budget, then at one sample per chunk
     with monkeypatch.context() as m:
         m.setattr(BatchNorm2d, "__call__", OracleBatchNorm2d.__call__)
-        m.setattr(BatchNorm2d, "conv2d", staticmethod(ad.conv2d), raising=False)
+        m.setattr(BatchNorm2d, "conv2d", staticmethod(oracle_conv2d), raising=False)
         every_output_kept = three_steps_then_eval(dtype)
-    assert len(as_is) == len(every_output_kept)
-    for a, b in zip(as_is, every_output_kept):
-        assert a.dtype == b.dtype and a.shape == b.shape
-        assert a.tobytes() == b.tobytes()
+    assert_same_bytes(three_steps_then_eval(dtype), every_output_kept)
+    monkeypatch.setattr(ad, "COLS_BUDGET", 1)
+    assert_same_bytes(three_steps_then_eval(dtype), every_output_kept)
