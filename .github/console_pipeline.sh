@@ -2,7 +2,8 @@
 # The console script end to end on a toy corpus, written under the current
 # directory: every front-end at full resolution and at strides 8/10 (a strided
 # gram is the full one subsampled), training with the focal loss twice (byte
-# for byte the same) and with BCE (each seeds the backward pass with the loss's
+# for byte the same), twice more at the paper's width of 16 channels (byte
+# for byte the same), and with BCE (each seeds the backward pass with the loss's
 # gradient), scoring at one job and at two (byte for byte the same), a saliency
 # map drawn twice (a one-hot seed; byte for byte the same), mean fusion,
 # evaluation and the per-attack breakdown, the evaluation of scores near the
@@ -64,6 +65,16 @@ replaycm train --feature-dir toy/stft --protocol-train toy/protocol_train.txt \
   --out toy/model_again.ckpt
 cmp toy/model.ckpt toy/model_again.ckpt
 cmp toy/model.ckpt.log toy/model_again.ckpt.log
+# at the paper's width, 16 to 128 channels, the released block outputs are
+# rebuilt in the backward the same way twice
+printf '[model]\nchannels = 16\n[train]\nmax_epochs = 1\nbatch_size = 5\n' > toy/wide.cfg
+for out in wide wide_again; do
+  replaycm train --feature-dir toy/stft --protocol-train toy/protocol_train.txt \
+    --protocol-dev toy/protocol_dev.txt --objective bfl --config toy/wide.cfg \
+    --out toy/$out.ckpt
+done
+cmp toy/wide.ckpt toy/wide_again.ckpt
+cmp toy/wide.ckpt.log toy/wide_again.ckpt.log
 replaycm train --feature-dir toy/stft --protocol-train toy/protocol_train.txt \
   --protocol-dev toy/protocol_dev.txt --objective bce --config toy/one_epoch.cfg \
   --out toy/bce.ckpt

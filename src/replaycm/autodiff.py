@@ -26,16 +26,25 @@ backward adds the gradient tap by tap.  A batch norm convolves its own
 input, so no caller sees the conv output and the tape never keeps it: the
 batch norm's node takes the conv's parents, its rebuild (the conv's own
 forward) and its closure.  Each rebuilt value is the same bytes as the one
-the forward used.  ``BatchNorm2d`` ends in a block's residual add and ReLU, so
-a basic block keeps two arrays of its output's size, the outputs of its batch
-norms.
+the forward used.  ``BatchNorm2d`` ends in a block's residual add and ReLU.
+
+An activation with one forward reader can leave the tape once that reader
+has run: ``release(t)`` swaps its data for its shape and dtype alone, and its
+first read rebuilds it by ``t._rebuild``.  A batch norm's output rebuilds
+from the one conv rebuild its own backward needs, and keeps that ``xhat``
+for it, so a conv is still lowered three times a step: forward, rebuild and
+weight gradient.  Reading a released tensor's ``shape`` or ``dtype``
+rebuilds nothing.  A tensor records a rebuild only on the tape, so a
+scoring forward releases nothing and chains no closures.  The model
+releases the stem's batch norm output and each block's first and
+projection outputs, so a basic block keeps one array of its output's size.
 
 No array of a whole batch's im2col columns is ever built: the conv's forward,
 its rebuild and its backward each lower a chunk of samples at a time, as many
 as fit ``COLS_BUDGET`` bytes of columns.  numpy's batched ``matmul`` makes one
 GEMM per sample, and the weight gradient adds each sample's term in sample
 order, so every byte is the one a whole-batch conv gives.  A 16-gram 65x50
-step traces 17.0 MB, and a 32-gram 65x50 scoring batch 7.6 MB.
+step traces 10.3 MB, and a 32-gram 65x50 scoring batch 7.6 MB.
 
 The engine holds the ops the ResNet runs, and no other: ``log_softmax``,
 ``linear``, ``maxpool2d``, ``global_avg_pool`` and ``BatchNorm2d``, which
@@ -60,52 +69,86 @@ forward walks the taps itself, copying no window.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from .errors import ContractError, ShapeError
 
 
+class _Shell:
+    """A released tensor's data until its first read: the shape and dtype
+    alone, no bytes."""
+    __slots__ = ("shape", "dtype")
+
+    def __init__(self, data: np.ndarray):
+        self.shape, self.dtype = data.shape, data.dtype
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_rebuild",
+    __slots__ = ("_data", "grad", "requires_grad", "_parents", "_backward", "_rebuild",
                  "__weakref__")
 
     def __init__(self, data):
         if isinstance(data, np.ndarray) and data.dtype in (np.float32, np.float64):
-            self.data = data
+            self._data = data
         else:
-            self.data = np.asarray(data, dtype=np.float32)
+            self._data = np.asarray(data, dtype=np.float32)
         self.grad = None
         self.requires_grad = False
         self._parents = ()
         self._backward = None
-        self._rebuild = None  # a conv output's way to compute its data again
+        self._rebuild = None  # a tensor's way to compute its data again, kept on the tape
+
+    @property
+    def data(self) -> np.ndarray:
+        if type(self._data) is _Shell:  # rebuilt at its first read, the same bytes
+            self._data = self._rebuild()
+        return self._data
+
+    @data.setter
+    def data(self, value: np.ndarray):
+        self._data = value
 
     @property
     def shape(self):
-        return self.data.shape
+        return self._data.shape  # a released tensor's too: nothing is rebuilt
+
+    @property
+    def dtype(self):
+        return self._data.dtype
 
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
 def _result(data, parents, backward_fn, rebuild=None) -> Tensor:
+    """An op's output; on the tape, when a parent requires gradients, with
+    its closure, its parents and its ``rebuild``."""
     out = Tensor(data)
-    out._rebuild = rebuild
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
+        out._rebuild = rebuild
     return out
 
 
+def release(t: Tensor) -> None:
+    """Let ``t``'s data go once its forward readers have run: its first read
+    rebuilds it.  A tensor that records no rebuild keeps its data."""
+    if t._rebuild is not None:
+        t._data = _Shell(t._data)
+
+
 def _promote(*tensors):
-    return np.float64 if any(t.data.dtype == np.float64 for t in tensors) else np.float32
+    return np.float64 if any(t.dtype == np.float64 for t in tensors) else np.float32
 
 
 def _accum(tensor: Tensor, grad: np.ndarray, owned: bool = False):
     """Add ``grad`` to ``tensor.grad``.  An ``owned`` gradient is a new array
     that nothing else holds, so the first one becomes ``.grad`` uncopied."""
-    grad = grad.astype(tensor.data.dtype, copy=False)
+    grad = grad.astype(tensor.dtype, copy=False)
     if tensor.grad is None:
         tensor.grad = grad if owned else grad.copy()
     else:
@@ -121,9 +164,9 @@ def _released(g):
 def backward(out: Tensor, grad: np.ndarray) -> None:
     """Populate ``.grad`` of every leaf tensor reachable from ``out``, given
     ``grad``, a loss's gradient with respect to ``out``, and free the graph."""
-    if np.shape(grad) != out.data.shape:
+    if np.shape(grad) != out.shape:
         raise ContractError(f"backward: gradient of shape {np.shape(grad)} "
-                            f"for an output of shape {out.data.shape}")
+                            f"for an output of shape {out.shape}")
     if not out.requires_grad:
         raise ContractError("output does not require gradients; nothing to backpropagate")
 
@@ -257,9 +300,9 @@ COLS_BUDGET = 1 << 20
 
 
 def conv2d(x: Tensor, weight: Tensor, stride: int, pad: int) -> Tensor:
-    """Cross-correlation of NCHW input with OIHW kernels (no bias).  Its
-    output carries a rebuild, which the batch norm that runs it keeps in
-    place of the array (see ``BatchNorm2d``)."""
+    """Cross-correlation of NCHW input with OIHW kernels (no bias).  On the
+    tape its output carries a rebuild, which the batch norm that runs it
+    keeps in place of the array (see ``BatchNorm2d``)."""
     if x.data.ndim != 4 or weight.data.ndim != 4 or x.data.shape[1] != weight.data.shape[1]:
         raise ShapeError(f"conv2d mismatch: input {x.data.shape}, kernel {weight.data.shape}")
     n, c, h, w = x.data.shape
@@ -314,7 +357,7 @@ def conv2d(x: Tensor, weight: Tensor, stride: int, pad: int) -> Tensor:
         # w2.T's rows permuted from (c, kh, kw) to (kh, kw, c), so that each
         # tap's gradient is one (m, c, ho, wo) block of a chunk's dcols
         taps = w2.T.reshape(c, kh, kw, co).transpose(1, 2, 0, 3).reshape(kh * kw * c, co)
-        dx = np.zeros(x.data.shape, dtype=out_dtype)
+        dx = np.zeros(x.shape, dtype=out_dtype)
         dcols = np.empty((step, kh * kw * c, ho * wo), dtype=out_dtype)
         for chunk in chunks:
             gs = g2[chunk]
@@ -358,7 +401,7 @@ def maxpool2d(x: Tensor, kernel: int, stride: int, pad: int) -> Tensor:
         # a window's tap gets g where its maximum sits and 0 elsewhere, one
         # tap at a time rather than one (n, c, ho, wo, k*k) buffer
         _accum(x, _fold(lambda i, j: np.where(slot == i * kernel + j, g, 0),
-                        np.zeros(x.data.shape, dtype=np.float64), kernel, kernel, stride, pad),
+                        np.zeros(x.shape, dtype=np.float64), kernel, kernel, stride, pad),
                owned=True)
 
     return _result(best, (x,), bwd)
@@ -371,7 +414,7 @@ def global_avg_pool(x: Tensor) -> Tensor:
     data = x.data.mean(axis=(2, 3), dtype=np.float64).astype(x.data.dtype)
 
     def bwd(g):
-        _accum(x, np.broadcast_to(g[:, :, None, None] / (h * w), x.data.shape))
+        _accum(x, np.broadcast_to(g[:, :, None, None] / (h * w), x.shape))
 
     return _result(data, (x,), bwd)
 
@@ -394,9 +437,14 @@ class BatchNorm2d:
     A call convolves ``x`` with ``weight`` first, by ``conv2d``, and
     normalizes that output, which no caller sees.  The tape keeps the conv's
     parents, its rebuild and its closure, not the array.  The backward
-    rebuilds the output only where a gradient reads ``xhat``, and hands its
-    input gradient straight to the conv's closure, which builds its columns
-    again, a chunk of samples at a time.
+    rebuilds the conv output only where a gradient reads ``xhat``, and hands
+    its input gradient straight to the conv's closure, which builds its
+    columns again, a chunk of samples at a time.
+
+    The output's own rebuild runs that conv rebuild, normalizes it and
+    applies the epilogue in the forward's order, the same bytes, and keeps
+    ``xhat`` for the backward, which then rebuilds nothing more.  So a
+    released output costs no extra conv lowering.
     """
 
     def __init__(self, channels: int):
@@ -414,8 +462,8 @@ class BatchNorm2d:
                              f"{self.gamma.data.shape[0]} channels")
         gamma, beta = self.gamma, self.beta
         dt = y.dtype
-        if residual is not None and (residual.shape, residual.data.dtype) != (y.shape, dt):
-            raise ShapeError(f"batchnorm2d: residual {residual.shape} {residual.data.dtype} "
+        if residual is not None and (residual.shape, residual.dtype) != (y.shape, dt):
+            raise ShapeError(f"batchnorm2d: residual {residual.shape} {residual.dtype} "
                              f"does not match conv output {y.shape} {dt}")
         m = y.shape[0] * y.shape[2] * y.shape[3]
         if train:
@@ -438,25 +486,43 @@ class BatchNorm2d:
             return xhat
 
         scale = gamma.data.astype(dt)[:, None, None]
+        shift = beta.data.astype(dt)[:, None, None]
+
+        def finished(xhat, data):
+            # the epilogue, into data: scale, shift, residual, ReLU
+            np.multiply(xhat, scale, out=data)
+            data += shift
+            if residual is not None:
+                data += residual.data
+            if relu:
+                np.maximum(data, 0, out=data)
+            return data
+
         data = normalized(y)
-        data *= scale
-        data += beta.data.astype(dt)[:, None, None]
-        if residual is not None:
-            data += residual.data
-        if relu:
-            np.maximum(data, 0, out=data)
+        finished(data, data)
         # the tape keeps the conv's rebuild, closure and parents, not its output
         rebuild, conv_bwd, x_grad = conv._rebuild, conv._backward, conv.requires_grad
         parents = conv._parents + ((gamma, beta) if residual is None else (gamma, beta, residual))
+        kept = None  # the xhat of this output's rebuild, for the backward to reuse
+
+        def rebuilt():
+            # a released output, from the one conv rebuild its backward needs
+            nonlocal kept
+            kept = normalized(rebuild())
+            return finished(kept, np.empty_like(kept))
 
         def bwd(g):
+            nonlocal kept
             if relu:
-                g *= data > 0  # g is this output's own gradient
+                g *= own().data > 0  # g is this output's own gradient
             if residual is not None and residual.requires_grad:
                 _accum(residual, g)
             # the tape keeps mu and inv_std, not xhat: it is rebuilt from the
-            # conv's rebuild only where a gradient reads it, the same bytes
-            xhat = normalized(rebuild()) if gamma.requires_grad or (train and x_grad) else None
+            # conv's rebuild only where a gradient reads it, the same bytes,
+            # once, by this output's own rebuild if that ran
+            xhat, kept = kept, None
+            if xhat is None and (gamma.requires_grad or (train and x_grad)):
+                xhat = normalized(rebuild())
             if gamma.requires_grad:
                 _accum(gamma, (g * xhat).sum(axis=(0, 2, 3), dtype=np.float64))
             if beta.requires_grad:
@@ -475,4 +541,6 @@ class BatchNorm2d:
                 del xhat  # before the conv's backward builds its columns again
                 conv_bwd(dx)
 
-        return _result(data, parents, bwd)
+        out = _result(data, parents, bwd, rebuilt)
+        own = weakref.ref(out)  # weak: the output holds this closure
+        return out

@@ -8,7 +8,10 @@ log-probabilities.  ``channels`` is stage 0's width, doubled at each later
 stage: 16 in the paper, 4 by default for desk-scale runs.  Each batch norm
 runs the conv before it on its own input, and each but a projection's ends
 in its ReLU, a block's second after the shortcut add, so no conv output
-reaches the tape and it keeps two arrays of a block's output size.
+reaches the tape.  The stem's batch norm output, a block's first and a
+projection's are released once their one forward reader has run, and the
+backward rebuilds what it reads of them, so the tape keeps one array of a
+block's output size.
 """
 
 from __future__ import annotations
@@ -104,8 +107,14 @@ class BasicBlock:
             shortcut = self.proj_bn(x, self.proj, self.stride, 0, train)
         else:
             shortcut = x
-        out = self.bn1(x, self.conv1, self.stride, 1, train, relu=True)
-        return self.bn2(out, self.conv2, 1, 1, train, shortcut, relu=True)
+        h = self.bn1(x, self.conv1, self.stride, 1, train, relu=True)
+        out = self.bn2(h, self.conv2, 1, 1, train, shortcut, relu=True)
+        # read by bn2 alone: bn1's output is rebuilt in the backward, and a
+        # projection's is never read again, its gradient all bn2 hands it
+        ad.release(h)
+        if self.proj is not None:
+            ad.release(shortcut)
+        return out
 
 
 def _named_arrays(prefix: str, owner):
@@ -159,8 +168,10 @@ class ResNet:
             )
         for p in self.parameters().values():
             p.requires_grad = train
-        h = self.stem_bn(x, self.stem_conv, 1, 1, train, relu=True)
-        h = ad.maxpool2d(h, kernel=3, stride=1, pad=1)
+        stem = self.stem_bn(x, self.stem_conv, 1, 1, train, relu=True)
+        h = ad.maxpool2d(stem, kernel=3, stride=1, pad=1)
+        ad.release(stem)  # the max pool's backward reads only its slots
+        del stem  # so that off the tape, as in scoring, it goes now
         for blocks in self.stages:
             for block in blocks:
                 h = block(h, train)

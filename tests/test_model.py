@@ -390,6 +390,42 @@ class TestTapeRelease:
         assert ref() is None
         assert all(p.grad is not None and p.grad.shape == p.shape for p in params.values())
 
+    def test_a_step_lowers_each_conv_three_times(self, rng, monkeypatch):
+        # one chunk a lowering, so a conv's every lowering is one _windows call
+        monkeypatch.setattr(ad, "COLS_BUDGET", 1 << 40)
+        windows, lowerings, rebuilds = ad._windows, [], {}
+
+        def counted_windows(*args):
+            lowerings.append(args)
+            return windows(*args)
+
+        monkeypatch.setattr(ad, "_windows", counted_windows)
+        model = ResNet(TOY, seed=8)
+        convs = sum(p.data.ndim == 4 for p in model.parameters().values())
+        lp = model.forward(Tensor(rng.standard_normal((4, 1, 8, 10)).astype(np.float32)),
+                           train=True)
+        assert len(lowerings) == convs
+        released = [t for t in interior_tensors(lp) if isinstance(t._data, ad._Shell)]
+        # the stem's batch norm output, each bn1's and each projection's
+        assert len(released) == 1 + sum(TOY.block_counts) + 3
+        for t in released:
+            assert len(t.shape) == 4 and t.dtype == np.float32
+
+            def counted(t=t, rebuild=t._rebuild, kind=(t.shape, t.dtype)):
+                rebuilds[id(t)] = rebuilds.get(id(t), 0) + 1
+                data = rebuild()
+                assert (data.shape, data.dtype) == kind
+                return data
+
+            t._rebuild = counted
+        assert len(lowerings) == convs and not rebuilds  # shape and dtype rebuild nothing
+        ad.backward(lp, rng.standard_normal(lp.shape))
+        # forward, rebuild and weight gradient: a released output is rebuilt
+        # at its first read, and its batch norm reuses that rebuild's xhat
+        assert len(lowerings) == 3 * convs
+        # the stem's and each bn1's, once; a projection's values are never read
+        assert sorted(rebuilds.values()) == [1] * (1 + sum(TOY.block_counts))
+
     def test_saliency_map_is_the_input_gradient(self, rng):
         model = ResNet(TOY, seed=6)
         for p in model.parameters().values():
@@ -423,6 +459,8 @@ class TestTapeRelease:
         finally:
             tracemalloc.stop()
         # with every interior gradient and each conv's cols kept, the graph
-        # held 166 MB after the forward and 213 MB after the backward
-        assert after_forward < 100e6
+        # held 166 MB after the forward and 213 MB after the backward; with
+        # the stem's, each bn1's and each projection's outputs kept, 14.7 MB
+        # after the forward; it holds 7.2 MB now
+        assert after_forward < 9e6
         assert after_backward < 5e6

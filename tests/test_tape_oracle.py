@@ -6,11 +6,12 @@ samples at a time rather than the whole batch, ``BatchNorm2d`` keeps
 output it keeps off the tape, and ends in a block's residual add and ReLU,
 the max pool takes a running maximum tap by tap and its backward hands
 ``_fold`` one tap at a time rather than a float64 window buffer, and
-``backward`` pops each node off its list, and the hidden linear layer ends
-in its ReLU.  Test-only copies of
+``backward`` pops each node off its list, the hidden linear layer ends
+in its ReLU, and the model releases the stem's, each bn1's and each
+projection's outputs for the backward to rebuild.  Test-only copies of
 the earlier ops, ``_fold`` and backward loop are the oracle, and so is the
-network run on them, every conv output kept: every output and ``.grad`` must
-be equal in bytes.
+network run on them, every conv output and every batch norm output kept:
+every output and ``.grad`` must be equal in bytes.
 """
 
 import tracemalloc
@@ -428,13 +429,14 @@ def test_the_max_pool_takes_argmaxs_tap(p):
         assert a.tobytes() == b.tobytes()
 
 
-def test_a_detect_shaped_train_step_peaks_under_36_mb():
+def test_a_detect_shaped_train_step_peaks_under_13_mb():
     # one 16-gram 65x50 step: with the padded conv inputs, each xhat, the
     # max-pool window buffer and every activation held until backward
     # returned, the traced peak was 77 MB; with each batch norm's output,
     # each residual sum and the stem's pre-activation kept for their ReLUs,
-    # it was 48 MB; with each conv output kept for its batch norm, 30 MB; it
-    # is 17 MB now
+    # it was 48 MB; with each conv output kept for its batch norm, 30 MB;
+    # with each conv's whole-batch im2col columns, 19 MB; with the stem's,
+    # each bn1's and each projection's outputs kept, 17 MB; it is 10.3 MB now
     model = ResNet(ResNetConfig(input_bins=65, input_frames=50), seed=0)
     AdamW(model.parameters(), lr=1e-3, betas=(0.9, 0.999), weight_decay=0.0)
     x = Tensor(np.random.default_rng(0).standard_normal((16, 1, 65, 50)).astype(np.float32))
@@ -447,7 +449,7 @@ def test_a_detect_shaped_train_step_peaks_under_36_mb():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 36e6
+    assert peak < 13e6
 
 
 def test_a_32_gram_score_batch_peaks_under_12_mb():
@@ -477,24 +479,27 @@ def _tape(out):
     return seen.values()
 
 
-def test_an_identity_block_keeps_two_arrays_of_its_output_size():
+def test_an_identity_block_keeps_one_array_of_its_output_size():
     cfg = ResNetConfig(input_bins=65, input_frames=50)
     n, chans = 16, cfg.stage_channels
     model = ResNet(cfg, seed=0)
     x = Tensor(np.random.default_rng(0).standard_normal((n, 1, 65, 50)).astype(np.float32))
     lp = model.forward(x, train=True)
-    kept = sum(t.data.nbytes for t in _tape(lp) if t._backward is not None)
-    # float32 interior arrays: the stem's batch norm (ReLU fused) and max
-    # pool; per block bn1 (ReLU fused) and bn2 (shortcut and ReLU fused), and
-    # at a stage's first block a projection's batch norm.  Each batch norm
-    # runs the conv before it, so no conv output is kept: with them, a block
-    # kept four.  A separate ReLU and add would keep three more per block
+    # the arrays themselves: reading .data would rebuild a released output
+    kept = sum(t._data.nbytes for t in _tape(lp)
+               if t._backward is not None and isinstance(t._data, np.ndarray))
+    # float32 interior arrays: the max pool's output, and per block bn2's
+    # (shortcut and ReLU fused).  Each batch norm runs the conv before it, so
+    # no conv output is kept: with them, a block kept four.  The stem's batch
+    # norm output, each bn1's and each projection's are released once their
+    # one forward reader has run: with them, a block kept two.  A separate
+    # ReLU and add would keep three more per block
     h, w = 65, 50
-    expected = 2 * n * chans[0] * h * w * 4
+    expected = n * chans[0] * h * w * 4
     for stage, (ch, count) in enumerate(zip(chans, cfg.block_counts)):
         if stage:
             h, w = (h + 1) // 2, (w + 1) // 2
-        expected += (2 * count + (1 if stage else 0)) * n * ch * h * w * 4
+        expected += count * n * ch * h * w * 4
     # the head: average pool, hidden layer (ReLU fused), logits, log-probabilities
     expected += n * (chans[3] + cfg.fc_width + 2 * 2) * 4
     assert kept == expected
@@ -520,40 +525,50 @@ def test_an_interior_tensor_goes_once_its_consumers_have_run(rng):
     assert np.array_equal(x.grad, (x.data > 0).astype(x.data.dtype))
 
 
-def three_steps_then_eval(dtype) -> list:
+# odd sizes, so that a stride-2 conv's last window reaches into the padding
+ODD = ResNetConfig(channels=2, fc_width=8, input_bins=11, input_frames=9)
+# (model, parameter dtype, batch, steps): the odd toy, and detect's shapes
+ORACLE_CASES = {
+    "float32": (ODD, np.float32, 5, 3),
+    "float64": (ODD, np.float64, 5, 3),
+    "detect-float32": (ResNetConfig(input_bins=65, input_frames=50), np.float32, 16, 1),
+}
+
+
+def steps_then_eval(cfg, dtype, n, steps) -> list:
     """Log-probabilities, gradients, parameters and running statistics of
-    three training steps, then an eval score batch and a saliency map."""
-    # odd sizes, so that a stride-2 conv's last window reaches into the padding
-    cfg = ResNetConfig(channels=2, fc_width=8, input_bins=11, input_frames=9)
+    training steps, then an eval score batch and a saliency map."""
     model = ResNet(cfg, seed=3)
     params = model.parameters()
     for p in params.values():
         p.data = p.data.astype(dtype)
     opt = AdamW(params, lr=1e-2, betas=(0.9, 0.999), weight_decay=1e-4)
     rng = np.random.default_rng(4)
+    shape = (cfg.input_bins, cfg.input_frames)
     arrays = []
-    for _ in range(3):
-        x = Tensor(rng.standard_normal((5, 1, 11, 9)).astype(np.float32))
+    for _ in range(steps):
+        x = Tensor(rng.standard_normal((n, 1, *shape)).astype(np.float32))
         lp = model.forward(x, train=True)
-        _, grad = objectives.bfl(lp.data, rng.integers(0, 2, 5), (0.5, 1.5), 2.0)
+        _, grad = objectives.bfl(lp.data, rng.integers(0, 2, n), (0.5, 1.5), 2.0)
         ad.backward(lp, grad)
         arrays += [lp.data] + [p.grad.copy() for p in params.values()]
         opt.step()
     arrays += list(model.state().values())
-    grams = rng.standard_normal((4, 11, 9)).astype(np.float32)
+    grams = rng.standard_normal((4, *shape)).astype(np.float32)
     return arrays + [score_batch(model, grams), saliency_map(model, grams[0])]
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_absorbing_every_conv_output_keeps_every_byte(dtype, monkeypatch):
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_absorbing_every_conv_output_keeps_every_byte(case, monkeypatch):
     # the oracle: every batch norm of the network is the earlier one after
     # the earlier conv, which lowers the whole batch at once, so it keeps
-    # that conv's output on the tape and backpropagates into it.  The engine
-    # runs at its own budget, then at one sample per chunk
+    # that conv's output and its own on the tape, releases none, and
+    # backpropagates into the conv output.  The engine runs at its own
+    # budget, then at one sample per chunk
     with monkeypatch.context() as m:
         m.setattr(BatchNorm2d, "__call__", OracleBatchNorm2d.__call__)
         m.setattr(BatchNorm2d, "conv2d", staticmethod(oracle_conv2d), raising=False)
-        every_output_kept = three_steps_then_eval(dtype)
-    assert_same_bytes(three_steps_then_eval(dtype), every_output_kept)
+        every_output_kept = steps_then_eval(*ORACLE_CASES[case])
+    assert_same_bytes(steps_then_eval(*ORACLE_CASES[case]), every_output_kept)
     monkeypatch.setattr(ad, "COLS_BUDGET", 1)
-    assert_same_bytes(three_steps_then_eval(dtype), every_output_kept)
+    assert_same_bytes(steps_then_eval(*ORACLE_CASES[case]), every_output_kept)
