@@ -5,7 +5,8 @@
 # for byte the same), twice more at the paper's width of 16 channels (byte
 # for byte the same), and with BCE (each seeds the backward pass with the loss's
 # gradient), scoring at one job and at two (byte for byte the same), a saliency
-# map drawn twice (a one-hot seed; byte for byte the same), mean fusion,
+# map drawn twice from the BCE model and twice from the wide one (a one-hot
+# seed; byte for byte the same), mean fusion,
 # evaluation and the per-attack breakdown, the evaluation of scores near the
 # float maximum, mean fusion of empty score files, then inputs that must each
 # end in one error:<category>: line with exit code 1: lr fusion on one-class
@@ -91,6 +92,12 @@ replaycm saliency --ckpt toy/bce.ckpt --feature "toy/stft/$utt.fgram" --out toy/
 # the eval-mode backward through the fused batch-norm epilogues is deterministic
 replaycm saliency --ckpt toy/bce.ckpt --feature "toy/stft/$utt.fgram" --out toy/saliency_again.fgram
 cmp toy/saliency.fgram toy/saliency_again.fgram
+# at widths 16 to 128, the eval-mode backward rebuilds the released conv
+# outputs the same way twice
+for out in wide_saliency wide_saliency_again; do
+  replaycm saliency --ckpt toy/wide.ckpt --feature "toy/stft/$utt.fgram" --out toy/$out.fgram
+done
+cmp toy/wide_saliency.fgram toy/wide_saliency_again.fgram
 replaycm fuse --method mean --scores toy/eval_scores.txt toy/eval_scores.txt \
   --out toy/fused.txt
 replaycm evaluate --scores toy/fused.txt --protocol toy/protocol_eval.txt

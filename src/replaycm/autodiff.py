@@ -22,22 +22,24 @@ input, not a padded copy or its im2col buffer, and pads, casts and builds the
 columns again for the weight gradient; ``BatchNorm2d`` keeps the per-channel
 ``mu`` and ``inv_std`` and rebuilds the normalized input only where a gradient
 reads it; ``maxpool2d`` keeps the slot of each window's maximum, and its
-backward adds the gradient tap by tap.  A batch norm convolves its own
-input, so no caller sees the conv output and the tape never keeps it: the
-batch norm's node takes the conv's parents, its rebuild (the conv's own
-forward) and its closure.  Each rebuilt value is the same bytes as the one
-the forward used.  ``BatchNorm2d`` ends in a block's residual add and ReLU.
+backward adds the gradient tap by tap.  Each rebuilt value is the same bytes
+as the one the forward used.  ``BatchNorm2d`` ends in a block's residual add
+and ReLU.
 
-An activation with one forward reader can leave the tape once that reader
-has run: ``release(t)`` swaps its data for its shape and dtype alone, and its
-first read rebuilds it by ``t._rebuild``.  A batch norm's output rebuilds
-from the one conv rebuild its own backward needs, and keeps that ``xhat``
-for it, so a conv is still lowered three times a step: forward, rebuild and
+The tape drops an array one way: ``release(t)`` swaps a tensor's data for
+its shape and dtype alone once its forward readers have run, and its first
+read rebuilds it by ``t._rebuild`` and keeps it until it is released again.
+A batch norm convolves its own input and releases that conv output once it
+has its statistics, so no caller sees it: the conv output is an ordinary
+parent of the batch norm's node, rebuilt at its first read in the backward,
+and the backward pass runs the conv's closure on the gradient the batch
+norm hands it.  A conv is lowered three times a step: forward, rebuild and
 weight gradient.  Reading a released tensor's ``shape`` or ``dtype``
-rebuilds nothing.  A tensor records a rebuild only on the tape, so a
-scoring forward releases nothing and chains no closures.  The model
-releases the stem's batch norm output and each block's first and
-projection outputs, so a basic block keeps one array of its output's size.
+rebuilds nothing, and reading its data once the backward pass has freed its
+graph raises ContractError.  A tensor records a rebuild only on the tape, so
+a scoring forward releases nothing and chains no closures.  The model also
+releases the stem's batch norm output and each block's first and projection
+outputs, so a basic block keeps one array of its output's size.
 
 No array of a whole batch's im2col columns is ever built: the conv's forward,
 its rebuild and its backward each lower a chunk of samples at a time, as many
@@ -155,9 +157,9 @@ def _accum(tensor: Tensor, grad: np.ndarray, owned: bool = False):
         tensor.grad = tensor.grad + grad
 
 
-def _released(g):
-    """Stands in for the closure of an interior tensor once a backward pass
-    has run it and freed the graph behind it."""
+def _released(*_):
+    """Stands in for the closure and the rebuild of an interior tensor once a
+    backward pass has run it and freed the graph behind it."""
     raise ContractError("backward: the graph was freed by an earlier backward pass")
 
 
@@ -197,7 +199,7 @@ def backward(out: Tensor, grad: np.ndarray) -> None:
             continue  # a leaf keeps its gradient
         if node.grad is not None:
             node._backward(node.grad)
-        node.grad, node._backward, node._parents, node._rebuild = None, _released, (), None
+        node.grad, node._backward, node._parents, node._rebuild = None, _released, (), _released
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +303,8 @@ COLS_BUDGET = 1 << 20
 
 def conv2d(x: Tensor, weight: Tensor, stride: int, pad: int) -> Tensor:
     """Cross-correlation of NCHW input with OIHW kernels (no bias).  On the
-    tape its output carries a rebuild, which the batch norm that runs it
-    keeps in place of the array (see ``BatchNorm2d``)."""
+    tape its output carries a rebuild, so the batch norm that runs it can
+    release it (see ``BatchNorm2d``)."""
     if x.data.ndim != 4 or weight.data.ndim != 4 or x.data.shape[1] != weight.data.shape[1]:
         raise ShapeError(f"conv2d mismatch: input {x.data.shape}, kernel {weight.data.shape}")
     n, c, h, w = x.data.shape
@@ -434,17 +436,18 @@ class BatchNorm2d:
     ``residual``, then clip at 0 if ``relu``.  The backward masks with
     ``out > 0``, so no pre-activation array reaches the tape.
 
-    A call convolves ``x`` with ``weight`` first, by ``conv2d``, and
-    normalizes that output, which no caller sees.  The tape keeps the conv's
-    parents, its rebuild and its closure, not the array.  The backward
-    rebuilds the conv output only where a gradient reads ``xhat``, and hands
-    its input gradient straight to the conv's closure, which builds its
+    A call convolves ``x`` with ``weight`` first, by ``conv2d``, releases
+    that output and normalizes its array in place, so no caller sees it and
+    the tape keeps only its shape.  The conv output is the node's first
+    parent.  The backward reads it only where a gradient reads ``xhat``,
+    normalizes it in place after releasing it again, and hands its gradient
+    to it: the backward pass then runs the conv's closure, which builds its
     columns again, a chunk of samples at a time.
 
-    The output's own rebuild runs that conv rebuild, normalizes it and
-    applies the epilogue in the forward's order, the same bytes, and keeps
-    ``xhat`` for the backward, which then rebuilds nothing more.  So a
-    released output costs no extra conv lowering.
+    The output's own rebuild normalizes a copy of the conv output and
+    applies the epilogue in the forward's order, the same bytes.  The conv
+    output it read stays for the backward, which then rebuilds nothing
+    more, so a released output costs no extra conv lowering.
     """
 
     def __init__(self, channels: int):
@@ -480,17 +483,18 @@ class BatchNorm2d:
         mu = mu.astype(dt)[:, None, None]
         inv_std = (1.0 / np.sqrt(var + BN_EPS)).astype(dt)[:, None, None]
 
-        def normalized(xd):
-            xhat = xd - mu
+        def normalized(xhat):
+            # in place: a conv output becomes its xhat
+            xhat -= mu
             xhat *= inv_std
             return xhat
 
         scale = gamma.data.astype(dt)[:, None, None]
         shift = beta.data.astype(dt)[:, None, None]
 
-        def finished(xhat, data):
-            # the epilogue, into data: scale, shift, residual, ReLU
-            np.multiply(xhat, scale, out=data)
+        def finished(data):
+            # the epilogue, in place: scale, shift, residual, ReLU
+            data *= scale
             data += shift
             if residual is not None:
                 data += residual.data
@@ -498,36 +502,26 @@ class BatchNorm2d:
                 np.maximum(data, 0, out=data)
             return data
 
-        data = normalized(y)
-        finished(data, data)
-        # the tape keeps the conv's rebuild, closure and parents, not its output
-        rebuild, conv_bwd, x_grad = conv._rebuild, conv._backward, conv.requires_grad
-        parents = conv._parents + ((gamma, beta) if residual is None else (gamma, beta, residual))
-        kept = None  # the xhat of this output's rebuild, for the backward to reuse
-
-        def rebuilt():
-            # a released output, from the one conv rebuild its backward needs
-            nonlocal kept
-            kept = normalized(rebuild())
-            return finished(kept, np.empty_like(kept))
+        release(conv)  # y is this call's own now: its backward rebuilds the conv output
+        # off the tape the conv output stays: gamma's gradient may read it as it stood
+        frozen = not conv.requires_grad and gamma.requires_grad
+        data = finished(normalized(y.copy() if frozen else y))
 
         def bwd(g):
-            nonlocal kept
             if relu:
                 g *= own().data > 0  # g is this output's own gradient
             if residual is not None and residual.requires_grad:
                 _accum(residual, g)
-            # the tape keeps mu and inv_std, not xhat: it is rebuilt from the
-            # conv's rebuild only where a gradient reads it, the same bytes,
-            # once, by this output's own rebuild if that ran
-            xhat, kept = kept, None
-            if xhat is None and (gamma.requires_grad or (train and x_grad)):
-                xhat = normalized(rebuild())
+            # the tape keeps mu and inv_std, not xhat: the conv output is
+            # rebuilt at its first read, once, here or by this output's rebuild
+            reads_xhat = gamma.requires_grad or (train and conv.requires_grad)
+            xhat = normalized(conv.data) if reads_xhat else None
+            release(conv)  # xhat is this closure's alone
             if gamma.requires_grad:
                 _accum(gamma, (g * xhat).sum(axis=(0, 2, 3), dtype=np.float64))
             if beta.requires_grad:
                 _accum(beta, g.sum(axis=(0, 2, 3), dtype=np.float64))
-            if x_grad:
+            if conv.requires_grad:
                 dx = g * scale
                 if train:
                     # inv_std * (gx - (sum_gx + xhat * sum_gx_xhat) / m), in place
@@ -538,9 +532,11 @@ class BatchNorm2d:
                     xhat /= m
                     dx -= xhat
                 dx *= inv_std
-                del xhat  # before the conv's backward builds its columns again
-                conv_bwd(dx)
+                _accum(conv, dx, owned=True)  # the backward pass runs the conv's closure next
 
-        out = _result(data, parents, bwd, rebuilt)
+        parents = (conv, gamma, beta) if residual is None else (conv, gamma, beta, residual)
+        # a released output: the conv output rebuilt, normalized and finished
+        # in the forward's order, the same bytes
+        out = _result(data, parents, bwd, lambda: finished(normalized(conv.data.copy())))
         own = weakref.ref(out)  # weak: the output holds this closure
         return out

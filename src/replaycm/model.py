@@ -6,12 +6,12 @@ projection shortcuts at each stride-2 stage transition, then global average
 pooling, a hidden fully-connected layer and a 2-class output read out as
 log-probabilities.  ``channels`` is stage 0's width, doubled at each later
 stage: 16 in the paper, 4 by default for desk-scale runs.  Each batch norm
-runs the conv before it on its own input, and each but a projection's ends
-in its ReLU, a block's second after the shortcut add, so no conv output
-reaches the tape.  The stem's batch norm output, a block's first and a
-projection's are released once their one forward reader has run, and the
-backward rebuilds what it reads of them, so the tape keeps one array of a
-block's output size.
+runs the conv before it on its own input and releases that conv output
+(``autodiff.release``), and each but a projection's ends in its ReLU, a
+block's second after the shortcut add.  The stem's batch norm output, a
+block's first and a projection's are released the same way once their one
+forward reader has run, and the backward rebuilds what it reads of them, so
+the tape keeps one array of a block's output size.
 """
 
 from __future__ import annotations

@@ -185,6 +185,23 @@ def test_batchnorm_gradients(train, rng):
         assert rel < 1e-3
 
 
+@pytest.mark.parametrize("train", [True, False])
+def test_a_frozen_conv_leaves_gamma_its_gradient(train, rng):
+    # with neither the conv's input nor its kernel taking a gradient, the conv
+    # output is off the tape, and gamma's gradient reads it as it stood
+    x0 = rng.standard_normal((2, 3, 4, 5)).astype(np.float32)
+    g = rng.standard_normal(x0.shape).astype(np.float32)
+    grads = []
+    for x in (leaf(x0.copy()), Tensor(x0.copy())):
+        bn = BatchNorm2d(3)
+        bn.gamma.data = rng.uniform(0.5, 1.5, 3).astype(np.float32)
+        bn.gamma.requires_grad = bn.beta.requires_grad = True
+        ad.backward(bn(x, identity_kernel(3), 1, 0, train, relu=True), g.copy())
+        grads.append((bn.gamma.grad, bn.beta.grad))
+    for a, b in zip(*grads):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_batchnorm_eval_is_affine(rng):
     bn = BatchNorm2d(3)
     bn.running_mean = rng.standard_normal(3)

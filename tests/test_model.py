@@ -9,7 +9,8 @@ import pytest
 from conftest import leaf
 from replaycm import autodiff as ad
 from replaycm.autodiff import Tensor
-from replaycm.errors import FormatError, ParameterError, ShapeError, TrainingError
+from replaycm.errors import (ContractError, FormatError, ParameterError, ShapeError,
+                             TrainingError)
 from replaycm.model import (
     ResNet,
     ResNetConfig,
@@ -381,7 +382,7 @@ class TestTapeRelease:
                            train=True)
         logits = lp._parents[0]
         graph = [weakref.ref(t) for t in interior_tensors(lp) if t is not lp and t is not logits]
-        assert len(graph) > 30  # 39: each batch norm runs its conv, whose output is not kept
+        assert len(graph) > 30  # 75: each batch norm's output and the conv output it normalizes
         ad.backward(lp, rng.standard_normal(lp.shape))
         assert logits.grad is None and logits._parents == ()
         assert all(ref() is None for ref in graph)  # while lp is still held
@@ -405,9 +406,14 @@ class TestTapeRelease:
         lp = model.forward(Tensor(rng.standard_normal((4, 1, 8, 10)).astype(np.float32)),
                            train=True)
         assert len(lowerings) == convs
-        released = [t for t in interior_tensors(lp) if isinstance(t._data, ad._Shell)]
-        # the stem's batch norm output, each bn1's and each projection's
-        assert len(released) == 1 + sum(TOY.block_counts) + 3
+        graph = interior_tensors(lp)
+        released = [t for t in graph if isinstance(t._data, ad._Shell)]
+        # every conv output, the stem's batch norm output, each bn1's and each
+        # projection's
+        assert len(released) == convs + 1 + sum(TOY.block_counts) + 3
+        projections = [t._parents[3] for t in graph
+                       if len(t._parents) == 4 and isinstance(t._parents[3]._data, ad._Shell)]
+        assert len(projections) == 3
         for t in released:
             assert len(t.shape) == 4 and t.dtype == np.float32
 
@@ -420,11 +426,44 @@ class TestTapeRelease:
             t._rebuild = counted
         assert len(lowerings) == convs and not rebuilds  # shape and dtype rebuild nothing
         ad.backward(lp, rng.standard_normal(lp.shape))
-        # forward, rebuild and weight gradient: a released output is rebuilt
-        # at its first read, and its batch norm reuses that rebuild's xhat
+        # forward, rebuild and weight gradient: a conv output is rebuilt at its
+        # first read, by its batch norm's backward or by its batch norm output's
+        # rebuild, and stays for that backward
         assert len(lowerings) == 3 * convs
-        # the stem's and each bn1's, once; a projection's values are never read
-        assert sorted(rebuilds.values()) == [1] * (1 + sum(TOY.block_counts))
+        # each conv's, the stem's and each bn1's, once; a projection's values
+        # are never read
+        assert sorted(rebuilds.values()) == [1] * (len(released) - 3)
+        assert not {id(t) for t in projections} & rebuilds.keys()
+
+    def test_each_batch_norm_takes_its_released_conv_output(self, rng):
+        model = ResNet(TOY, seed=9)
+        params = model.parameters()
+        weights = {id(p) for p in params.values() if p.data.ndim == 4}
+        gammas = {id(p) for name, p in params.items() if name.endswith("_gamma")}
+        lp = model.forward(Tensor(rng.standard_normal((4, 1, 8, 10)).astype(np.float32)),
+                           train=True)
+        norms = [t for t in interior_tensors(lp)
+                 if len(t._parents) > 1 and id(t._parents[1]) in gammas]
+        assert len(norms) == len(weights)
+        for t in norms:
+            conv = t._parents[0]  # the conv output this batch norm normalized
+            assert type(conv._data) is ad._Shell
+            assert (conv.shape, conv.dtype) == (t.shape, np.float32)
+        assert {id(t._parents[0]._parents[1]) for t in norms} == weights
+
+    def test_a_released_tensor_is_unreadable_once_its_graph_is_freed(self, rng):
+        model = ResNet(TOY, seed=10)
+        lp = model.forward(Tensor(rng.standard_normal((4, 1, 8, 10)).astype(np.float32)),
+                           train=True)
+        released = [t for t in interior_tensors(lp) if isinstance(t._data, ad._Shell)]
+        ad.backward(lp, rng.standard_normal(lp.shape))
+        # each projection's output, whose values the backward never reads,
+        # and each conv output, released again by its batch norm's backward
+        unread = [t for t in released if isinstance(t._data, ad._Shell)]
+        assert unread
+        for t in unread:
+            with pytest.raises(ContractError, match="freed"):
+                t.data
 
     def test_saliency_map_is_the_input_gradient(self, rng):
         model = ResNet(TOY, seed=6)

@@ -2,13 +2,13 @@
 
 ``conv2d`` keeps its input rather than a padded copy and lowers a chunk of
 samples at a time rather than the whole batch, ``BatchNorm2d`` keeps
-``mu`` and ``inv_std`` rather than ``xhat``, runs the conv before it, whose
-output it keeps off the tape, and ends in a block's residual add and ReLU,
-the max pool takes a running maximum tap by tap and its backward hands
-``_fold`` one tap at a time rather than a float64 window buffer, and
-``backward`` pops each node off its list, the hidden linear layer ends
-in its ReLU, and the model releases the stem's, each bn1's and each
-projection's outputs for the backward to rebuild.  Test-only copies of
+``mu`` and ``inv_std`` rather than ``xhat``, runs the conv before it and
+releases its output for the backward to rebuild, and ends in a block's
+residual add and ReLU, the max pool takes a running maximum tap by tap and
+its backward hands ``_fold`` one tap at a time rather than a float64 window
+buffer, and ``backward`` pops each node off its list, the hidden linear
+layer ends in its ReLU, and the model releases the stem's, each bn1's and
+each projection's outputs the same way.  Test-only copies of
 the earlier ops, ``_fold`` and backward loop are the oracle, and so is the
 network run on them, every conv output and every batch norm output kept:
 every output and ``.grad`` must be equal in bytes.

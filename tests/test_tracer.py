@@ -76,6 +76,15 @@ def test_every_conv_runs_inside_its_batch_norm(spans):
     assert all(s[4] in by_id and by_id[s[4]][1] == "autodiff.batchnorm2d" for s in convs)
 
 
+def test_each_conv_backward_runs_from_the_backward_pass(spans):
+    # a batch norm's backward hands its input gradient to the conv output on
+    # the tape, so backward runs the conv's closure, not the batch norm's
+    by_id = {s[0]: s for s in spans["train"]}
+    convs = [s for s in spans["train"] if s[1] == "autodiff.conv2d_bwd"]
+    assert convs
+    assert all(s[4] in by_id and by_id[s[4]][1] == "autodiff.backward" for s in convs)
+
+
 @pytest.mark.parametrize("command, name", [
     pytest.param("train", "training.load", id="train"),
     pytest.param("score", "training.load", id="score"),
