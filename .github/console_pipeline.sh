@@ -4,7 +4,8 @@
 # gram is the full one subsampled), training with the focal loss twice (byte
 # for byte the same), twice more at the paper's width of 16 channels (byte
 # for byte the same), and with BCE (each seeds the backward pass with the loss's
-# gradient), scoring at one job and at two (byte for byte the same), a saliency
+# gradient), scoring at one job and at two (byte for byte the same), with the
+# BFL model and with the wide one, a saliency
 # map drawn twice from the BCE model and twice from the wide one (a one-hot
 # seed; byte for byte the same), mean fusion,
 # evaluation and the per-attack breakdown, the evaluation of scores near the
@@ -85,6 +86,13 @@ replaycm score --ckpt toy/model.ckpt --feature-dir toy/stft \
 replaycm score --ckpt toy/model.ckpt --feature-dir toy/stft \
   --protocol toy/protocol_eval.txt --out toy/eval_scores_jobs2.txt --jobs 2
 cmp toy/eval_scores.txt toy/eval_scores_jobs2.txt
+# at widths 16 to 128, the eval-mode conv lowers its columns over many chunks
+# of samples, in the serial run and in a pool thread, to the same bytes
+for jobs in 1 2; do
+  replaycm score --ckpt toy/wide.ckpt --feature-dir toy/stft \
+    --protocol toy/protocol_eval.txt --out toy/wide_scores_jobs$jobs.txt --jobs $jobs
+done
+cmp toy/wide_scores_jobs1.txt toy/wide_scores_jobs2.txt
 replaycm evaluate --scores toy/eval_scores.txt --protocol toy/protocol_eval.txt
 replaycm breakdown --scores toy/eval_scores.txt --protocol toy/protocol_eval.txt
 utt=$(head -n 1 toy/protocol_eval.txt | cut -d ' ' -f 1)

@@ -18,10 +18,10 @@ holds it.
 
 The tape keeps each array once.  A closure keeps its parents, which are alive
 anyway, and what it cannot rebuild from them cheaply: ``conv2d`` keeps its
-input, not a padded copy or its im2col buffer, and pads, casts and builds the
-columns again for the weight gradient; ``BatchNorm2d`` keeps the per-channel
-``mu`` and ``inv_std`` and rebuilds the normalized input only where a gradient
-reads it; ``maxpool2d`` keeps the slot of each window's maximum, and its
+input, not its im2col buffer, and casts and builds the columns again for the
+weight gradient; ``BatchNorm2d`` keeps the per-channel ``mu`` and ``inv_std``
+and rebuilds the normalized input only where a gradient reads it;
+``maxpool2d`` keeps the slot of each window's maximum, and its
 backward adds the gradient tap by tap.  Each rebuilt value is the same bytes
 as the one the forward used.  ``BatchNorm2d`` ends in a block's residual add
 and ReLU.
@@ -46,7 +46,7 @@ its rebuild and its backward each lower a chunk of samples at a time, as many
 as fit ``COLS_BUDGET`` bytes of columns.  numpy's batched ``matmul`` makes one
 GEMM per sample, and the weight gradient adds each sample's term in sample
 order, so every byte is the one a whole-batch conv gives.  A 16-gram 65x50
-step traces 10.3 MB, and a 32-gram 65x50 scoring batch 7.6 MB.
+step traces 10.0 MB, and a 32-gram 65x50 scoring batch 5.9 MB.
 
 The engine holds the ops the ResNet runs, and no other: ``log_softmax``,
 ``linear``, ``maxpool2d``, ``global_avg_pool`` and ``BatchNorm2d``, which
@@ -62,11 +62,14 @@ them on for its input only.  So scoring records no tape, even between
 training steps, and a backward pass computes no weight gradient nobody
 reads.
 
-Convolution reads its windows through one strided view (``_windows``); its
-adjoint ``_fold`` adds window gradients back tap by tap for the conv and the
-max pool alike, straight into the unpadded input gradient.  The conv lays its
-column gradient out tap by tap, so each tap's is one block.  The max-pool
-forward walks the taps itself, copying no window.
+A window is walked one way, tap by tap (``_taps``): for each tap, the
+rectangle of outputs it lands on a cell for and the cells it reads there.  A
+tap in the padding reads nothing, so no padded array is ever built.  The
+conv's lowering copies each tap's cells into its columns, zeroed once a pass,
+so a padding cell stays 0; the max pool takes a running maximum over them,
+copying no window; and their adjoint ``_fold`` adds each tap's gradient back
+into the same cells of the input gradient.  The conv lays its column gradient
+out tap by tap, so each tap's is one block.
 """
 
 from __future__ import annotations
@@ -254,46 +257,39 @@ def _conv_out_size(size: int, kernel: int, stride: int, pad: int) -> int:
     return (size + 2 * pad - kernel) // stride + 1
 
 
-def _windows(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """(n, c, ho, wo, kh, kw) view of every kh x kw window of NCHW ``xp``,
-    taken every ``stride`` rows and columns."""
-    return np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-
-
 def _inside(offset: int, stride: int, n_out: int, size: int):
-    """(first, stop, cell): the outputs o in [first, stop) whose input cell
-    ``offset + stride * o`` lies in [0, size), and the first one's cell."""
+    """(outs, cells): the slice of the outputs o in [0, n_out) whose input
+    cell ``offset + stride * o`` lies in [0, size), and the slice of those
+    cells; None if there are none."""
     first = max(0, -(offset // stride))
     stop = min(n_out, (size - 1 - offset) // stride + 1)
-    return first, stop, offset + stride * first
+    if stop <= first:
+        return None
+    cell = offset + stride * first
+    return slice(first, stop), slice(cell, cell + stride * (stop - first), stride)
+
+
+def _taps(shape, kh: int, kw: int, stride: int, pad: int) -> list:
+    """The one window walk of the engine: a kh x kw window moved by
+    ``stride`` over an NCHW array of ``shape`` padded by ``pad``.  For each
+    tap (i, j), in row-major order, ``(i, j, outs, cells)``: the index of
+    the (ho, wo) outputs whose tap lands on a cell of the array, and the
+    index of those cells.  A tap in the padding reads nothing, so no padded
+    array is built, and a tap that reaches no cell is left out."""
+    h, w = shape[-2:]
+    rows = [_inside(i - pad, stride, _conv_out_size(h, kh, stride, pad), h) for i in range(kh)]
+    cols = [_inside(j - pad, stride, _conv_out_size(w, kw, stride, pad), w) for j in range(kw)]
+    return [(i, j, (..., r[0], q[0]), (..., r[1], q[1]))
+            for i, r in enumerate(rows) if r for j, q in enumerate(cols) if q]
 
 
 def _fold(tap, dx: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
-    """Adjoint of ``_windows`` on an input of ``dx``'s shape padded by ``pad``:
-    add ``tap(i, j)``, the (n, c, ho, wo) gradient of every window's tap (i,
-    j), into ``dx`` in row-major tap order, and return it.  Cells of a window
-    that land in the padding are left out, so no padded array is built."""
-    n, c, h, w = dx.shape
-    ho = _conv_out_size(h, kh, stride, pad)
-    wo = _conv_out_size(w, kw, stride, pad)
-    rows = [_inside(i - pad, stride, ho, h) for i in range(kh)]
-    cols = [_inside(j - pad, stride, wo, w) for j in range(kw)]
-    for i, (o0, o1, r) in enumerate(rows):
-        for j, (p0, p1, q) in enumerate(cols):
-            if o1 > o0 and p1 > p0:
-                dx[:, :, r : r + stride * (o1 - o0) : stride, q : q + stride * (p1 - p0) : stride] \
-                    += tap(i, j)[:, :, o0:o1, p0:p1]
+    """Adjoint of the tap walk over ``dx``'s shape: add ``tap(i, j)``, the
+    (n, c, ho, wo) gradient of every window's tap (i, j), into the cells it
+    read, in row-major tap order, and return ``dx``."""
+    for i, j, outs, cells in _taps(dx.shape, kh, kw, stride, pad):
+        dx[cells] += tap(i, j)[outs]
     return dx
-
-
-def _padded(x: np.ndarray, pad: int, fill, dtype) -> np.ndarray:
-    """``x`` cast to ``dtype`` inside a border of ``pad`` cells of ``fill``."""
-    if not pad:
-        return x.astype(dtype, copy=False)
-    n, c, h, w = x.shape
-    xp = np.full((n, c, h + 2 * pad, w + 2 * pad), fill, dtype=dtype)
-    xp[:, :, pad : pad + h, pad : pad + w] = x
-    return xp
 
 
 # bytes of im2col columns a conv builds at once: it lowers as many samples
@@ -323,19 +319,18 @@ def conv2d(x: Tensor, weight: Tensor, stride: int, pad: int) -> Tensor:
     w2 = weight.data.reshape(co, k).astype(out_dtype, copy=False)
 
     def lowered():
-        # each chunk's im2col columns, in one buffer the pass refills: the
-        # tape keeps x, the parent, and neither its padded copy nor its
-        # columns (kh * kw times its size), so each pass pads, casts and
-        # builds them again, the same bytes
-        xp = np.zeros((step, c, h + 2 * pad, w + 2 * pad), dtype=out_dtype) if pad else None
-        cols = np.empty((step, c, kh, kw, ho, wo), dtype=out_dtype)
+        # each chunk's im2col columns, in one buffer the pass refills tap by
+        # tap: every chunk writes the same cells, so those in the padding
+        # keep the 0 the pass starts them at.  The tape keeps x, the parent,
+        # and not its columns (kh * kw times its size), so each pass casts
+        # and builds them again, the same bytes
+        cols = np.zeros((step, c, kh, kw, ho, wo), dtype=out_dtype)
+        taps = _taps(x.shape, kh, kw, stride, pad)
         for chunk in chunks:
             xs = x.data[chunk]
             m = len(xs)
-            if pad:
-                xp[:m, :, pad : pad + h, pad : pad + w] = xs
-                xs = xp[:m]
-            np.copyto(cols[:m], _windows(xs, kh, kw, stride).transpose(0, 1, 4, 5, 2, 3))
+            for i, j, outs, cells in taps:
+                cols[:m, :, i, j][outs] = xs[cells]
             yield chunk, cols[:m].reshape(m, k, ho * wo)
 
     def forward():
@@ -385,19 +380,20 @@ def maxpool2d(x: Tensor, kernel: int, stride: int, pad: int) -> Tensor:
     wo = _conv_out_size(w, kernel, stride, pad)
     if ho <= 0 or wo <= 0:
         raise ShapeError(f"maxpool2d: window {kernel} too large for input {x.data.shape}")
-    xp = _padded(x.data, pad, -np.inf, x.data.dtype)
-    # a running maximum by argmax's rule: a later tap takes a window only if
-    # greater, or a NaN over a number, and takes it bit for bit, so -0.0 and
-    # NaN keep their bytes.  The tape keeps the slot, in the smallest int type
-    best = xp[:, :, : stride * ho : stride, : stride * wo : stride].copy()
+    xd = x.data
+    # a running maximum by argmax's rule, from -inf: a tap takes a window
+    # only if greater, or a NaN over a number, and takes it bit for bit, so
+    # -0.0 and NaN keep their bytes; a tap in the padding takes nothing.
+    # The tape keeps the slot, in the smallest int type
+    best = np.full((n, c, ho, wo), -np.inf, dtype=xd.dtype)
     slot = np.zeros(best.shape, np.min_scalar_type(kernel * kernel - 1))
-    bits = best.view(f"u{xp.itemsize}")
-    for k in range(1, kernel * kernel):
-        i, j = divmod(k, kernel)
-        tap = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
-        take = ~(tap <= best) & (best == best)
-        slot += take * (k - slot)
-        bits ^= (bits ^ tap.view(bits.dtype)) * take
+    uint = f"u{best.itemsize}"
+    for i, j, outs, cells in _taps(xd.shape, kernel, kernel, stride, pad):
+        tap, held, won = xd[cells], best[outs], slot[outs]
+        take = ~(tap <= held) & (held == held)
+        won += take * (i * kernel + j - won)
+        bits = held.view(uint)
+        bits ^= (bits ^ tap.view(uint)) * take
 
     def bwd(g):
         # a window's tap gets g where its maximum sits and 0 elsewhere, one

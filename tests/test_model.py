@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 import tracemalloc
 import weakref
 
@@ -392,15 +393,16 @@ class TestTapeRelease:
         assert all(p.grad is not None and p.grad.shape == p.shape for p in params.values())
 
     def test_a_step_lowers_each_conv_three_times(self, rng, monkeypatch):
-        # one chunk a lowering, so a conv's every lowering is one _windows call
-        monkeypatch.setattr(ad, "COLS_BUDGET", 1 << 40)
-        windows, lowerings, rebuilds = ad._windows, [], {}
+        # a conv's lowering walks its taps once a pass, whatever its chunks;
+        # the max pool and each fold walk them too, from functions of other names
+        taps, lowerings, rebuilds = ad._taps, [], {}
 
-        def counted_windows(*args):
-            lowerings.append(args)
-            return windows(*args)
+        def counted_taps(*args):
+            if sys._getframe(1).f_code.co_name == "lowered":
+                lowerings.append(args)
+            return taps(*args)
 
-        monkeypatch.setattr(ad, "_windows", counted_windows)
+        monkeypatch.setattr(ad, "_taps", counted_taps)
         model = ResNet(TOY, seed=8)
         convs = sum(p.data.ndim == 4 for p in model.parameters().values())
         lp = model.forward(Tensor(rng.standard_normal((4, 1, 8, 10)).astype(np.float32)),
