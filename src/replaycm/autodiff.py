@@ -27,19 +27,20 @@ as the one the forward used.  ``BatchNorm2d`` ends in a block's residual add
 and ReLU.
 
 The tape drops an array one way: ``release(t)`` swaps a tensor's data for
-its shape and dtype alone once its forward readers have run, and its first
-read rebuilds it by ``t._rebuild`` and keeps it until it is released again.
-A batch norm convolves its own input and releases that conv output once it
-has its statistics, so no caller sees it: the conv output is an ordinary
-parent of the batch norm's node, rebuilt at its first read in the backward,
-and the backward pass runs the conv's closure on the gradient the batch
-norm hands it.  A conv is lowered three times a step: forward, rebuild and
-weight gradient.  Reading a released tensor's ``shape`` or ``dtype``
-rebuilds nothing, and reading its data once the backward pass has freed its
-graph raises ContractError.  A tensor records a rebuild only on the tape, so
-a scoring forward releases nothing and chains no closures.  The model also
-releases the stem's batch norm output and each block's first and projection
-outputs, so a basic block keeps one array of its output's size.
+its shape and dtype alone once its forward readers have run.  On the tape its
+first read rebuilds it by ``t._rebuild`` and keeps it until it is released
+again; off the tape, or once a backward pass has freed its graph, there is
+nothing to rebuild it from, and the read raises ContractError.  A tensor
+records a rebuild only on the tape, so a scoring forward chains no closures
+and its released arrays simply go.  Reading a released tensor's ``shape`` or
+``dtype`` rebuilds nothing.  A batch norm convolves its own input and
+releases that conv output once it has its statistics, so no caller sees it:
+the conv output is an ordinary parent of the batch norm's node, rebuilt at
+its first read in the backward, and the backward pass runs the conv's
+closure on the gradient the batch norm hands it.  A conv is lowered three
+times a step: forward, rebuild and weight gradient.  The model also releases
+the stem's batch norm output and each block's first and projection outputs,
+so a basic block keeps one array of its output's size.
 
 No array of a whole batch's im2col columns is ever built: the conv's forward,
 its rebuild and its backward each lower a chunk of samples at a time, as many
@@ -90,6 +91,13 @@ class _Shell:
         self.shape, self.dtype = data.shape, data.dtype
 
 
+def _released(*_):
+    """A tensor's rebuild off the tape, and an interior tensor's closure and
+    rebuild once a backward pass has run it and freed the graph behind it."""
+    raise ContractError("the graph was freed by an earlier backward pass, "
+                        "or the tensor was released off the tape")
+
+
 class Tensor:
     __slots__ = ("_data", "grad", "requires_grad", "_parents", "_backward", "_rebuild",
                  "__weakref__")
@@ -103,7 +111,7 @@ class Tensor:
         self.requires_grad = False
         self._parents = ()
         self._backward = None
-        self._rebuild = None  # a tensor's way to compute its data again, kept on the tape
+        self._rebuild = _released  # on the tape, how a released tensor's data is computed again
 
     @property
     def data(self) -> np.ndarray:
@@ -127,7 +135,7 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def _result(data, parents, backward_fn, rebuild=None) -> Tensor:
+def _result(data, parents, backward_fn, rebuild=_released) -> Tensor:
     """An op's output; on the tape, when a parent requires gradients, with
     its closure, its parents and its ``rebuild``."""
     out = Tensor(data)
@@ -140,10 +148,9 @@ def _result(data, parents, backward_fn, rebuild=None) -> Tensor:
 
 
 def release(t: Tensor) -> None:
-    """Let ``t``'s data go once its forward readers have run: its first read
-    rebuilds it.  A tensor that records no rebuild keeps its data."""
-    if t._rebuild is not None:
-        t._data = _Shell(t._data)
+    """Let ``t``'s data go once its forward readers have run: on the tape its
+    first read rebuilds it, and off the tape the read raises ContractError."""
+    t._data = _Shell(t._data)
 
 
 def _promote(*tensors):
@@ -158,12 +165,6 @@ def _accum(tensor: Tensor, grad: np.ndarray, owned: bool = False):
         tensor.grad = grad if owned else grad.copy()
     else:
         tensor.grad = tensor.grad + grad
-
-
-def _released(*_):
-    """Stands in for the closure and the rebuild of an interior tensor once a
-    backward pass has run it and freed the graph behind it."""
-    raise ContractError("backward: the graph was freed by an earlier backward pass")
 
 
 def backward(out: Tensor, grad: np.ndarray) -> None:
@@ -443,7 +444,9 @@ class BatchNorm2d:
     The output's own rebuild normalizes a copy of the conv output and
     applies the epilogue in the forward's order, the same bytes.  The conv
     output it read stays for the backward, which then rebuilds nothing
-    more, so a released output costs no extra conv lowering.
+    more, so a released output costs no extra conv lowering.  A conv output
+    off the tape has no rebuild: where gamma takes a gradient and the conv
+    does not, the backward's read raises ContractError.
     """
 
     def __init__(self, channels: int):
@@ -499,9 +502,7 @@ class BatchNorm2d:
             return data
 
         release(conv)  # y is this call's own now: its backward rebuilds the conv output
-        # off the tape the conv output stays: gamma's gradient may read it as it stood
-        frozen = not conv.requires_grad and gamma.requires_grad
-        data = finished(normalized(y.copy() if frozen else y))
+        data = finished(normalized(y))
 
         def bwd(g):
             if relu:

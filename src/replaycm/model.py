@@ -10,8 +10,9 @@ runs the conv before it on its own input and releases that conv output
 (``autodiff.release``), and each but a projection's ends in its ReLU, a
 block's second after the shortcut add.  The stem's batch norm output, a
 block's first and a projection's are released the same way once their one
-forward reader has run, and the backward rebuilds what it reads of them, so
-the tape keeps one array of a block's output size.
+forward reader has run.  On the tape the backward rebuilds what it reads of
+them, so the tape keeps one array of a block's output size; off the tape, as
+in scoring, they go at their release.
 """
 
 from __future__ import annotations
@@ -171,7 +172,6 @@ class ResNet:
         stem = self.stem_bn(x, self.stem_conv, 1, 1, train, relu=True)
         h = ad.maxpool2d(stem, kernel=3, stride=1, pad=1)
         ad.release(stem)  # the max pool's backward reads only its slots
-        del stem  # so that off the tape, as in scoring, it goes now
         for blocks in self.stages:
             for block in blocks:
                 h = block(h, train)

@@ -93,12 +93,6 @@ def _bandpass_response(quality: str, sample_rate: int, n_fft: int) -> np.ndarray
     return response
 
 
-def _saturate(samples: np.ndarray, drive: float) -> np.ndarray:
-    if drive <= 0:
-        return samples
-    return np.tanh(drive * samples) / drive
-
-
 def degrade(w: Waveform, code: str, seed: int) -> Waveform:
     """Deterministic replay chain for attack ``code`` (distance class, then
     quality class); peak is capped at PEAK (never amplified, so degrading
@@ -117,7 +111,7 @@ def degrade(w: Waveform, code: str, seed: int) -> Waveform:
     spectrum = (np.fft.rfft(w.samples * dist["gain"], n_fft) * np.fft.rfft(h, n_fft)
                 * _bandpass_response(code[1], w.sample_rate, n_fft))
     x = np.fft.irfft(spectrum, n_fft)[:n]
-    x = _saturate(x, qual["drive"])
+    x = np.tanh(qual["drive"] * x) / qual["drive"]  # the device's soft saturation
     x = x + rng.standard_normal(x.size) * qual["noise_rms"]
 
     peak = np.max(np.abs(x))

@@ -81,12 +81,9 @@ class AdamW:
         self.step_count += 1
         t = self.step_count
         for name, p in self.params.items():
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
-            if not np.all(np.isfinite(g)):
+            if not np.all(np.isfinite(p.grad)):
                 raise TrainingError(f"non-finite gradient for parameter {name!r}")
-            g = g.astype(np.float64)
+            g = p.grad.astype(np.float64)
             self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
             self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
             m_hat = self.m[name] / (1 - self.beta1**t)

@@ -1,4 +1,5 @@
 import copy
+import weakref
 
 import numpy as np
 import pytest
@@ -186,20 +187,34 @@ def test_batchnorm_gradients(train, rng):
 
 
 @pytest.mark.parametrize("train", [True, False])
-def test_a_frozen_conv_leaves_gamma_its_gradient(train, rng):
+def test_a_frozen_conv_forwards_the_same_bytes_and_refuses_a_backward(train, rng):
     # with neither the conv's input nor its kernel taking a gradient, the conv
-    # output is off the tape, and gamma's gradient reads it as it stood
+    # output is off the tape and goes at its release: the forward's bytes are
+    # those of a conv on the tape, and gamma's gradient has nothing to read
     x0 = rng.standard_normal((2, 3, 4, 5)).astype(np.float32)
-    g = rng.standard_normal(x0.shape).astype(np.float32)
-    grads = []
+    gamma = rng.uniform(0.5, 1.5, 3).astype(np.float32)
+    outs = []
     for x in (leaf(x0.copy()), Tensor(x0.copy())):
         bn = BatchNorm2d(3)
-        bn.gamma.data = rng.uniform(0.5, 1.5, 3).astype(np.float32)
+        bn.gamma.data = gamma.copy()
         bn.gamma.requires_grad = bn.beta.requires_grad = True
-        ad.backward(bn(x, identity_kernel(3), 1, 0, train, relu=True), g.copy())
-        grads.append((bn.gamma.grad, bn.beta.grad))
-    for a, b in zip(*grads):
-        assert a.tobytes() == b.tobytes()
+        outs.append(bn(x, identity_kernel(3), 1, 0, train, relu=True))
+    assert outs[0].data.tobytes() == outs[1].data.tobytes()
+    with pytest.raises(ContractError, match="released off the tape"):
+        ad.backward(outs[1], np.ones(outs[1].shape, dtype=np.float32))
+
+
+def test_a_tensor_released_off_the_tape_holds_no_data(rng):
+    # no closure could rebuild it, so its bytes go at the release, and a read
+    # is refused rather than answered
+    y = ad.conv2d(Tensor(rng.standard_normal((2, 3, 4, 5)).astype(np.float32)),
+                  identity_kernel(3), 1, 0)
+    data = weakref.ref(y.data)
+    ad.release(y)
+    assert data() is None
+    assert (y.shape, y.dtype) == ((2, 3, 4, 5), np.float32)
+    with pytest.raises(ContractError, match="released off the tape"):
+        y.data
 
 
 def test_batchnorm_eval_is_affine(rng):

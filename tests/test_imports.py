@@ -118,6 +118,8 @@ NOT_RUN = {
     "fuse": NETWORK | {"features"},
     "evaluate": NETWORK | {"features"},
     "breakdown": NETWORK | {"features"},
+    "train": {"scoring"},
+    "saliency": {"training", "objectives", "metrics", "scoring", "replay_sim"},
 }
 
 

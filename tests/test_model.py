@@ -144,6 +144,17 @@ class TestScoring:
         singles = [score_one(model, g) for g in grams]
         assert np.allclose(batch, singles, atol=1e-5)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 11: linear's GEMM gives a row "
+                                           "other bytes in a batch than alone")
+    def test_a_gram_scored_alone_gets_its_row_of_a_batch(self, rng):
+        # the default widths on toy grams: 30 of these 32 rows differ, by up
+        # to 2.4e-5, while each conv makes one GEMM per sample; the fix of
+        # the layer must turn this test into a pass
+        model = ResNet(ResNetConfig(input_bins=8, input_frames=10), seed=5)
+        grams = rng.standard_normal((32, 8, 10)).astype(np.float32)
+        alone = np.array([score_one(model, g) for g in grams])
+        assert score_batch(model, grams).tobytes() == alone.tobytes()
+
 
 class TestAdamW:
     def test_zero_gradient_zero_decay_is_identity(self):

@@ -85,8 +85,7 @@ def scipy_degrade(w: Waveform, code: str, seed: int) -> np.ndarray:
     nyquist = w.sample_rate / 2.0
     edges = [qual["low_hz"] / nyquist, min(qual["high_hz"], nyquist * 0.999) / nyquist]
     x = scipy.signal.sosfilt(scipy.signal.butter(4, edges, btype="bandpass", output="sos"), x)
-    if qual["drive"] > 0:
-        x = np.tanh(qual["drive"] * x) / qual["drive"]
+    x = np.tanh(qual["drive"] * x) / qual["drive"]
     x = x + rng.standard_normal(x.size) * qual["noise_rms"]
     return x * min(PEAK / np.max(np.abs(x)), 1.0)
 
